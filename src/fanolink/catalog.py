@@ -22,9 +22,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .rational import is_integer
 
-MIN_INDEX = 1
-MAX_INDEX = 4
-
 
 @dataclass(frozen=True)
 class DegreeRule:

@@ -20,10 +20,13 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import catalog
-from .formulas import e1e1_residuals, e1estar_residuals, star_sigma
-from .model import ContractionType, LinkCandidate, SideData
+from .formulas import defect, e1e1_residuals, e1estar_residuals, star_sigma
+from .model import LinkCandidate, SideData, intersection_constants
 from .rational import as_integer, is_integer
 
+# The central-degree domain: even, 2..22.  It is also the search range.
+KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
+# Bound on the point-side leading coefficient; also the search box's bound.
 MAX_ALPHA_PLUS = 86
 
 
@@ -33,17 +36,13 @@ class CheckReport:
     passed: bool
     detail: str
 
-    def as_tuple(self) -> tuple[str, bool, str]:
-        return (self.name, self.passed, self.detail)
-
 
 def _exact_defects(c: LinkCandidate) -> tuple[Fraction, Fraction]:
     """Left and right flop defects as exact rationals."""
-    from .model import intersection_constants
-
-    e3_left = intersection_constants(c.left).e3self
-    e3_right = intersection_constants(c.right).e3self
-    return e3_left - c.etilde3_left, e3_right - c.etilde3_right
+    return (
+        defect(intersection_constants(c.left).e3self, c.etilde3_left),
+        defect(intersection_constants(c.right).e3self, c.etilde3_right),
+    )
 
 
 # Minimum anticanonical excess on a blown-up-curve side.  The base-point-free
@@ -68,7 +67,7 @@ def _check_sigma_pos(c: LinkCandidate) -> tuple[bool, str]:
 
 
 def _check_kx3_range(c: LinkCandidate) -> tuple[bool, str]:
-    ok = 2 <= c.kx3 <= 22 and c.kx3 % 2 == 0
+    ok = c.kx3 in KX3_VALUES
     return ok, f"central degree {c.kx3}"
 
 
@@ -185,8 +184,7 @@ def _check_defect_positive(c: LinkCandidate) -> tuple[bool, str]:
 
 def _check_defect_divisible(c: LinkCandidate) -> tuple[bool, str]:
     e, e_plus = _exact_defects(c)
-    scale_left = c.left.r**3 if c.left.is_e1 else 1
-    scale_right = c.right.r**3 if c.right.is_e1 else 1
+    scale_left, scale_right = c.left.cube_scale, c.right.cube_scale
     norm_left = e / scale_left
     norm_right = e_plus / scale_right
     ok = is_integer(norm_left) and is_integer(norm_right) and norm_left == norm_right

@@ -16,8 +16,7 @@ mismatch, 2 usage error, 3 internal error (bad packaged data, I/O
 failure, arithmetic guard).
 
 The tool reads no network and writes nothing except an explicit --out
-file.  SARKISOV_THREADS (default 1) selects the worker count for the
-E1-E1 enumeration; output is identical at any setting.
+file.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from . import checks as checks_mod
 from . import golden as golden_mod
 from . import render as render_mod
 from . import search as search_mod
-from .model import ContractionType
-from .rational import as_integer, render_exact
+from .model import FAMILIES
+from .rational import render_exact
 
 FORMAT_CHOICES = ("csv", "json", "markdown", "latex")
 
@@ -151,47 +150,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any_mismatch else 0
 
 
-def _candidate_from_golden_row(row) -> "search_mod.LinkCandidate":
-    if row.family == "e1e1":
-        return search_mod.build_e1e1(
-            row.kx3, (row.r, row.d, row.g), (row.r_plus, row.d_plus, row.g_plus)
-        )
-    star = ContractionType.from_label(row.type_right)
-    if row.family in ("e1e2", "e1e3", "e1e5"):
-        return search_mod.build_e1estar(
-            row.kx3, (row.r, row.d, row.g), star, as_integer(row.alpha_plus), as_integer(row.beta_plus)
-        )
-    return search_mod.build_symmetric(star, as_integer(row.alpha), row.kx3)
-
-
-def _candidate_from_tuple(family: str, numbers: list[int]) -> "search_mod.LinkCandidate":
-    star = {
-        "e1e2": ContractionType.E2,
-        "e1e3": ContractionType.E34,
-        "e1e5": ContractionType.E5,
-        "e2e2": ContractionType.E2,
-        "e3e3": ContractionType.E34,
-        "e5e5": ContractionType.E5,
-    }.get(family)
-    if family == "e1e1":
-        if len(numbers) != 7:
-            raise ValueError("e1e1 tuple is (kx3, r, d, g, r_plus, d_plus, g_plus)")
-        kx3, r, d, g, rp, dp, gp = numbers
-        return search_mod.build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-    if family in ("e1e2", "e1e3", "e1e5"):
-        if len(numbers) != 6:
-            raise ValueError(f"{family} tuple is (kx3, r, d, g, alpha_plus, beta_plus)")
-        kx3, r, d, g, ap, bp = numbers
-        return search_mod.build_e1estar(kx3, (r, d, g), star, ap, bp)
-    if family in ("e2e2", "e3e3", "e5e5"):
-        if len(numbers) != 2:
-            raise ValueError(f"{family} tuple is (kx3, alpha)")
-        kx3, alpha = numbers
-        return search_mod.build_symmetric(star, alpha, kx3)
-    raise ValueError(f"unknown family: {family!r}")
-
-
 def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.LinkCandidate":
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family!r} (choose from {', '.join(FAMILIES)})")
     text = " ".join(key_tokens).strip()
     if text.lower().startswith("row"):
         number_text = text[3:].strip()
@@ -200,26 +161,25 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
         number = int(number_text)
         for row in golden_mod.golden_for_family(family):
             if row.row == number:
-                return _candidate_from_golden_row(row)
+                return search_mod.candidate_from_fields(family, vars(row))
         raise ValueError(f"no golden row {number} in family {family}")
     cleaned = text.strip("()")
     try:
         numbers = [int(part.strip()) for part in cleaned.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"cannot parse tuple: {text!r}") from None
-    return _candidate_from_tuple(family, numbers)
+    names = FAMILIES[family].explain_fields
+    if len(numbers) != len(names):
+        raise ValueError(f"{family} tuple is ({', '.join(names)})")
+    fields = dict(zip(names, numbers))
+    if fields["kx3"] <= 0:
+        raise ValueError(f"central degree kx3 must be positive, got {fields['kx3']}")
+    return search_mod.candidate_from_fields(family, fields)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    family = args.family
-    if family not in search_mod.FAMILY_IDS:
-        print(
-            f"error: unknown family: {family!r} (choose from {', '.join(search_mod.FAMILY_IDS)})",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        candidate = _resolve_explain_target(family, args.key)
+        candidate = _resolve_explain_target(args.family, args.key)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

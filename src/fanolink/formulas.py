@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .model import (
+    STAR_DEGREE_OFFSET,
     ContractionType,
     FlopCoefficients,
     IntersectionConstants,
@@ -42,16 +43,11 @@ def ky3_from_kx3(kx3: int, side: SideData) -> Fraction | int:
     """Anticanonical degree of the side's contraction target.
 
     Blowing down adds rd + sigma for an E1 side; the point-type sides add
-    the fixed amounts 8, 2 and 1/2 (the E5 target is singular with a
-    half-integral degree).
+    the fixed amounts in STAR_DEGREE_OFFSET.
     """
     if side.ctype is ContractionType.E1:
         return kx3 + 2 * side.r * side.d + 2 - 2 * side.g
-    if side.ctype is ContractionType.E2:
-        return kx3 + 8
-    if side.ctype is ContractionType.E34:
-        return kx3 + 2
-    return kx3 + Fraction(1, 2)
+    return kx3 + STAR_DEGREE_OFFSET[side.ctype]
 
 
 def beta_e1e1(r: int, r_plus: int) -> tuple[Fraction, Fraction]:
@@ -170,13 +166,3 @@ def defect(e3self: int, etilde3: Fraction | int) -> Fraction | int:
     """Flop defect: drop of the divisor's self-cube across the flop."""
     return e3self - etilde3
 
-
-def symmetric_kx3(ctype: ContractionType, alpha: int) -> Fraction:
-    """Central degree of a symmetric star-star candidate with coefficient alpha.
-
-    The symmetric relation alpha * kx3 = 2c forces kx3 = 2c/alpha, where c
-    is the point-side constant.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive: {alpha}")
-    return Fraction(2 * star_sigma(ctype), alpha)

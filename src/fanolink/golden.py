@@ -3,71 +3,42 @@
 The nine packaged CSV files hold the reference classification rows the
 enumeration must reproduce bit for bit.  Loading is strict: the header
 must match the family schema, every value must parse exactly, stated
-target degrees must agree with the degree formula, and each table must
-contain its known number of rows.  Any violation raises GoldenDataError
-with the file name and line number.
+target degrees must agree with the degree formula, no row key may repeat,
+and each table must contain its known number of rows.  Any violation
+raises GoldenDataError with the file name and line number.
 
 ``diff`` compares an enumerated candidate set against golden rows column
-by column in exact arithmetic and reports missing keys, extra keys, and
-per-column mismatches; verification passes iff the report is empty.
+by column in exact arithmetic and reports missing keys, extra keys, keys
+repeated on either side, and per-column mismatches; verification passes
+iff the report is empty.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import ContractionType, ExistenceStatus, LinkCandidate
+from .formulas import ky3_from_kx3
+from .model import (
+    FAMILIES,
+    ContractionType,
+    ExistenceStatus,
+    FamilySpec,
+    LinkCandidate,
+    Shape,
+    SideData,
+    family_spec,
+)
 from .rational import parse_rational
 
-TABLE_FAMILY: dict[int, str] = {
-    1: "e1e1",
-    2: "e1e1",
-    3: "e1e1",
-    4: "e1e2",
-    5: "e1e3",
-    6: "e1e5",
-    7: "e2e2",
-    8: "e3e3",
-    9: "e5e5",
-}
-
-FAMILY_TABLES: dict[str, tuple[int, ...]] = {
-    "e1e1": (1, 2, 3),
-    "e1e2": (4,),
-    "e1e3": (5,),
-    "e1e5": (6,),
-    "e2e2": (7,),
-    "e3e3": (8,),
-    "e5e5": (9,),
-}
-
-TABLE_CARDINALITY: dict[int, int] = {1: 26, 2: 27, 3: 58, 4: 3, 5: 7, 6: 7, 7: 3, 8: 2, 9: 1}
-
-# E1-E1 rows are numbered consecutively across their three tables.
-ROW_OFFSET: dict[int, int] = {1: 0, 2: 26, 3: 53}
-
-_E1E1_HEADER = [
-    "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
-    "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
-]
-_E1STAR_HEADER = [
-    "kx3", "type_left", "type_right", "r", "d", "g",
-    "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
-]
-_SYMMETRIC_HEADER = [
-    "kx3", "type_left", "type_right", "alpha", "beta", "kY3", "e", "exists", "ref",
-]
-
-_STAR_DEGREE_OFFSET = {
-    ContractionType.E2: Fraction(8),
-    ContractionType.E34: Fraction(2),
-    ContractionType.E5: Fraction(1, 2),
-}
+_INT_COLUMNS = frozenset({"kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus", "e_over_r3", "e"})
+_RATIONAL_COLUMNS = frozenset({"alpha", "beta", "kY3", "kY3_plus"})
 
 
 class GoldenDataError(ValueError):
@@ -102,13 +73,11 @@ class GoldenRow:
     ref: str
 
 
-def _table_header(table: int) -> list[str]:
-    family = TABLE_FAMILY[table]
-    if family == "e1e1":
-        return _E1E1_HEADER
-    if family in ("e1e2", "e1e3", "e1e5"):
-        return _E1STAR_HEADER
-    return _SYMMETRIC_HEADER
+def _table_spec(table: int) -> FamilySpec:
+    for spec in FAMILIES.values():
+        if any(number == table for number, _ in spec.tables):
+            return spec
+    raise ValueError(f"table id out of range 1..9: {table}")
 
 
 def _table_text(table: int, data_dir: str | Path | None) -> tuple[str, str]:
@@ -120,20 +89,6 @@ def _table_text(table: int, data_dir: str | Path | None) -> tuple[str, str]:
     return res.read_text(encoding="utf-8"), name
 
 
-def _parse_int(value: str, source: str, lineno: int, column: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise GoldenDataError(f"{source}:{lineno}: column {column}: not an integer: {value!r}") from None
-
-
-def _parse_fraction(value: str, source: str, lineno: int, column: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except (ValueError, ZeroDivisionError):
-        raise GoldenDataError(f"{source}:{lineno}: column {column}: not a rational: {value!r}") from None
-
-
 def _expect(condition: bool, source: str, lineno: int, message: str) -> None:
     if not condition:
         raise GoldenDataError(f"{source}:{lineno}: {message}")
@@ -141,9 +96,7 @@ def _expect(condition: bool, source: str, lineno: int, message: str) -> None:
 
 def load_golden(table: int, data_dir: str | Path | None = None) -> tuple[GoldenRow, ...]:
     """Load and validate one golden table (1..9)."""
-    if table not in TABLE_FAMILY:
-        raise ValueError(f"table id out of range 1..9: {table}")
-    family = TABLE_FAMILY[table]
+    spec = _table_spec(table)
     text, source = _table_text(table, data_dir)
 
     numbered = [
@@ -156,7 +109,7 @@ def load_golden(table: int, data_dir: str | Path | None = None) -> tuple[GoldenR
 
     header_lineno, header_line = numbered[0]
     header = next(csv.reader([header_line]))
-    expected_header = _table_header(table)
+    expected_header = list(spec.csv_columns)
     _expect(
         header == expected_header,
         source,
@@ -165,6 +118,7 @@ def load_golden(table: int, data_dir: str | Path | None = None) -> tuple[GoldenR
     )
 
     rows: list[GoldenRow] = []
+    first_line: dict[tuple, int] = {}
     for ordinal, (lineno, line) in enumerate(numbered[1:], start=1):
         fields = next(csv.reader([line]))
         _expect(
@@ -174,139 +128,106 @@ def load_golden(table: int, data_dir: str | Path | None = None) -> tuple[GoldenR
             f"expected {len(expected_header)} fields, got {len(fields)}",
         )
         record = dict(zip(expected_header, (f.strip() for f in fields)))
-        rows.append(_build_row(table, family, ordinal, record, source, lineno))
+        row = _build_row(table, spec, ordinal, record, source, lineno)
+        key = golden_key(row)
+        _expect(
+            key not in first_line,
+            source,
+            lineno,
+            f"duplicate key {key} (first at line {first_line.get(key)})",
+        )
+        first_line[key] = lineno
+        rows.append(row)
 
+    count = dict(spec.tables)[table]
     _expect(
-        len(rows) == TABLE_CARDINALITY[table],
+        len(rows) == count,
         source,
         numbered[-1][0],
-        f"table {table} must contain {TABLE_CARDINALITY[table]} rows, found {len(rows)}",
+        f"table {table} must contain {count} rows, found {len(rows)}",
     )
     return tuple(rows)
 
 
-def _build_row(
-    table: int, family: str, ordinal: int, record: dict[str, str], source: str, lineno: int
-) -> GoldenRow:
-    kx3 = _parse_int(record["kx3"], source, lineno, "kx3")
+def _parse_cell(column: str, value: str, source: str, lineno: int) -> object:
     try:
-        type_left = ContractionType.from_label(record["type_left"])
-        type_right = ContractionType.from_label(record["type_right"])
-        exists = ExistenceStatus.from_label(record["exists"])
-    except ValueError as exc:
-        raise GoldenDataError(f"{source}:{lineno}: {exc}") from None
-    alpha = _parse_fraction(record["alpha"], source, lineno, "alpha")
-    beta = _parse_fraction(record["beta"], source, lineno, "beta")
-    _expect(beta != 0, source, lineno, "beta must be nonzero")
-    # The star-side coefficient pair is determined by the printed pair.
-    alpha_plus = -alpha / beta
-    beta_plus = 1 / beta
-    kY3 = _parse_fraction(record["kY3"], source, lineno, "kY3")
+        if column in _INT_COLUMNS:
+            return int(value)
+        if column in _RATIONAL_COLUMNS:
+            return parse_rational(value)
+        if column == "exists":
+            return ExistenceStatus.from_label(value)
+        if column in ("type_left", "type_right"):
+            return ContractionType.from_label(value).label
+        return value
+    except (ValueError, ZeroDivisionError) as exc:
+        if column in _INT_COLUMNS:
+            reason = f"column {column}: not an integer: {value!r}"
+        elif column in _RATIONAL_COLUMNS:
+            reason = f"column {column}: not a rational: {value!r}"
+        else:
+            reason = str(exc)
+        raise GoldenDataError(f"{source}:{lineno}: {reason}") from None
 
-    r = d = g = r_plus = d_plus = g_plus = None
-    kY3_plus: Fraction | None = None
-    e_over_r3: int | None = None
-    e: int | None = None
 
-    if family == "e1e1":
-        _expect(
-            type_left is ContractionType.E1 and type_right is ContractionType.E1,
-            source,
-            lineno,
-            f"types must be E1/E1, got {type_left.label}/{type_right.label}",
-        )
-        r = _parse_int(record["r"], source, lineno, "r")
-        d = _parse_int(record["d"], source, lineno, "d")
-        g = _parse_int(record["g"], source, lineno, "g")
-        r_plus = _parse_int(record["r_plus"], source, lineno, "r_plus")
-        d_plus = _parse_int(record["d_plus"], source, lineno, "d_plus")
-        g_plus = _parse_int(record["g_plus"], source, lineno, "g_plus")
-        kY3_plus = _parse_fraction(record["kY3_plus"], source, lineno, "kY3_plus")
-        e_over_r3 = _parse_int(record["e_over_r3"], source, lineno, "e_over_r3")
-        _expect(
-            kY3 == kx3 + 2 * r * d + 2 - 2 * g,
-            source,
-            lineno,
-            f"kY3 {kY3} inconsistent with degree formula for (kx3={kx3}, r={r}, d={d}, g={g})",
-        )
-        _expect(
-            kY3_plus == kx3 + 2 * r_plus * d_plus + 2 - 2 * g_plus,
-            source,
-            lineno,
-            f"kY3_plus {kY3_plus} inconsistent with degree formula for "
-            f"(kx3={kx3}, r={r_plus}, d={d_plus}, g={g_plus})",
-        )
-    elif family in ("e1e2", "e1e3", "e1e5"):
-        _expect(
-            type_left is ContractionType.E1 and type_right is not ContractionType.E1,
-            source,
-            lineno,
-            f"types must be E1/point, got {type_left.label}/{type_right.label}",
-        )
-        r = _parse_int(record["r"], source, lineno, "r")
-        d = _parse_int(record["d"], source, lineno, "d")
-        g = _parse_int(record["g"], source, lineno, "g")
-        kY3_plus = _parse_fraction(record["kY3_plus"], source, lineno, "kY3_plus")
-        e_over_r3 = _parse_int(record["e_over_r3"], source, lineno, "e_over_r3")
-        _expect(
-            kY3 == kx3 + 2 * r * d + 2 - 2 * g,
-            source,
-            lineno,
-            f"kY3 {kY3} inconsistent with degree formula for (kx3={kx3}, r={r}, d={d}, g={g})",
-        )
-        _expect(
-            kY3_plus == kx3 + _STAR_DEGREE_OFFSET[type_right],
-            source,
-            lineno,
-            f"kY3_plus {kY3_plus} inconsistent with the {type_right.label} degree offset",
-        )
+def _build_row(
+    table: int, spec: FamilySpec, ordinal: int, record: dict[str, str], source: str, lineno: int
+) -> GoldenRow:
+    cells: dict[str, object] = {f.name: None for f in dataclasses.fields(GoldenRow)}
+    for column, value in record.items():
+        cells[column] = _parse_cell(column, value, source, lineno)
+
+    left_e1 = cells["type_left"] == ContractionType.E1.label
+    right_e1 = cells["type_right"] == ContractionType.E1.label
+    if spec.shape is Shape.CURVE_CURVE:
+        types_ok, expected_types = left_e1 and right_e1, "E1/E1"
+    elif spec.shape is Shape.CURVE_POINT:
+        types_ok, expected_types = left_e1 and not right_e1, "E1/point"
     else:
+        types_ok = not left_e1 and cells["type_left"] == cells["type_right"]
+        expected_types = "equal point types"
+    _expect(
+        types_ok,
+        source,
+        lineno,
+        f"types must be {expected_types}, got {cells['type_left']}/{cells['type_right']}",
+    )
+    _expect(cells["beta"] != 0, source, lineno, "beta must be nonzero")
+    # The star-side coefficient pair is determined by the printed pair.
+    cells["alpha_plus"] = -cells["alpha"] / cells["beta"]
+    cells["beta_plus"] = 1 / cells["beta"]
+
+    # Stated target degrees must follow from the side data.
+    kx3 = cells["kx3"]
+    for column, label, r, d, g in (
+        ("kY3", cells["type_left"], cells["r"], cells["d"], cells["g"]),
+        ("kY3_plus", cells["type_right"], cells["r_plus"], cells["d_plus"], cells["g_plus"]),
+    ):
+        if column not in record:
+            continue
+        try:
+            side = SideData(ContractionType.from_label(label), r, d, g)
+        except ValueError as exc:
+            raise GoldenDataError(f"{source}:{lineno}: {exc}") from None
+        if side.is_e1:
+            rule = f"degree formula for (kx3={kx3}, r={r}, d={d}, g={g})"
+        else:
+            rule = f"the {side.ctype.label} degree offset"
         _expect(
-            type_left is not ContractionType.E1 and type_left is type_right,
+            cells[column] == ky3_from_kx3(kx3, side),
             source,
             lineno,
-            f"types must be equal point types, got {type_left.label}/{type_right.label}",
-        )
-        e = _parse_int(record["e"], source, lineno, "e")
-        _expect(
-            kY3 == kx3 + _STAR_DEGREE_OFFSET[type_left],
-            source,
-            lineno,
-            f"kY3 {kY3} inconsistent with the {type_left.label} degree offset",
+            f"{column} {cells[column]} inconsistent with {rule}",
         )
 
-    return GoldenRow(
-        table=table,
-        row=ROW_OFFSET.get(table, 0) + ordinal,
-        family=family,
-        kx3=kx3,
-        type_left=type_left.label,
-        type_right=type_right.label,
-        r=r,
-        d=d,
-        g=g,
-        r_plus=r_plus,
-        d_plus=d_plus,
-        g_plus=g_plus,
-        alpha=alpha,
-        beta=beta,
-        alpha_plus=alpha_plus,
-        beta_plus=beta_plus,
-        kY3=kY3,
-        kY3_plus=kY3_plus,
-        e_over_r3=e_over_r3,
-        e=e,
-        exists=exists,
-        ref=record["ref"],
-    )
+    cells.update(table=table, row=spec.row_offset(table) + ordinal, family=spec.id)
+    return GoldenRow(**cells)
 
 
 def golden_for_family(family: str, data_dir: str | Path | None = None) -> tuple[GoldenRow, ...]:
     """All golden rows of one family, in table order."""
-    if family not in FAMILY_TABLES:
-        raise ValueError(f"unknown family: {family!r}")
     rows: list[GoldenRow] = []
-    for table in FAMILY_TABLES[family]:
+    for table, _ in family_spec(family).tables:
         rows.extend(load_golden(table, data_dir))
     return tuple(rows)
 
@@ -316,54 +237,11 @@ def golden_for_family(family: str, data_dir: str | Path | None = None) -> tuple[
 
 
 def golden_key(row: GoldenRow) -> tuple:
-    if row.family == "e1e1":
-        return (row.type_left, row.type_right, row.kx3, row.r, row.d, row.g,
-                row.r_plus, row.d_plus, row.g_plus)
-    if row.family in ("e1e2", "e1e3", "e1e5"):
-        return (row.type_left, row.type_right, row.kx3, row.r, row.d, row.g)
-    return (row.type_left, row.type_right, row.kx3)
+    return FAMILIES[row.family].key(vars(row))
 
 
 def candidate_key(candidate: LinkCandidate) -> tuple:
-    left, right = candidate.left, candidate.right
-    if left.is_e1 and right.is_e1:
-        return (left.ctype.label, right.ctype.label, candidate.kx3,
-                left.r, left.d, left.g, right.r, right.d, right.g)
-    if left.is_e1:
-        return (left.ctype.label, right.ctype.label, candidate.kx3, left.r, left.d, left.g)
-    return (left.ctype.label, right.ctype.label, candidate.kx3)
-
-
-def _golden_values(row: GoldenRow) -> dict[str, Fraction | int]:
-    values = {
-        "alpha": row.alpha,
-        "beta": row.beta,
-        "alpha_plus": row.alpha_plus,
-        "beta_plus": row.beta_plus,
-        "kY3": row.kY3,
-    }
-    if row.family in ("e2e2", "e3e3", "e5e5"):
-        values["e"] = row.e
-    else:
-        values["kY3_plus"] = row.kY3_plus
-        values["e_over_r3"] = row.e_over_r3
-    return values
-
-
-def _candidate_values(candidate: LinkCandidate) -> dict[str, Fraction | int | None]:
-    values = {
-        "alpha": candidate.coeffs.alpha,
-        "beta": candidate.coeffs.beta,
-        "alpha_plus": candidate.coeffs.alpha_plus,
-        "beta_plus": candidate.coeffs.beta_plus,
-        "kY3": candidate.kY3_left,
-    }
-    if candidate.family in ("e2e2", "e3e3", "e5e5"):
-        values["e"] = candidate.defect_e
-    else:
-        values["kY3_plus"] = candidate.kY3_right
-        values["e_over_r3"] = candidate.e_over_r3
-    return values
+    return FAMILIES[candidate.family].key(candidate.cells())
 
 
 @dataclass(frozen=True)
@@ -381,10 +259,19 @@ class DiffReport:
     missing: tuple[tuple, ...]
     extra: tuple[tuple, ...]
     mismatches: tuple[FieldMismatch, ...]
+    # Keys that occur more than once among the computed / the golden rows.
+    duplicate_computed: tuple[tuple, ...] = ()
+    duplicate_golden: tuple[tuple, ...] = ()
 
     @property
     def empty(self) -> bool:
-        return not (self.missing or self.extra or self.mismatches)
+        return not (
+            self.missing
+            or self.extra
+            or self.mismatches
+            or self.duplicate_computed
+            or self.duplicate_golden
+        )
 
     def describe(self) -> str:
         if self.empty:
@@ -394,6 +281,10 @@ class DiffReport:
             lines.append(f"missing row: {key}")
         for key in self.extra:
             lines.append(f"extra row: {key}")
+        for key in self.duplicate_computed:
+            lines.append(f"duplicate computed row: {key}")
+        for key in self.duplicate_golden:
+            lines.append(f"duplicate golden row: {key}")
         for mismatch in self.mismatches:
             lines.append(
                 f"mismatch at {mismatch.key}: {mismatch.column} "
@@ -402,19 +293,32 @@ class DiffReport:
         return "\n".join(lines)
 
 
+def _duplicates(keys: Iterable[tuple]) -> tuple[tuple, ...]:
+    return tuple(sorted((key for key, n in Counter(keys).items() if n > 1), key=repr))
+
+
 def diff(candidates: Sequence[LinkCandidate], golden: Iterable[GoldenRow]) -> DiffReport:
     """Exact column-by-column comparison of a candidate set with golden rows."""
-    computed = {candidate_key(c): c for c in candidates}
-    reference = {golden_key(row): row for row in golden}
+    computed_rows = [(candidate_key(c), c.cells()) for c in candidates]
+    reference_rows = [(golden_key(row), row) for row in golden]
+    computed = dict(computed_rows)
+    reference = dict(reference_rows)
 
     missing = tuple(sorted(set(reference) - set(computed), key=repr))
     extra = tuple(sorted(set(computed) - set(reference), key=repr))
 
     mismatches: list[FieldMismatch] = []
     for key in sorted(set(reference) & set(computed), key=repr):
-        expected = _golden_values(reference[key])
-        actual = _candidate_values(computed[key])
-        for column, expected_value in expected.items():
+        row = reference[key]
+        actual = computed[key]
+        for column in FAMILIES[row.family].value_columns:
+            expected_value = getattr(row, column)
             if actual[column] != expected_value:
                 mismatches.append(FieldMismatch(key, column, expected_value, actual[column]))
-    return DiffReport(missing=missing, extra=extra, mismatches=tuple(mismatches))
+    return DiffReport(
+        missing=missing,
+        extra=extra,
+        mismatches=tuple(mismatches),
+        duplicate_computed=_duplicates(key for key, _ in computed_rows),
+        duplicate_golden=_duplicates(key for key, _ in reference_rows),
+    )

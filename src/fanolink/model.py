@@ -11,8 +11,9 @@ equality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Mapping
 
 
 class ContractionType(enum.Enum):
@@ -33,9 +34,6 @@ class ContractionType(enum.Enum):
             if member.value == label:
                 return member
         raise ValueError(f"unknown contraction type label: {label!r}")
-
-
-STAR_TYPES = (ContractionType.E2, ContractionType.E34, ContractionType.E5)
 
 
 class ExistenceStatus(enum.Enum):
@@ -86,6 +84,11 @@ class SideData:
         return self.ctype is ContractionType.E1
 
     @property
+    def cube_scale(self) -> int:
+        """Normalisation of this side's flop defect: r^3 on E1, 1 on a point type."""
+        return self.r**3 if self.is_e1 else 1
+
+    @property
     def target_index(self) -> int | None:
         """Fano index of this side's contraction target, if it is smooth.
 
@@ -117,6 +120,14 @@ _STAR_CONSTANTS = {
     ContractionType.E2: IntersectionConstants(4, 2, 1),
     ContractionType.E34: IntersectionConstants(2, 2, 2),
     ContractionType.E5: IntersectionConstants(1, 2, 4),
+}
+
+# Anticanonical degree gained by contracting a point-type divisor (the E5
+# target is singular with a half-integral degree).
+STAR_DEGREE_OFFSET: dict[ContractionType, int | Fraction] = {
+    ContractionType.E2: 8,
+    ContractionType.E34: 2,
+    ContractionType.E5: Fraction(1, 2),
 }
 
 
@@ -171,6 +182,113 @@ def family_id(left: ContractionType, right: ContractionType) -> str:
     return short[left] + short[right]
 
 
+class Shape(enum.Enum):
+    """Which sides of a family's links contract a curve and which a point."""
+
+    CURVE_CURVE = "curve-curve"
+    CURVE_POINT = "curve-point"
+    POINT_POINT = "point-point"
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """What tells one family apart: star type, golden tables and column layout.
+
+    Column names are GoldenRow field names and LinkCandidate.cells keys
+    ("no" in the display columns is the running row number).  ``tables``
+    holds (golden table number, row count) pairs in table order.
+    """
+
+    id: str
+    star: ContractionType | None
+    tables: tuple[tuple[int, int], ...]
+    shape: Shape
+    csv_columns: tuple[str, ...]
+    key_columns: tuple[str, ...]
+    value_columns: tuple[str, ...]
+    sort_columns: tuple[str, ...]
+    display_columns: tuple[str, ...]
+    explain_fields: tuple[str, ...]
+
+    def key(self, cells: Mapping[str, object]) -> tuple:
+        """The row's identity within the family: its key-column values."""
+        return tuple(cells[column] for column in self.key_columns)
+
+    def row_offset(self, table: int) -> int:
+        """Rows in the family's earlier tables; golden rows number across tables."""
+        numbers = [number for number, _ in self.tables]
+        return sum(count for _, count in self.tables[: numbers.index(table)])
+
+
+_VALUE_COLUMNS = ("alpha", "beta", "alpha_plus", "beta_plus", "kY3")
+
+_CURVE_CURVE = dict(
+    shape=Shape.CURVE_CURVE,
+    csv_columns=(
+        "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
+        "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
+    ),
+    key_columns=("type_left", "type_right", "kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus"),
+    value_columns=_VALUE_COLUMNS + ("kY3_plus", "e_over_r3"),
+    sort_columns=("kx3", "r", "r_plus", "g", "d", "g_plus", "d_plus"),
+    display_columns=(
+        "no", "kx3", "kY3", "kY3_plus", "alpha", "beta", "r", "d", "g",
+        "r_plus", "d_plus", "g_plus", "e_over_r3", "exists", "ref",
+    ),
+    explain_fields=("kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus"),
+)
+
+_CURVE_POINT = dict(
+    shape=Shape.CURVE_POINT,
+    csv_columns=(
+        "kx3", "type_left", "type_right", "r", "d", "g",
+        "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
+    ),
+    key_columns=("type_left", "type_right", "kx3", "r", "d", "g"),
+    value_columns=_VALUE_COLUMNS + ("kY3_plus", "e_over_r3"),
+    sort_columns=("kx3", "r", "g", "d"),
+    display_columns=(
+        "no", "kx3", "kY3", "kY3_plus", "alpha", "beta", "r", "d", "g",
+        "e_over_r3", "exists", "ref",
+    ),
+    explain_fields=("kx3", "r", "d", "g", "alpha_plus", "beta_plus"),
+)
+
+_POINT_POINT = dict(
+    shape=Shape.POINT_POINT,
+    csv_columns=("kx3", "type_left", "type_right", "alpha", "beta", "kY3", "e", "exists", "ref"),
+    key_columns=("type_left", "type_right", "kx3"),
+    value_columns=_VALUE_COLUMNS + ("e",),
+    sort_columns=("alpha",),
+    display_columns=("no", "kx3", "kY3", "alpha", "beta", "e", "exists", "ref"),
+    explain_fields=("kx3", "alpha"),
+)
+
+# The seven families in canonical order: output sections, verification and
+# the CLI's family lists all follow it.
+FAMILIES: dict[str, FamilySpec] = {
+    spec.id: spec
+    for spec in (
+        FamilySpec("e1e1", None, ((1, 26), (2, 27), (3, 58)), **_CURVE_CURVE),
+        FamilySpec("e1e2", ContractionType.E2, ((4, 3),), **_CURVE_POINT),
+        FamilySpec("e1e3", ContractionType.E34, ((5, 7),), **_CURVE_POINT),
+        FamilySpec("e1e5", ContractionType.E5, ((6, 7),), **_CURVE_POINT),
+        FamilySpec("e2e2", ContractionType.E2, ((7, 3),), **_POINT_POINT),
+        FamilySpec("e3e3", ContractionType.E34, ((8, 2),), **_POINT_POINT),
+        FamilySpec("e5e5", ContractionType.E5, ((9, 1),), **_POINT_POINT),
+    )
+}
+
+FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
+
+
+def family_spec(family: str) -> FamilySpec:
+    """The spec of one family id; ValueError for an unknown id."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family!r}")
+    return FAMILIES[family]
+
+
 @dataclass(frozen=True)
 class LinkCandidate:
     """A fully derived candidate link, prior to or after admission.
@@ -201,30 +319,34 @@ class LinkCandidate:
         return family_id(self.left.ctype, self.right.ctype)
 
     @property
-    def left_cube_scale(self) -> int:
-        """r^3 for an E1 left side, 1 otherwise."""
-        return self.left.r**3 if self.left.is_e1 else 1
-
-    @property
     def e_over_r3(self) -> Fraction | None:
         """Left defect normalized by r^3; the side-independent defect invariant."""
         if self.defect_e is None:
             return None
-        return Fraction(self.defect_e, self.left_cube_scale)
+        return Fraction(self.defect_e, self.left.cube_scale)
+
+    def cells(self) -> dict[str, object]:
+        """Every column value, keyed by golden-table column name."""
+        left, right, coeffs = self.left, self.right, self.coeffs
+        return {
+            "kx3": self.kx3,
+            "type_left": left.ctype.label,
+            "type_right": right.ctype.label,
+            "r": left.r,
+            "d": left.d,
+            "g": left.g,
+            "r_plus": right.r,
+            "d_plus": right.d,
+            "g_plus": right.g,
+            "alpha": coeffs.alpha,
+            "beta": coeffs.beta,
+            "alpha_plus": coeffs.alpha_plus,
+            "beta_plus": coeffs.beta_plus,
+            "kY3": self.kY3_left,
+            "kY3_plus": self.kY3_right,
+            "e_over_r3": self.e_over_r3,
+            "e": self.defect_e,
+        }
 
     def with_trace(self, trace: tuple) -> "LinkCandidate":
-        return LinkCandidate(
-            kx3=self.kx3,
-            left=self.left,
-            right=self.right,
-            coeffs=self.coeffs,
-            sigma_left=self.sigma_left,
-            sigma_right=self.sigma_right,
-            kY3_left=self.kY3_left,
-            kY3_right=self.kY3_right,
-            etilde3_left=self.etilde3_left,
-            etilde3_right=self.etilde3_right,
-            defect_e=self.defect_e,
-            defect_e_plus=self.defect_e_plus,
-            check_trace=trace,
-        )
+        return replace(self, check_trace=trace)

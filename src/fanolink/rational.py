@@ -2,22 +2,20 @@
 
 Every numeric quantity in the engine is either a Python int or a reduced
 ``fractions.Fraction``.  Floats are never produced or accepted: equality of
-results with the golden tables has to be exact, so all arithmetic goes
-through this module (or through plain int operations in hot loops, which
-are exact anyway).
+results with the golden tables has to be exact, so all arithmetic is
+``Fraction`` or plain int arithmetic, and this module parses and renders
+the values.
 
 The engine is specified against 64-bit exact arithmetic.  Python integers
 do not overflow, so the 2**63 bound cannot be exceeded silently; the
-``audit_magnitude`` helper still enforces it at the few trust boundaries
-(construction and candidate emission) so that a port to fixed-width
+``audit_magnitude`` helper still enforces it at the trust boundaries
+(parsing and candidate emission) so that a port to fixed-width
 integers would fail loudly here rather than wrap around.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
 
 # Magnitude bound for the 64-bit arithmetic contract.
 INT64_LIMIT = 2**63
@@ -35,15 +33,6 @@ def audit_magnitude(x: Fraction | int) -> Fraction | int:
     return x
 
 
-def rat(numerator: int, denominator: int = 1) -> Fraction:
-    """Reduced rational with positive denominator; denominator 0 is an error."""
-    if denominator == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    value = Fraction(numerator, denominator)
-    audit_magnitude(value)
-    return value
-
-
 def is_integer(x: Fraction | int) -> bool:
     return isinstance(x, int) or x.denominator == 1
 
@@ -54,40 +43,6 @@ def as_integer(x: Fraction | int) -> int:
     if x.denominator != 1:
         raise ValueError(f"not an integer: {x}")
     return x.numerator
-
-
-def add(x: Fraction, y: Fraction) -> Fraction:
-    return x + y
-
-
-def sub(x: Fraction, y: Fraction) -> Fraction:
-    return x - y
-
-
-def mul(x: Fraction, y: Fraction) -> Fraction:
-    return x * y
-
-
-def div(x: Fraction, y: Fraction) -> Fraction:
-    # Fraction raises ZeroDivisionError on y == 0, as required.
-    return x / y
-
-
-def neg(x: Fraction) -> Fraction:
-    return -x
-
-
-def pow3(x: Fraction) -> Fraction:
-    return x * x * x
-
-
-def cmp(x: Fraction | int, y: Fraction | int) -> int:
-    """Three-way comparison: -1, 0 or 1."""
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 def render_exact(x: Fraction | int) -> str:
@@ -115,10 +70,12 @@ def render_table(x: Fraction | int) -> str:
         return str(x)
     if x.denominator == 1:
         return str(x.numerator)
-    if x.denominator == 2:
-        return f"{x.numerator / 2:.1f}"
-    if x.denominator == 4:
-        return f"{x.numerator / 4:.2f}"
+    if x.denominator in (2, 4):
+        # Integer arithmetic: a float would round numerators beyond 2**53.
+        places = x.denominator // 2
+        whole, frac = divmod(abs(x.numerator) * 10**places // x.denominator, 10**places)
+        sign = "-" if x.numerator < 0 else ""
+        return f"{sign}{whole}.{frac:0{places}d}"
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -21,46 +21,13 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .golden import GoldenRow, candidate_key, golden_key
-from .model import LinkCandidate
+from .golden import GoldenRow, golden_key
+from .model import FAMILIES, LinkCandidate
 from .rational import as_integer, is_integer, render_exact, render_table
-
-_SYMMETRIC_FAMILIES = ("e2e2", "e3e3", "e5e5")
-
-_CSV_HEADERS: dict[str, list[str]] = {
-    "e1e1": [
-        "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
-        "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
-    ],
-    "e1estar": [
-        "kx3", "type_left", "type_right", "r", "d", "g",
-        "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
-    ],
-    "symmetric": [
-        "kx3", "type_left", "type_right", "alpha", "beta", "kY3", "e", "exists", "ref",
-    ],
-}
-
-
-def _schema(family: str) -> str:
-    if family == "e1e1":
-        return "e1e1"
-    if family in ("e1e2", "e1e3", "e1e5"):
-        return "e1estar"
-    return "symmetric"
 
 
 def csv_header(family: str) -> list[str]:
-    return list(_CSV_HEADERS[_schema(family)])
-
-
-def _status_fields(
-    candidate: LinkCandidate, golden_index: Mapping[tuple, GoldenRow]
-) -> tuple[str, str]:
-    row = golden_index.get(candidate_key(candidate))
-    if row is None:
-        return "", ""
-    return row.exists.value, row.ref
+    return list(FAMILIES[family].csv_columns)
 
 
 def build_golden_index(rows: Iterable[GoldenRow]) -> dict[tuple, GoldenRow]:
@@ -71,30 +38,11 @@ def _candidate_cells(
     candidate: LinkCandidate, golden_index: Mapping[tuple, GoldenRow]
 ) -> dict[str, object]:
     """All canonical column values for one candidate, exactly typed."""
-    exists, ref = _status_fields(candidate, golden_index)
-    cells: dict[str, object] = {
-        "kx3": candidate.kx3,
-        "type_left": candidate.left.ctype.label,
-        "type_right": candidate.right.ctype.label,
-        "alpha": candidate.coeffs.alpha,
-        "beta": candidate.coeffs.beta,
-        "kY3": candidate.kY3_left,
-        "exists": exists,
-        "ref": ref,
-    }
-    schema = _schema(candidate.family)
-    if schema == "symmetric":
-        cells["e"] = candidate.defect_e
-        return cells
-    cells["r"] = candidate.left.r
-    cells["d"] = candidate.left.d
-    cells["g"] = candidate.left.g
-    cells["kY3_plus"] = candidate.kY3_right
-    cells["e_over_r3"] = candidate.e_over_r3
-    if schema == "e1e1":
-        cells["r_plus"] = candidate.right.r
-        cells["d_plus"] = candidate.right.d
-        cells["g_plus"] = candidate.right.g
+    cells = candidate.cells()
+    row = golden_index.get(FAMILIES[candidate.family].key(cells))
+    # Status and reference come from the golden row; JSON writes absent ones as null.
+    cells["exists"] = None if row is None else row.exists.value
+    cells["ref"] = None if row is None else row.ref or None
     return cells
 
 
@@ -103,15 +51,11 @@ def _machine_str(value: object) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
     return render_exact(value)
 
 
 def _json_value(value: object) -> object:
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, Fraction) and is_integer(value):
         return as_integer(value)
@@ -153,12 +97,7 @@ def render_json(
         header = csv_header(family)
         for candidate in candidates:
             cells = _candidate_cells(candidate, golden_index)
-            record = {column: _json_value(cells[column]) for column in header}
-            if record["exists"] == "":
-                record["exists"] = None
-            if record["ref"] == "":
-                record["ref"] = None
-            records.append(record)
+            records.append({column: _json_value(cells[column]) for column in header})
     return json.dumps(records, indent=2) + "\n"
 
 
@@ -166,26 +105,24 @@ def render_json(
 # Display formats
 
 
-_DISPLAY_COLUMNS: dict[str, list[tuple[str, str]]] = {
-    # (column id, display heading); '#' is the running row number.
-    "e1e1": [
-        ("no", "#"), ("kx3", "-K_X^3"), ("kY3", "-K_Y^3"), ("kY3_plus", "-K_Y+^3"),
-        ("alpha", "alpha"), ("beta", "beta"),
-        ("r", "r"), ("d", "d"), ("g", "g"),
-        ("r_plus", "r+"), ("d_plus", "d+"), ("g_plus", "g+"),
-        ("e_over_r3", "e/r^3"), ("exists", "exists"), ("ref", "ref"),
-    ],
-    "e1estar": [
-        ("no", "#"), ("kx3", "-K_X^3"), ("kY3", "-K_Y^3"), ("kY3_plus", "-K_Y+^3"),
-        ("alpha", "alpha"), ("beta", "beta"),
-        ("r", "r"), ("d", "d"), ("g", "g"),
-        ("e_over_r3", "e/r^3"), ("exists", "exists"), ("ref", "ref"),
-    ],
-    "symmetric": [
-        ("no", "#"), ("kx3", "-K_X^3"), ("kY3", "-K_Y^3"),
-        ("alpha", "alpha"), ("beta", "beta"),
-        ("e", "e"), ("exists", "exists"), ("ref", "ref"),
-    ],
+# Markdown and LaTeX heading of each column id; "no" is the running row number.
+_HEADINGS = {
+    "no": ("#", r"\#"),
+    "kx3": ("-K_X^3", "$-K_X^3$"),
+    "kY3": ("-K_Y^3", "$-K_Y^3$"),
+    "kY3_plus": ("-K_Y+^3", "$-K_{Y^+}^3$"),
+    "alpha": ("alpha", r"$\alpha$"),
+    "beta": ("beta", r"$\beta$"),
+    "r": ("r", "$r$"),
+    "d": ("d", "$d$"),
+    "g": ("g", "$g$"),
+    "r_plus": ("r+", "$r^+$"),
+    "d_plus": ("d+", "$d^+$"),
+    "g_plus": ("g+", "$g^+$"),
+    "e_over_r3": ("e/r^3", "$e/r^3$"),
+    "e": ("e", "$e$"),
+    "exists": ("exists", "exists"),
+    "ref": ("ref", "ref"),
 }
 
 # Coefficient columns use the tables' decimal typography; degree columns
@@ -194,30 +131,24 @@ _TABLE_STYLE_COLUMNS = ("alpha", "beta")
 
 
 def _display_str(column: str, value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
     if column in _TABLE_STYLE_COLUMNS:
         return render_table(value)
-    return render_exact(value)
+    return _machine_str(value)
 
 
 def _display_rows(
     family: str,
     candidates: Sequence[LinkCandidate],
     golden_index: Mapping[tuple, GoldenRow],
-) -> tuple[list[str], list[list[str]]]:
-    spec = _DISPLAY_COLUMNS[_schema(family)]
-    headings = [heading for _, heading in spec]
+) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The family's display column ids and its rows of display strings."""
+    columns = FAMILIES[family].display_columns
     table_rows = []
     for number, candidate in enumerate(candidates, start=1):
         cells = _candidate_cells(candidate, golden_index)
         cells["no"] = number
-        table_rows.append([_display_str(column, cells[column]) for column, _ in spec])
-    return headings, table_rows
+        table_rows.append([_display_str(column, cells[column]) for column in columns])
+    return columns, table_rows
 
 
 def render_markdown(
@@ -226,7 +157,8 @@ def render_markdown(
 ) -> str:
     blocks = []
     for family, candidates in families:
-        headings, rows = _display_rows(family, candidates, golden_index)
+        columns, rows = _display_rows(family, candidates, golden_index)
+        headings = [_HEADINGS[column][0] for column in columns]
         lines = [f"## {family}", ""]
         lines.append("| " + " | ".join(headings) + " |")
         lines.append("|" + "|".join(" --- " for _ in headings) + "|")
@@ -240,25 +172,12 @@ def render_latex(
     families: Sequence[tuple[str, Sequence[LinkCandidate]]],
     golden_index: Mapping[tuple, GoldenRow],
 ) -> str:
-    math_headings = {
-        "#": r"\#",
-        "-K_X^3": "$-K_X^3$",
-        "-K_Y^3": "$-K_Y^3$",
-        "-K_Y+^3": "$-K_{Y^+}^3$",
-        "alpha": r"$\alpha$",
-        "beta": r"$\beta$",
-        "r": "$r$", "d": "$d$", "g": "$g$",
-        "r+": "$r^+$", "d+": "$d^+$", "g+": "$g^+$",
-        "e/r^3": "$e/r^3$",
-        "e": "$e$",
-        "exists": "exists", "ref": "ref",
-    }
     blocks = []
     for family, candidates in families:
-        headings, rows = _display_rows(family, candidates, golden_index)
-        column_spec = "r" * len(headings)
+        columns, rows = _display_rows(family, candidates, golden_index)
+        column_spec = "r" * len(columns)
         lines = [f"% family: {family}", rf"\begin{{tabular}}{{{column_spec}}}"]
-        lines.append(" & ".join(math_headings[h] for h in headings) + r" \\")
+        lines.append(" & ".join(_HEADINGS[column][1] for column in columns) + r" \\")
         lines.append(r"\hline")
         for row in rows:
             lines.append(" & ".join(row) + r" \\")
@@ -282,25 +201,7 @@ def render_golden_csv(rows: Sequence[GoldenRow], family: str) -> str:
     header = csv_header(family)
     writer.writerow(header)
     for row in rows:
-        cells = {
-            "kx3": row.kx3,
-            "type_left": row.type_left,
-            "type_right": row.type_right,
-            "r": row.r,
-            "d": row.d,
-            "g": row.g,
-            "r_plus": row.r_plus,
-            "d_plus": row.d_plus,
-            "g_plus": row.g_plus,
-            "alpha": row.alpha,
-            "beta": row.beta,
-            "kY3": row.kY3,
-            "kY3_plus": row.kY3_plus,
-            "e_over_r3": row.e_over_r3,
-            "e": row.e,
-            "exists": row.exists.value,
-            "ref": row.ref,
-        }
+        cells = {**vars(row), "exists": row.exists.value}
         writer.writerow([_machine_str(cells[column]) for column in header])
     return out.getvalue()
 

@@ -18,56 +18,58 @@ The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
 
 Ordering is canonical and total per family, so outputs are reproducible
-byte for byte at any thread count.  Sharded parallel enumeration is
-available for the E1-E1 family via SARKISOV_THREADS (default 1).
+byte for byte.  The E1-E1 search runs in (kx3, r, r+) shards whose results
+are merged and sorted canonically, so the output does not depend on the
+order in which the shards are evaluated.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping
 
 from .catalog import is_valid_fano_degree
-from .checks import DEFAULT_CHECKS, E1_SIGMA_MIN, admitted, run_checks
+from .checks import (
+    DEFAULT_CHECKS,
+    E1_SIGMA_MIN,
+    KX3_VALUES,
+    MAX_ALPHA_PLUS,
+    admitted,
+    run_checks,
+)
 from .formulas import (
     coeffs_e1e1,
     coeffs_from_star_pair,
     coeffs_symmetric,
+    defect,
     etilde_cubed,
     ky3_from_kx3,
     sigma,
     star_sigma,
 )
 from .model import (
+    FAMILY_IDS,  # re-exported: search's callers list the families from here
     ContractionType,
     FlopCoefficients,
     LinkCandidate,
+    Shape,
     SideData,
+    family_spec,
     intersection_constants,
 )
-from .rational import as_integer, is_integer
+from .rational import as_integer, audit_magnitude, is_integer
 
-KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
 D_MAX = 19
 # Maximal genus per index; beyond these the excess is never positive.
 G_MAX: dict[int, int] = {1: 10, 2: 20, 3: 29, 4: 39}
-MAX_ALPHA_PLUS = 86
 # Oracle scan bound for leading-coefficient numerators (denominators 1..4).
 ORACLE_NUMERATOR_BOUND = 360
 
-FAMILY_IDS: tuple[str, ...] = ("e1e1", "e1e2", "e1e3", "e1e5", "e2e2", "e3e3", "e5e5")
-
-_STAR_OF_FAMILY = {
-    "e1e2": ContractionType.E2,
-    "e1e3": ContractionType.E34,
-    "e1e5": ContractionType.E5,
-    "e2e2": ContractionType.E2,
-    "e3e3": ContractionType.E34,
-    "e5e5": ContractionType.E5,
-}
+# E1-E1 work units: (kx3, r, r_plus) with the left index at least the right.
+E1E1_SHARDS: tuple[tuple[int, int, int], ...] = tuple(
+    (kx3, r, rp) for kx3 in KX3_VALUES for r in range(1, 5) for rp in range(1, r + 1)
+)
 
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
@@ -88,8 +90,8 @@ def _finish(
         coeffs.alpha_plus, coeffs.beta_plus, kx3, intersection_constants(right)
     )
     etilde3_right = etilde_cubed(coeffs.alpha, coeffs.beta, kx3, intersection_constants(left))
-    defect_left = intersection_constants(left).e3self - etilde3_left
-    defect_right = intersection_constants(right).e3self - etilde3_right
+    defect_left = defect(intersection_constants(left).e3self, etilde3_left)
+    defect_right = defect(intersection_constants(right).e3self, etilde3_right)
     return LinkCandidate(
         kx3=kx3,
         left=left,
@@ -141,18 +143,30 @@ def build_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidat
     return _finish(kx3, side, side, coeffs_symmetric(alpha), c, c)
 
 
+def candidate_from_fields(family: str, fields: Mapping[str, object]) -> LinkCandidate:
+    """Derive one candidate from its family's explain-tuple fields.
+
+    ``fields`` maps each of the spec's explain field names to an integral
+    value (a golden row's attributes qualify).
+    """
+    spec = family_spec(family)
+    f = {name: as_integer(fields[name]) for name in spec.explain_fields}
+    if spec.shape is Shape.POINT_POINT:
+        return build_symmetric(spec.star, f["alpha"], f["kx3"])
+    left = (f["r"], f["d"], f["g"])
+    if spec.shape is Shape.CURVE_CURVE:
+        return build_e1e1(f["kx3"], left, (f["r_plus"], f["d_plus"], f["g_plus"]))
+    return build_e1estar(f["kx3"], left, spec.star, f["alpha_plus"], f["beta_plus"])
+
+
 # ---------------------------------------------------------------------------
-# Canonical ordering and orientation
+# Canonical ordering, orientation and admission
 
 
 def canonical_sort_key(candidate: LinkCandidate) -> tuple:
     """Total order within a family, matching the golden tables' layout."""
-    left, right = candidate.left, candidate.right
-    if left.is_e1 and right.is_e1:
-        return (candidate.kx3, left.r, right.r, left.g, left.d, right.g, right.d)
-    if left.is_e1:
-        return (candidate.kx3, left.r, left.g, left.d)
-    return (as_integer(candidate.coeffs.alpha),)
+    cells = candidate.cells()
+    return tuple(cells[column] for column in family_spec(candidate.family).sort_columns)
 
 
 def orientation_canonical(left_data: tuple[int, int, int], right_data: tuple[int, int, int]) -> bool:
@@ -186,6 +200,28 @@ def mirror_candidate(candidate: LinkCandidate) -> LinkCandidate:
         defect_e_plus=candidate.defect_e,
     )
     return mirrored
+
+
+def _admit(
+    candidate: LinkCandidate,
+    enabled: frozenset[str],
+    trace: TraceFn | None,
+    data: tuple,
+    results: list[LinkCandidate],
+) -> None:
+    """Run the enabled checks: keep an admitted candidate, trace a rejected one.
+
+    An admitted candidate's numbers are held to the 64-bit contract first.
+    """
+    reports = run_checks(candidate, enabled, short_circuit=trace is None)
+    if admitted(reports):
+        for part in (candidate, candidate.left, candidate.right, candidate.coeffs):
+            for value in vars(part).values():
+                if isinstance(value, (int, Fraction)):
+                    audit_magnitude(value)
+        results.append(candidate.with_trace(reports))
+    elif trace is not None:
+        trace("full", data, tuple(rep.name for rep in reports if not rep.passed))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +264,13 @@ def _e1e1_pairs_for_shard(
     r: int,
     rp: int,
     enabled: frozenset[str],
-    trace: TraceFn | None = None,
-    left_sides: list[tuple] | None = None,
-    right_sides: list[tuple] | None = None,
+    trace: TraceFn | None,
+    left_sides: list[tuple],
+    right_sides: list[tuple],
 ) -> list[LinkCandidate]:
     """Evaluate all oriented pairs with indices (r, rp) at one central degree."""
     fast = "DIOPHANTINE" in enabled
     results: list[LinkCandidate] = []
-    if left_sides is None:
-        left_sides = _e1_side_list(kx3, r, enabled, "FANO_DEGREE_LEFT")
-    if right_sides is None:
-        right_sides = _e1_side_list(kx3, rp, enabled, "FANO_DEGREE_RIGHT")
     for d, g, sig, _ky3 in left_sides:
         two_g_minus_2 = 2 * g - 2
         for dp, gp, sig_p, _ky3p in right_sides:
@@ -261,66 +293,39 @@ def _e1e1_pairs_for_shard(
                         trace("pair-fast", (kx3, r, d, g, rp, dp, gp), ("DIOPHANTINE",))
                     continue
             candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-            reports = run_checks(candidate, enabled, short_circuit=trace is None)
-            if admitted(reports):
-                results.append(candidate.with_trace(reports))
-            elif trace is not None:
-                failed = tuple(rep.name for rep in reports if not rep.passed)
-                trace("full", (kx3, r, d, g, rp, dp, gp), failed)
+            _admit(candidate, enabled, trace, (kx3, r, d, g, rp, dp, gp), results)
     return results
-
-
-def _shard_worker(args: tuple[int, int, int, frozenset[str]]) -> list[LinkCandidate]:
-    kx3, r, rp, enabled = args
-    return _e1e1_pairs_for_shard(kx3, r, rp, enabled)
-
-
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    return max(1, int(os.environ.get("SARKISOV_THREADS", "1")))
 
 
 def enumerate_e1e1(
     enabled: frozenset[str] = DEFAULT_CHECKS,
-    threads: int | None = None,
     trace: TraceFn | None = None,
 ) -> tuple[LinkCandidate, ...]:
     """All admissible E1-E1 candidates in canonical order.
 
     The loop runs over (kx3, r, d, g, rp, dp, gp) restricted to the
-    canonical orientation; coefficients come from the closed form.  With
-    more than one thread the (kx3, r, rp) shards run in worker processes;
-    results are merged and re-sorted, so output is independent of the
-    thread count.  Tracing forces the serial path.
+    canonical orientation; coefficients come from the closed form.  Side
+    lists are built (and their prunes traced) once per (kx3, index), then
+    the E1E1_SHARDS are evaluated and their results merged and sorted.
     """
-    shards = [
-        (kx3, r, rp, enabled) for kx3 in KX3_VALUES for r in range(1, 5) for rp in range(1, r + 1)
+    left_map = {
+        (kx3, r): _e1_side_list(kx3, r, enabled, "FANO_DEGREE_LEFT", trace, "side-left")
+        for kx3 in KX3_VALUES
+        for r in range(1, 5)
+    }
+    right_map = {
+        (kx3, r): _e1_side_list(kx3, r, enabled, "FANO_DEGREE_RIGHT", trace, "side-right")
+        for kx3 in KX3_VALUES
+        for r in range(1, 5)
+    }
+    merged = [
+        candidate
+        for kx3, r, rp in E1E1_SHARDS
+        for candidate in _e1e1_pairs_for_shard(
+            kx3, r, rp, enabled, trace, left_map[(kx3, r)], right_map[(kx3, rp)]
+        )
     ]
-    n_threads = 1 if trace is not None else _thread_count(threads)
-    if n_threads > 1:
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
-            shard_results = list(pool.map(_shard_worker, shards))
-    else:
-        left_map = {
-            (kx3, r): _e1_side_list(kx3, r, enabled, "FANO_DEGREE_LEFT", trace, "side-left")
-            for kx3 in KX3_VALUES
-            for r in range(1, 5)
-        }
-        right_map = {
-            (kx3, r): _e1_side_list(kx3, r, enabled, "FANO_DEGREE_RIGHT", trace, "side-right")
-            for kx3 in KX3_VALUES
-            for r in range(1, 5)
-        }
-        shard_results = [
-            _e1e1_pairs_for_shard(
-                kx3, r, rp, enabled, trace, left_map[(kx3, r)], right_map[(kx3, rp)]
-            )
-            for kx3, r, rp, enabled in shards
-        ]
-    merged = [candidate for block in shard_results for candidate in block]
-    merged.sort(key=canonical_sort_key)
-    return tuple(merged)
+    return tuple(sorted(merged, key=canonical_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +345,8 @@ def enumerate_e1estar(
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
     """
-    if star is ContractionType.E1:
-        raise ValueError("point-type side required")
+    c = star_sigma(star)  # raises ValueError for an E1 star
     fast = "DIOPHANTINE" in enabled
-    c = star_sigma(star)
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         for r in range(1, 5):
@@ -365,14 +368,8 @@ def enumerate_e1estar(
                         candidates_ap = range(1, MAX_ALPHA_PLUS + 1)
                     for ap in candidates_ap:
                         candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
-                        reports = run_checks(candidate, enabled, short_circuit=trace is None)
-                        if admitted(reports):
-                            results.append(candidate.with_trace(reports))
-                        elif trace is not None:
-                            failed = tuple(rep.name for rep in reports if not rep.passed)
-                            trace("full", (kx3, r, d, g, ap, bp), failed)
-    results.sort(key=canonical_sort_key)
-    return tuple(results)
+                        _admit(candidate, enabled, trace, (kx3, r, d, g, ap, bp), results)
+    return tuple(sorted(results, key=canonical_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +384,22 @@ def enumerate_symmetric(
     """All admissible symmetric candidates for one point type.
 
     alpha runs over the positive divisors of twice the point-side constant;
-    the central degree 2c/alpha must land even and within range, and the
-    full check suite decides admission.
+    the central degree 2c/alpha must lie in the central-degree domain, and
+    the full check suite decides admission.
     """
-    if star is ContractionType.E1:
-        raise ValueError("point-type side required")
-    two_c = 2 * star_sigma(star)
+    two_c = 2 * star_sigma(star)  # raises ValueError for an E1 star
     results: list[LinkCandidate] = []
     for alpha in range(1, two_c + 1):
         if two_c % alpha != 0:
             continue
         kx3 = two_c // alpha
-        if kx3 % 2 != 0 or not 2 <= kx3 <= 22:
+        if kx3 not in KX3_VALUES:
             if trace is not None:
                 trace("domain", (kx3, alpha), ("KX3_RANGE",))
             continue
         candidate = build_symmetric(star, alpha, kx3)
-        reports = run_checks(candidate, enabled, short_circuit=trace is None)
-        if admitted(reports):
-            results.append(candidate.with_trace(reports))
-        elif trace is not None:
-            failed = tuple(rep.name for rep in reports if not rep.passed)
-            trace("full", (kx3, alpha), failed)
-    results.sort(key=canonical_sort_key)
-    return tuple(results)
+        _admit(candidate, enabled, trace, (kx3, alpha), results)
+    return tuple(sorted(results, key=canonical_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +409,15 @@ def enumerate_symmetric(
 def enumerate_family(
     family: str,
     enabled: frozenset[str] = DEFAULT_CHECKS,
-    threads: int | None = None,
     trace: TraceFn | None = None,
 ) -> tuple[LinkCandidate, ...]:
-    if family == "e1e1":
-        return enumerate_e1e1(enabled, threads=threads, trace=trace)
-    if family in ("e1e2", "e1e3", "e1e5"):
-        return enumerate_e1estar(_STAR_OF_FAMILY[family], enabled, trace=trace)
-    if family in ("e2e2", "e3e3", "e5e5"):
-        return enumerate_symmetric(_STAR_OF_FAMILY[family], enabled, trace=trace)
-    raise ValueError(f"unknown family: {family!r}")
+    """All admissible candidates of one family, in canonical order."""
+    spec = family_spec(family)
+    if spec.shape is Shape.CURVE_CURVE:
+        return enumerate_e1e1(enabled, trace=trace)
+    if spec.shape is Shape.CURVE_POINT:
+        return enumerate_e1estar(spec.star, enabled, trace=trace)
+    return enumerate_symmetric(spec.star, enabled, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +488,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                                 if admitted(run_checks(candidate, short_circuit=True)):
                                     seen.add(key)
                                     results.append(candidate)
-    results.sort(key=canonical_sort_key)
-    return tuple(results)
+    return tuple(sorted(results, key=canonical_sort_key))
 
 
 def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
@@ -531,8 +518,7 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
                             candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
                             if admitted(run_checks(candidate, short_circuit=True)):
                                 results.append(candidate)
-    results.sort(key=canonical_sort_key)
-    return tuple(results)
+    return tuple(sorted(results, key=canonical_sort_key))
 
 
 def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
@@ -546,8 +532,7 @@ def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
             candidate = build_symmetric(star, alpha, kx3)
             if admitted(run_checks(candidate, short_circuit=True)):
                 results.append(candidate)
-    results.sort(key=canonical_sort_key)
-    return tuple(results)
+    return tuple(sorted(results, key=canonical_sort_key))
 
 
 def brute_force_oracle(family: str) -> tuple[LinkCandidate, ...]:
@@ -556,10 +541,9 @@ def brute_force_oracle(family: str) -> tuple[LinkCandidate, ...]:
     Always runs the default check suite; the result must coincide with the
     primary enumerator's output exactly.
     """
-    if family == "e1e1":
+    spec = family_spec(family)
+    if spec.shape is Shape.CURVE_CURVE:
         return _oracle_e1e1()
-    if family in ("e1e2", "e1e3", "e1e5"):
-        return _oracle_e1estar(_STAR_OF_FAMILY[family])
-    if family in ("e2e2", "e3e3", "e5e5"):
-        return _oracle_symmetric(_STAR_OF_FAMILY[family])
-    raise ValueError(f"unknown family: {family!r}")
+    if spec.shape is Shape.CURVE_POINT:
+        return _oracle_e1estar(spec.star)
+    return _oracle_symmetric(spec.star)

@@ -1,8 +1,9 @@
-"""Shared fixtures: one enumeration and one golden load per session.
+"""Shared fixtures: one enumeration, one oracle run and one golden load per session.
 
 Every family enumerates in well under a second, but dozens of tests need
 the results; computing them once keeps the whole suite fast and makes the
-assertions in different files provably about the same objects.
+assertions in different files provably about the same objects.  The
+brute-force oracle takes seconds, so it too runs once.
 """
 
 from __future__ import annotations
@@ -10,13 +11,19 @@ from __future__ import annotations
 import pytest
 
 from fanolink.golden import golden_for_family
-from fanolink.search import FAMILY_IDS, enumerate_family
+from fanolink.search import FAMILY_IDS, brute_force_oracle, enumerate_family
 
 
 @pytest.fixture(scope="session")
 def enumerated() -> dict[str, tuple]:
     """Admitted candidates of every family, canonical order, default checks."""
     return {family: enumerate_family(family) for family in FAMILY_IDS}
+
+
+@pytest.fixture(scope="session")
+def oracle() -> dict[str, tuple]:
+    """The brute-force oracle's candidates of every family."""
+    return {family: brute_force_oracle(family) for family in FAMILY_IDS}
 
 
 @pytest.fixture(scope="session")

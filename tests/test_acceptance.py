@@ -7,6 +7,7 @@ runtime ceilings are asserted where the contract pins them.
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -22,17 +23,20 @@ from fanolink.formulas import (
 )
 from fanolink.golden import diff, golden_for_family
 from fanolink.model import ContractionType, SideData, intersection_constants
+from fanolink.render import build_golden_index, render_csv
 from fanolink.search import (
+    E1E1_SHARDS,
     FAMILY_IDS,
-    brute_force_oracle,
+    _e1_side_list,
+    _e1e1_pairs_for_shard,
+    canonical_sort_key,
     enumerate_family,
     mirror_candidate,
 )
 
 
-def test_criterion_1_two_sided_curve_reproduction(monkeypatch, capsys):
+def test_criterion_1_two_sided_curve_reproduction(capsys):
     """111 E1-E1 rows matching the golden tables exactly, < 30 s serial."""
-    monkeypatch.setenv("SARKISOV_THREADS", "1")
     start = time.perf_counter()
     candidates = enumerate_family("e1e1")
     elapsed = time.perf_counter() - start
@@ -137,10 +141,10 @@ def test_criterion_4_spot_defects_recomputed():
     assert e_star // star_row.r**3 == star_row.e_over_r3 == 24
 
 
-def test_criterion_5_oracle_equivalence(enumerated):
+def test_criterion_5_oracle_equivalence(enumerated, oracle):
     """Literal bounded-box search equals the closed-form enumerator, as sets."""
     for family in FAMILY_IDS:
-        assert set(brute_force_oracle(family)) == set(enumerated[family]), family
+        assert set(oracle[family]) == set(enumerated[family]), family
 
 
 def test_criterion_6_property_suites(enumerated, golden):
@@ -246,16 +250,30 @@ def test_criterion_6_property_suites(enumerated, golden):
         assert out == baseline
 
 
-def test_criterion_7_thread_determinism(tmp_path, monkeypatch):
-    """Full runs at 1 worker and at 4 workers are byte-identical."""
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
+def test_criterion_7_shard_order_independence(tmp_path):
+    """E1-E1 shards evaluated in reversed or shuffled order give the same CSV bytes."""
+    target = tmp_path / "e1e1.csv"
+    assert main(["enumerate", "--families", "e1e1", "--out", str(target)]) == 0
+    expected = target.read_bytes()
 
-    monkeypatch.setenv("SARKISOV_THREADS", "1")
-    assert main(["enumerate", "--families", "all", "--out", str(serial)]) == 0
-    monkeypatch.setenv("SARKISOV_THREADS", "4")
-    assert main(["enumerate", "--families", "all", "--out", str(parallel)]) == 0
-
-    serial_bytes = serial.read_bytes()
-    assert serial_bytes == parallel.read_bytes()
-    assert serial_bytes.count(b"# family: ") == 7
+    golden_index = build_golden_index(golden_for_family("e1e1"))
+    shuffled = list(E1E1_SHARDS)
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != list(E1E1_SHARDS)
+    for order in (E1E1_SHARDS[::-1], shuffled):
+        merged = [
+            candidate
+            for kx3, r, rp in order
+            for candidate in _e1e1_pairs_for_shard(
+                kx3,
+                r,
+                rp,
+                DEFAULT_CHECKS,
+                None,
+                _e1_side_list(kx3, r, DEFAULT_CHECKS, "FANO_DEGREE_LEFT"),
+                _e1_side_list(kx3, rp, DEFAULT_CHECKS, "FANO_DEGREE_RIGHT"),
+            )
+        ]
+        rows = tuple(sorted(merged, key=canonical_sort_key))
+        assert render_csv([("e1e1", rows)], golden_index).encode("utf-8") == expected
+    assert expected.count(b"\n") == 2 + 111

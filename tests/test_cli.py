@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 from fanolink import golden as golden_mod
+from fanolink import search as search_mod
 from fanolink.checks import REGISTRY
 from fanolink.cli import main
 
@@ -82,6 +84,13 @@ class TestEnumerate:
         target = tmp_path / "missing-dir" / "out.csv"
         assert main(["enumerate", "--families", "e5e5", "--out", str(target)]) == 3
         assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_audit_failure_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(search_mod, "etilde_cubed", lambda *args: Fraction(-(2**63)))
+        assert main(["enumerate", "--families", "e2e2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: magnitude outside signed 64-bit range")
 
     def test_trace_rejections_streams_to_stderr(self, capsys):
         assert main(["enumerate", "--families", "e5e5", "--trace-rejections"]) == 0
@@ -185,6 +194,23 @@ class TestExplain:
         assert main(["explain", "e1e1", "(2,1,2)"]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: e1e1 tuple is (kx3, r, d, g, r_plus, d_plus, g_plus)"
+
+    @pytest.mark.parametrize("key", ["(0,2,1,0,2,1,0)", "(-4,2,1,0,2,1,0)"])
+    def test_nonpositive_central_degree_is_usage_error(self, capsys, key):
+        assert main(["explain", "e1e1", key]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: central degree kx3 must be positive, got ")
+
+    @pytest.mark.parametrize("family,key", [("e1e2", "(0,2,12,7,5,-2)"), ("e5e5", "(-2,1)")])
+    def test_nonpositive_central_degree_other_shapes(self, capsys, family, key):
+        assert main(["explain", family, key]) == 2
+        assert "central degree kx3 must be positive" in capsys.readouterr().err
+
+    def test_out_of_range_central_degree_is_explained(self, capsys):
+        assert main(["explain", "e1e1", "(3,2,1,0,2,1,0)"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL KX3_RANGE: central degree 3" in out
+        assert "verdict: rejected" in out
 
     def test_unparseable_tuple(self, capsys):
         assert main(["explain", "e1e1", "(a,b)"]) == 2

@@ -21,7 +21,6 @@ from fanolink.formulas import (
     ky3_from_kx3,
     sigma,
     star_sigma,
-    symmetric_kx3,
 )
 from fanolink.model import ContractionType, IntersectionConstants, SideData, intersection_constants
 
@@ -139,20 +138,6 @@ class TestTransformCube:
         assert defect(4, Fraction(-1, 2)) == Fraction(9, 2)
 
 
-class TestSymmetricRelation:
-    def test_symmetric_kx3(self):
-        assert symmetric_kx3(ContractionType.E2, 1) == 8
-        assert symmetric_kx3(ContractionType.E2, 2) == 4
-        assert symmetric_kx3(ContractionType.E2, 4) == 2
-        assert symmetric_kx3(ContractionType.E34, 1) == 4
-        assert symmetric_kx3(ContractionType.E34, 2) == 2
-        assert symmetric_kx3(ContractionType.E5, 1) == 2
-
-    def test_symmetric_kx3_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            symmetric_kx3(ContractionType.E2, 0)
-
-
 # ---------------------------------------------------------------------------
 # Algebraic identities, checked over random inputs
 
@@ -198,12 +183,3 @@ def test_e1e1_symmetric_residuals_vanish(kx3, r, d, g):
 @given(_kx3, st.integers(min_value=1, max_value=86), st.integers(min_value=-4, max_value=-1))
 def test_star_pair_closure_holds_identically(kx3, ap, bp):
     assert coeffs_from_star_pair(ap, bp).closure_residuals() == (0, 0, 0)
-
-
-@given(st.sampled_from((ContractionType.E2, ContractionType.E34, ContractionType.E5)))
-def test_symmetric_relation_round_trip(ctype):
-    """alpha * kx3 = 2c exactly, for every divisor-induced alpha."""
-    two_c = 2 * star_sigma(ctype)
-    for alpha in range(1, two_c + 1):
-        if two_c % alpha == 0:
-            assert symmetric_kx3(ctype, alpha) * alpha == two_c

@@ -9,10 +9,6 @@ from importlib import resources
 import pytest
 
 from fanolink.golden import (
-    FAMILY_TABLES,
-    ROW_OFFSET,
-    TABLE_CARDINALITY,
-    TABLE_FAMILY,
     DiffReport,
     GoldenDataError,
     candidate_key,
@@ -21,9 +17,14 @@ from fanolink.golden import (
     golden_key,
     load_golden,
 )
-from fanolink.model import ContractionType, ExistenceStatus
+from fanolink.model import FAMILIES, ContractionType, ExistenceStatus
 from fanolink.render import render_golden_csv
 from fanolink.search import FAMILY_IDS, build_e1estar
+
+# Table number -> (family id, row count), as the family specs state them.
+TABLES = {
+    table: (spec.id, count) for spec in FAMILIES.values() for table, count in spec.tables
+}
 
 # ---------------------------------------------------------------------------
 # Fixture helpers
@@ -52,21 +53,27 @@ def _corrupt(tmp_path, table: int, old: str, new: str, count: int = 1):
 
 class TestCardinalities:
     def test_per_table_counts(self):
-        assert TABLE_CARDINALITY == {1: 26, 2: 27, 3: 58, 4: 3, 5: 7, 6: 7, 7: 3, 8: 2, 9: 1}
-        assert sum(TABLE_CARDINALITY.values()) == 134
+        counts = {table: count for table, (_, count) in TABLES.items()}
+        assert counts == {1: 26, 2: 27, 3: 58, 4: 3, 5: 7, 6: 7, 7: 3, 8: 2, 9: 1}
+        assert sum(counts.values()) == 134
 
-    @pytest.mark.parametrize("table", sorted(TABLE_FAMILY))
+    @pytest.mark.parametrize("table", sorted(TABLES))
     def test_each_table_loads_with_stated_count(self, table):
-        assert len(load_golden(table)) == TABLE_CARDINALITY[table]
+        assert len(load_golden(table)) == TABLES[table][1]
 
     def test_family_table_map(self):
-        assert FAMILY_TABLES["e1e1"] == (1, 2, 3)
-        assert set(FAMILY_TABLES) == set(FAMILY_IDS)
+        assert {table: family for table, (family, _) in TABLES.items()} == {
+            1: "e1e1", 2: "e1e1", 3: "e1e1", 4: "e1e2", 5: "e1e3",
+            6: "e1e5", 7: "e2e2", 8: "e3e3", 9: "e5e5",
+        }
+        assert tuple(FAMILIES) == FAMILY_IDS
 
 
 class TestRowNumbering:
     def test_e1e1_rows_are_numbered_consecutively(self, golden):
-        assert ROW_OFFSET == {1: 0, 2: 26, 3: 53}
+        assert {table: FAMILIES["e1e1"].row_offset(table) for table in (1, 2, 3)} == {
+            1: 0, 2: 26, 3: 53,
+        }
         assert [row.row for row in golden["e1e1"]] == list(range(1, 112))
         assert [row.table for row in golden["e1e1"]] == [1] * 26 + [2] * 27 + [3] * 58
 
@@ -183,6 +190,17 @@ class TestParseErrors:
         with pytest.raises(GoldenDataError, match="table 9 must contain 1 rows, found 2"):
             load_golden(9, data_dir=tmp_path)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        text = _packaged_text(4)
+        first_row = text.splitlines()[4]
+        assert first_row.startswith("4,E1,E2,2,12,7,")
+        _write_table(tmp_path, 4, text + first_row + "\n")
+        with pytest.raises(
+            GoldenDataError,
+            match=r"table4\.csv:8: duplicate key \('E1', 'E2', 4, 2, 12, 7\) \(first at line 5\)",
+        ):
+            load_golden(4, data_dir=tmp_path)
+
     def test_degree_offset_consistency_symmetric(self, tmp_path):
         _corrupt(tmp_path, 9, ",2.5,", ",3,")
         with pytest.raises(GoldenDataError, match="kY3 3 inconsistent with the E5 degree offset"):
@@ -239,10 +257,10 @@ class TestParseErrors:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("table", sorted(TABLE_FAMILY))
+    @pytest.mark.parametrize("table", sorted(TABLES))
     def test_render_then_reload_is_identity(self, tmp_path, table):
         rows = load_golden(table)
-        text = render_golden_csv(rows, TABLE_FAMILY[table])
+        text = render_golden_csv(rows, TABLES[table][0])
         _write_table(tmp_path, table, text)
         assert load_golden(table, data_dir=tmp_path) == rows
 
@@ -299,3 +317,19 @@ class TestDiff:
         assert report.empty
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.missing = (("x",),)  # type: ignore[misc]
+
+    def test_duplicate_computed_row_is_reported(self, enumerated, golden):
+        computed = enumerated["e1e1"] + (enumerated["e1e1"][0],)
+        report = diff(computed, golden["e1e1"])
+        assert not report.empty
+        assert report.duplicate_computed == (candidate_key(enumerated["e1e1"][0]),)
+        assert report.duplicate_golden == ()
+        assert "duplicate computed row: ('E1', 'E1', 2, 1, 1, 0, 1, 1, 0)" in report.describe()
+
+    def test_duplicate_golden_row_is_reported(self, enumerated, golden):
+        reference = golden["e1e1"] + (golden["e1e1"][0],)
+        report = diff(enumerated["e1e1"], reference)
+        assert not report.empty
+        assert report.duplicate_golden == (golden_key(golden["e1e1"][0]),)
+        assert report.duplicate_computed == ()
+        assert "duplicate golden row: ('E1', 'E1', 2, 1, 1, 0, 1, 1, 0)" in report.describe()

@@ -152,8 +152,8 @@ class TestLinkCandidate:
         assert candidate.family == "e1e2"
 
     def test_left_cube_scale(self):
-        assert build_e1e1(4, (3, 9, 3), (1, 5, 0)).left_cube_scale == 27
-        assert build_symmetric(ContractionType.E2, 1, 8).left_cube_scale == 1
+        assert build_e1e1(4, (3, 9, 3), (1, 5, 0)).left.cube_scale == 27
+        assert build_symmetric(ContractionType.E2, 1, 8).left.cube_scale == 1
 
     def test_e_over_r3(self):
         candidate = build_e1e1(2, (2, 1, 0), (2, 1, 0))

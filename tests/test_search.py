@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from fanolink.checks import DEFAULT_CHECKS, REGISTRY, admitted, run_checks
+from fanolink import search
+from fanolink.checks import (
+    DEFAULT_CHECKS,
+    KX3_VALUES,
+    MAX_ALPHA_PLUS,
+    REGISTRY,
+    admitted,
+    run_checks,
+)
 from fanolink.golden import diff
 from fanolink.model import ContractionType
+from fanolink.rational import RationalOverflowError
 from fanolink.search import (
     D_MAX,
     FAMILY_IDS,
     G_MAX,
-    KX3_VALUES,
-    MAX_ALPHA_PLUS,
     ORACLE_NUMERATOR_BOUND,
     brute_force_oracle,
     build_e1e1,
@@ -130,14 +139,6 @@ class TestDeterminism:
     def test_repeat_runs_identical(self, enumerated):
         assert enumerate_e1e1() == enumerated["e1e1"]
         assert enumerate_symmetric(ContractionType.E2) == enumerated["e2e2"]
-
-    def test_parallel_matches_serial(self, enumerated):
-        assert enumerate_e1e1(threads=2) == enumerated["e1e1"]
-        assert enumerate_e1e1(threads=4) == enumerated["e1e1"]
-
-    def test_thread_env_variable_is_respected(self, enumerated, monkeypatch):
-        monkeypatch.setenv("SARKISOV_THREADS", "3")
-        assert enumerate_e1e1() == enumerated["e1e1"]
 
 
 class TestDomainFacts:
@@ -259,10 +260,9 @@ class TestDispatch:
 
 class TestOracle:
     @pytest.mark.parametrize("family", FAMILY_IDS)
-    def test_oracle_equals_enumerator(self, enumerated, family):
-        oracle = brute_force_oracle(family)
-        assert set(oracle) == set(enumerated[family])
-        assert tuple(sorted(oracle, key=canonical_sort_key)) == enumerated[family]
+    def test_oracle_equals_enumerator(self, enumerated, oracle, family):
+        assert set(oracle[family]) == set(enumerated[family])
+        assert tuple(sorted(oracle[family], key=canonical_sort_key)) == enumerated[family]
 
     def test_oracle_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -283,3 +283,12 @@ class TestCheckTraceAttachment:
         candidate = enumerated["e1e1"][0]
         rebuilt = build_e1e1(2, (1, 1, 0), (1, 1, 0))
         assert candidate == rebuilt
+
+
+class TestEmissionAudit:
+    def test_out_of_range_defect_is_not_emitted(self, monkeypatch):
+        # E2's self-cube is 1, so this cube gives the defect 2**63 + 1,
+        # one past the 64-bit contract; the candidates pass every check.
+        monkeypatch.setattr(search, "etilde_cubed", lambda *args: Fraction(-(2**63)))
+        with pytest.raises(RationalOverflowError):
+            enumerate_family("e2e2")
