@@ -88,20 +88,14 @@ def _check_fano_degree_right(c: LinkCandidate) -> tuple[bool, str]:
 
 
 def _diophantine_residuals(c: LinkCandidate) -> tuple[Fraction, ...]:
-    left_e1 = c.left.is_e1
-    right_e1 = c.right.is_e1
-    if left_e1 and right_e1:
+    # A family's curve side, if any, is the left one.
+    if c.right.is_e1:
         return e1e1_residuals(
             c.kx3, c.coeffs, c.left.g, c.sigma_left, c.right.g, c.sigma_right
         )
-    if left_e1 and not right_e1:
+    if c.left.is_e1:
         return e1estar_residuals(
             c.kx3, c.coeffs, c.left.r, c.left.d, c.left.g, star_sigma(c.right.ctype)
-        )
-    if right_e1 and not left_e1:
-        # Mirror orientation: evaluate the same system with the sides swapped.
-        return e1estar_residuals(
-            c.kx3, c.coeffs.mirrored(), c.right.r, c.right.d, c.right.g, star_sigma(c.left.ctype)
         )
     # Star-star: each coefficient satisfies the symmetric degree relation.
     return (
@@ -228,12 +222,9 @@ def _check_beta_plus_range(c: LinkCandidate) -> tuple[bool, str]:
     if c.left.is_e1 and c.right.is_e1:
         return True, "both sides E1; range fixed by the index ratio"
     bp = c.coeffs.beta_plus
-    if c.left.is_e1 and not c.right.is_e1:
+    if c.left.is_e1:
         ok = is_integer(bp) and -c.left.r <= bp <= -1
         return ok, f"beta_plus = {bp}, required integer in [-{c.left.r}, -1]"
-    if c.right.is_e1 and not c.left.is_e1:
-        ok = is_integer(c.coeffs.beta) and -c.right.r <= c.coeffs.beta <= -1
-        return ok, f"beta = {c.coeffs.beta}, required integer in [-{c.right.r}, -1]"
     ok = (
         c.coeffs.beta == -1
         and c.coeffs.beta_plus == -1

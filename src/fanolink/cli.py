@@ -32,8 +32,6 @@ from . import search as search_mod
 from .model import FAMILIES
 from .rational import render_exact
 
-FORMAT_CHOICES = ("csv", "json", "markdown", "latex")
-
 
 def _parse_families(value: str) -> list[str]:
     requested = [part.strip() for part in value.split(",") if part.strip()]
@@ -63,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum_p = sub.add_parser("enumerate", help="run the search and print candidate sets")
     enum_p.add_argument("--families", default="all", help="comma-separated family ids or 'all'")
-    enum_p.add_argument("--format", default="csv", choices=FORMAT_CHOICES)
+    enum_p.add_argument("--format", default="csv", choices=tuple(render_mod.RENDERERS))
     enum_p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     enum_p.add_argument(
         "--disable-check",
@@ -77,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream rejected tuples with their failing checks to stderr",
     )
-    enum_p.add_argument("--list-checks", action="store_true", help=argparse.SUPPRESS)
 
     verify_p = sub.add_parser("verify", help="diff enumerated candidates against golden tables")
     verify_p.add_argument("--families", default="all", help="comma-separated family ids or 'all'")
@@ -241,7 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors.
         return int(exc.code or 0)
 
-    if getattr(args, "list_checks", False):
+    if args.list_checks:
         _print_check_listing(sys.stdout)
         return 0
     if args.command is None:

@@ -31,7 +31,6 @@ from .model import (
     ExistenceStatus,
     FamilySpec,
     LinkCandidate,
-    Shape,
     SideData,
     family_spec,
 )
@@ -177,20 +176,13 @@ def _build_row(
     for column, value in record.items():
         cells[column] = _parse_cell(column, value, source, lineno)
 
-    left_e1 = cells["type_left"] == ContractionType.E1.label
-    right_e1 = cells["type_right"] == ContractionType.E1.label
-    if spec.shape is Shape.CURVE_CURVE:
-        types_ok, expected_types = left_e1 and right_e1, "E1/E1"
-    elif spec.shape is Shape.CURVE_POINT:
-        types_ok, expected_types = left_e1 and not right_e1, "E1/point"
-    else:
-        types_ok = not left_e1 and cells["type_left"] == cells["type_right"]
-        expected_types = "equal point types"
+    expected_types = ",".join(ctype.label for ctype in spec.types)
+    types = f"{cells['type_left']},{cells['type_right']}"
     _expect(
-        types_ok,
+        types == expected_types,
         source,
         lineno,
-        f"types must be {expected_types}, got {cells['type_left']}/{cells['type_right']}",
+        f"types must be {expected_types} (family {spec.id}), got {types}",
     )
     _expect(cells["beta"] != 0, source, lineno, "beta must be nonzero")
     # The star-side coefficient pair is determined by the printed pair.

@@ -4,14 +4,14 @@ A candidate consists of an anticanonical degree for the central variety,
 one contraction datum per side, and the exact rational coefficients that
 express each side's exceptional divisor after the flop in the opposite
 side's basis.  Everything is immutable and hashable so candidate sets can
-be compared directly; the check trace rides along without affecting
-equality.
+be compared directly.  Every candidate belongs to one of the seven
+families in FAMILIES: its two side types must be a family's types.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -171,17 +171,6 @@ class FlopCoefficients:
         return FlopCoefficients(self.alpha_plus, self.beta_plus, self.alpha, self.beta)
 
 
-def family_id(left: ContractionType, right: ContractionType) -> str:
-    """Canonical family key, e.g. 'e1e1', 'e1e3' (E1 with E3/E4), 'e5e5'."""
-    short = {
-        ContractionType.E1: "e1",
-        ContractionType.E2: "e2",
-        ContractionType.E34: "e3",
-        ContractionType.E5: "e5",
-    }
-    return short[left] + short[right]
-
-
 class Shape(enum.Enum):
     """Which sides of a family's links contract a curve and which a point."""
 
@@ -209,6 +198,13 @@ class FamilySpec:
     sort_columns: tuple[str, ...]
     display_columns: tuple[str, ...]
     explain_fields: tuple[str, ...]
+
+    @property
+    def types(self) -> tuple[ContractionType, ContractionType]:
+        """The (left, right) side types; a curve side is always the left one."""
+        left = self.star if self.shape is Shape.POINT_POINT else ContractionType.E1
+        right = ContractionType.E1 if self.shape is Shape.CURVE_CURVE else self.star
+        return left, right
 
     def key(self, cells: Mapping[str, object]) -> tuple:
         """The row's identity within the family: its key-column values."""
@@ -281,6 +277,15 @@ FAMILIES: dict[str, FamilySpec] = {
 
 FAMILY_IDS: tuple[str, ...] = tuple(FAMILIES)
 
+_FAMILY_OF_TYPES = {spec.types: spec.id for spec in FAMILIES.values()}
+
+
+def family_id(left: ContractionType, right: ContractionType) -> str:
+    """The id of the family with these side types; ValueError if there is none."""
+    if (left, right) not in _FAMILY_OF_TYPES:
+        raise ValueError(f"no family has side types {left.label},{right.label}")
+    return _FAMILY_OF_TYPES[(left, right)]
+
 
 def family_spec(family: str) -> FamilySpec:
     """The spec of one family id; ValueError for an unknown id."""
@@ -296,8 +301,7 @@ class LinkCandidate:
     defect_e and defect_e_plus are the integer flop defects (left and right
     normalizations); they are None only when the derived value fails to be
     an integer, which can occur on rejected candidates kept for tracing.
-    check_trace carries the most recent check reports and is excluded from
-    equality and hashing.
+    The side types must be one family's types (ValueError otherwise).
     """
 
     kx3: int
@@ -312,7 +316,9 @@ class LinkCandidate:
     etilde3_right: Fraction
     defect_e: int | None
     defect_e_plus: int | None
-    check_trace: tuple = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        family_id(self.left.ctype, self.right.ctype)
 
     @property
     def family(self) -> str:
@@ -347,6 +353,3 @@ class LinkCandidate:
             "e_over_r3": self.e_over_r3,
             "e": self.defect_e,
         }
-
-    def with_trace(self, trace: tuple) -> "LinkCandidate":
-        return replace(self, check_trace=trace)

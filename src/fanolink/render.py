@@ -206,17 +206,20 @@ def render_golden_csv(rows: Sequence[GoldenRow], family: str) -> str:
     return out.getvalue()
 
 
+# Output formats by name; the CLI offers exactly these, in this order.
+RENDERERS = {
+    "csv": render_csv,
+    "json": render_json,
+    "markdown": render_markdown,
+    "latex": render_latex,
+}
+
+
 def render_dispatch(
     fmt: str,
     families: Sequence[tuple[str, Sequence[LinkCandidate]]],
     golden_index: Mapping[tuple, GoldenRow],
 ) -> str:
-    renderers = {
-        "csv": render_csv,
-        "json": render_json,
-        "markdown": render_markdown,
-        "latex": render_latex,
-    }
-    if fmt not in renderers:
+    if fmt not in RENDERERS:
         raise ValueError(f"unknown format: {fmt!r}")
-    return renderers[fmt](families, golden_index)
+    return RENDERERS[fmt](families, golden_index)

@@ -79,26 +79,25 @@ TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
 
 def _finish(
-    kx3: int,
-    left: SideData,
-    right: SideData,
-    coeffs: FlopCoefficients,
-    sigma_left: int,
-    sigma_right: int,
+    kx3: int, left: SideData, right: SideData, coeffs: FlopCoefficients
 ) -> LinkCandidate:
-    etilde3_left = etilde_cubed(
-        coeffs.alpha_plus, coeffs.beta_plus, kx3, intersection_constants(right)
-    )
-    etilde3_right = etilde_cubed(coeffs.alpha, coeffs.beta, kx3, intersection_constants(left))
-    defect_left = defect(intersection_constants(left).e3self, etilde3_left)
-    defect_right = defect(intersection_constants(right).e3self, etilde3_right)
+    """Derive every remaining quantity of a candidate from its sides and coefficients.
+
+    Each side's excess is its (-K)^2.E constant: sigma(r, d, g) on E1, the
+    point-side constant otherwise.
+    """
+    const_left, const_right = intersection_constants(left), intersection_constants(right)
+    etilde3_left = etilde_cubed(coeffs.alpha_plus, coeffs.beta_plus, kx3, const_right)
+    etilde3_right = etilde_cubed(coeffs.alpha, coeffs.beta, kx3, const_left)
+    defect_left = defect(const_left.e3self, etilde3_left)
+    defect_right = defect(const_right.e3self, etilde3_right)
     return LinkCandidate(
         kx3=kx3,
         left=left,
         right=right,
         coeffs=coeffs,
-        sigma_left=sigma_left,
-        sigma_right=sigma_right,
+        sigma_left=const_left.kx2E,
+        sigma_right=const_right.kx2E,
         kY3_left=ky3_from_kx3(kx3, left),
         kY3_right=ky3_from_kx3(kx3, right),
         etilde3_left=etilde3_left,
@@ -116,9 +115,8 @@ def build_e1e1(
     rp, dp, gp = right_data
     left = SideData(ContractionType.E1, r, d, g)
     right = SideData(ContractionType.E1, rp, dp, gp)
-    sig, sig_p = sigma(r, d, g), sigma(rp, dp, gp)
-    coeffs = coeffs_e1e1(kx3, r, rp, sig, sig_p)
-    return _finish(kx3, left, right, coeffs, sig, sig_p)
+    coeffs = coeffs_e1e1(kx3, r, rp, sigma(r, d, g), sigma(rp, dp, gp))
+    return _finish(kx3, left, right, coeffs)
 
 
 def build_e1estar(
@@ -133,14 +131,13 @@ def build_e1estar(
     left = SideData(ContractionType.E1, r, d, g)
     right = SideData(star)
     coeffs = coeffs_from_star_pair(alpha_plus, beta_plus)
-    return _finish(kx3, left, right, coeffs, sigma(r, d, g), star_sigma(star))
+    return _finish(kx3, left, right, coeffs)
 
 
 def build_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidate:
     """Fully derived symmetric point-type candidate."""
     side = SideData(star)
-    c = star_sigma(star)
-    return _finish(kx3, side, side, coeffs_symmetric(alpha), c, c)
+    return _finish(kx3, side, side, coeffs_symmetric(alpha))
 
 
 def candidate_from_fields(family: str, fields: Mapping[str, object]) -> LinkCandidate:
@@ -183,23 +180,13 @@ def orientation_canonical(left_data: tuple[int, int, int], right_data: tuple[int
     return (d, g) >= (dp, gp)
 
 
-def mirror_candidate(candidate: LinkCandidate) -> LinkCandidate:
-    """The same link read from the opposite end."""
-    mirrored = LinkCandidate(
-        kx3=candidate.kx3,
-        left=candidate.right,
-        right=candidate.left,
-        coeffs=candidate.coeffs.mirrored(),
-        sigma_left=candidate.sigma_right,
-        sigma_right=candidate.sigma_left,
-        kY3_left=candidate.kY3_right,
-        kY3_right=candidate.kY3_left,
-        etilde3_left=candidate.etilde3_right,
-        etilde3_right=candidate.etilde3_left,
-        defect_e=candidate.defect_e_plus,
-        defect_e_plus=candidate.defect_e,
-    )
-    return mirrored
+def mirror_candidate(c: LinkCandidate) -> LinkCandidate:
+    """The same link read from the opposite end.
+
+    Defined on E1-E1 and symmetric candidates; an E1-point candidate raises
+    ValueError, since no family has a point type on the left.
+    """
+    return _finish(c.kx3, c.right, c.left, c.coeffs.mirrored())
 
 
 def _admit(
@@ -219,7 +206,7 @@ def _admit(
             for value in vars(part).values():
                 if isinstance(value, (int, Fraction)):
                     audit_magnitude(value)
-        results.append(candidate.with_trace(reports))
+        results.append(candidate)
     elif trace is not None:
         trace("full", data, tuple(rep.name for rep in reports if not rep.passed))
 
@@ -236,7 +223,7 @@ def _e1_side_list(
     trace: TraceFn | None = None,
     stage: str = "side",
 ) -> list[tuple]:
-    """All (d, g, sigma, kY3) for one index, pruned by the side-local checks.
+    """All (d, g, sigma) for one index, pruned by the side-local checks.
 
     Pruning here is an optimization only: a side is dropped exactly when
     the named enabled check would reject every pair containing it.  With
@@ -255,7 +242,7 @@ def _e1_side_list(
                 if trace is not None:
                     trace(stage, (kx3, r, d, g), (degree_check,))
                 continue
-            sides.append((d, g, sig, ky3))
+            sides.append((d, g, sig))
     return sides
 
 
@@ -271,9 +258,9 @@ def _e1e1_pairs_for_shard(
     """Evaluate all oriented pairs with indices (r, rp) at one central degree."""
     fast = "DIOPHANTINE" in enabled
     results: list[LinkCandidate] = []
-    for d, g, sig, _ky3 in left_sides:
+    for d, g, sig in left_sides:
         two_g_minus_2 = 2 * g - 2
-        for dp, gp, sig_p, _ky3p in right_sides:
+        for dp, gp, sig_p in right_sides:
             if r == rp and (d, g) < (dp, gp):
                 continue
             if fast:
@@ -350,7 +337,7 @@ def enumerate_e1estar(
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         for r in range(1, 5):
-            for d, g, sig, _ky3 in _e1_side_list(
+            for d, g, sig in _e1_side_list(
                 kx3, r, enabled, "FANO_DEGREE_LEFT", trace, "side-left"
             ):
                 for bp in range(-r, 0):

@@ -3,13 +3,17 @@
 Every family enumerates in well under a second, but dozens of tests need
 the results; computing them once keeps the whole suite fast and makes the
 assertions in different files provably about the same objects.  The
-brute-force oracle takes seconds, so it too runs once.
+brute-force oracle takes seconds, so it too runs once, and so does each
+single-check ablation of each family.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
+from fanolink.checks import DEFAULT_CHECKS
 from fanolink.golden import golden_for_family
 from fanolink.search import FAMILY_IDS, brute_force_oracle, enumerate_family
 
@@ -24,6 +28,19 @@ def enumerated() -> dict[str, tuple]:
 def oracle() -> dict[str, tuple]:
     """The brute-force oracle's candidates of every family."""
     return {family: brute_force_oracle(family) for family in FAMILY_IDS}
+
+
+@pytest.fixture(scope="session")
+def ablated() -> Callable[[str, str], tuple]:
+    """ablated(check, family): the family's candidates with one check disabled, cached."""
+    cache: dict[tuple[str, str], tuple] = {}
+
+    def run(check: str, family: str) -> tuple:
+        if (check, family) not in cache:
+            cache[(check, family)] = enumerate_family(family, DEFAULT_CHECKS - {check})
+        return cache[(check, family)]
+
+    return run
 
 
 @pytest.fixture(scope="session")

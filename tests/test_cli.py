@@ -92,6 +92,10 @@ class TestEnumerate:
         assert captured.out == ""
         assert captured.err.startswith("internal error: magnitude outside signed 64-bit range")
 
+    def test_list_checks_is_a_top_level_option_only(self, capsys):
+        assert main(["enumerate", "--list-checks"]) == 2
+        assert "unrecognized arguments: --list-checks" in capsys.readouterr().err
+
     def test_trace_rejections_streams_to_stderr(self, capsys):
         assert main(["enumerate", "--families", "e5e5", "--trace-rejections"]) == 0
         captured = capsys.readouterr()

@@ -231,8 +231,27 @@ class TestParseErrors:
 
     def test_type_pairing_enforced(self, tmp_path):
         _corrupt(tmp_path, 9, "2,E5,E5", "2,E2,E5")
-        with pytest.raises(GoldenDataError, match="types must be equal point types, got E2/E5"):
+        with pytest.raises(
+            GoldenDataError, match=r"table9\.csv:5: types must be E5,E5 \(family e5e5\), got E2,E5"
+        ):
             load_golden(9, data_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "table, old, new, message",
+        [
+            # A consistent e2e2 row (kY3 = 2 + 8) in the e5e5 table.
+            (9, "2,E5,E5,1,-1,2.5,", "2,E2,E2,1,-1,10,",
+             r"table9\.csv:5: types must be E5,E5 \(family e5e5\), got E2,E2"),
+            # A consistent e1e5 row (kY3_plus = 4 + 1/2) in the e1e2 table.
+            (4, "4,E1,E2,2,12,7,5/2,-1/2,40,12,", "4,E1,E5,2,12,7,5/2,-1/2,40,4.5,",
+             r"table4\.csv:5: types must be E1,E2 \(family e1e2\), got E1,E5"),
+        ],
+        ids=["e2e2-row-in-table9", "e1e5-row-in-table4"],
+    )
+    def test_row_of_another_family_rejected(self, tmp_path, table, old, new, message):
+        _corrupt(tmp_path, table, old, new)
+        with pytest.raises(GoldenDataError, match=message):
+            load_golden(table, data_dir=tmp_path)
 
     def test_empty_file(self, tmp_path):
         _write_table(tmp_path, 9, "# nothing here\n\n")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from fanolink.model import (
+    FAMILIES,
     ContractionType,
     ExistenceStatus,
     FlopCoefficients,
@@ -145,6 +147,18 @@ class TestFamilyId:
         assert family_id(e3, e3) == "e3e3"
         assert family_id(e5, e5) == "e5e5"
 
+    def test_each_family_spec_states_its_types(self):
+        for spec in FAMILIES.values():
+            assert family_id(*spec.types) == spec.id
+        assert FAMILIES["e1e3"].types == (ContractionType.E1, ContractionType.E34)
+        assert FAMILIES["e5e5"].types == (ContractionType.E5, ContractionType.E5)
+
+    def test_types_of_no_family_raise(self):
+        with pytest.raises(ValueError, match="no family has side types E2,E1"):
+            family_id(ContractionType.E2, ContractionType.E1)
+        with pytest.raises(ValueError, match="no family has side types E2,E5"):
+            family_id(ContractionType.E2, ContractionType.E5)
+
 
 class TestLinkCandidate:
     def test_family_property(self):
@@ -166,12 +180,14 @@ class TestLinkCandidate:
         assert candidate.defect_e is None
         assert candidate.e_over_r3 is None
 
-    def test_with_trace_preserves_equality(self):
-        candidate = build_symmetric(ContractionType.E5, 1, 2)
-        traced = candidate.with_trace(("marker",))
-        assert traced == candidate
-        assert traced.check_trace == ("marker",)
-        assert candidate.check_trace == ()
+    def test_side_types_must_form_a_family(self):
+        candidate = build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2)
+        with pytest.raises(ValueError, match="no family has side types E2,E1"):
+            dataclasses.replace(candidate, left=candidate.right, right=candidate.left)
+        with pytest.raises(ValueError, match="no family has side types E2,E5"):
+            dataclasses.replace(
+                candidate, left=SideData(ContractionType.E2), right=SideData(ContractionType.E5)
+            )
 
     def test_frozen(self):
         candidate = build_symmetric(ContractionType.E2, 1, 8)
