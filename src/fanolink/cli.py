@@ -231,6 +231,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Map every block of 1 MiB or more: glibc mallopt(M_MMAP_THRESHOLD=-3); README, "Memory".
+    getattr(__import__("ctypes").pythonapi, "mallopt", lambda *_: 0)(-3, 1 << 20)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
