@@ -14,11 +14,12 @@ honest: the golden-table reproduction tests fail if any entry drifts.
 
 from __future__ import annotations
 
-import contextlib
+import functools
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .rational import is_integer
 
@@ -118,37 +119,12 @@ def parse_hodge_table(lines: Iterable[str], source: str = "<memory>") -> dict[tu
     return table
 
 
-def load_hodge_table() -> dict[tuple[int, int], int]:
-    """Load and validate the packaged h^{1,2} data file."""
+@functools.cache
+def load_hodge_table() -> Mapping[tuple[int, int], int]:
+    """The packaged h^{1,2} data file, validated; loaded once and read-only."""
     res = resources.files(__package__).joinpath("data/hodge_h12.txt")
     text = res.read_text(encoding="utf-8")
-    return parse_hodge_table(text.splitlines(), source="hodge_h12.txt")
-
-
-_HODGE_TABLE: Mapping[tuple[int, int], int] | None = None
-
-
-def _active_table() -> Mapping[tuple[int, int], int]:
-    global _HODGE_TABLE
-    if _HODGE_TABLE is None:
-        _HODGE_TABLE = load_hodge_table()
-    return _HODGE_TABLE
-
-
-@contextlib.contextmanager
-def override_hodge_table(table: Mapping[tuple[int, int], int]) -> Iterator[None]:
-    """Temporarily replace the active h12 table (single-process scope).
-
-    Exists for sensitivity tests that re-run the enumeration under a
-    deliberately perturbed catalog; production code never calls this.
-    """
-    global _HODGE_TABLE
-    previous = _HODGE_TABLE
-    _HODGE_TABLE = dict(table)
-    try:
-        yield
-    finally:
-        _HODGE_TABLE = previous
+    return types.MappingProxyType(parse_hodge_table(text.splitlines(), source="hodge_h12.txt"))
 
 
 def hodge_h12(index: int, degree: Fraction | int) -> int:
@@ -158,4 +134,4 @@ def hodge_h12(index: int, degree: Fraction | int) -> int:
     """
     if not is_valid_fano_degree(index, degree):
         raise ValueError(f"no catalog entry: index {index}, degree {degree}")
-    return _active_table()[(index, int(degree))]
+    return load_hodge_table()[(index, int(degree))]

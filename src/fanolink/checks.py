@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import catalog
-from .formulas import defect, e1e1_residuals, e1estar_residuals, star_sigma
+from .formulas import basis_decomposition, defect, e1e1_residuals, e1estar_residuals
 from .model import LinkCandidate, SideData, intersection_constants
 from .rational import as_integer, is_integer
 
@@ -74,7 +74,7 @@ def _check_kx3_range(c: LinkCandidate) -> tuple[bool, str]:
 def _degree_detail(side: SideData, ky3: Fraction | int) -> tuple[bool, str]:
     index = side.target_index
     if index is None:
-        return True, f"{side.ctype.label} target is singular; no degree constraint"
+        return True, f"{side.ctype.value} target is singular; no degree constraint"
     ok = catalog.is_valid_fano_degree(index, ky3)
     return ok, f"target degree {ky3} at index {index}"
 
@@ -95,12 +95,12 @@ def _diophantine_residuals(c: LinkCandidate) -> tuple[Fraction, ...]:
         )
     if c.left.is_e1:
         return e1estar_residuals(
-            c.kx3, c.coeffs, c.left.r, c.left.d, c.left.g, star_sigma(c.right.ctype)
+            c.kx3, c.coeffs, c.left.r, c.left.d, c.left.g, c.sigma_right
         )
     # Star-star: each coefficient satisfies the symmetric degree relation.
     return (
-        c.coeffs.alpha * c.kx3 - 2 * star_sigma(c.left.ctype),
-        c.coeffs.alpha_plus * c.kx3 - 2 * star_sigma(c.right.ctype),
+        c.coeffs.alpha * c.kx3 - 2 * c.sigma_left,
+        c.coeffs.alpha_plus * c.kx3 - 2 * c.sigma_right,
     )
 
 
@@ -128,11 +128,10 @@ def _check_etilde_integral(c: LinkCandidate) -> tuple[bool, str]:
 def _gcd_side(alpha: Fraction, beta: Fraction, r: int) -> tuple[bool, str]:
     """Primitivity of the flopped divisor in the side's integral basis.
 
-    The transform decomposes with coefficients (alpha*r, beta - alpha);
-    both must be integers with trivial common divisor.
+    Both coefficients of its basis_decomposition must be integers with
+    trivial common divisor.
     """
-    lead = alpha * r
-    diff = beta - alpha
+    lead, diff = basis_decomposition(alpha, beta, r)
     if not (is_integer(lead) and is_integer(diff)):
         return False, f"non-integral decomposition ({lead}, {diff})"
     lead_i, diff_i = as_integer(lead), as_integer(diff)

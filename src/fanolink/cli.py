@@ -22,6 +22,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from . import checks as checks_mod
 from . import golden as golden_mod
 from . import render as render_mod
 from . import search as search_mod
+from .formulas import basis_decomposition
 from .model import FAMILIES
 from .rational import render_exact
 
@@ -49,6 +51,7 @@ def _parse_families(value: str) -> list[str]:
     return [family for family in search_mod.FAMILY_IDS if family in requested]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanolink",
@@ -191,7 +194,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if side.is_e1:
             datum = f"E1 (r={side.r}, d={side.d}, g={side.g})"
         else:
-            datum = side.ctype.label
+            datum = side.ctype.value
         print(f"{role} side: {datum}, sigma={sig}, target degree {render_exact(ky3)}")
     print(
         "coefficients: "
@@ -207,20 +210,16 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     norm = candidate.e_over_r3
     norm_text = "non-integral" if norm is None else render_exact(norm)
     print(f"defects: e={defect_left}, e_plus={defect_right}, e/r^3={norm_text}")
-    if candidate.left.is_e1:
-        lead = coeffs.alpha * candidate.left.r
-        diff_term = coeffs.beta - coeffs.alpha
-        print(
-            "left-basis decomposition (alpha*r, beta-alpha): "
-            f"({render_exact(lead)}, {render_exact(diff_term)})"
-        )
-    if candidate.right.is_e1:
-        lead = coeffs.alpha_plus * candidate.right.r
-        diff_term = coeffs.beta_plus - coeffs.alpha_plus
-        print(
-            "right-basis decomposition (alpha_plus*r_plus, beta_plus-alpha_plus): "
-            f"({render_exact(lead)}, {render_exact(diff_term)})"
-        )
+    for role, side, alpha, beta, plus in (
+        ("left", candidate.left, coeffs.alpha, coeffs.beta, ""),
+        ("right", candidate.right, coeffs.alpha_plus, coeffs.beta_plus, "_plus"),
+    ):
+        if side.is_e1:
+            lead, diff_term = basis_decomposition(alpha, beta, side.r)
+            print(
+                f"{role}-basis decomposition (alpha{plus}*r{plus}, beta{plus}-alpha{plus}): "
+                f"({render_exact(lead)}, {render_exact(diff_term)})"
+            )
     print("checks:")
     reports = checks_mod.run_checks(candidate)
     for report in reports:

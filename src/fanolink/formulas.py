@@ -50,6 +50,15 @@ def ky3_from_kx3(kx3: int, side: SideData) -> Fraction | int:
     return kx3 + STAR_DEGREE_OFFSET[side.ctype]
 
 
+def basis_decomposition(alpha: Fraction, beta: Fraction, r: int) -> tuple[Fraction, Fraction]:
+    """Coefficients of alpha*H + beta*E in an E1 side's integral basis.
+
+    On an index-r side H = r*A - E, with A the pullback of the target's
+    ample generator, so alpha*H + beta*E = (alpha*r)*A + (beta - alpha)*E.
+    """
+    return alpha * r, beta - alpha
+
+
 def beta_e1e1(r: int, r_plus: int) -> tuple[Fraction, Fraction]:
     """The E-coefficients (beta, beta_plus) for an E1-E1 pair of indices."""
     return Fraction(-r_plus, r), Fraction(-r, r_plus)

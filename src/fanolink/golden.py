@@ -155,17 +155,17 @@ def _parse_cell(column: str, value: str, source: str, lineno: int) -> object:
         if column in _RATIONAL_COLUMNS:
             return parse_rational(value)
         if column == "exists":
-            return ExistenceStatus.from_label(value)
+            return ExistenceStatus(value)
         if column in ("type_left", "type_right"):
-            return ContractionType.from_label(value).label
+            return ContractionType(value).value
         return value
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError):
         if column in _INT_COLUMNS:
             reason = f"column {column}: not an integer: {value!r}"
         elif column in _RATIONAL_COLUMNS:
             reason = f"column {column}: not a rational: {value!r}"
         else:
-            reason = str(exc)
+            reason = f"column {column}: unknown value {value!r}"
         raise GoldenDataError(f"{source}:{lineno}: {reason}") from None
 
 
@@ -176,7 +176,7 @@ def _build_row(
     for column, value in record.items():
         cells[column] = _parse_cell(column, value, source, lineno)
 
-    expected_types = ",".join(ctype.label for ctype in spec.types)
+    expected_types = ",".join(ctype.value for ctype in spec.types)
     types = f"{cells['type_left']},{cells['type_right']}"
     _expect(
         types == expected_types,
@@ -198,13 +198,13 @@ def _build_row(
         if column not in record:
             continue
         try:
-            side = SideData(ContractionType.from_label(label), r, d, g)
+            side = SideData(ContractionType(label), r, d, g)
         except ValueError as exc:
             raise GoldenDataError(f"{source}:{lineno}: {exc}") from None
         if side.is_e1:
             rule = f"degree formula for (kx3={kx3}, r={r}, d={d}, g={g})"
         else:
-            rule = f"the {side.ctype.label} degree offset"
+            rule = f"the {side.ctype.value} degree offset"
         _expect(
             cells[column] == ky3_from_kx3(kx3, side),
             source,

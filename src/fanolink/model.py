@@ -24,17 +24,6 @@ class ContractionType(enum.Enum):
     E34 = "E3/E4"    # quadric-surface contraction (the two quadric cases behave identically here)
     E5 = "E5"        # contraction of a plane with normal degree -2
 
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "ContractionType":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown contraction type label: {label!r}")
-
 
 class ExistenceStatus(enum.Enum):
     """Geometric realization status recorded for a golden row."""
@@ -42,13 +31,6 @@ class ExistenceStatus(enum.Enum):
     EXISTS = "Exists"
     NOT_EXISTS = "NotExists"
     OPEN = "Open"
-
-    @classmethod
-    def from_label(cls, label: str) -> "ExistenceStatus":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown existence status: {label!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +59,7 @@ class SideData:
                 raise ValueError(f"E1 genus must be >= 0: {self.g}")
         else:
             if (self.r, self.d, self.g) != (None, None, None):
-                raise ValueError(f"{self.ctype.label} side carries no numeric data")
+                raise ValueError(f"{self.ctype.value} side carries no numeric data")
 
     @property
     def is_e1(self) -> bool:
@@ -283,7 +265,7 @@ _FAMILY_OF_TYPES = {spec.types: spec.id for spec in FAMILIES.values()}
 def family_id(left: ContractionType, right: ContractionType) -> str:
     """The id of the family with these side types; ValueError if there is none."""
     if (left, right) not in _FAMILY_OF_TYPES:
-        raise ValueError(f"no family has side types {left.label},{right.label}")
+        raise ValueError(f"no family has side types {left.value},{right.value}")
     return _FAMILY_OF_TYPES[(left, right)]
 
 
@@ -336,8 +318,8 @@ class LinkCandidate:
         left, right, coeffs = self.left, self.right, self.coeffs
         return {
             "kx3": self.kx3,
-            "type_left": left.ctype.label,
-            "type_right": right.ctype.label,
+            "type_left": left.ctype.value,
+            "type_right": right.ctype.value,
             "r": left.r,
             "d": left.d,
             "g": left.g,

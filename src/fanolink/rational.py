@@ -51,8 +51,6 @@ def render_exact(x: Fraction | int) -> str:
     This is the canonical serialization for CSV and JSON output; it never
     loses precision and ``parse_rational`` inverts it.
     """
-    if isinstance(x, int):
-        return str(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -66,17 +64,13 @@ def render_table(x: Fraction | int) -> str:
     exact 'n/d' form.  The decimal forms are exact (denominators 2 and 4
     are powers of two), so parse_rational round-trips them.
     """
-    if isinstance(x, int):
-        return str(x)
-    if x.denominator == 1:
-        return str(x.numerator)
     if x.denominator in (2, 4):
         # Integer arithmetic: a float would round numerators beyond 2**53.
         places = x.denominator // 2
         whole, frac = divmod(abs(x.numerator) * 10**places // x.denominator, 10**places)
         sign = "-" if x.numerator < 0 else ""
         return f"{sign}{whole}.{frac:0{places}d}"
-    return f"{x.numerator}/{x.denominator}"
+    return render_exact(x)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -26,10 +26,6 @@ from .model import FAMILIES, LinkCandidate
 from .rational import as_integer, is_integer, render_exact, render_table
 
 
-def csv_header(family: str) -> list[str]:
-    return list(FAMILIES[family].csv_columns)
-
-
 def build_golden_index(rows: Iterable[GoldenRow]) -> dict[tuple, GoldenRow]:
     return {golden_key(row): row for row in rows}
 
@@ -79,7 +75,7 @@ def render_csv(
         first = False
         out.write(f"# family: {family}\n")
         writer = csv.writer(out, lineterminator="\n")
-        header = csv_header(family)
+        header = FAMILIES[family].csv_columns
         writer.writerow(header)
         for candidate in candidates:
             cells = _candidate_cells(candidate, golden_index)
@@ -94,7 +90,7 @@ def render_json(
     """Flat JSON array of row objects in canonical column order."""
     records = []
     for family, candidates in families:
-        header = csv_header(family)
+        header = FAMILIES[family].csv_columns
         for candidate in candidates:
             cells = _candidate_cells(candidate, golden_index)
             records.append({column: _json_value(cells[column]) for column in header})
@@ -198,7 +194,7 @@ def render_golden_csv(rows: Sequence[GoldenRow], family: str) -> str:
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = csv_header(family)
+    header = FAMILIES[family].csv_columns
     writer.writerow(header)
     for row in rows:
         cells = {**vars(row), "exists": row.exists.value}

@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from fanolink.catalog import load_hodge_table, override_hodge_table
+from fanolink import catalog
+from fanolink.catalog import load_hodge_table
 from fanolink.checks import DEFAULT_CHECKS, admitted, run_checks
 from fanolink.cli import main
 from fanolink.formulas import (
@@ -147,7 +148,7 @@ def test_criterion_5_oracle_equivalence(enumerated, oracle):
         assert set(oracle[family]) == set(enumerated[family]), family
 
 
-def test_criterion_6_property_suites(enumerated, golden):
+def test_criterion_6_property_suites(enumerated, golden, monkeypatch):
     """Structural invariants on every emitted row, plus catalog mutation."""
     # --- coefficient-relation closure on every emitted candidate -----------
     for family, candidates in enumerated.items():
@@ -203,7 +204,8 @@ def test_criterion_6_property_suites(enumerated, golden):
         mutated = dict(base_table)
         assert mutated[entry] + delta >= 0, "perturbed catalog value must stay legal"
         mutated[entry] += delta
-        with override_hodge_table(mutated):
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "load_hodge_table", lambda: mutated)
             out = (enumerate_family("e1e1"), enumerate_family("e1e2"))
         verified = (
             diff(out[0], golden["e1e1"]).empty and diff(out[1], golden["e1e2"]).empty
@@ -245,7 +247,8 @@ def test_criterion_6_property_suites(enumerated, golden):
             assert not consults_one_sided(c, entry), (entry, c)
         mutated = dict(base_table)
         mutated[entry] += 1
-        with override_hodge_table(mutated):
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "load_hodge_table", lambda: mutated)
             out = (enumerate_family("e1e1"), enumerate_family("e1e2"))
         assert out == baseline
 

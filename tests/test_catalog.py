@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanolink import catalog
 from fanolink.catalog import (
     DEGREE_RULES,
     CatalogError,
@@ -13,7 +14,6 @@ from fanolink.catalog import (
     hodge_h12,
     is_valid_fano_degree,
     load_hodge_table,
-    override_hodge_table,
     parse_hodge_table,
 )
 
@@ -149,26 +149,16 @@ class TestParseErrors:
 
 
 class TestOverride:
-    def test_override_is_scoped(self):
+    def test_override_is_scoped(self, monkeypatch):
         baseline = hodge_h12(1, 22)
         mutated = dict(load_hodge_table())
         mutated[(1, 22)] = baseline + 5
-        with override_hodge_table(mutated):
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "load_hodge_table", lambda: mutated)
             assert hodge_h12(1, 22) == baseline + 5
         assert hodge_h12(1, 22) == baseline
 
-    def test_override_restores_on_exception(self):
-        baseline = hodge_h12(2, 8)
-        mutated = dict(load_hodge_table())
-        mutated[(2, 8)] = 0
-        with pytest.raises(RuntimeError):
-            with override_hodge_table(mutated):
-                assert hodge_h12(2, 8) == 0
-                raise RuntimeError("boom")
-        assert hodge_h12(2, 8) == baseline
-
-    def test_override_takes_a_snapshot(self):
-        mutated = dict(load_hodge_table())
-        with override_hodge_table(mutated):
-            mutated[(1, 2)] = 999  # later mutation of the caller's dict is invisible
-            assert hodge_h12(1, 2) == 52
+    def test_loaded_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            load_hodge_table()[(1, 2)] = 999
+        assert hodge_h12(1, 2) == 52

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from fanolink import golden as golden_mod
 from fanolink import search as search_mod
 from fanolink.checks import REGISTRY
 from fanolink.cli import main
+from fanolink.render import build_golden_index, render_csv
 
 
 class TestTopLevel:
@@ -163,6 +165,26 @@ class TestExplain:
         assert "right-basis decomposition (alpha_plus*r_plus, beta_plus-alpha_plus): (8, -5)" in out
         assert "verdict: admitted" in out
 
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            (
+                "e1e1",
+                [
+                    "left-basis decomposition (alpha*r, beta-alpha): (3, -4)",
+                    "right-basis decomposition (alpha_plus*r_plus, beta_plus-alpha_plus): (3, -4)",
+                ],
+            ),
+            ("e1e2", ["left-basis decomposition (alpha*r, beta-alpha): (5, -3)"]),
+            ("e2e2", []),
+        ],
+    )
+    def test_decomposition_lines_per_shape(self, capsys, family, expected):
+        # Only E1 sides have an integral basis to decompose in.
+        assert main(["explain", family, "row", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "basis decomposition" in line] == expected
+
     def test_star_family_row(self, capsys):
         assert main(["explain", "e1e2", "row", "1"]) == 0
         out = capsys.readouterr().out
@@ -219,3 +241,36 @@ class TestExplain:
     def test_unparseable_tuple(self, capsys):
         assert main(["explain", "e1e1", "(a,b)"]) == 2
         assert "cannot parse tuple" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """main() runs many times in one process: in the tests and in bench/."""
+
+    def test_calls_leave_no_cyclic_garbage(self, capsys):
+        assert main(["--list-checks"]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in (
+                ["verify", "--families", "e2e2"],
+                ["enumerate", "--families", "e5e5"],
+                ["--list-checks"],
+                ["explain", "e2e2", "(8,1)"],
+            ):
+                assert main(argv) == 0
+                assert gc.collect() == 0, argv
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
+    def test_reused_parser_keeps_no_state_between_calls(self, capsys):
+        assert main(["enumerate", "--families", "e1e1", "--disable-check", "HODGE"]) == 0
+        ablated = capsys.readouterr().out
+        assert main(["enumerate", "--families", "e1e1"]) == 0
+        default = capsys.readouterr().out
+        fresh = render_csv(
+            [("e1e1", search_mod.enumerate_family("e1e1"))],
+            build_golden_index(golden_mod.golden_for_family("e1e1")),
+        )
+        assert default == fresh
+        assert ablated != fresh

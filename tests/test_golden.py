@@ -226,7 +226,14 @@ class TestParseErrors:
 
     def test_unknown_existence_label(self, tmp_path):
         _corrupt(tmp_path, 9, ",Open,", ",Maybe,")
-        with pytest.raises(GoldenDataError, match=r"table9\.csv:5: unknown existence status: 'Maybe'"):
+        with pytest.raises(GoldenDataError, match=r"table9\.csv:5: column exists: unknown value 'Maybe'"):
+            load_golden(9, data_dir=tmp_path)
+
+    def test_unknown_type_label(self, tmp_path):
+        _corrupt(tmp_path, 9, "2,E5,E5", "2,E6,E5")
+        with pytest.raises(
+            GoldenDataError, match=r"table9\.csv:5: column type_left: unknown value 'E6'"
+        ):
             load_golden(9, data_dir=tmp_path)
 
     def test_type_pairing_enforced(self, tmp_path):

@@ -23,28 +23,28 @@ from fanolink.search import build_e1e1, build_e1estar, build_symmetric
 
 class TestContractionType:
     def test_labels(self):
-        assert ContractionType.E1.label == "E1"
-        assert ContractionType.E2.label == "E2"
-        assert ContractionType.E34.label == "E3/E4"
-        assert ContractionType.E5.label == "E5"
+        assert ContractionType.E1.value == "E1"
+        assert ContractionType.E2.value == "E2"
+        assert ContractionType.E34.value == "E3/E4"
+        assert ContractionType.E5.value == "E5"
 
     def test_from_label_round_trip(self):
         for ctype in ContractionType:
-            assert ContractionType.from_label(ctype.label) is ctype
+            assert ContractionType(ctype.value) is ctype
 
     def test_from_label_rejects_unknown(self):
         with pytest.raises(ValueError):
-            ContractionType.from_label("E6")
+            ContractionType("E6")
 
 
 class TestExistenceStatus:
     def test_from_label_round_trip(self):
         for status in ExistenceStatus:
-            assert ExistenceStatus.from_label(status.value) is status
+            assert ExistenceStatus(status.value) is status
 
     def test_from_label_rejects_unknown(self):
         with pytest.raises(ValueError):
-            ExistenceStatus.from_label("Maybe")
+            ExistenceStatus("Maybe")
 
 
 class TestSideData:

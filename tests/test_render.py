@@ -8,9 +8,9 @@ import json
 
 import pytest
 
+from fanolink.model import FAMILIES
 from fanolink.render import (
     build_golden_index,
-    csv_header,
     render_csv,
     render_dispatch,
     render_golden_csv,
@@ -79,7 +79,7 @@ class TestCsv:
     def test_csv_parses_back_with_consistent_field_counts(self, enumerated, golden_index):
         text = render_csv([("e1e3", enumerated["e1e3"])], golden_index)
         parsed = list(csv.reader(io.StringIO("\n".join(_data_lines(text)))))
-        assert all(len(fields) == len(csv_header("e1e3")) for fields in parsed)
+        assert all(len(fields) == len(FAMILIES["e1e3"].csv_columns) for fields in parsed)
         assert len(parsed) == 7
 
 
@@ -170,7 +170,7 @@ class TestGoldenCsv:
     def test_headers_match_loader_schema(self, golden):
         for family in FAMILY_IDS:
             text = render_golden_csv(golden[family][:1], family)
-            assert text.splitlines()[0] == ",".join(csv_header(family))
+            assert text.splitlines()[0] == ",".join(FAMILIES[family].csv_columns)
 
     def test_symmetric_degree_normalizes_to_fraction_form(self, golden):
         text = render_golden_csv(golden["e5e5"], "e5e5")

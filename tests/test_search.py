@@ -7,16 +7,19 @@ from fractions import Fraction
 import pytest
 
 from fanolink import search
+from fanolink.catalog import is_valid_fano_degree
 from fanolink.checks import (
     DEFAULT_CHECKS,
+    E1_SIGMA_MIN,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
     admitted,
     run_checks,
 )
+from fanolink.formulas import ky3_from_kx3, sigma
 from fanolink.golden import diff
-from fanolink.model import ContractionType, Shape, family_spec
+from fanolink.model import ContractionType, Shape, SideData, family_spec
 from fanolink.rational import RationalOverflowError
 from fanolink.search import (
     D_MAX,
@@ -186,6 +189,26 @@ class TestDomainFacts:
     def test_minimum_excess_is_attained(self, enumerated):
         # The floor is tight: excess exactly 3 occurs among admitted rows.
         assert min(c.sigma_left for c in enumerated["e1e1"] if c.left.is_e1) == 3
+
+    def test_side_lists_follow_the_reference_degree_formula(self):
+        # The side list inlines the target-degree formula; it must keep
+        # exactly the sides that ky3_from_kx3 and SIGMA_POS admit.
+        total = 0
+        for kx3 in KX3_VALUES:
+            for r in G_MAX:
+                expected = [
+                    (d, g, sigma(r, d, g))
+                    for d in range(1, D_MAX + 1)
+                    for g in range(G_MAX[r] + 1)
+                    if sigma(r, d, g) >= E1_SIGMA_MIN
+                    and is_valid_fano_degree(
+                        r, ky3_from_kx3(kx3, SideData(ContractionType.E1, r, d, g))
+                    )
+                ]
+                sides = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "FANO_DEGREE_LEFT")
+                assert sides == expected, (kx3, r)
+                total += len(sides)
+        assert total == 420
 
 
 class TestAblations:
