@@ -3,10 +3,10 @@
 Both ends of an admissible link contract onto a smooth Fano threefold of
 Picard rank one whose Fano index is 1..4.  For each index the anticanonical
 degree is restricted to a known finite list; each admissible (index, degree)
-pair carries one Hodge number h^{1,2}.  The degree lists are encoded as
-small data rules plus one predicate rather than hard-coded branches, and the
+pair carries one Hodge number h^{1,2}.  The degree lists are one literal
+table of degree sets, FANO_DEGREES, that the degree predicate reads, and the
 h^{1,2} values live in a packaged data file that the loader cross-validates
-against the rules (exactly one line per admissible pair, no duplicates).
+against that table (exactly one line per admissible pair, no duplicates).
 
 The numeric classification itself is the authority that keeps this file
 honest: the golden-table reproduction tests fail if any entry drifts.
@@ -16,45 +16,17 @@ from __future__ import annotations
 
 import functools
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .rational import is_integer
-
-
-@dataclass(frozen=True)
-class DegreeRule:
-    """Admissible anticanonical degrees for one Fano index.
-
-    A degree k is admissible iff lo <= k <= hi, modulus | k, and k is not
-    in the excluded tuple.
-    """
-
-    lo: int
-    hi: int
-    modulus: int
-    excluded: tuple[int, ...] = ()
-
-    def admits(self, degree: int) -> bool:
-        return (
-            self.lo <= degree <= self.hi
-            and degree % self.modulus == 0
-            and degree not in self.excluded
-        )
-
-    def expand(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.lo, self.hi + 1) if self.admits(k))
-
-
 # Index 1 degrees are the even values 2..22 with 20 absent from the
 # classification; higher indices are forced onto multiples of index**3.
-DEGREE_RULES: dict[int, DegreeRule] = {
-    1: DegreeRule(lo=2, hi=22, modulus=2, excluded=(20,)),
-    2: DegreeRule(lo=8, hi=40, modulus=8),
-    3: DegreeRule(lo=54, hi=54, modulus=27),
-    4: DegreeRule(lo=64, hi=64, modulus=64),
+FANO_DEGREES: dict[int, frozenset[int]] = {
+    1: frozenset({2, 4, 6, 8, 10, 12, 14, 16, 18, 22}),
+    2: frozenset({8, 16, 24, 32, 40}),
+    3: frozenset({54}),
+    4: frozenset({64}),
 }
 
 
@@ -62,30 +34,23 @@ class CatalogError(ValueError):
     """Malformed or inconsistent catalog data file."""
 
 
-def _check_index(index: int) -> None:
-    if index not in DEGREE_RULES:
-        raise ValueError(f"Fano index out of range 1..4: {index!r}")
-
-
 def is_valid_fano_degree(index: int, degree: Fraction | int) -> bool:
     """True iff ``degree`` is an integer admissible for this Fano index."""
-    _check_index(index)
-    if not is_integer(degree):
-        return False
-    return DEGREE_RULES[index].admits(int(degree))
+    if index not in FANO_DEGREES:
+        raise ValueError(f"Fano index out of range 1..4: {index!r}")
+    # A non-integral Fraction equals no int, so no degree set contains it.
+    return degree in FANO_DEGREES[index]
 
 
 def admissible_pairs() -> tuple[tuple[int, int], ...]:
-    """All (index, degree) pairs the rules admit, in catalog order."""
+    """All admissible (index, degree) pairs, in catalog order."""
     return tuple(
-        (index, degree)
-        for index in sorted(DEGREE_RULES)
-        for degree in DEGREE_RULES[index].expand()
+        (index, degree) for index in sorted(FANO_DEGREES) for degree in sorted(FANO_DEGREES[index])
     )
 
 
 def parse_hodge_table(lines: Iterable[str], source: str = "<memory>") -> dict[tuple[int, int], int]:
-    """Parse 'index degree h12' lines, validating against the degree rules.
+    """Parse 'index degree h12' lines, validating against FANO_DEGREES.
 
     Blank lines and '#' comments are skipped.  Errors carry the source name
     and line number.  The parsed table must contain exactly one entry per
@@ -103,9 +68,9 @@ def parse_hodge_table(lines: Iterable[str], source: str = "<memory>") -> dict[tu
             index, degree, h12 = (int(p) for p in parts)
         except ValueError:
             raise CatalogError(f"{source}:{lineno}: non-integer field in {raw.strip()!r}") from None
-        if index not in DEGREE_RULES:
+        if index not in FANO_DEGREES:
             raise CatalogError(f"{source}:{lineno}: Fano index out of range 1..4: {index}")
-        if not DEGREE_RULES[index].admits(degree):
+        if degree not in FANO_DEGREES[index]:
             raise CatalogError(f"{source}:{lineno}: degree {degree} not admissible for index {index}")
         if h12 < 0:
             raise CatalogError(f"{source}:{lineno}: negative h12 value {h12}")
@@ -130,7 +95,7 @@ def load_hodge_table() -> Mapping[tuple[int, int], int]:
 def hodge_h12(index: int, degree: Fraction | int) -> int:
     """h^{1,2} of the rank-one smooth Fano with this index and degree.
 
-    Raises on any (index, degree) the rules do not admit.
+    Raises on any (index, degree) that FANO_DEGREES does not admit.
     """
     if not is_valid_fano_degree(index, degree):
         raise ValueError(f"no catalog entry: index {index}, degree {degree}")

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import catalog
-from .formulas import basis_decomposition, defect, e1e1_residuals, e1estar_residuals
-from .model import LinkCandidate, SideData, intersection_constants
+from .formulas import basis_decomposition, e1e1_residuals, e1estar_residuals
+from .model import LinkCandidate, SideData
 from .rational import as_integer, is_integer
 
 # The central-degree domain: even, 2..22.  It is also the search range.
@@ -35,14 +35,6 @@ class CheckReport:
     name: str
     passed: bool
     detail: str
-
-
-def _exact_defects(c: LinkCandidate) -> tuple[Fraction, Fraction]:
-    """Left and right flop defects as exact rationals."""
-    return (
-        defect(intersection_constants(c.left).e3self, c.etilde3_left),
-        defect(intersection_constants(c.right).e3self, c.etilde3_right),
-    )
 
 
 # Minimum anticanonical excess on a blown-up-curve side.  The base-point-free
@@ -170,13 +162,13 @@ def _check_coeff_integrality(c: LinkCandidate) -> tuple[bool, str]:
 
 
 def _check_defect_positive(c: LinkCandidate) -> tuple[bool, str]:
-    e, e_plus = _exact_defects(c)
+    e, e_plus = c.defect_left, c.defect_right
     ok = is_integer(e) and e > 0 and is_integer(e_plus) and e_plus > 0
     return ok, f"defects {e}, {e_plus}"
 
 
 def _check_defect_divisible(c: LinkCandidate) -> tuple[bool, str]:
-    e, e_plus = _exact_defects(c)
+    e, e_plus = c.defect_left, c.defect_right
     scale_left, scale_right = c.left.cube_scale, c.right.cube_scale
     norm_left = e / scale_left
     norm_right = e_plus / scale_right

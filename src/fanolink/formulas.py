@@ -33,9 +33,7 @@ def sigma(r: int, d: int, g: int) -> int:
 
 
 def star_sigma(ctype: ContractionType) -> int:
-    """The constant (-K)^2.E of a point-type side (4, 2 or 1)."""
-    if ctype is ContractionType.E1:
-        raise ValueError("E1 sides derive sigma from (r, d, g)")
+    """The constant (-K)^2.E of a point-type side (4, 2 or 1); ValueError on E1."""
     return intersection_constants(SideData(ctype)).kx2E
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,8 +217,9 @@ def _build_row(
     return GoldenRow(**cells)
 
 
+@functools.cache
 def golden_for_family(family: str, data_dir: str | Path | None = None) -> tuple[GoldenRow, ...]:
-    """All golden rows of one family, in table order."""
+    """All golden rows of one family, in table order; each (family, data_dir) loads once."""
     rows: list[GoldenRow] = []
     for table, _ in family_spec(family).tables:
         rows.extend(load_golden(table, data_dir))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .rational import is_integer
+
 
 class ContractionType(enum.Enum):
     """Divisorial contraction types that can bound the link."""
@@ -280,10 +282,11 @@ def family_spec(family: str) -> FamilySpec:
 class LinkCandidate:
     """A fully derived candidate link, prior to or after admission.
 
-    defect_e and defect_e_plus are the integer flop defects (left and right
-    normalizations); they are None only when the derived value fails to be
-    an integer, which can occur on rejected candidates kept for tracing.
-    The side types must be one family's types (ValueError otherwise).
+    defect_left and defect_right are the exact flop defects E^3 - Etilde^3
+    of the two sides' divisors, derived once with the candidate.  defect_e
+    and defect_e_plus give them as ints, or None when one is not an integer
+    (possible on rejected candidates kept for tracing).  The side types
+    must be one family's types (ValueError otherwise).
     """
 
     kx3: int
@@ -296,8 +299,8 @@ class LinkCandidate:
     kY3_right: Fraction
     etilde3_left: Fraction
     etilde3_right: Fraction
-    defect_e: int | None
-    defect_e_plus: int | None
+    defect_left: Fraction
+    defect_right: Fraction
 
     def __post_init__(self) -> None:
         family_id(self.left.ctype, self.right.ctype)
@@ -305,6 +308,14 @@ class LinkCandidate:
     @property
     def family(self) -> str:
         return family_id(self.left.ctype, self.right.ctype)
+
+    @property
+    def defect_e(self) -> int | None:
+        return int(self.defect_left) if is_integer(self.defect_left) else None
+
+    @property
+    def defect_e_plus(self) -> int | None:
+        return int(self.defect_right) if is_integer(self.defect_right) else None
 
     @property
     def e_over_r3(self) -> Fraction | None:

@@ -34,12 +34,10 @@ def audit_magnitude(x: Fraction | int) -> Fraction | int:
 
 
 def is_integer(x: Fraction | int) -> bool:
-    return isinstance(x, int) or x.denominator == 1
+    return x.denominator == 1
 
 
 def as_integer(x: Fraction | int) -> int:
-    if isinstance(x, int):
-        return x
     if x.denominator != 1:
         raise ValueError(f"not an integer: {x}")
     return x.numerator

@@ -58,7 +58,7 @@ from .model import (
     family_spec,
     intersection_constants,
 )
-from .rational import as_integer, audit_magnitude, is_integer
+from .rational import as_integer, audit_magnitude
 
 D_MAX = 19
 # Maximal genus per index; beyond these the excess is never positive.
@@ -89,8 +89,6 @@ def _finish(
     const_left, const_right = intersection_constants(left), intersection_constants(right)
     etilde3_left = etilde_cubed(coeffs.alpha_plus, coeffs.beta_plus, kx3, const_right)
     etilde3_right = etilde_cubed(coeffs.alpha, coeffs.beta, kx3, const_left)
-    defect_left = defect(const_left.e3self, etilde3_left)
-    defect_right = defect(const_right.e3self, etilde3_right)
     return LinkCandidate(
         kx3=kx3,
         left=left,
@@ -102,8 +100,8 @@ def _finish(
         kY3_right=ky3_from_kx3(kx3, right),
         etilde3_left=etilde3_left,
         etilde3_right=etilde3_right,
-        defect_e=as_integer(defect_left) if is_integer(defect_left) else None,
-        defect_e_plus=as_integer(defect_right) if is_integer(defect_right) else None,
+        defect_left=defect(const_left.e3self, etilde3_left),
+        defect_right=defect(const_right.e3self, etilde3_right),
     )
 
 
@@ -429,7 +427,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                     if sig <= 0:
                         continue  # the default suite enforces positive excess
                     for rp in range(1, 5):
-                        sig_p_cap = 19 * rp + 2
+                        sig_p_cap = D_MAX * rp + 2
                         for q in range(1, 5):
                             # p window: positive right excess up to its cap.
                             p_lo = (q * sig) // kx3 + 1

@@ -1,4 +1,4 @@
-"""Target-variety catalog: degree rules and the h^{1,2} table."""
+"""Target-variety catalog: degree sets and the h^{1,2} table."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from fanolink import catalog
 from fanolink.catalog import (
-    DEGREE_RULES,
+    FANO_DEGREES,
     CatalogError,
     admissible_pairs,
     hodge_h12,
@@ -27,8 +27,9 @@ EXPECTED_DEGREES = {
 
 class TestDegreeRules:
     def test_expanded_degree_lists(self):
+        assert set(FANO_DEGREES) == set(EXPECTED_DEGREES)
         for index, degrees in EXPECTED_DEGREES.items():
-            assert DEGREE_RULES[index].expand() == degrees
+            assert tuple(sorted(FANO_DEGREES[index])) == degrees
 
     def test_index_one_excludes_twenty(self):
         assert not is_valid_fano_degree(1, 20)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -56,9 +57,12 @@ class TestEnumerate:
         assert out.count("# family: e1e2") == 1
 
     def test_unknown_family_is_usage_error(self, capsys):
-        assert main(["enumerate", "--families", "e1e9"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown families: e1e9")
+        for families, message in (
+            ("e1e9", "error: unknown families: e1e9"),
+            (",", "error: no families given"),
+        ):
+            assert main(["enumerate", "--families", families]) == 2
+            assert capsys.readouterr().err.startswith(message)
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["enumerate", "--families", "e5e5", "--disable-check", "NOPE"]) == 2
@@ -127,6 +131,21 @@ class TestVerify:
             "e5e5: exact match (1 rows)",
         ]
 
+    def test_golden_tables_are_loaded_once(self, capsys, monkeypatch):
+        loads: Counter[int] = Counter()
+        real = golden_mod.load_golden
+
+        def counted(table, data_dir=None):
+            loads[table] += 1
+            return real(table, data_dir)
+
+        monkeypatch.setattr(golden_mod, "load_golden", counted)
+        golden_mod.golden_for_family.cache_clear()
+        assert main(["verify"]) == 0
+        assert main(["enumerate", "--families", "all"]) == 0
+        capsys.readouterr()
+        assert loads == {table: 1 for table in range(1, 10)}
+
     def test_doctored_golden_is_reported(self, capsys, monkeypatch):
         real = golden_mod.golden_for_family
 
@@ -142,8 +161,9 @@ class TestVerify:
         assert "e_over_r3 expected 99, got 24" in out
 
     def test_unknown_family_is_usage_error(self, capsys):
-        assert main(["verify", "--families", "bogus"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for families, message in (("bogus", "error:"), (",", "error: no families given")):
+            assert main(["verify", "--families", families]) == 2
+            assert capsys.readouterr().err.startswith(message)
 
 
 class TestExplain:

@@ -260,6 +260,20 @@ class TestParseErrors:
         with pytest.raises(GoldenDataError, match=message):
             load_golden(table, data_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("5,12,7", r"table4\.csv:5: E1 index out of range 1\.\.4: 5"),
+            ("2,0,7", r"table4\.csv:5: E1 curve degree must be >= 1: 0"),
+            ("2,12,-1", r"table4\.csv:5: E1 genus must be >= 0: -1"),
+        ],
+        ids=["index", "degree", "genus"],
+    )
+    def test_bad_e1_side_data_rejected(self, tmp_path, data, message):
+        _corrupt(tmp_path, 4, "4,E1,E2,2,12,7,", f"4,E1,E2,{data},")
+        with pytest.raises(GoldenDataError, match=message):
+            load_golden(4, data_dir=tmp_path)
+
     def test_empty_file(self, tmp_path):
         _write_table(tmp_path, 9, "# nothing here\n\n")
         with pytest.raises(GoldenDataError, match="empty table file"):

@@ -226,6 +226,15 @@ class TestAblations:
                 extras[family] = len(out) - len(enumerated[family])
         assert extras == ABLATION_EXTRAS.get(check, {})
 
+    def test_e1_point_scan_path_agrees_with_the_fast_path(self, monkeypatch):
+        # With DIOPHANTINE off the E1-point enumerator scans alpha_plus
+        # literally; one central degree keeps that scan to about a second.
+        monkeypatch.setattr(search, "KX3_VALUES", (4,))
+        fast = enumerate_e1estar(ContractionType.E34)
+        scanned = enumerate_e1estar(ContractionType.E34, DEFAULT_CHECKS - {"DIOPHANTINE"})
+        assert len(fast) == 2 and len(scanned) == 6
+        assert tuple(c for c in scanned if admitted(run_checks(c))) == fast
+
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
         assert set(enumerated["e1e1"]) <= set(out)
