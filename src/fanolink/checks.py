@@ -271,7 +271,8 @@ def run_checks(
     With short_circuit the evaluation stops after the first failure (the
     admission verdict is unchanged; only trailing reports are omitted).
     """
-    validate_check_ids(enabled)
+    if not DEFAULT_CHECKS.issuperset(enabled):
+        validate_check_ids(enabled)
     reports: list[CheckReport] = []
     for name, (_, fn) in REGISTRY.items():
         if name not in enabled:

@@ -10,7 +10,10 @@ Conventions used throughout (and by the golden tables):
   (-K)^2.E of the exceptional divisor: 4 for E2, 2 for E3/E4, 1 for E5.
 
 All functions are pure and exact; they accept ints or Fractions and return
-ints or Fractions, never floats.
+ints or Fractions, never floats.  The rational-valued ones work on integer
+numerators over one common denominator (r*kx3 and r_plus*kx3 on E1-E1,
+beta_plus on E1-point, 1 on the symmetric families) and build a single
+reduced Fraction at the end, never a chain of Fraction operations.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .model import (
     SideData,
     intersection_constants,
 )
+from .rational import over_common_denominator
 
 
 def sigma(r: int, d: int, g: int) -> int:
@@ -54,33 +58,26 @@ def basis_decomposition(alpha: Fraction, beta: Fraction, r: int) -> tuple[Fracti
     On an index-r side H = r*A - E, with A the pullback of the target's
     ample generator, so alpha*H + beta*E = (alpha*r)*A + (beta - alpha)*E.
     """
-    return alpha * r, beta - alpha
-
-
-def beta_e1e1(r: int, r_plus: int) -> tuple[Fraction, Fraction]:
-    """The E-coefficients (beta, beta_plus) for an E1-E1 pair of indices."""
-    return Fraction(-r_plus, r), Fraction(-r, r_plus)
-
-
-def alpha_plus_closed_form(
-    sigma_left: int, sigma_right: int, beta_plus: Fraction, kx3: int
-) -> Fraction:
-    """Closed form for alpha_plus from the two excesses.
-
-    Follows from intersecting the flopped divisor with (-K)^2 on both
-    sides: alpha_plus * kx3 = sigma_left - beta_plus * sigma_right.
-    """
-    return (sigma_left - beta_plus * sigma_right) / Fraction(kx3)
+    a, b, den = over_common_denominator(alpha, beta)
+    return Fraction(a * r, den), Fraction(b - a, den)
 
 
 def coeffs_e1e1(
     kx3: int, r: int, r_plus: int, sigma_left: int, sigma_right: int
 ) -> FlopCoefficients:
-    """Full coefficient set for an E1-E1 candidate (closed-form route)."""
-    beta, beta_plus = beta_e1e1(r, r_plus)
-    alpha_plus = alpha_plus_closed_form(sigma_left, sigma_right, beta_plus, kx3)
-    alpha = -beta * alpha_plus
-    return FlopCoefficients(alpha, beta, alpha_plus, beta_plus)
+    """Full coefficient set for an E1-E1 candidate (closed-form route).
+
+    The E-coefficients are beta = -r_plus/r and beta_plus = -r/r_plus.
+    Intersecting the flopped divisor with (-K)^2 on both sides gives
+    alpha_plus * kx3 = sigma_left - beta_plus * sigma_right, and
+    alpha = -beta * alpha_plus.  With n = sigma_left*r_plus + r*sigma_right
+    (the enumerator's integer pair test uses the same n) that is
+    alpha = n/(r*kx3) and alpha_plus = n/(r_plus*kx3).
+    """
+    n = sigma_left * r_plus + r * sigma_right
+    return FlopCoefficients(
+        Fraction(n, r * kx3), Fraction(-r_plus, r), Fraction(n, r_plus * kx3), Fraction(-r, r_plus)
+    )
 
 
 def coeffs_from_star_pair(alpha_plus: int, beta_plus: int) -> FlopCoefficients:
@@ -114,11 +111,12 @@ def e1e1_residuals(
     computed through the flopped divisor, with its stated genus; both must
     vanish on an admissible candidate.
     """
-    a, b = coeffs.alpha, coeffs.beta
-    ap, bp = coeffs.alpha_plus, coeffs.beta_plus
-    res1 = a * a * kx3 + 2 * a * b * sigma_left + b * b * (2 * g_left - 2) - (2 * g_right - 2)
-    res2 = ap * ap * kx3 + 2 * ap * bp * sigma_right + bp * bp * (2 * g_right - 2) - (2 * g_left - 2)
-    return res1, res2
+    a, b, den = over_common_denominator(coeffs.alpha, coeffs.beta)
+    ap, bp, den_p = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
+    gl, gr = 2 * g_left - 2, 2 * g_right - 2  # 2g - 2 of each curve
+    res1 = a * a * kx3 + 2 * a * b * sigma_left + b * b * gl - den * den * gr
+    res2 = ap * ap * kx3 + 2 * ap * bp * sigma_right + bp * bp * gr - den_p * den_p * gl
+    return Fraction(res1, den * den), Fraction(res2, den_p * den_p)
 
 
 def e1estar_residuals(
@@ -135,15 +133,20 @@ def e1estar_residuals(
     the literal K^3 = -kx3); res2, res4 are the linear excess relations.
     star_c is the point-side constant 4, 2 or 1.  All four must vanish.
     """
-    a, b = coeffs.alpha, coeffs.beta
-    ap, bp = coeffs.alpha_plus, coeffs.beta_plus
+    a, b, den = over_common_denominator(coeffs.alpha, coeffs.beta)
+    ap, bp, den_p = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
     sig = sigma(r, d, g)
     two_minus_2g = 2 - 2 * g
-    res1 = a * a * (-kx3) - 2 * a * b * (r * d) + two_minus_2g * (-2 * a * b + b * b) - 2
-    res2 = a * kx3 + b * sig - star_c
-    res3 = ap * ap * (-kx3) - 2 * ap * bp * star_c + 2 * bp * bp - two_minus_2g
-    res4 = ap * kx3 + bp * star_c - sig
-    return res1, res2, res3, res4
+    res1 = -a * a * kx3 - 2 * a * b * (r * d) + two_minus_2g * (-2 * a * b + b * b) - 2 * den * den
+    res2 = a * kx3 + b * sig - star_c * den
+    res3 = -ap * ap * kx3 - 2 * ap * bp * star_c + 2 * bp * bp - two_minus_2g * den_p * den_p
+    res4 = ap * kx3 + bp * star_c - sig * den_p
+    return (
+        Fraction(res1, den * den),
+        Fraction(res2, den),
+        Fraction(res3, den_p * den_p),
+        Fraction(res4, den_p),
+    )
 
 
 def etilde_cubed(
@@ -158,18 +161,18 @@ def etilde_cubed(
     anticanonical class, expanding the cube against the opposite side's
     intersection constants gives
         a^3 kx3 + 3 a^2 b (H^2.E) - 3 a b^2 (H.E^2) + b^3 E^3,
-    the middle signs reflecting that H = -K.
+    the middle signs reflecting that H = -K.  The form is homogeneous, so
+    it takes the numerators over the common denominator den, then / den^3.
     """
-    a, b = alpha_plus, beta_plus
-    return (
-        a * a * a * kx3
-        + 3 * a * a * b * opposite.kx2E
-        - 3 * a * b * b * opposite.kxE2
-        + b * b * b * opposite.e3self
+    a, b, den = over_common_denominator(alpha_plus, beta_plus)
+    num = a * a * (a * kx3 + 3 * b * opposite.kx2E) - b * b * (
+        3 * a * opposite.kxE2 - b * opposite.e3self
     )
+    return Fraction(num, den * den * den)
 
 
 def defect(e3self: int, etilde3: Fraction | int) -> Fraction | int:
     """Flop defect: drop of the divisor's self-cube across the flop."""
-    return e3self - etilde3
+    num, den = etilde3.as_integer_ratio()
+    return Fraction(e3self * den - num, den)
 

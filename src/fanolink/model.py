@@ -141,11 +141,19 @@ class FlopCoefficients:
     beta_plus: Fraction
 
     def closure_residuals(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Zero iff the two coefficient pairs are mutually consistent."""
+        """Zero iff the two coefficient pairs are mutually consistent.
+
+        beta*beta_plus - 1, alpha + beta*alpha_plus and alpha_plus +
+        beta_plus*alpha, each built as one Fraction from integer terms.
+        """
+        na, da = self.alpha.as_integer_ratio()
+        nb, db = self.beta.as_integer_ratio()
+        nap, dap = self.alpha_plus.as_integer_ratio()
+        nbp, dbp = self.beta_plus.as_integer_ratio()
         return (
-            self.beta * self.beta_plus - 1,
-            self.alpha + self.beta * self.alpha_plus,
-            self.alpha_plus + self.beta_plus * self.alpha,
+            Fraction(nb * nbp - db * dbp, db * dbp),
+            Fraction(na * db * dap + nb * nap * da, da * db * dap),
+            Fraction(nap * dbp * da + nbp * na * dap, dap * dbp * da),
         )
 
     def all_nonzero(self) -> bool:

@@ -25,6 +25,7 @@ order in which the shards are evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -213,6 +214,40 @@ def _admit(
 # E1-E1 enumeration
 
 
+# Every (d, g) of an index-r side, in the side lists' loop order.
+_SIDE_GRID: dict[int, tuple[tuple[int, int], ...]] = {
+    r: tuple((d, g) for d in range(1, D_MAX + 1) for g in range(G_MAX[r] + 1)) for r in G_MAX
+}
+
+
+@functools.cache
+def _pruned_sides(
+    kx3: int, r: int, sigma_pos: bool, degree_check: str | None
+) -> tuple[tuple[tuple[int, int, int], ...], bytes]:
+    """The kept (d, g, sigma) sides of one index, and why the others were pruned.
+
+    sigma_pos prunes excesses below E1_SIGMA_MIN; degree_check, unless
+    None, names the check that prunes the side's target degree.  The
+    bytes hold one verdict per _SIDE_GRID[r] entry: 0 kept, 1 SIGMA_POS,
+    2 degree_check (a byte, not a tuple, per prune keeps the cache small).
+    The arguments carry only what decides a prune, so any check sets share
+    at most four entries per (kx3, r).
+    """
+    sides, verdicts = [], bytearray()
+    for d, g in _SIDE_GRID[r]:
+        sig = sigma(r, d, g)
+        if sigma_pos and sig < E1_SIGMA_MIN:
+            verdicts.append(1)
+        elif degree_check is not None and not is_valid_fano_degree(
+            r, kx3 + 2 * r * d + 2 - 2 * g
+        ):
+            verdicts.append(2)
+        else:
+            verdicts.append(0)
+            sides.append((d, g, sig))
+    return tuple(sides), bytes(verdicts)
+
+
 def _e1_side_list(
     kx3: int,
     r: int,
@@ -224,24 +259,20 @@ def _e1_side_list(
     """All (d, g, sigma) for one index, pruned by the side-local checks.
 
     Pruning here is an optimization only: a side is dropped exactly when
-    the named enabled check would reject every pair containing it.  With
-    tracing on, each pruned side is reported once (not once per pair).
+    the named enabled check would reject every pair containing it.  The
+    lists are built once per process (_pruned_sides); with tracing on,
+    each call reports every pruned side once (not once per pair), in
+    loop order.
     """
-    sides = []
-    for d in range(1, D_MAX + 1):
-        for g in range(0, G_MAX[r] + 1):
-            sig = sigma(r, d, g)
-            if "SIGMA_POS" in enabled and sig < E1_SIGMA_MIN:
-                if trace is not None:
-                    trace(stage, (kx3, r, d, g), ("SIGMA_POS",))
-                continue
-            ky3 = kx3 + 2 * r * d + 2 - 2 * g
-            if degree_check in enabled and not is_valid_fano_degree(r, ky3):
-                if trace is not None:
-                    trace(stage, (kx3, r, d, g), (degree_check,))
-                continue
-            sides.append((d, g, sig))
-    return sides
+    sides, verdicts = _pruned_sides(
+        kx3, r, "SIGMA_POS" in enabled, degree_check if degree_check in enabled else None
+    )
+    if trace is not None:
+        failed = (None, ("SIGMA_POS",), (degree_check,))
+        for (d, g), verdict in zip(_SIDE_GRID[r], verdicts):
+            if verdict:
+                trace(stage, (kx3, r, d, g), failed[verdict])
+    return list(sides)
 
 
 def _e1e1_pairs_for_shard(
@@ -290,7 +321,7 @@ def enumerate_e1e1(
 
     The loop runs over (kx3, r, d, g, rp, dp, gp) restricted to the
     canonical orientation; coefficients come from the closed form.  Side
-    lists are built (and their prunes traced) once per (kx3, index), then
+    lists are fetched (and their prunes traced) once per (kx3, index), then
     the E1E1_SHARDS are evaluated and their results merged and sorted.
     """
     left_map = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanolink.formulas import (
-    alpha_plus_closed_form,
-    beta_e1e1,
+    basis_decomposition,
     coeffs_e1e1,
     coeffs_from_star_pair,
     coeffs_symmetric,
@@ -22,7 +22,13 @@ from fanolink.formulas import (
     sigma,
     star_sigma,
 )
-from fanolink.model import ContractionType, IntersectionConstants, SideData, intersection_constants
+from fanolink.model import (
+    ContractionType,
+    FlopCoefficients,
+    IntersectionConstants,
+    SideData,
+    intersection_constants,
+)
 
 
 class TestSigma:
@@ -54,12 +60,18 @@ class TestTargetDegree:
 
 class TestCoefficients:
     def test_beta_pair_from_indices(self):
-        assert beta_e1e1(3, 1) == (Fraction(-1, 3), Fraction(-3))
-        assert beta_e1e1(1, 1) == (Fraction(-1), Fraction(-1))
-        assert beta_e1e1(2, 4) == (Fraction(-2), Fraction(-1, 2))
+        for r, r_plus, betas in (
+            (3, 1, (Fraction(-1, 3), Fraction(-3))),
+            (1, 1, (Fraction(-1), Fraction(-1))),
+            (2, 4, (Fraction(-2), Fraction(-1, 2))),
+        ):
+            coeffs = coeffs_e1e1(2, r, r_plus, 3, 3)
+            assert (coeffs.beta, coeffs.beta_plus) == betas
 
     def test_alpha_plus_closed_form(self):
-        assert alpha_plus_closed_form(3, 3, Fraction(-1), 2) == 3
+        # alpha_plus * kx3 = sigma_left - beta_plus * sigma_right with
+        # (sigma_left, sigma_right, beta_plus, kx3) = (3, 3, -1, 2).
+        assert coeffs_e1e1(2, 1, 1, 3, 3).alpha_plus == 3
 
     def test_coeffs_e1e1_first_row(self):
         coeffs = coeffs_e1e1(2, 1, 1, 3, 3)
@@ -138,6 +150,13 @@ class TestTransformCube:
         assert defect(4, Fraction(-1, 2)) == Fraction(9, 2)
 
 
+class TestBasisDecomposition:
+    def test_worked_values(self):
+        # Golden row 70's left side: alpha = 11/3, beta = -1/3 at r = 3.
+        assert basis_decomposition(Fraction(11, 3), Fraction(-1, 3), 3) == (11, -4)
+        assert basis_decomposition(Fraction(5, 2), Fraction(-1, 2), 2) == (5, -3)
+
+
 # ---------------------------------------------------------------------------
 # Algebraic identities, checked over random inputs
 
@@ -183,3 +202,91 @@ def test_e1e1_symmetric_residuals_vanish(kx3, r, d, g):
 @given(_kx3, st.integers(min_value=1, max_value=86), st.integers(min_value=-4, max_value=-1))
 def test_star_pair_closure_holds_identically(kx3, ap, bp):
     assert coeffs_from_star_pair(ap, bp).closure_residuals() == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Each formula against its plain-Fraction expression, written out here.
+# The formulas build one Fraction over a common denominator; these inputs
+# reach denominators far beyond the search's 1..88 and mix in plain ints.
+
+_wide_rationals = st.one_of(
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**7),
+)
+_wide_ints = st.integers(min_value=-(10**6), max_value=10**6)
+_nonzero_ints = _wide_ints.filter(bool)
+_coefficient_sets = st.builds(
+    FlopCoefficients, _wide_rationals, _wide_rationals, _wide_rationals, _wide_rationals
+)
+_constants = st.builds(IntersectionConstants, _wide_ints, _wide_ints, _wide_ints)
+
+
+def _is_reduced_rational(x) -> bool:
+    """A Fraction or an int, never a float (a Fraction is always reduced)."""
+    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+
+
+@given(_wide_rationals, _wide_rationals, _wide_ints, _constants)
+def test_etilde_cubed_matches_the_fraction_expression(a, b, kx3, opposite):
+    a_f, b_f = Fraction(a), Fraction(b)
+    expected = (
+        a_f * a_f * a_f * kx3
+        + 3 * a_f * a_f * b_f * opposite.kx2E
+        - 3 * a_f * b_f * b_f * opposite.kxE2
+        + b_f * b_f * b_f * opposite.e3self
+    )
+    value = etilde_cubed(a, b, kx3, opposite)
+    assert value == expected and _is_reduced_rational(value)
+
+
+@given(_wide_ints, _wide_rationals)
+def test_defect_matches_the_fraction_expression(e3self, etilde3):
+    value = defect(e3self, etilde3)
+    assert value == e3self - Fraction(etilde3) and _is_reduced_rational(value)
+
+
+@given(_wide_rationals, _wide_rationals, _wide_ints)
+def test_basis_decomposition_matches_the_fraction_expression(alpha, beta, r):
+    lead, diff = basis_decomposition(alpha, beta, r)
+    assert (lead, diff) == (Fraction(alpha) * r, Fraction(beta) - Fraction(alpha))
+    assert _is_reduced_rational(lead) and _is_reduced_rational(diff)
+
+
+@given(_nonzero_ints, _nonzero_ints, _nonzero_ints, _wide_ints, _wide_ints)
+def test_coeffs_e1e1_matches_the_fraction_expression(kx3, r, rp, sig, sig_p):
+    beta, beta_plus = Fraction(-rp, r), Fraction(-r, rp)
+    alpha_plus = (sig - beta_plus * sig_p) / Fraction(kx3)
+    alpha = -beta * alpha_plus
+    coeffs = coeffs_e1e1(kx3, r, rp, sig, sig_p)
+    assert coeffs == FlopCoefficients(alpha, beta, alpha_plus, beta_plus)
+    # The CSV and JSON renderers print exactly these Fractions.
+    assert all(type(value) is Fraction for value in dataclasses.astuple(coeffs))
+
+
+@given(_wide_ints, _coefficient_sets, _wide_ints, _wide_ints, _wide_ints, _wide_ints)
+def test_e1e1_residuals_match_the_fraction_expression(kx3, coeffs, g, sig, gp, sig_p):
+    a, b = Fraction(coeffs.alpha), Fraction(coeffs.beta)
+    ap, bp = Fraction(coeffs.alpha_plus), Fraction(coeffs.beta_plus)
+    expected = (
+        a * a * kx3 + 2 * a * b * sig + b * b * (2 * g - 2) - (2 * gp - 2),
+        ap * ap * kx3 + 2 * ap * bp * sig_p + bp * bp * (2 * gp - 2) - (2 * g - 2),
+    )
+    residuals = e1e1_residuals(kx3, coeffs, g, sig, gp, sig_p)
+    assert residuals == expected
+    assert all(_is_reduced_rational(res) for res in residuals)
+
+
+@given(_wide_ints, _coefficient_sets, _wide_ints, _wide_ints, _wide_ints, _wide_ints)
+def test_e1estar_residuals_match_the_fraction_expression(kx3, coeffs, r, d, g, star_c):
+    a, b = Fraction(coeffs.alpha), Fraction(coeffs.beta)
+    ap, bp = Fraction(coeffs.alpha_plus), Fraction(coeffs.beta_plus)
+    sig = r * d + 2 - 2 * g
+    expected = (
+        a * a * (-kx3) - 2 * a * b * (r * d) + (2 - 2 * g) * (-2 * a * b + b * b) - 2,
+        a * kx3 + b * sig - star_c,
+        ap * ap * (-kx3) - 2 * ap * bp * star_c + 2 * bp * bp - (2 - 2 * g),
+        ap * kx3 + bp * star_c - sig,
+    )
+    residuals = e1estar_residuals(kx3, coeffs, r, d, g, star_c)
+    assert residuals == expected
+    assert all(_is_reduced_rational(res) for res in residuals)

@@ -6,6 +6,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanolink.model import (
     FAMILIES,
@@ -118,6 +120,23 @@ class TestFlopCoefficients:
     def test_closure_residuals_flag_inconsistency(self):
         coeffs = FlopCoefficients(Fraction(3), Fraction(-1), Fraction(4), Fraction(-1))
         assert any(res != 0 for res in coeffs.closure_residuals())
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(10**9), max_value=10**9),
+                st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**7),
+            ),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_closure_residuals_match_the_fraction_expression(self, values):
+        # Denominators far beyond the search's 1..88, and plain ints.
+        a, b, ap, bp = map(Fraction, values)
+        residuals = FlopCoefficients(*values).closure_residuals()
+        assert residuals == (b * bp - 1, a + b * ap, ap + bp * a)
+        assert all(isinstance(res, (Fraction, int)) for res in residuals)
 
     def test_all_nonzero_rejects_zero_coefficient(self):
         coeffs = FlopCoefficients(Fraction(0), Fraction(-1), Fraction(0), Fraction(-1))

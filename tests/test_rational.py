@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from fanolink.rational import (
     as_integer,
     audit_magnitude,
     is_integer,
+    over_common_denominator,
     parse_rational,
     render_exact,
     render_table,
@@ -123,3 +125,10 @@ def test_render_exact_parse_round_trip(q):
 def test_render_table_parse_round_trip(q):
     # The decimal spellings for denominators 2 and 4 are exact.
     assert parse_rational(render_table(q)) == q
+
+
+@given(st.one_of(st.integers(min_value=-(10**9), max_value=10**9), _rationals), _rationals)
+def test_over_common_denominator(x, y):
+    m, n, d = over_common_denominator(x, y)
+    assert (Fraction(m, d), Fraction(n, d)) == (x, y)
+    assert d == math.lcm(Fraction(x).denominator, Fraction(y).denominator)

@@ -293,6 +293,33 @@ class TestTracing:
         enumerate_e1e1(trace=lambda s, d, f: events.append((s, d, f)))
         assert ("side-left", (2, 1, 2, 1), ("SIGMA_POS",)) in events
 
+    def test_cached_side_lists_replay_their_prunes(self):
+        # The first run builds every side list, the second replays them.
+        search._pruned_sides.cache_clear()
+        runs = []
+        for _ in range(2):
+            events = []
+            enumerate_e1e1(trace=lambda s, d, f: events.append((s, d, f)))
+            runs.append(events)
+        info = search._pruned_sides.cache_info()
+        assert info.misses == info.hits == 2 * 4 * len(KX3_VALUES)
+        assert runs[0] == runs[1]
+        # The replayed prunes come in the order of the side loop itself.
+        expected = []
+        for kx3 in KX3_VALUES:
+            for r in range(1, 5):
+                for d in range(1, D_MAX + 1):
+                    for g in range(G_MAX[r] + 1):
+                        side = SideData(ContractionType.E1, r, d, g)
+                        if sigma(r, d, g) < E1_SIGMA_MIN:
+                            failed = ("SIGMA_POS",)
+                        elif not is_valid_fano_degree(r, ky3_from_kx3(kx3, side)):
+                            failed = ("FANO_DEGREE_LEFT",)
+                        else:
+                            continue
+                        expected.append(("side-left", (kx3, r, d, g), failed))
+        assert [event for event in runs[1] if event[0] == "side-left"] == expected
+
     def test_star_family_trace(self, enumerated):
         events = []
         out = enumerate_e1estar(ContractionType.E2, trace=lambda s, d, f: events.append(s))
