@@ -42,13 +42,6 @@ def is_valid_fano_degree(index: int, degree: Fraction | int) -> bool:
     return degree in FANO_DEGREES[index]
 
 
-def admissible_pairs() -> tuple[tuple[int, int], ...]:
-    """All admissible (index, degree) pairs, in catalog order."""
-    return tuple(
-        (index, degree) for index in sorted(FANO_DEGREES) for degree in sorted(FANO_DEGREES[index])
-    )
-
-
 def parse_hodge_table(lines: Iterable[str], source: str = "<memory>") -> dict[tuple[int, int], int]:
     """Parse 'index degree h12' lines, validating against FANO_DEGREES.
 
@@ -78,7 +71,7 @@ def parse_hodge_table(lines: Iterable[str], source: str = "<memory>") -> dict[tu
         if key in table:
             raise CatalogError(f"{source}:{lineno}: duplicate entry for {key}")
         table[key] = h12
-    missing = set(admissible_pairs()) - set(table)
+    missing = {(i, d) for i, degrees in FANO_DEGREES.items() for d in degrees} - set(table)
     if missing:
         raise CatalogError(f"{source}: missing entries for admissible pairs: {sorted(missing)}")
     return table

@@ -15,9 +15,8 @@ candidate), which the property tests exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import catalog
 from .formulas import basis_decomposition, e1e1_residuals, e1estar_residuals
@@ -30,8 +29,7 @@ KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
 MAX_ALPHA_PLUS = 86
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     passed: bool
     detail: str

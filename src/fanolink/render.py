@@ -182,26 +182,6 @@ def render_latex(
     return "\n\n".join(blocks) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Golden-table round trip
-
-
-def render_golden_csv(rows: Sequence[GoldenRow], family: str) -> str:
-    """Serialize golden rows back to the canonical CSV schema.
-
-    Loading the result again yields equal GoldenRow values (decimal
-    spellings normalize to exact fractions; the values are unchanged).
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = FAMILIES[family].csv_columns
-    writer.writerow(header)
-    for row in rows:
-        cells = {**vars(row), "exists": row.exists.value}
-        writer.writerow([_machine_str(cells[column]) for column in header])
-    return out.getvalue()
-
-
 # Output formats by name; the CLI offers exactly these, in this order.
 RENDERERS = {
     "csv": render_csv,

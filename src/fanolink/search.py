@@ -18,9 +18,7 @@ The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
 
 Ordering is canonical and total per family, so outputs are reproducible
-byte for byte.  The E1-E1 search runs in (kx3, r, r+) shards whose results
-are merged and sorted canonically, so the output does not depend on the
-order in which the shards are evaluated.
+byte for byte.
 """
 
 from __future__ import annotations
@@ -66,11 +64,6 @@ D_MAX = 19
 G_MAX: dict[int, int] = {1: 10, 2: 20, 3: 29, 4: 39}
 # Oracle scan bound for leading-coefficient numerators (denominators 1..4).
 ORACLE_NUMERATOR_BOUND = 360
-
-# E1-E1 work units: (kx3, r, r_plus) with the left index at least the right.
-E1E1_SHARDS: tuple[tuple[int, int, int], ...] = tuple(
-    (kx3, r, rp) for kx3 in KX3_VALUES for r in range(1, 5) for rp in range(1, r + 1)
-)
 
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
@@ -222,25 +215,23 @@ _SIDE_GRID: dict[int, tuple[tuple[int, int], ...]] = {
 
 @functools.cache
 def _pruned_sides(
-    kx3: int, r: int, sigma_pos: bool, degree_check: str | None
+    kx3: int, r: int, sigma_pos: bool, degree: bool
 ) -> tuple[tuple[tuple[int, int, int], ...], bytes]:
     """The kept (d, g, sigma) sides of one index, and why the others were pruned.
 
-    sigma_pos prunes excesses below E1_SIGMA_MIN; degree_check, unless
-    None, names the check that prunes the side's target degree.  The
-    bytes hold one verdict per _SIDE_GRID[r] entry: 0 kept, 1 SIGMA_POS,
-    2 degree_check (a byte, not a tuple, per prune keeps the cache small).
-    The arguments carry only what decides a prune, so any check sets share
-    at most four entries per (kx3, r).
+    sigma_pos prunes excesses below E1_SIGMA_MIN; degree prunes sides whose
+    target degree is not a Fano degree of index r.  The bytes hold one
+    verdict per _SIDE_GRID[r] entry: 0 kept, 1 SIGMA_POS, 2 degree (a byte,
+    not a tuple, per prune keeps the cache small).  The arguments carry
+    only what decides a prune, so both sides and any check sets share at
+    most four entries per (kx3, r).
     """
     sides, verdicts = [], bytearray()
     for d, g in _SIDE_GRID[r]:
         sig = sigma(r, d, g)
         if sigma_pos and sig < E1_SIGMA_MIN:
             verdicts.append(1)
-        elif degree_check is not None and not is_valid_fano_degree(
-            r, kx3 + 2 * r * d + 2 - 2 * g
-        ):
+        elif degree and not is_valid_fano_degree(r, kx3 + 2 * r * d + 2 - 2 * g):
             verdicts.append(2)
         else:
             verdicts.append(0)
@@ -249,68 +240,24 @@ def _pruned_sides(
 
 
 def _e1_side_list(
-    kx3: int,
-    r: int,
-    enabled: frozenset[str],
-    degree_check: str,
-    trace: TraceFn | None = None,
-    stage: str = "side",
-) -> list[tuple]:
-    """All (d, g, sigma) for one index, pruned by the side-local checks.
+    kx3: int, r: int, enabled: frozenset[str], role: str, trace: TraceFn | None = None
+) -> tuple[tuple[int, int, int], ...]:
+    """All (d, g, sigma) for one index on the "left" or "right" side, pruned.
 
     Pruning here is an optimization only: a side is dropped exactly when
-    the named enabled check would reject every pair containing it.  The
-    lists are built once per process (_pruned_sides); with tracing on,
-    each call reports every pruned side once (not once per pair), in
-    loop order.
+    SIGMA_POS or the role's FANO_DEGREE check, if enabled, would reject
+    every pair containing it.  The lists are built once per process
+    (_pruned_sides); with tracing on, each call reports every pruned side
+    once (not once per pair), in loop order, at stage side-<role>.
     """
-    sides, verdicts = _pruned_sides(
-        kx3, r, "SIGMA_POS" in enabled, degree_check if degree_check in enabled else None
-    )
+    degree_check = f"FANO_DEGREE_{role.upper()}"
+    sides, verdicts = _pruned_sides(kx3, r, "SIGMA_POS" in enabled, degree_check in enabled)
     if trace is not None:
         failed = (None, ("SIGMA_POS",), (degree_check,))
         for (d, g), verdict in zip(_SIDE_GRID[r], verdicts):
             if verdict:
-                trace(stage, (kx3, r, d, g), failed[verdict])
-    return list(sides)
-
-
-def _e1e1_pairs_for_shard(
-    kx3: int,
-    r: int,
-    rp: int,
-    enabled: frozenset[str],
-    trace: TraceFn | None,
-    left_sides: list[tuple],
-    right_sides: list[tuple],
-) -> list[LinkCandidate]:
-    """Evaluate all oriented pairs with indices (r, rp) at one central degree."""
-    fast = "DIOPHANTINE" in enabled
-    results: list[LinkCandidate] = []
-    for d, g, sig in left_sides:
-        two_g_minus_2 = 2 * g - 2
-        for dp, gp, sig_p in right_sides:
-            if r == rp and (d, g) < (dp, gp):
-                continue
-            if fast:
-                # Exact integer multiple of the first genus residual; the
-                # second residual is its negative once the leading
-                # coefficient comes from the closed form (their sum
-                # telescopes), so one test decides the pair.
-                n = sig * rp + r * sig_p
-                r1 = (
-                    n * n
-                    - 2 * n * sig * rp
-                    + rp * rp * kx3 * two_g_minus_2
-                    - r * r * kx3 * (2 * gp - 2)
-                )
-                if r1 != 0:
-                    if trace is not None:
-                        trace("pair-fast", (kx3, r, d, g, rp, dp, gp), ("DIOPHANTINE",))
-                    continue
-            candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-            _admit(candidate, enabled, trace, (kx3, r, d, g, rp, dp, gp), results)
-    return results
+                trace(f"side-{role}", (kx3, r, d, g), failed[verdict])
+    return sides
 
 
 def enumerate_e1e1(
@@ -320,28 +267,42 @@ def enumerate_e1e1(
     """All admissible E1-E1 candidates in canonical order.
 
     The loop runs over (kx3, r, d, g, rp, dp, gp) restricted to the
-    canonical orientation; coefficients come from the closed form.  Side
-    lists are fetched (and their prunes traced) once per (kx3, index), then
-    the E1E1_SHARDS are evaluated and their results merged and sorted.
+    canonical orientation (rp <= r); coefficients come from the closed
+    form.  Every left side list is fetched (and its prunes traced) first,
+    then every right one, each once per (kx3, index).
     """
-    left_map = {
-        (kx3, r): _e1_side_list(kx3, r, enabled, "FANO_DEGREE_LEFT", trace, "side-left")
-        for kx3 in KX3_VALUES
-        for r in range(1, 5)
-    }
-    right_map = {
-        (kx3, r): _e1_side_list(kx3, r, enabled, "FANO_DEGREE_RIGHT", trace, "side-right")
-        for kx3 in KX3_VALUES
-        for r in range(1, 5)
-    }
-    merged = [
-        candidate
-        for kx3, r, rp in E1E1_SHARDS
-        for candidate in _e1e1_pairs_for_shard(
-            kx3, r, rp, enabled, trace, left_map[(kx3, r)], right_map[(kx3, rp)]
-        )
-    ]
-    return tuple(sorted(merged, key=canonical_sort_key))
+    indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
+    left = {key: _e1_side_list(*key, enabled, "left", trace) for key in indices}
+    right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
+    fast = "DIOPHANTINE" in enabled
+    results: list[LinkCandidate] = []
+    for kx3, r in indices:
+        for rp in range(1, r + 1):
+            for d, g, sig in left[(kx3, r)]:
+                two_g_minus_2 = 2 * g - 2
+                for dp, gp, sig_p in right[(kx3, rp)]:
+                    if r == rp and (d, g) < (dp, gp):
+                        continue
+                    data = (kx3, r, d, g, rp, dp, gp)
+                    if fast:
+                        # Exact integer multiple of the first genus residual;
+                        # the second residual is its negative once the leading
+                        # coefficient comes from the closed form (their sum
+                        # telescopes), so one test decides the pair.
+                        n = sig * rp + r * sig_p
+                        r1 = (
+                            n * n
+                            - 2 * n * sig * rp
+                            + rp * rp * kx3 * two_g_minus_2
+                            - r * r * kx3 * (2 * gp - 2)
+                        )
+                        if r1 != 0:
+                            if trace is not None:
+                                trace("pair-fast", data, ("DIOPHANTINE",))
+                            continue
+                    candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
+                    _admit(candidate, enabled, trace, data, results)
+    return tuple(sorted(results, key=canonical_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +327,7 @@ def enumerate_e1estar(
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         for r in range(1, 5):
-            for d, g, sig in _e1_side_list(
-                kx3, r, enabled, "FANO_DEGREE_LEFT", trace, "side-left"
-            ):
+            for d, g, sig in _e1_side_list(kx3, r, enabled, "left", trace):
                 for bp in range(-r, 0):
                     if fast:
                         # res4 = ap*kx3 + bp*c - sig vanishes for exactly one
@@ -449,61 +408,55 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     of deriving the coefficient from the two excesses in closed form.
     """
     results: list[LinkCandidate] = []
-    seen: set[tuple] = set()
     for kx3 in KX3_VALUES:
         for r in range(1, 5):
-            for d in range(1, D_MAX + 1):
-                for g in range(0, G_MAX[r] + 1):
-                    sig = sigma(r, d, g)
-                    if sig <= 0:
-                        continue  # the default suite enforces positive excess
-                    for rp in range(1, 5):
-                        sig_p_cap = D_MAX * rp + 2
-                        for q in range(1, 5):
-                            # p window: positive right excess up to its cap.
-                            p_lo = (q * sig) // kx3 + 1
-                            p_hi = (q * (sig * rp + r * sig_p_cap)) // (rp * kx3)
-                            p_hi = min(p_hi, ORACLE_NUMERATOR_BOUND)
-                            for p in range(max(1, p_lo), p_hi + 1):
-                                if math.gcd(p, q) != 1:
-                                    continue
-                                # Genus relation solved directly for the right genus.
-                                t = p * p * kx3 - 2 * p * q * sig + q * q * (2 * g - 2)
-                                num = rp * rp * t
-                                den = r * r * q * q
-                                if num % den != 0:
-                                    continue
-                                two_gp_minus_2 = num // den
-                                if two_gp_minus_2 % 2 != 0:
-                                    continue
-                                gp = (two_gp_minus_2 + 2) // 2
-                                if not 0 <= gp <= G_MAX[rp]:
-                                    continue
-                                # Excess relation gives the right-side excess.
-                                num_sig = rp * (p * kx3 - q * sig)
-                                den_sig = r * q
-                                if num_sig % den_sig != 0:
-                                    continue
-                                sig_p = num_sig // den_sig
-                                if not 0 < sig_p <= sig_p_cap:
-                                    continue
-                                dp_num = sig_p - 2 + 2 * gp
-                                if dp_num % rp != 0:
-                                    continue
-                                dp = dp_num // rp
-                                if not 1 <= dp <= D_MAX:
-                                    continue
-                                if not orientation_canonical((r, d, g), (rp, dp, gp)):
-                                    continue
-                                key = (kx3, r, d, g, rp, dp, gp)
-                                if key in seen:
-                                    continue
-                                candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-                                if candidate.coeffs.alpha_plus != Fraction(p, q):
-                                    continue
-                                if admitted(run_checks(candidate, short_circuit=True)):
-                                    seen.add(key)
-                                    results.append(candidate)
+            for d, g in _SIDE_GRID[r]:
+                sig = sigma(r, d, g)
+                if sig <= 0:
+                    continue  # the default suite enforces positive excess
+                for rp in range(1, 5):
+                    sig_p_cap = D_MAX * rp + 2
+                    for q in range(1, 5):
+                        # p window: positive right excess up to its cap.
+                        p_lo = (q * sig) // kx3 + 1
+                        p_hi = (q * (sig * rp + r * sig_p_cap)) // (rp * kx3)
+                        p_hi = min(p_hi, ORACLE_NUMERATOR_BOUND)
+                        for p in range(max(1, p_lo), p_hi + 1):
+                            if math.gcd(p, q) != 1:
+                                continue
+                            # Genus relation solved directly for the right genus.
+                            t = p * p * kx3 - 2 * p * q * sig + q * q * (2 * g - 2)
+                            num = rp * rp * t
+                            den = r * r * q * q
+                            if num % den != 0:
+                                continue
+                            two_gp_minus_2 = num // den
+                            if two_gp_minus_2 % 2 != 0:
+                                continue
+                            gp = (two_gp_minus_2 + 2) // 2
+                            if not 0 <= gp <= G_MAX[rp]:
+                                continue
+                            # Excess relation gives the right-side excess.
+                            num_sig = rp * (p * kx3 - q * sig)
+                            den_sig = r * q
+                            if num_sig % den_sig != 0:
+                                continue
+                            sig_p = num_sig // den_sig
+                            if not 0 < sig_p <= sig_p_cap:
+                                continue
+                            dp_num = sig_p - 2 + 2 * gp
+                            if dp_num % rp != 0:
+                                continue
+                            dp = dp_num // rp
+                            if not 1 <= dp <= D_MAX:
+                                continue
+                            if not orientation_canonical((r, d, g), (rp, dp, gp)):
+                                continue
+                            candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
+                            if candidate.coeffs.alpha_plus != Fraction(p, q):
+                                continue
+                            if admitted(run_checks(candidate, short_circuit=True)):
+                                results.append(candidate)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -519,21 +472,20 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         for r in range(1, 5):
-            for d in range(1, D_MAX + 1):
-                for g in range(0, G_MAX[r] + 1):
-                    sig = sigma(r, d, g)
-                    if sig <= 0:
-                        continue
-                    two_minus_2g = 2 - 2 * g
-                    for bp in range(-r, 0):
-                        # res3 = 0 rearranged: ap*(ap*kx3 + 2*bp*c) = 2*bp^2 - (2-2g).
-                        rhs = 2 * bp * bp - two_minus_2g
-                        for ap in range(1, MAX_ALPHA_PLUS + 1):
-                            if ap * (ap * kx3 + 2 * bp * c) != rhs:
-                                continue
-                            candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
-                            if admitted(run_checks(candidate, short_circuit=True)):
-                                results.append(candidate)
+            for d, g in _SIDE_GRID[r]:
+                sig = sigma(r, d, g)
+                if sig <= 0:
+                    continue
+                two_minus_2g = 2 - 2 * g
+                for bp in range(-r, 0):
+                    # res3 = 0 rearranged: ap*(ap*kx3 + 2*bp*c) = 2*bp^2 - (2-2g).
+                    rhs = 2 * bp * bp - two_minus_2g
+                    for ap in range(1, MAX_ALPHA_PLUS + 1):
+                        if ap * (ap * kx3 + 2 * bp * c) != rhs:
+                            continue
+                        candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
+                        if admitted(run_checks(candidate, short_circuit=True)):
+                            results.append(candidate)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

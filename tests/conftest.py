@@ -9,12 +9,16 @@ single-check ablation of each family.
 
 from __future__ import annotations
 
-from typing import Callable
+import csv
+import io
+from typing import Callable, Sequence
 
 import pytest
 
 from fanolink.checks import DEFAULT_CHECKS
-from fanolink.golden import golden_for_family
+from fanolink.golden import GoldenRow, golden_for_family
+from fanolink.model import FAMILIES
+from fanolink.rational import render_exact
 from fanolink.search import FAMILY_IDS, brute_force_oracle, enumerate_family
 
 
@@ -47,3 +51,29 @@ def ablated() -> Callable[[str, str], tuple]:
 def golden() -> dict[str, tuple]:
     """Golden reference rows of every family, in table order."""
     return {family: golden_for_family(family) for family in FAMILY_IDS}
+
+
+@pytest.fixture(scope="session")
+def golden_csv() -> Callable[[Sequence[GoldenRow], str], str]:
+    """golden_csv(rows, family): golden rows serialized back to the CSV schema.
+
+    Loading the result again yields equal GoldenRow values (decimal
+    spellings normalize to exact fractions; the values are unchanged).
+    """
+
+    def cell(value: object) -> str:
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else render_exact(value)
+
+    def render(rows: Sequence[GoldenRow], family: str) -> str:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        header = FAMILIES[family].csv_columns
+        writer.writerow(header)
+        for row in rows:
+            cells = {**vars(row), "exists": row.exists.value}
+            writer.writerow([cell(cells[column]) for column in header])
+        return out.getvalue()
+
+    return render

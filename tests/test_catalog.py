@@ -10,7 +10,6 @@ from fanolink import catalog
 from fanolink.catalog import (
     FANO_DEGREES,
     CatalogError,
-    admissible_pairs,
     hodge_h12,
     is_valid_fano_degree,
     load_hodge_table,
@@ -65,18 +64,11 @@ class TestDegreeRules:
     def test_integral_fraction_degree_accepted(self):
         assert is_valid_fano_degree(1, Fraction(12, 2))
 
-    def test_admissible_pairs_order_and_count(self):
-        pairs = admissible_pairs()
-        assert len(pairs) == 17
-        assert pairs[0] == (1, 2)
-        assert pairs[-1] == (4, 64)
-        assert pairs == tuple(sorted(pairs))
-
 
 class TestHodgeTable:
     def test_load_covers_every_admissible_pair(self):
         table = load_hodge_table()
-        assert set(table) == set(admissible_pairs())
+        assert set(table) == {(i, d) for i, degrees in FANO_DEGREES.items() for d in degrees}
         assert len(table) == 17
 
     def test_known_values(self):

@@ -18,7 +18,6 @@ from fanolink.golden import (
     load_golden,
 )
 from fanolink.model import FAMILIES, ContractionType, ExistenceStatus
-from fanolink.render import render_golden_csv
 from fanolink.search import FAMILY_IDS, build_e1estar
 
 # Table number -> (family id, row count), as the family specs state them.
@@ -298,9 +297,9 @@ class TestParseErrors:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("table", sorted(TABLES))
-    def test_render_then_reload_is_identity(self, tmp_path, table):
+    def test_render_then_reload_is_identity(self, tmp_path, golden_csv, table):
         rows = load_golden(table)
-        text = render_golden_csv(rows, TABLES[table][0])
+        text = golden_csv(rows, TABLES[table][0])
         _write_table(tmp_path, table, text)
         assert load_golden(table, data_dir=tmp_path) == rows
 

@@ -13,7 +13,6 @@ from fanolink.render import (
     build_golden_index,
     render_csv,
     render_dispatch,
-    render_golden_csv,
     render_json,
     render_latex,
     render_markdown,
@@ -167,13 +166,13 @@ class TestLatex:
 
 
 class TestGoldenCsv:
-    def test_headers_match_loader_schema(self, golden):
+    def test_headers_match_loader_schema(self, golden, golden_csv):
         for family in FAMILY_IDS:
-            text = render_golden_csv(golden[family][:1], family)
+            text = golden_csv(golden[family][:1], family)
             assert text.splitlines()[0] == ",".join(FAMILIES[family].csv_columns)
 
-    def test_symmetric_degree_normalizes_to_fraction_form(self, golden):
-        text = render_golden_csv(golden["e5e5"], "e5e5")
+    def test_symmetric_degree_normalizes_to_fraction_form(self, golden, golden_csv):
+        text = golden_csv(golden["e5e5"], "e5e5")
         assert text.splitlines()[1] == "2,E5,E5,1,-1,5/2,15,Open,"
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -18,7 +20,7 @@ from fanolink.checks import (
     run_checks,
 )
 from fanolink.formulas import ky3_from_kx3, sigma
-from fanolink.golden import diff
+from fanolink.golden import candidate_key, diff
 from fanolink.model import ContractionType, Shape, SideData, family_spec
 from fanolink.rational import RationalOverflowError
 from fanolink.search import (
@@ -37,16 +39,89 @@ from fanolink.search import (
     orientation_canonical,
 )
 
-# Rows that disabling one check adds to each family's default output
+# Rows that disabling one check adds to each family's default output, and
+# the SHA-256 of the repr of the sorted candidate_keys of that output
 # (measured); every check and family not listed adds none.
 ABLATION_EXTRAS = {
-    "SIGMA_POS": {"e1e1": 138},
-    "FANO_DEGREE_LEFT": {"e1e3": 2, "e1e5": 3},
-    "GCD_LEFT": {"e1e1": 1},
-    "DEFECT_POSITIVE": {"e1e1": 76, "e1e3": 3, "e1e5": 1},
-    "DEFECT_DIVISIBLE": {"e1e1": 5},
-    "HODGE": {"e1e1": 16, "e1e2": 4},
-    "HYPERELLIPTIC_SYM": {"e1e3": 3, "e1e5": 2},
+    "SIGMA_POS": {
+        "e1e1": (138, "13a2a5bdfec13636964b1319de9582a4446e9f3819142571d44b55a9bf0894d8"),
+    },
+    "FANO_DEGREE_LEFT": {
+        "e1e3": (2, "9bd164d9fe8cd221ce9b93783b1dc8a51996e885326072c6bf571ff450da6ad5"),
+        "e1e5": (3, "22d0f216639f787344fc77811b46d5a980eff0d6c803dcb4b626ba3a5074b55f"),
+    },
+    "GCD_LEFT": {
+        "e1e1": (1, "43659441614a5e42fe11d007c194c1343fdd692e0beb5a13eaa10022372b2e0b"),
+    },
+    "DEFECT_POSITIVE": {
+        "e1e1": (76, "b7f280ec51f12d037e07f6351974c8db6ccfc1b7585fffc96f40496ff2b81c7d"),
+        "e1e3": (3, "5701c5fd61f43c8b0c295a91b9331a1ee2aac7f27302b080ff716489ac51d948"),
+        "e1e5": (1, "5e150263a6c615afb36a79e3213605726074d3f1ce2d8c9e26d509b3aaa237a8"),
+    },
+    "DEFECT_DIVISIBLE": {
+        "e1e1": (5, "64bdda89f72dc2a6670dbfff26138b168f1ecc6ebeed52155b3a6fdf422993a8"),
+    },
+    "HODGE": {
+        "e1e1": (16, "886ff4c6fc8722311cd8d85195ba6fd5fa4715519efa35a9550b2c3c5178cd14"),
+        "e1e2": (4, "aa5474d5b76427b47e3636761afe223588bcfc4c2493f3d936eaec051740a6a1"),
+    },
+    "HYPERELLIPTIC_SYM": {
+        "e1e3": (3, "690d883d4fb709ebb07287c5bcdca9c06abd7c3b5e7cf354bbfcb4656c172a8d"),
+        "e1e5": (2, "1804b0ad81457d9feb8f907a936507fcf462e2a998db224102014133da8bc616"),
+    },
+}
+
+# The default run's funnel: per family, trace events by stage and first
+# failing check, plus the rows admitted (measured).
+SIDE_PRUNES = {
+    "side-left.SIGMA_POS": 10758,
+    "side-left.FANO_DEGREE_LEFT": 10140,
+}
+DEFAULT_FUNNEL = {
+    "e1e1": {
+        **SIDE_PRUNES,
+        "side-right.SIGMA_POS": 10758,
+        "side-right.FANO_DEGREE_RIGHT": 10140,
+        "pair-fast.DIOPHANTINE": 9728,
+        "full.ETILDE_INTEGRAL": 237,
+        "full.DEFECT_POSITIVE": 177,
+        "full.GCD_LEFT": 51,
+        "full.HODGE": 41,
+        "full.DEFECT_DIVISIBLE": 5,
+        "admitted": 111,
+    },
+    "e1e2": {
+        **SIDE_PRUNES,
+        "pair-fast.DIOPHANTINE": 629,
+        "full.DIOPHANTINE": 236,
+        "full.FANO_DEGREE_RIGHT": 40,
+        "full.HODGE": 7,
+        "full.DEFECT_DIVISIBLE": 1,
+        "full.DEFECT_POSITIVE": 1,
+        "full.GCD_LEFT": 1,
+        "admitted": 3,
+    },
+    "e1e3": {
+        **SIDE_PRUNES,
+        "pair-fast.DIOPHANTINE": 669,
+        "full.DIOPHANTINE": 232,
+        "full.DEFECT_POSITIVE": 5,
+        "full.HYPERELLIPTIC_SYM": 3,
+        "full.ETILDE_INTEGRAL": 2,
+        "admitted": 7,
+    },
+    "e1e5": {
+        **SIDE_PRUNES,
+        "pair-fast.DIOPHANTINE": 757,
+        "full.DIOPHANTINE": 145,
+        "full.DEFECT_POSITIVE": 4,
+        "full.ETILDE_INTEGRAL": 3,
+        "full.HYPERELLIPTIC_SYM": 2,
+        "admitted": 7,
+    },
+    "e2e2": {"domain.KX3_RANGE": 1, "admitted": 3},
+    "e3e3": {"domain.KX3_RANGE": 1, "admitted": 2},
+    "e5e5": {"domain.KX3_RANGE": 1, "admitted": 1},
 }
 
 EXPECTED_COUNTS = {
@@ -205,8 +280,8 @@ class TestDomainFacts:
                         r, ky3_from_kx3(kx3, SideData(ContractionType.E1, r, d, g))
                     )
                 ]
-                sides = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "FANO_DEGREE_LEFT")
-                assert sides == expected, (kx3, r)
+                sides = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "left")
+                assert sides == tuple(expected), (kx3, r)
                 total += len(sides)
         assert total == 420
 
@@ -223,7 +298,8 @@ class TestAblations:
             out = set(ablated(check, family))
             assert set(enumerated[family]) <= out, family
             if len(out) > len(enumerated[family]):
-                extras[family] = len(out) - len(enumerated[family])
+                keys = repr(sorted(candidate_key(c) for c in out)).encode()
+                extras[family] = (len(out) - len(enumerated[family]), sha256(keys).hexdigest())
         assert extras == ABLATION_EXTRAS.get(check, {})
 
     def test_e1_point_scan_path_agrees_with_the_fast_path(self, monkeypatch):
@@ -294,7 +370,8 @@ class TestTracing:
         assert ("side-left", (2, 1, 2, 1), ("SIGMA_POS",)) in events
 
     def test_cached_side_lists_replay_their_prunes(self):
-        # The first run builds every side list, the second replays them.
+        # The first run builds every side list, which the right sides and
+        # the second run replay: both sides prune alike, so share entries.
         search._pruned_sides.cache_clear()
         runs = []
         for _ in range(2):
@@ -302,7 +379,8 @@ class TestTracing:
             enumerate_e1e1(trace=lambda s, d, f: events.append((s, d, f)))
             runs.append(events)
         info = search._pruned_sides.cache_info()
-        assert info.misses == info.hits == 2 * 4 * len(KX3_VALUES)
+        # One entry per (kx3, r): 11 central degrees times 4 indices.
+        assert (info.misses, info.hits) == (44, 132)
         assert runs[0] == runs[1]
         # The replayed prunes come in the order of the side loop itself.
         expected = []
@@ -319,6 +397,14 @@ class TestTracing:
                             continue
                         expected.append(("side-left", (kx3, r, d, g), failed))
         assert [event for event in runs[1] if event[0] == "side-left"] == expected
+
+    def test_default_run_funnel_is_pinned(self):
+        funnel = {}
+        for family in FAMILY_IDS:
+            counts = Counter()
+            out = enumerate_family(family, trace=lambda s, d, f: counts.update([f"{s}.{f[0]}"]))
+            funnel[family] = {**counts, "admitted": len(out)}
+        assert funnel == DEFAULT_FUNNEL
 
     def test_star_family_trace(self, enumerated):
         events = []
