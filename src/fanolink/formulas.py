@@ -119,6 +119,35 @@ def e1e1_residuals(
     return Fraction(res1, den * den), Fraction(res2, den_p * den_p)
 
 
+def e1estar_residual_numerators(
+    kx3: int,
+    left: tuple[int, int, int],
+    right: tuple[int, int, int],
+    r: int,
+    d: int,
+    g: int,
+    star_c: int,
+) -> tuple[int, int, int, int]:
+    """Integer numerators of e1estar_residuals.
+
+    left = (a, b, den) and right = (ap, bp, den_p) are the coefficient
+    pairs over their common denominators (over_common_denominator); the
+    residuals are these numerators over den^2, den, den_p^2 and den_p.
+    The denominators are positive, so a residual vanishes exactly when
+    its numerator does.
+    """
+    a, b, den = left
+    ap, bp, den_p = right
+    sig = sigma(r, d, g)
+    two_minus_2g = 2 - 2 * g
+    return (
+        -a * a * kx3 - 2 * a * b * (r * d) + two_minus_2g * (-2 * a * b + b * b) - 2 * den * den,
+        a * kx3 + b * sig - star_c * den,
+        -ap * ap * kx3 - 2 * ap * bp * star_c + 2 * bp * bp - two_minus_2g * den_p * den_p,
+        ap * kx3 + bp * star_c - sig * den_p,
+    )
+
+
 def e1estar_residuals(
     kx3: int,
     coeffs: FlopCoefficients,
@@ -133,14 +162,10 @@ def e1estar_residuals(
     the literal K^3 = -kx3); res2, res4 are the linear excess relations.
     star_c is the point-side constant 4, 2 or 1.  All four must vanish.
     """
-    a, b, den = over_common_denominator(coeffs.alpha, coeffs.beta)
-    ap, bp, den_p = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
-    sig = sigma(r, d, g)
-    two_minus_2g = 2 - 2 * g
-    res1 = -a * a * kx3 - 2 * a * b * (r * d) + two_minus_2g * (-2 * a * b + b * b) - 2 * den * den
-    res2 = a * kx3 + b * sig - star_c * den
-    res3 = -ap * ap * kx3 - 2 * ap * bp * star_c + 2 * bp * bp - two_minus_2g * den_p * den_p
-    res4 = ap * kx3 + bp * star_c - sig * den_p
+    left = over_common_denominator(coeffs.alpha, coeffs.beta)
+    right = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
+    res1, res2, res3, res4 = e1estar_residual_numerators(kx3, left, right, r, d, g, star_c)
+    den, den_p = left[2], right[2]
     return (
         Fraction(res1, den * den),
         Fraction(res2, den),
@@ -171,7 +196,7 @@ def etilde_cubed(
     return Fraction(num, den * den * den)
 
 
-def defect(e3self: int, etilde3: Fraction | int) -> Fraction | int:
+def defect(e3self: int, etilde3: Fraction | int) -> Fraction:
     """Flop defect: drop of the divisor's self-cube across the flop."""
     num, den = etilde3.as_integer_ratio()
     return Fraction(e3self * den - num, den)

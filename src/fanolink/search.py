@@ -42,6 +42,7 @@ from .formulas import (
     coeffs_from_star_pair,
     coeffs_symmetric,
     defect,
+    e1estar_residual_numerators,
     etilde_cubed,
     ky3_from_kx3,
     sigma,
@@ -321,6 +322,13 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
+
+    Without a trace hook, a pinned tuple is then derived only when all four
+    residual numerators (formulas.e1estar_residual_numerators) vanish,
+    which skips exactly the tuples DIOPHANTINE would reject.  With a hook
+    every pinned tuple is derived and checked in full, as short_circuit
+    is off there, so the trace reports each rejection with all its
+    failing checks.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     fast = "DIOPHANTINE" in enabled
@@ -337,6 +345,13 @@ def enumerate_e1estar(
                         if rem != 0 or not 1 <= ap <= MAX_ALPHA_PLUS:
                             if trace is not None:
                                 trace("pair-fast", (kx3, r, d, g, bp), ("DIOPHANTINE",))
+                            continue
+                        # Integer pre-test, untraced runs only: (ap, -1, -bp)
+                        # and (ap, bp, 1) are the two coefficient pairs over
+                        # their common denominators.
+                        if trace is None and any(
+                            e1estar_residual_numerators(kx3, (ap, -1, -bp), (ap, bp, 1), r, d, g, c)
+                        ):
                             continue
                         candidates_ap = (ap,)
                     else:

@@ -16,6 +16,7 @@ from fanolink.formulas import (
     coeffs_symmetric,
     defect,
     e1e1_residuals,
+    e1estar_residual_numerators,
     e1estar_residuals,
     etilde_cubed,
     ky3_from_kx3,
@@ -29,6 +30,7 @@ from fanolink.model import (
     SideData,
     intersection_constants,
 )
+from fanolink.rational import over_common_denominator
 
 
 class TestSigma:
@@ -204,6 +206,29 @@ def test_star_pair_closure_holds_identically(kx3, ap, bp):
     assert coeffs_from_star_pair(ap, bp).closure_residuals() == (0, 0, 0)
 
 
+@given(
+    _kx3,
+    _indices,
+    _degrees,
+    _genera,
+    st.integers(min_value=1, max_value=86),
+    st.integers(min_value=-4, max_value=-1),
+    st.sampled_from((4, 2, 1)),
+)
+def test_e1estar_numerators_on_the_star_pair_box(kx3, r, d, g, ap, bp, star_c):
+    """The enumerator's integer pre-test sees the residuals' exact numerators.
+
+    It feeds the star pair's coefficient pairs over their common
+    denominators, (ap, -1, -bp) and (ap, bp, 1), without building them.
+    """
+    coeffs = coeffs_from_star_pair(ap, bp)
+    assert over_common_denominator(coeffs.alpha, coeffs.beta) == (ap, -1, -bp)
+    assert over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus) == (ap, bp, 1)
+    res1, res2, res3, res4 = e1estar_residuals(kx3, coeffs, r, d, g, star_c)
+    numerators = e1estar_residual_numerators(kx3, (ap, -1, -bp), (ap, bp, 1), r, d, g, star_c)
+    assert numerators == (res1 * bp * bp, res2 * -bp, res3, res4)
+
+
 # ---------------------------------------------------------------------------
 # Each formula against its plain-Fraction expression, written out here.
 # The formulas build one Fraction over a common denominator; these inputs
@@ -242,7 +267,7 @@ def test_etilde_cubed_matches_the_fraction_expression(a, b, kx3, opposite):
 @given(_wide_ints, _wide_rationals)
 def test_defect_matches_the_fraction_expression(e3self, etilde3):
     value = defect(e3self, etilde3)
-    assert value == e3self - Fraction(etilde3) and _is_reduced_rational(value)
+    assert value == e3self - Fraction(etilde3) and type(value) is Fraction
 
 
 @given(_wide_rationals, _wide_rationals, _wide_ints)

@@ -422,6 +422,38 @@ class TestTracing:
         assert ("domain", (1, 2), ("KX3_RANGE",)) in events
 
 
+class TestE1PointPreTest:
+    STAR_FAMILIES = [f for f in FAMILY_IDS if family_spec(f).shape is Shape.CURVE_POINT]
+
+    @pytest.mark.parametrize("family", STAR_FAMILIES)
+    def test_traced_run_without_the_pre_test_admits_the_same(self, family):
+        assert enumerate_family(family) == enumerate_family(family, trace=lambda s, d, f: None)
+
+    def test_pre_test_runs_only_without_a_trace(self, monkeypatch):
+        # Untraced, only the pinned tuples whose residual numerators all
+        # vanish are derived; traced, every pinned tuple is (measured: 47
+        # and 699 in all).
+        calls = Counter()
+        build = search.build_e1estar
+
+        def counted(*args):
+            calls[traced, args[2]] += 1
+            return build(*args)
+
+        monkeypatch.setattr(search, "build_e1estar", counted)
+        for traced in (False, True):
+            for family in self.STAR_FAMILIES:
+                enumerate_family(family, trace=(lambda s, d, f: None) if traced else None)
+        assert calls == {
+            (False, ContractionType.E2): 14,
+            (False, ContractionType.E34): 17,
+            (False, ContractionType.E5): 16,
+            (True, ContractionType.E2): 289,
+            (True, ContractionType.E34): 249,
+            (True, ContractionType.E5): 161,
+        }
+
+
 class TestDispatch:
     @pytest.mark.parametrize("family", FAMILY_IDS)
     def test_enumerate_family_matches_direct_calls(self, enumerated, family):
