@@ -255,6 +255,8 @@ DEFAULT_CHECKS: frozenset[str] = frozenset(REGISTRY)
 
 def validate_check_ids(names: Iterable[str]) -> None:
     unknown = sorted(set(names) - set(REGISTRY))
+    if "" in unknown:
+        raise ValueError("empty check id; fanolink --list-checks prints the valid ids")
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
 

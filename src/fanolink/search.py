@@ -14,6 +14,11 @@ Two independent routes produce every family's candidate set:
   linear one; for the symmetric families it scans the full degree/alpha
   grid instead of walking divisors.
 
+The E1 oracles skip each left side whose target degree FANO_DEGREE_LEFT
+rejects: that check reads the left side alone, so it fails every candidate
+on it.  The skip makes the check's own call, not the enumerator's side
+prune, so a wrong prune still shows as a set difference.
+
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
 
@@ -26,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .catalog import is_valid_fano_degree
 from .checks import (
@@ -414,6 +419,19 @@ def enumerate_family(
 # Brute-force oracle
 
 
+def _oracle_left_sides() -> Iterator[tuple[int, int, int, int, int]]:
+    """(kx3, r, d, g, sigma) of each E1 left side the E1 oracles scan; see the module doc."""
+    for kx3 in KX3_VALUES:
+        for r in range(1, 5):
+            for d, g in _SIDE_GRID[r]:
+                sig = sigma(r, d, g)
+                if sig <= 0:
+                    continue  # sigma 1 or 2 is kept: SIGMA_POS (sigma >= 3) rejects it
+                left = SideData(ContractionType.E1, r, d, g)
+                if is_valid_fano_degree(r, ky3_from_kx3(kx3, left)):
+                    yield kx3, r, d, g, sig
+
+
 def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     """Independent E1-E1 route: explicit rational scan of the coefficient.
 
@@ -423,55 +441,50 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     of deriving the coefficient from the two excesses in closed form.
     """
     results: list[LinkCandidate] = []
-    for kx3 in KX3_VALUES:
-        for r in range(1, 5):
-            for d, g in _SIDE_GRID[r]:
-                sig = sigma(r, d, g)
-                if sig <= 0:
-                    continue  # the default suite enforces positive excess
-                for rp in range(1, 5):
-                    sig_p_cap = D_MAX * rp + 2
-                    for q in range(1, 5):
-                        # p window: positive right excess up to its cap.
-                        p_lo = (q * sig) // kx3 + 1
-                        p_hi = (q * (sig * rp + r * sig_p_cap)) // (rp * kx3)
-                        p_hi = min(p_hi, ORACLE_NUMERATOR_BOUND)
-                        for p in range(max(1, p_lo), p_hi + 1):
-                            if math.gcd(p, q) != 1:
-                                continue
-                            # Genus relation solved directly for the right genus.
-                            t = p * p * kx3 - 2 * p * q * sig + q * q * (2 * g - 2)
-                            num = rp * rp * t
-                            den = r * r * q * q
-                            if num % den != 0:
-                                continue
-                            two_gp_minus_2 = num // den
-                            if two_gp_minus_2 % 2 != 0:
-                                continue
-                            gp = (two_gp_minus_2 + 2) // 2
-                            if not 0 <= gp <= G_MAX[rp]:
-                                continue
-                            # Excess relation gives the right-side excess.
-                            num_sig = rp * (p * kx3 - q * sig)
-                            den_sig = r * q
-                            if num_sig % den_sig != 0:
-                                continue
-                            sig_p = num_sig // den_sig
-                            if not 0 < sig_p <= sig_p_cap:
-                                continue
-                            dp_num = sig_p - 2 + 2 * gp
-                            if dp_num % rp != 0:
-                                continue
-                            dp = dp_num // rp
-                            if not 1 <= dp <= D_MAX:
-                                continue
-                            if not orientation_canonical((r, d, g), (rp, dp, gp)):
-                                continue
-                            candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-                            if candidate.coeffs.alpha_plus != Fraction(p, q):
-                                continue
-                            if admitted(run_checks(candidate, short_circuit=True)):
-                                results.append(candidate)
+    for kx3, r, d, g, sig in _oracle_left_sides():
+        for rp in range(1, 5):
+            sig_p_cap = D_MAX * rp + 2
+            for q in range(1, 5):
+                # p window: positive right excess up to its cap.
+                p_lo = (q * sig) // kx3 + 1
+                p_hi = (q * (sig * rp + r * sig_p_cap)) // (rp * kx3)
+                p_hi = min(p_hi, ORACLE_NUMERATOR_BOUND)
+                for p in range(max(1, p_lo), p_hi + 1):
+                    if math.gcd(p, q) != 1:
+                        continue
+                    # Genus relation solved directly for the right genus.
+                    t = p * p * kx3 - 2 * p * q * sig + q * q * (2 * g - 2)
+                    num = rp * rp * t
+                    den = r * r * q * q
+                    if num % den != 0:
+                        continue
+                    two_gp_minus_2 = num // den
+                    if two_gp_minus_2 % 2 != 0:
+                        continue
+                    gp = (two_gp_minus_2 + 2) // 2
+                    if not 0 <= gp <= G_MAX[rp]:
+                        continue
+                    # Excess relation gives the right-side excess.
+                    num_sig = rp * (p * kx3 - q * sig)
+                    den_sig = r * q
+                    if num_sig % den_sig != 0:
+                        continue
+                    sig_p = num_sig // den_sig
+                    if not 0 < sig_p <= sig_p_cap:
+                        continue
+                    dp_num = sig_p - 2 + 2 * gp
+                    if dp_num % rp != 0:
+                        continue
+                    dp = dp_num // rp
+                    if not 1 <= dp <= D_MAX:
+                        continue
+                    if not orientation_canonical((r, d, g), (rp, dp, gp)):
+                        continue
+                    candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
+                    if candidate.coeffs.alpha_plus != Fraction(p, q):
+                        continue
+                    if admitted(run_checks(candidate, short_circuit=True)):
+                        results.append(candidate)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -485,22 +498,17 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
     """
     c = star_sigma(star)
     results: list[LinkCandidate] = []
-    for kx3 in KX3_VALUES:
-        for r in range(1, 5):
-            for d, g in _SIDE_GRID[r]:
-                sig = sigma(r, d, g)
-                if sig <= 0:
+    for kx3, r, d, g, _ in _oracle_left_sides():
+        two_minus_2g = 2 - 2 * g
+        for bp in range(-r, 0):
+            # res3 = 0 rearranged: ap*(ap*kx3 + 2*bp*c) = 2*bp^2 - (2-2g).
+            rhs = 2 * bp * bp - two_minus_2g
+            for ap in range(1, MAX_ALPHA_PLUS + 1):
+                if ap * (ap * kx3 + 2 * bp * c) != rhs:
                     continue
-                two_minus_2g = 2 - 2 * g
-                for bp in range(-r, 0):
-                    # res3 = 0 rearranged: ap*(ap*kx3 + 2*bp*c) = 2*bp^2 - (2-2g).
-                    rhs = 2 * bp * bp - two_minus_2g
-                    for ap in range(1, MAX_ALPHA_PLUS + 1):
-                        if ap * (ap * kx3 + 2 * bp * c) != rhs:
-                            continue
-                        candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
-                        if admitted(run_checks(candidate, short_circuit=True)):
-                            results.append(candidate)
+                candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
+                if admitted(run_checks(candidate, short_circuit=True)):
+                    results.append(candidate)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -100,10 +100,12 @@ def test_criterion_3_symmetric_reproduction():
 
 
 def test_criterion_4_spot_defects_recomputed():
-    """Spot defect values rebuilt from the flopped-divisor cube alone.
+    """Every golden row's defects rebuilt from the flopped-divisor cube alone.
 
     Inputs are golden coefficients and side data; the enumerator's stored
-    defect fields are never consulted.
+    defect fields are never consulted.  Three spot rows pin worked values
+    through the formulas module; every row is then recomputed from the
+    cube written out below, without the formulas module.
     """
     def e1_side(r, d, g):
         return SideData(ContractionType.E1, r, d, g)
@@ -142,6 +144,36 @@ def test_criterion_4_spot_defects_recomputed():
     assert e_star == 192
     assert star_row.r**3 == 8
     assert e_star // star_row.r**3 == star_row.e_over_r3 == 24
+
+    def cube(a, b, kx3, opposite):
+        # a^3 kx3 + 3 a^2 b (H^2.E) - 3 a b^2 (H.E^2) + b^3 E^3 on the opposite side.
+        a, b = Fraction(a), Fraction(b)
+        return (
+            a**3 * kx3
+            + 3 * a**2 * b * opposite.kx2E
+            - 3 * a * b**2 * opposite.kxE2
+            + b**3 * opposite.e3self
+        )
+
+    all_rows = [row for family in FAMILY_IDS for row in golden_for_family(family)]
+    assert len(all_rows) == 134
+    for row in all_rows:
+        where = (row.table, row.row)
+        left = SideData(ContractionType(row.type_left), row.r, row.d, row.g)
+        right = SideData(ContractionType(row.type_right), row.r_plus, row.d_plus, row.g_plus)
+        const_left, const_right = intersection_constants(left), intersection_constants(right)
+        # Each side's flopped divisor is expanded in the opposite side's basis.
+        e = const_left.e3self - cube(row.alpha_plus, row.beta_plus, row.kx3, const_right)
+        e_plus = const_right.e3self - cube(row.alpha, row.beta, row.kx3, const_left)
+        assert e.denominator == 1 and e > 0, where
+        assert e_plus.denominator == 1 and e_plus > 0, where
+        normalized = e / left.cube_scale
+        assert normalized == e_plus / right.cube_scale, where
+        assert row.e_over_r3 is not None or row.e is not None, where
+        if row.e_over_r3 is not None:
+            assert normalized == row.e_over_r3, where
+        if row.e is not None:
+            assert e == row.e, where
 
 
 def test_criterion_5_oracle_equivalence(enumerated, oracle):

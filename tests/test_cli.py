@@ -68,6 +68,18 @@ class TestEnumerate:
         assert main(["enumerate", "--families", "e5e5", "--disable-check", "NOPE"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_empty_check_id_is_usage_error(self, capsys):
+        for disabled in ([""], ["HODGE", ""], ["", "NOPE"]):
+            argv = ["enumerate", "--families", "e5e5"]
+            for name in disabled:
+                argv += ["--disable-check", name]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: empty check id; fanolink --list-checks prints the valid ids\n"
+            )
+
     def test_disable_check_changes_output(self, capsys):
         assert main(["enumerate", "--families", "e1e5"]) == 0
         baseline = capsys.readouterr().out

@@ -480,6 +480,24 @@ class TestOracle:
         with pytest.raises(ValueError, match="unknown family"):
             brute_force_oracle("nope")
 
+    def test_oracle_skips_exactly_the_sides_fano_degree_left_rejects(self):
+        # FANO_DEGREE_LEFT reads the left side alone, so its verdict against
+        # one fixed right side is its verdict on every candidate of the side.
+        kept = {(kx3, r, d, g): sig for kx3, r, d, g, sig in search._oracle_left_sides()}
+        only_left = frozenset({"FANO_DEGREE_LEFT"})
+        scanned = 0
+        for kx3 in KX3_VALUES:
+            for r, grid in search._SIDE_GRID.items():
+                for d, g in grid:
+                    if sigma(r, d, g) <= 0:
+                        continue
+                    scanned += 1
+                    c = build_e1e1(kx3, (r, d, g), (1, 1, 0))
+                    passes = admitted(run_checks(c, only_left))
+                    assert passes == ((kx3, r, d, g) in kept), (kx3, r, d, g)
+        assert all(sig == sigma(r, d, g) for (_, r, d, g), sig in kept.items())
+        assert 0 < len(kept) < scanned
+
 
 class TestEmittedCandidates:
     def test_every_emitted_candidate_is_admitted(self, enumerated):
