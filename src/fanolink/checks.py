@@ -7,6 +7,12 @@ throw: a condition that cannot be evaluated (for example a Hodge lookup
 for a degree outside the catalog, reachable when earlier checks are
 disabled) becomes a failing report with a reason, not an exception.
 
+Each check is a verdict and a description.  The verdict, ``passes``,
+decides from the candidate's fields by integer arithmetic and comparisons:
+it formats no text and builds no Fraction.  The description, ``describe``, writes the report's
+detail text, and a report calls it only when its ``detail`` is read (the
+search reads only names and verdicts; ``explain`` prints the details).
+
 A candidate is admitted when every enabled check passes.  Disabling checks
 can only widen the admitted set (each check is a pure predicate on the
 candidate), which the property tests exercise.
@@ -14,14 +20,22 @@ candidate), which the property tests exercise.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import catalog
-from .formulas import basis_decomposition, e1e1_residuals, e1estar_residuals
+from .formulas import (
+    basis_decomposition,
+    basis_decomposition_numerators,
+    e1e1_residual_numerators,
+    e1e1_residuals,
+    e1estar_residual_numerators,
+    e1estar_residuals,
+)
 from .model import LinkCandidate, SideData
-from .rational import as_integer, is_integer
+from .rational import as_integer, is_integer, over_common_denominator
 
 # The central-degree domain: even, 2..22.  It is also the search range.
 KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
@@ -30,9 +44,15 @@ MAX_ALPHA_PLUS = 86
 
 
 class CheckReport(NamedTuple):
+    """One check's verdict on a candidate; its detail text is written when read."""
+
     name: str
     passed: bool
-    detail: str
+    candidate: LinkCandidate
+
+    @property
+    def detail(self) -> str:
+        return REGISTRY[self.name].describe(self.candidate)
 
 
 # Minimum anticanonical excess on a blown-up-curve side.  The base-point-free
@@ -49,131 +69,128 @@ def _side_sigma_admissible(side: SideData, sigma: int) -> bool:
     return sigma > 0
 
 
-def _check_sigma_pos(c: LinkCandidate) -> tuple[bool, str]:
-    ok = _side_sigma_admissible(c.left, c.sigma_left) and _side_sigma_admissible(
-        c.right, c.sigma_right
-    )
-    return ok, f"sigma={c.sigma_left}, sigma_plus={c.sigma_right}"
+def _degree_ok(side: SideData, ky3: Fraction | int) -> bool:
+    index = side.target_index
+    return index is None or catalog.is_valid_fano_degree(index, ky3)
 
 
-def _check_kx3_range(c: LinkCandidate) -> tuple[bool, str]:
-    ok = c.kx3 in KX3_VALUES
-    return ok, f"central degree {c.kx3}"
-
-
-def _degree_detail(side: SideData, ky3: Fraction | int) -> tuple[bool, str]:
+def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
     index = side.target_index
     if index is None:
-        return True, f"{side.ctype.value} target is singular; no degree constraint"
-    ok = catalog.is_valid_fano_degree(index, ky3)
-    return ok, f"target degree {ky3} at index {index}"
+        return f"{side.ctype.value} target is singular; no degree constraint"
+    return f"target degree {ky3} at index {index}"
 
 
-def _check_fano_degree_left(c: LinkCandidate) -> tuple[bool, str]:
-    return _degree_detail(c.left, c.kY3_left)
-
-
-def _check_fano_degree_right(c: LinkCandidate) -> tuple[bool, str]:
-    return _degree_detail(c.right, c.kY3_right)
-
-
-def _diophantine_residuals(c: LinkCandidate) -> tuple[Fraction, ...]:
-    # A family's curve side, if any, is the left one.
-    if c.right.is_e1:
-        return e1e1_residuals(
-            c.kx3, c.coeffs, c.left.g, c.sigma_left, c.right.g, c.sigma_right
-        )
-    if c.left.is_e1:
-        return e1estar_residuals(
-            c.kx3, c.coeffs, c.left.r, c.left.d, c.left.g, c.sigma_right
-        )
-    # Star-star: each coefficient satisfies the symmetric degree relation.
-    return (
-        c.coeffs.alpha * c.kx3 - 2 * c.sigma_left,
-        c.coeffs.alpha_plus * c.kx3 - 2 * c.sigma_right,
+def _symmetric_numerators(c: LinkCandidate) -> tuple[tuple[int, int], ...]:
+    """alpha*kx3 - 2*sigma on each side, as (numerator, denominator > 0)."""
+    co = c.coeffs
+    return tuple(
+        (x.numerator * c.kx3 - 2 * sig * x.denominator, x.denominator)
+        for x, sig in ((co.alpha, c.sigma_left), (co.alpha_plus, c.sigma_right))
     )
 
 
-def _check_diophantine(c: LinkCandidate) -> tuple[bool, str]:
-    residuals = _diophantine_residuals(c)
-    ok = all(r == 0 for r in residuals)
-    return ok, "residuals " + ", ".join(str(r) for r in residuals)
-
-
-def _check_coeff_relations(c: LinkCandidate) -> tuple[bool, str]:
-    residuals = c.coeffs.closure_residuals()
-    nonzero = c.coeffs.all_nonzero()
-    ok = all(r == 0 for r in residuals) and nonzero
-    detail = "closure " + ", ".join(str(r) for r in residuals)
-    if not nonzero:
-        detail += "; some coefficient is zero"
-    return ok, detail
-
-
-def _check_etilde_integral(c: LinkCandidate) -> tuple[bool, str]:
-    ok = is_integer(c.etilde3_left) and is_integer(c.etilde3_right)
-    return ok, f"transform cubes {c.etilde3_left}, {c.etilde3_right}"
-
-
-def _gcd_side(alpha: Fraction, beta: Fraction, r: int) -> tuple[bool, str]:
-    """Primitivity of the flopped divisor in the side's integral basis.
-
-    Both coefficients of its basis_decomposition must be integers with
-    trivial common divisor.
-    """
-    lead, diff = basis_decomposition(alpha, beta, r)
-    if not (is_integer(lead) and is_integer(diff)):
-        return False, f"non-integral decomposition ({lead}, {diff})"
-    lead_i, diff_i = as_integer(lead), as_integer(diff)
-    gcd = math.gcd(abs(lead_i), abs(diff_i))
-    return gcd == 1, f"decomposition ({lead_i}, {diff_i}), gcd {gcd}"
-
-
-def _check_gcd_left(c: LinkCandidate) -> tuple[bool, str]:
+def _diophantine(c: LinkCandidate) -> bool:
+    # A family's curve side, if any, is the left one.  Every residual lies
+    # over a positive denominator, so it vanishes exactly when its numerator does.
     if not c.left.is_e1:
-        return True, "left side is not E1; no primitivity constraint"
-    return _gcd_side(c.coeffs.alpha, c.coeffs.beta, c.left.r)
+        # Star-star: each coefficient satisfies the symmetric degree relation.
+        return not any(num for num, _ in _symmetric_numerators(c))
+    co = c.coeffs
+    left = over_common_denominator(co.alpha, co.beta)
+    right = over_common_denominator(co.alpha_plus, co.beta_plus)
+    if c.right.is_e1:
+        return not any(
+            e1e1_residual_numerators(
+                c.kx3, left, right, c.left.g, c.sigma_left, c.right.g, c.sigma_right
+            )
+        )
+    return not any(
+        e1estar_residual_numerators(c.kx3, left, right, c.left.r, c.left.d, c.left.g, c.sigma_right)
+    )
 
 
-def _check_gcd_right(c: LinkCandidate) -> tuple[bool, str]:
-    if not c.right.is_e1:
-        return True, "right side is not E1; no primitivity constraint"
-    return _gcd_side(c.coeffs.alpha_plus, c.coeffs.beta_plus, c.right.r)
+def _diophantine_detail(c: LinkCandidate) -> str:
+    co = c.coeffs
+    if not c.left.is_e1:
+        residuals = tuple(Fraction(num, den) for num, den in _symmetric_numerators(c))
+    elif c.right.is_e1:
+        residuals = e1e1_residuals(c.kx3, co, c.left.g, c.sigma_left, c.right.g, c.sigma_right)
+    else:
+        residuals = e1estar_residuals(c.kx3, co, c.left.r, c.left.d, c.left.g, c.sigma_right)
+    return "residuals " + ", ".join(str(r) for r in residuals)
 
 
-def _check_coeff_integrality(c: LinkCandidate) -> tuple[bool, str]:
+def _coeff_relations_detail(c: LinkCandidate) -> str:
+    detail = "closure " + ", ".join(str(r) for r in c.coeffs.closure_residuals())
+    if not c.coeffs.all_nonzero():
+        detail += "; some coefficient is zero"
+    return detail
+
+
+def _primitive(side: SideData, alpha: Fraction, beta: Fraction) -> bool:
+    """Primitivity of the flopped divisor in an E1 side's integral basis.
+
+    Both coefficients of its basis_decomposition, lead/den and diff/den,
+    must be integers with trivial common divisor: together, exactly when
+    gcd(lead, diff) == den.  A point-type side has no such constraint.
+    """
+    if not side.is_e1:
+        return True
+    lead, diff, den = basis_decomposition_numerators(alpha, beta, side.r)
+    return math.gcd(lead, diff) == den
+
+
+def _primitive_detail(role: str, side: SideData, alpha: Fraction, beta: Fraction) -> str:
+    if not side.is_e1:
+        return f"{role} side is not E1; no primitivity constraint"
+    lead, diff = basis_decomposition(alpha, beta, side.r)
+    if not (is_integer(lead) and is_integer(diff)):
+        return f"non-integral decomposition ({lead}, {diff})"
+    lead_i, diff_i = as_integer(lead), as_integer(diff)
+    return f"decomposition ({lead_i}, {diff_i}), gcd {math.gcd(lead_i, diff_i)}"
+
+
+def _point_side_pairs(c: LinkCandidate) -> list[tuple[str, Fraction, Fraction]]:
     pairs = []
     if not c.left.is_e1:
         pairs.append(("left", c.coeffs.alpha, c.coeffs.beta))
     if not c.right.is_e1:
         pairs.append(("right", c.coeffs.alpha_plus, c.coeffs.beta_plus))
+    return pairs
+
+
+def _coeff_integrality_detail(c: LinkCandidate) -> str:
+    pairs = _point_side_pairs(c)
     if not pairs:
-        return True, "no point-type side; integrality not required"
+        return "no point-type side; integrality not required"
     bad = [
         f"{side} ({a}, {b})" for side, a, b in pairs if not (is_integer(a) and is_integer(b))
     ]
     if bad:
-        return False, "non-integral point-side coefficients: " + "; ".join(bad)
-    return True, "point-side coefficients integral: " + "; ".join(
+        return "non-integral point-side coefficients: " + "; ".join(bad)
+    return "point-side coefficients integral: " + "; ".join(
         f"{side} ({a}, {b})" for side, a, b in pairs
     )
 
 
-def _check_defect_positive(c: LinkCandidate) -> tuple[bool, str]:
-    e, e_plus = c.defect_left, c.defect_right
-    ok = is_integer(e) and e > 0 and is_integer(e_plus) and e_plus > 0
-    return ok, f"defects {e}, {e_plus}"
+def _positive_integer(x: Fraction) -> bool:
+    return x.denominator == 1 and x.numerator > 0
 
 
-def _check_defect_divisible(c: LinkCandidate) -> tuple[bool, str]:
+def _defect_divisible(c: LinkCandidate) -> bool:
+    # e / scale is an integer exactly when scale * den(e) divides num(e).
     e, e_plus = c.defect_left, c.defect_right
+    norm_left, rem_left = divmod(e.numerator, c.left.cube_scale * e.denominator)
+    norm_right, rem_right = divmod(e_plus.numerator, c.right.cube_scale * e_plus.denominator)
+    return rem_left == 0 and rem_right == 0 and norm_left == norm_right
+
+
+def _defect_divisible_detail(c: LinkCandidate) -> str:
     scale_left, scale_right = c.left.cube_scale, c.right.cube_scale
-    norm_left = e / scale_left
-    norm_right = e_plus / scale_right
-    ok = is_integer(norm_left) and is_integer(norm_right) and norm_left == norm_right
-    return ok, (
-        f"normalized defects {norm_left} (left/{scale_left}), {norm_right} (right/{scale_right})"
-    )
+    norm_left = c.defect_left / scale_left
+    norm_right = c.defect_right / scale_right
+    return f"normalized defects {norm_left} (left/{scale_left}), {norm_right} (right/{scale_right})"
 
 
 def _hodge_sum(side: SideData, ky3: Fraction | int) -> int:
@@ -181,73 +198,152 @@ def _hodge_sum(side: SideData, ky3: Fraction | int) -> int:
     return value + (side.g if side.is_e1 else 0)
 
 
-def _check_hodge(c: LinkCandidate) -> tuple[bool, str]:
+def _hodge(c: LinkCandidate) -> bool:
     if c.left.target_index is None or c.right.target_index is None:
-        return True, "a target is singular; Hodge balance not applicable"
+        return True
+    try:
+        return _hodge_sum(c.left, c.kY3_left) == _hodge_sum(c.right, c.kY3_right)
+    except ValueError:
+        return False
+
+
+def _hodge_detail(c: LinkCandidate) -> str:
+    if c.left.target_index is None or c.right.target_index is None:
+        return "a target is singular; Hodge balance not applicable"
     try:
         lhs = _hodge_sum(c.left, c.kY3_left)
         rhs = _hodge_sum(c.right, c.kY3_right)
     except ValueError as exc:
-        return False, f"Hodge lookup failed: {exc}"
-    return lhs == rhs, f"curve-corrected h12: {lhs} vs {rhs}"
+        return f"Hodge lookup failed: {exc}"
+    return f"curve-corrected h12: {lhs} vs {rhs}"
 
 
-def _check_hyperelliptic_sym(c: LinkCandidate) -> tuple[bool, str]:
+def _hyperelliptic_sym_detail(c: LinkCandidate) -> str:
     if c.kx3 != 2:
-        return True, "central degree above 2; symmetry not forced"
-    same = c.left == c.right
-    return same, f"degree-2 link sides {'equal' if same else 'differ'}"
+        return "central degree above 2; symmetry not forced"
+    return f"degree-2 link sides {'equal' if c.left == c.right else 'differ'}"
 
 
-def _check_alpha_plus_bound(c: LinkCandidate) -> tuple[bool, str]:
+def _alpha_plus_bound(c: LinkCandidate) -> bool:
     if c.left.is_e1 and c.right.is_e1:
-        return True, "both sides E1; no point-side coefficient bound"
-    ap = c.coeffs.alpha_plus
-    ok = 0 < ap <= MAX_ALPHA_PLUS
-    return ok, f"alpha_plus = {ap}, bound (0, {MAX_ALPHA_PLUS}]"
+        return True
+    num, den = c.coeffs.alpha_plus.as_integer_ratio()
+    return 0 < num <= MAX_ALPHA_PLUS * den
 
 
-def _check_beta_plus_range(c: LinkCandidate) -> tuple[bool, str]:
+def _alpha_plus_bound_detail(c: LinkCandidate) -> str:
     if c.left.is_e1 and c.right.is_e1:
-        return True, "both sides E1; range fixed by the index ratio"
-    bp = c.coeffs.beta_plus
+        return "both sides E1; no point-side coefficient bound"
+    return f"alpha_plus = {c.coeffs.alpha_plus}, bound (0, {MAX_ALPHA_PLUS}]"
+
+
+def _beta_plus_range(c: LinkCandidate) -> bool:
+    co = c.coeffs
+    if c.left.is_e1 and c.right.is_e1:
+        return True
     if c.left.is_e1:
-        ok = is_integer(bp) and -c.left.r <= bp <= -1
-        return ok, f"beta_plus = {bp}, required integer in [-{c.left.r}, -1]"
-    ok = (
-        c.coeffs.beta == -1
-        and c.coeffs.beta_plus == -1
-        and c.coeffs.alpha == c.coeffs.alpha_plus
-    )
-    return ok, (
-        f"symmetric coefficients alpha={c.coeffs.alpha}, alpha_plus={c.coeffs.alpha_plus}, "
-        f"beta={c.coeffs.beta}, beta_plus={c.coeffs.beta_plus}"
+        bp = co.beta_plus
+        return bp.denominator == 1 and -c.left.r <= bp.numerator <= -1
+    return co.beta == -1 and co.beta_plus == -1 and co.alpha == co.alpha_plus
+
+
+def _beta_plus_range_detail(c: LinkCandidate) -> str:
+    co = c.coeffs
+    if c.left.is_e1 and c.right.is_e1:
+        return "both sides E1; range fixed by the index ratio"
+    if c.left.is_e1:
+        return f"beta_plus = {co.beta_plus}, required integer in [-{c.left.r}, -1]"
+    return (
+        f"symmetric coefficients alpha={co.alpha}, alpha_plus={co.alpha_plus}, "
+        f"beta={co.beta}, beta_plus={co.beta_plus}"
     )
 
 
-CheckFn = Callable[[LinkCandidate], tuple[bool, str]]
+class Check(NamedTuple):
+    """A registry entry: what the check demands, its verdict and its detail text."""
+
+    description: str
+    passes: Callable[[LinkCandidate], bool]
+    describe: Callable[[LinkCandidate], str]
+
 
 # Closed, ordered registry. The order is the reporting order everywhere.
-REGISTRY: dict[str, tuple[str, CheckFn]] = {
-    "SIGMA_POS": (
+REGISTRY: dict[str, Check] = {
+    "SIGMA_POS": Check(
         "anticanonical excess positive each side, and at least 3 on curve-blowup sides",
-        _check_sigma_pos,
+        lambda c: _side_sigma_admissible(c.left, c.sigma_left)
+        and _side_sigma_admissible(c.right, c.sigma_right),
+        lambda c: f"sigma={c.sigma_left}, sigma_plus={c.sigma_right}",
     ),
-    "KX3_RANGE": ("central degree is even and within 2..22", _check_kx3_range),
-    "FANO_DEGREE_LEFT": ("left target degree is in the rank-one catalog", _check_fano_degree_left),
-    "FANO_DEGREE_RIGHT": ("right target degree is in the rank-one catalog", _check_fano_degree_right),
-    "DIOPHANTINE": ("the exact residual system vanishes", _check_diophantine),
-    "COEFF_RELATIONS": ("flop coefficients are mutually consistent and nonzero", _check_coeff_relations),
-    "ETILDE_INTEGRAL": ("both flopped divisor cubes are integers", _check_etilde_integral),
-    "GCD_LEFT": ("left-basis decomposition of the flopped divisor is primitive", _check_gcd_left),
-    "GCD_RIGHT": ("right-basis decomposition of the flopped divisor is primitive", _check_gcd_right),
-    "COEFF_INTEGRALITY": ("point-side coefficients are integers", _check_coeff_integrality),
-    "DEFECT_POSITIVE": ("both flop defects are positive integers", _check_defect_positive),
-    "DEFECT_DIVISIBLE": ("defects agree after dividing by the index cubes", _check_defect_divisible),
-    "HODGE": ("curve-corrected Hodge numbers balance across the link", _check_hodge),
-    "HYPERELLIPTIC_SYM": ("central degree 2 forces equal sides", _check_hyperelliptic_sym),
-    "ALPHA_PLUS_BOUND": ("point-side leading coefficient within its search bound", _check_alpha_plus_bound),
-    "BETA_PLUS_RANGE": ("point-side E-coefficient within its admissible range", _check_beta_plus_range),
+    "KX3_RANGE": Check(
+        "central degree is even and within 2..22",
+        lambda c: c.kx3 in KX3_VALUES,
+        lambda c: f"central degree {c.kx3}",
+    ),
+    "FANO_DEGREE_LEFT": Check(
+        "left target degree is in the rank-one catalog",
+        lambda c: _degree_ok(c.left, c.kY3_left),
+        lambda c: _degree_detail(c.left, c.kY3_left),
+    ),
+    "FANO_DEGREE_RIGHT": Check(
+        "right target degree is in the rank-one catalog",
+        lambda c: _degree_ok(c.right, c.kY3_right),
+        lambda c: _degree_detail(c.right, c.kY3_right),
+    ),
+    "DIOPHANTINE": Check("the exact residual system vanishes", _diophantine, _diophantine_detail),
+    "COEFF_RELATIONS": Check(
+        "flop coefficients are mutually consistent and nonzero",
+        lambda c: not any(c.coeffs.closure_numerators()) and c.coeffs.all_nonzero(),
+        _coeff_relations_detail,
+    ),
+    "ETILDE_INTEGRAL": Check(
+        "both flopped divisor cubes are integers",
+        lambda c: is_integer(c.etilde3_left) and is_integer(c.etilde3_right),
+        lambda c: f"transform cubes {c.etilde3_left}, {c.etilde3_right}",
+    ),
+    "GCD_LEFT": Check(
+        "left-basis decomposition of the flopped divisor is primitive",
+        lambda c: _primitive(c.left, c.coeffs.alpha, c.coeffs.beta),
+        lambda c: _primitive_detail("left", c.left, c.coeffs.alpha, c.coeffs.beta),
+    ),
+    "GCD_RIGHT": Check(
+        "right-basis decomposition of the flopped divisor is primitive",
+        lambda c: _primitive(c.right, c.coeffs.alpha_plus, c.coeffs.beta_plus),
+        lambda c: _primitive_detail("right", c.right, c.coeffs.alpha_plus, c.coeffs.beta_plus),
+    ),
+    "COEFF_INTEGRALITY": Check(
+        "point-side coefficients are integers",
+        lambda c: all(is_integer(a) and is_integer(b) for _, a, b in _point_side_pairs(c)),
+        _coeff_integrality_detail,
+    ),
+    "DEFECT_POSITIVE": Check(
+        "both flop defects are positive integers",
+        lambda c: _positive_integer(c.defect_left) and _positive_integer(c.defect_right),
+        lambda c: f"defects {c.defect_left}, {c.defect_right}",
+    ),
+    "DEFECT_DIVISIBLE": Check(
+        "defects agree after dividing by the index cubes",
+        _defect_divisible,
+        _defect_divisible_detail,
+    ),
+    "HODGE": Check(
+        "curve-corrected Hodge numbers balance across the link", _hodge, _hodge_detail
+    ),
+    "HYPERELLIPTIC_SYM": Check(
+        "central degree 2 forces equal sides",
+        lambda c: c.kx3 != 2 or c.left == c.right,
+        _hyperelliptic_sym_detail,
+    ),
+    "ALPHA_PLUS_BOUND": Check(
+        "point-side leading coefficient within its search bound",
+        _alpha_plus_bound,
+        _alpha_plus_bound_detail,
+    ),
+    "BETA_PLUS_RANGE": Check(
+        "point-side E-coefficient within its admissible range",
+        _beta_plus_range,
+        _beta_plus_range_detail,
+    ),
 }
 
 DEFAULT_CHECKS: frozenset[str] = frozenset(REGISTRY)
@@ -261,6 +357,13 @@ def validate_check_ids(names: Iterable[str]) -> None:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
 
 
+@functools.cache
+def _plan(enabled: frozenset[str]) -> tuple[tuple[str, Callable[[LinkCandidate], bool]], ...]:
+    """The enabled checks' (name, passes) in registry order, validated once per set."""
+    validate_check_ids(enabled)
+    return tuple((name, check.passes) for name, check in REGISTRY.items() if name in enabled)
+
+
 def run_checks(
     candidate: LinkCandidate,
     enabled: frozenset[str] = DEFAULT_CHECKS,
@@ -271,14 +374,10 @@ def run_checks(
     With short_circuit the evaluation stops after the first failure (the
     admission verdict is unchanged; only trailing reports are omitted).
     """
-    if not DEFAULT_CHECKS.issuperset(enabled):
-        validate_check_ids(enabled)
     reports: list[CheckReport] = []
-    for name, (_, fn) in REGISTRY.items():
-        if name not in enabled:
-            continue
-        passed, detail = fn(candidate)
-        reports.append(CheckReport(name, passed, detail))
+    for name, passes in _plan(frozenset(enabled)):
+        passed = passes(candidate)
+        reports.append(CheckReport(name, passed, candidate))
         if short_circuit and not passed:
             break
     return tuple(reports)

@@ -95,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_check_listing(stream) -> None:
     width = max(len(name) for name in checks_mod.REGISTRY)
-    for name, (description, _) in checks_mod.REGISTRY.items():
-        print(f"{name:<{width}}  {description}", file=stream)
+    for name, check in checks_mod.REGISTRY.items():
+        print(f"{name:<{width}}  {check.description}", file=stream)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

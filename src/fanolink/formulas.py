@@ -52,14 +52,20 @@ def ky3_from_kx3(kx3: int, side: SideData) -> Fraction | int:
     return kx3 + STAR_DEGREE_OFFSET[side.ctype]
 
 
+def basis_decomposition_numerators(alpha: Fraction, beta: Fraction, r: int) -> tuple[int, int, int]:
+    """(lead, diff, den): basis_decomposition is (lead/den, diff/den), den > 0."""
+    a, b, den = over_common_denominator(alpha, beta)
+    return a * r, b - a, den
+
+
 def basis_decomposition(alpha: Fraction, beta: Fraction, r: int) -> tuple[Fraction, Fraction]:
     """Coefficients of alpha*H + beta*E in an E1 side's integral basis.
 
     On an index-r side H = r*A - E, with A the pullback of the target's
     ample generator, so alpha*H + beta*E = (alpha*r)*A + (beta - alpha)*E.
     """
-    a, b, den = over_common_denominator(alpha, beta)
-    return Fraction(a * r, den), Fraction(b - a, den)
+    lead, diff, den = basis_decomposition_numerators(alpha, beta, r)
+    return Fraction(lead, den), Fraction(diff, den)
 
 
 def coeffs_e1e1(
@@ -97,6 +103,29 @@ def coeffs_symmetric(alpha: int) -> FlopCoefficients:
     return FlopCoefficients(Fraction(alpha), Fraction(-1), Fraction(alpha), Fraction(-1))
 
 
+def e1e1_residual_numerators(
+    kx3: int,
+    left: tuple[int, int, int],
+    right: tuple[int, int, int],
+    g_left: int,
+    sigma_left: int,
+    g_right: int,
+    sigma_right: int,
+) -> tuple[int, int]:
+    """Integer numerators of e1e1_residuals, over den^2 and den_p^2.
+
+    left = (a, b, den) and right = (ap, bp, den_p) are the coefficient
+    pairs over their common denominators (over_common_denominator).
+    """
+    a, b, den = left
+    ap, bp, den_p = right
+    gl, gr = 2 * g_left - 2, 2 * g_right - 2  # 2g - 2 of each curve
+    return (
+        a * a * kx3 + 2 * a * b * sigma_left + b * b * gl - den * den * gr,
+        ap * ap * kx3 + 2 * ap * bp * sigma_right + bp * bp * gr - den_p * den_p * gl,
+    )
+
+
 def e1e1_residuals(
     kx3: int,
     coeffs: FlopCoefficients,
@@ -111,12 +140,12 @@ def e1e1_residuals(
     computed through the flopped divisor, with its stated genus; both must
     vanish on an admissible candidate.
     """
-    a, b, den = over_common_denominator(coeffs.alpha, coeffs.beta)
-    ap, bp, den_p = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
-    gl, gr = 2 * g_left - 2, 2 * g_right - 2  # 2g - 2 of each curve
-    res1 = a * a * kx3 + 2 * a * b * sigma_left + b * b * gl - den * den * gr
-    res2 = ap * ap * kx3 + 2 * ap * bp * sigma_right + bp * bp * gr - den_p * den_p * gl
-    return Fraction(res1, den * den), Fraction(res2, den_p * den_p)
+    left = over_common_denominator(coeffs.alpha, coeffs.beta)
+    right = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
+    res1, res2 = e1e1_residual_numerators(
+        kx3, left, right, g_left, sigma_left, g_right, sigma_right
+    )
+    return Fraction(res1, left[2] * left[2]), Fraction(res2, right[2] * right[2])
 
 
 def e1estar_residual_numerators(

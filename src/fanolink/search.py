@@ -16,8 +16,10 @@ Two independent routes produce every family's candidate set:
 
 The E1 oracles skip each left side whose target degree FANO_DEGREE_LEFT
 rejects: that check reads the left side alone, so it fails every candidate
-on it.  The skip makes the check's own call, not the enumerator's side
-prune, so a wrong prune still shows as a set difference.
+on it.  Likewise the E1-E1 oracle skips each solved right side, before
+deriving it, when FANO_DEGREE_RIGHT rejects it: that check reads kx3 and
+the right side alone.  Both skips make the checks' own calls, not the
+enumerator's side prune, so a wrong prune still shows as a set difference.
 
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
@@ -419,6 +421,11 @@ def enumerate_family(
 # Brute-force oracle
 
 
+def _oracle_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
+    """The FANO_DEGREE checks' own calls on the E1 side (r, d, g) at central degree kx3."""
+    return is_valid_fano_degree(r, ky3_from_kx3(kx3, SideData(ContractionType.E1, r, d, g)))
+
+
 def _oracle_left_sides() -> Iterator[tuple[int, int, int, int, int]]:
     """(kx3, r, d, g, sigma) of each E1 left side the E1 oracles scan; see the module doc."""
     for kx3 in KX3_VALUES:
@@ -427,8 +434,7 @@ def _oracle_left_sides() -> Iterator[tuple[int, int, int, int, int]]:
                 sig = sigma(r, d, g)
                 if sig <= 0:
                     continue  # sigma 1 or 2 is kept: SIGMA_POS (sigma >= 3) rejects it
-                left = SideData(ContractionType.E1, r, d, g)
-                if is_valid_fano_degree(r, ky3_from_kx3(kx3, left)):
+                if _oracle_degree_ok(kx3, r, d, g):
                     yield kx3, r, d, g, sig
 
 
@@ -480,6 +486,8 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     if not orientation_canonical((r, d, g), (rp, dp, gp)):
                         continue
+                    if not _oracle_degree_ok(kx3, rp, dp, gp):
+                        continue  # FANO_DEGREE_RIGHT rejects the solved right side
                     candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
                     if candidate.coeffs.alpha_plus != Fraction(p, q):
                         continue

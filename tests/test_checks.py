@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import re
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fanolink.checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
+    KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
     admitted,
@@ -16,7 +22,7 @@ from fanolink.checks import (
     validate_check_ids,
 )
 from fanolink.model import ContractionType
-from fanolink.search import build_e1e1, build_e1estar, build_symmetric
+from fanolink.search import D_MAX, G_MAX, build_e1e1, build_e1estar, build_symmetric
 
 CANONICAL_ORDER = (
     "SIGMA_POS",
@@ -51,9 +57,10 @@ class TestRegistry:
         assert DEFAULT_CHECKS == frozenset(REGISTRY)
 
     def test_every_entry_has_a_description(self):
-        for name, (description, fn) in REGISTRY.items():
-            assert description
-            assert callable(fn)
+        for name, check in REGISTRY.items():
+            assert check.description
+            assert callable(check.passes)
+            assert callable(check.describe)
 
     def test_validate_check_ids_accepts_known_names(self):
         validate_check_ids(["HODGE", "SIGMA_POS"])
@@ -62,6 +69,22 @@ class TestRegistry:
     def test_validate_check_ids_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown check ids: BOGUS"):
             validate_check_ids(["BOGUS", "HODGE"])
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ({"HODGE", "NOT_A_CHECK"}, "unknown check ids: NOT_A_CHECK"),
+            ({"HODGE", ""}, "empty check id; fanolink --list-checks prints the valid ids"),
+        ],
+    )
+    def test_run_checks_raises_on_every_call_with_a_bad_id(self, ids, message):
+        # run_checks builds one plan per enabled set and caches it; a set
+        # that fails validation must raise again, not be remembered.
+        candidate = build_symmetric(ContractionType.E2, 1, 8)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_checks(candidate, frozenset(ids))
+        assert [report.name for report in run_checks(candidate, frozenset({"HODGE"}))] == ["HODGE"]
 
     def test_exported_bounds(self):
         assert E1_SIGMA_MIN == 3
@@ -248,3 +271,149 @@ def test_subset_reports_agree_with_full_run(candidate, subset):
     full = {report.name: (report.passed, report.detail) for report in run_checks(candidate)}
     for report in run_checks(candidate, subset):
         assert full[report.name] == (report.passed, report.detail)
+
+
+# The verdicts that decide in integers on Fraction fields, against their
+# predicates written out here in plain Fractions (no formulas call).
+# Candidates come from the unpruned E1-E1 box, the E1-point scan box and
+# the symmetric grid, where most fail; the first four examples pass every
+# check.
+
+
+def _coeff_relations_by_fractions(c):
+    a, b, ap, bp = c.coeffs.alpha, c.coeffs.beta, c.coeffs.alpha_plus, c.coeffs.beta_plus
+    closed = b * bp - 1 == 0 and a + b * ap == 0 and ap + bp * a == 0
+    return closed and 0 not in (a, b, ap, bp)
+
+
+def _diophantine_by_fractions(c):
+    a, b, ap, bp = c.coeffs.alpha, c.coeffs.beta, c.coeffs.alpha_plus, c.coeffs.beta_plus
+    kx3 = c.kx3
+    if not c.left.is_e1:
+        return a * kx3 - 2 * c.sigma_left == 0 and ap * kx3 - 2 * c.sigma_right == 0
+    gl = 2 * c.left.g - 2
+    if c.right.is_e1:
+        gr = 2 * c.right.g - 2
+        return (
+            a * a * kx3 + 2 * a * b * c.sigma_left + b * b * gl - gr == 0
+            and ap * ap * kx3 + 2 * ap * bp * c.sigma_right + bp * bp * gr - gl == 0
+        )
+    rd, sig, star_c = c.left.r * c.left.d, c.sigma_left, c.sigma_right
+    return (
+        -a * a * kx3 - 2 * a * b * rd - gl * (-2 * a * b + b * b) - 2 == 0
+        and a * kx3 + b * sig - star_c == 0
+        and -ap * ap * kx3 - 2 * ap * bp * star_c + 2 * bp * bp + gl == 0
+        and ap * kx3 + bp * star_c - sig == 0
+    )
+
+
+def _primitive_by_fractions(alpha, beta, r):
+    lead, diff = alpha * r, beta - alpha
+    if lead.denominator != 1 or diff.denominator != 1:
+        return False
+    return math.gcd(lead.numerator, diff.numerator) == 1
+
+
+def _defect_divisible_by_fractions(c):
+    norm_left = c.defect_left / (c.left.r**3 if c.left.is_e1 else 1)
+    norm_right = c.defect_right / (c.right.r**3 if c.right.is_e1 else 1)
+    return norm_left.denominator == 1 and norm_right.denominator == 1 and norm_left == norm_right
+
+
+def _beta_plus_range_by_fractions(c):
+    co = c.coeffs
+    if c.left.is_e1 and c.right.is_e1:
+        return True
+    if c.left.is_e1:
+        return co.beta_plus.denominator == 1 and -c.left.r <= co.beta_plus <= -1
+    return co.beta == -1 and co.beta_plus == -1 and co.alpha == co.alpha_plus
+
+
+BY_FRACTIONS = {
+    "COEFF_RELATIONS": _coeff_relations_by_fractions,
+    "DIOPHANTINE": _diophantine_by_fractions,
+    "GCD_LEFT": lambda c: not c.left.is_e1
+    or _primitive_by_fractions(c.coeffs.alpha, c.coeffs.beta, c.left.r),
+    "GCD_RIGHT": lambda c: not c.right.is_e1
+    or _primitive_by_fractions(c.coeffs.alpha_plus, c.coeffs.beta_plus, c.right.r),
+    "DEFECT_POSITIVE": lambda c: all(
+        e.denominator == 1 and e > 0 for e in (c.defect_left, c.defect_right)
+    ),
+    "DEFECT_DIVISIBLE": _defect_divisible_by_fractions,
+    "ALPHA_PLUS_BOUND": lambda c: (c.left.is_e1 and c.right.is_e1)
+    or 0 < c.coeffs.alpha_plus <= MAX_ALPHA_PLUS,
+    "BETA_PLUS_RANGE": _beta_plus_range_by_fractions,
+}
+
+_STARS = (ContractionType.E2, ContractionType.E34, ContractionType.E5)
+
+
+@st.composite
+def _e1_side(draw, r=None):
+    r = draw(st.integers(1, 4)) if r is None else r
+    return r, draw(st.integers(1, D_MAX)), draw(st.integers(0, G_MAX[r]))
+
+
+@st.composite
+def _e1e1_box(draw):
+    left = draw(_e1_side())
+    right = draw(_e1_side(draw(st.integers(1, left[0]))))
+    return build_e1e1(draw(st.sampled_from(KX3_VALUES)), left, right)
+
+
+@st.composite
+def _e1estar_box(draw):
+    left = draw(_e1_side())
+    ap, bp = draw(st.integers(1, MAX_ALPHA_PLUS)), draw(st.integers(-left[0], -1))
+    star = draw(st.sampled_from(_STARS))
+    return build_e1estar(draw(st.sampled_from(KX3_VALUES)), left, star, ap, bp)
+
+
+_SYMMETRIC_GRID = st.builds(
+    build_symmetric,
+    st.sampled_from(_STARS),
+    st.integers(1, MAX_ALPHA_PLUS),
+    st.sampled_from(KX3_VALUES),
+)
+_BOXES = st.one_of(_e1e1_box(), _e1estar_box(), _SYMMETRIC_GRID)
+
+
+def _with_coeff(candidate, field, value):
+    coeffs = dataclasses.replace(candidate.coeffs, **{field: value})
+    return dataclasses.replace(candidate, coeffs=coeffs)
+
+
+@st.composite
+def _perturbed(draw):
+    # One coefficient replaced, possibly by 0 or a fraction: the only way to
+    # fail COEFF_RELATIONS, and fractional point-side coefficients.
+    field = draw(st.sampled_from(("alpha", "beta", "alpha_plus", "beta_plus")))
+    bound = 2 * MAX_ALPHA_PLUS
+    value = draw(st.fractions(min_value=-bound, max_value=bound, max_denominator=6))
+    return _with_coeff(draw(_BOXES), field, value)
+
+
+@given(candidate=st.one_of(_BOXES, _perturbed()))
+@example(candidate=build_e1e1(2, (1, 1, 0), (1, 1, 0)))
+@example(candidate=build_e1e1(2, (2, 1, 0), (2, 1, 0)))
+@example(candidate=build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2))
+@example(candidate=build_symmetric(ContractionType.E5, 1, 2))
+@example(candidate=build_symmetric(ContractionType.E2, 0, 8))  # closed, with zero alphas
+@example(  # a fractional alpha_plus within the bound, its numerator beyond it
+    candidate=_with_coeff(
+        build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2), "alpha_plus", Fraction(171, 2)
+    )
+)
+@example(  # a fractional beta_plus, its numerator within [-r, -1]
+    candidate=_with_coeff(
+        build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2), "beta_plus", Fraction(-1, 2)
+    )
+)
+@example(  # non-integral defects whose numerators the index cubes divide alike
+    candidate=dataclasses.replace(
+        build_e1e1(2, (2, 1, 0), (1, 1, 0)), defect_left=Fraction(8, 3), defect_right=Fraction(1, 3)
+    )
+)
+def test_integer_verdicts_equal_the_fraction_predicates(candidate):
+    for name, predicate in BY_FRACTIONS.items():
+        assert REGISTRY[name].passes(candidate) == predicate(candidate), name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -178,7 +179,59 @@ class TestVerify:
             assert capsys.readouterr().err.startswith(message)
 
 
+# Raw explain tuples beyond the golden rows: one that fails each check first
+# where some explainable tuple does, and more failure texts after the first.
+EXPLAIN_RAW_TUPLES = (
+    ("e1e1", "(2,1,1,0,1,1,1)"),  # SIGMA_POS
+    ("e1e1", "(3,2,1,0,2,1,0)"),  # KX3_RANGE: odd central degree
+    ("e1e1", "(24,1,1,0,1,1,0)"),  # KX3_RANGE: central degree above 22
+    ("e1e1", "(2,2,2,0,1,1,0)"),  # FANO_DEGREE_LEFT
+    ("e1e1", "(2,1,8,0,1,8,0)"),  # target degree 20, outside the catalog; Hodge lookup fails
+    ("e1e1", "(2,2,1,0,2,2,0)"),  # FANO_DEGREE_RIGHT
+    ("e1e1", "(2,1,1,0,1,2,0)"),  # DIOPHANTINE, E1-E1
+    ("e1e2", "(4,2,12,7,5,-1)"),  # DIOPHANTINE, E1-point
+    ("e3e3", "(2,3)"),  # DIOPHANTINE, symmetric
+    ("e1e1", "(2,1,1,0,3,1,0)"),  # non-integral cube and decomposition
+    ("e1e1", "(4,1,1,0,1,1,0)"),  # ETILDE_INTEGRAL
+    ("e1e1", "(4,2,3,1,2,3,1)"),  # GCD_LEFT
+    ("e1e1", "(2,1,5,2,1,5,2)"),  # DEFECT_POSITIVE
+    ("e1e2", "(2,2,1,0,4,-1)"),  # DEFECT_DIVISIBLE
+    ("e1e1", "(2,2,1,0,1,5,2)"),  # HODGE
+    ("e1e3", "(2,2,4,2,5,-2)"),  # HYPERELLIPTIC_SYM
+    ("e1e2", "(2,4,11,1,87,-4)"),  # alpha_plus beyond ALPHA_PLUS_BOUND
+    ("e1e2", "(4,2,12,7,7,-3)"),  # beta_plus below -r: BETA_PLUS_RANGE
+    ("e1e2", "(4,2,12,7,5,1)"),  # positive beta_plus
+    ("e1e2", "(4,1,1,0,0,-1)"),  # zero alpha_plus
+    ("e2e2", "(8,0)"),  # zero coefficients
+    ("e2e2", "(1,8)"),  # odd central degree, symmetric
+    ("e5e5", "(3,1)"),  # singular E5 target with a half-integral degree
+)
+# SHA-256 of the stdout of explain for every golden row (family order, then
+# table order) followed by EXPLAIN_RAW_TUPLES, concatenated.
+EXPLAIN_SHA256 = "06807e609c6c8b98d7f9149ace7128dc05c431f5806f67e65cb77cada6942872"
+
+
+def explain_argvs(golden: dict[str, tuple]) -> list[list[str]]:
+    rows = [
+        ["explain", family, "row", str(row.row)]
+        for family in search_mod.FAMILY_IDS
+        for row in golden[family]
+    ]
+    return rows + [["explain", family, key] for family, key in EXPLAIN_RAW_TUPLES]
+
+
 class TestExplain:
+    def test_explain_bytes_are_pinned(self, capsys, golden):
+        argvs = explain_argvs(golden)
+        assert len(argvs) == 134 + len(EXPLAIN_RAW_TUPLES)
+        digest = hashlib.sha256()
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.err == "", argv
+            digest.update(captured.out.encode("utf-8"))
+        assert digest.hexdigest() == EXPLAIN_SHA256
+
     def test_golden_row_derivation(self, capsys):
         assert main(["explain", "e1e1", "row", "1"]) == 0
         out = capsys.readouterr().out

@@ -498,6 +498,31 @@ class TestOracle:
         assert all(sig == sigma(r, d, g) for (_, r, d, g), sig in kept.items())
         assert 0 < len(kept) < scanned
 
+    def test_oracle_skips_exactly_the_right_sides_fano_degree_right_rejects(self, monkeypatch):
+        # FANO_DEGREE_RIGHT reads kx3 and the right side alone.  The E1-E1
+        # oracle runs twice over the same left sides, with its right-side
+        # skip and without it; the tuples only the second run derives are
+        # the skipped ones.
+        lefts = tuple(search._oracle_left_sides())
+        monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
+        derived = []
+
+        def recording_build(kx3, left, right):
+            derived.append((kx3, left, right))
+            return build_e1e1(kx3, left, right)
+
+        monkeypatch.setattr(search, "build_e1e1", recording_build)
+        with_skip = search._oracle_e1e1()
+        kept = list(derived)
+        derived.clear()
+        monkeypatch.setattr(search, "_oracle_degree_ok", lambda *side: True)
+        assert search._oracle_e1e1() == with_skip
+        skipped = set(derived) - set(kept)
+        for kx3, left, right in derived:
+            passes = admitted(run_checks(build_e1e1(kx3, left, right), {"FANO_DEGREE_RIGHT"}))
+            assert passes == ((kx3, left, right) not in skipped), (kx3, left, right)
+        assert (len(derived), len(kept), len(skipped)) == (1443, 761, 682)
+
 
 class TestEmittedCandidates:
     def test_every_emitted_candidate_is_admitted(self, enumerated):
