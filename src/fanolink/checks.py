@@ -27,15 +27,12 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import catalog
 from .formulas import (
-    basis_decomposition,
     basis_decomposition_numerators,
     e1e1_residual_numerators,
-    e1e1_residuals,
     e1estar_residual_numerators,
-    e1estar_residuals,
 )
 from .model import LinkCandidate, SideData
-from .rational import as_integer, is_integer, over_common_denominator
+from .rational import is_integer, over_common_denominator
 
 # The central-degree domain: even, 2..22.  It is also the search range.
 KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
@@ -81,49 +78,43 @@ def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
     return f"target degree {ky3} at index {index}"
 
 
-def _symmetric_numerators(c: LinkCandidate) -> tuple[tuple[int, int], ...]:
-    """alpha*kx3 - 2*sigma on each side, as (numerator, denominator > 0)."""
+def _residuals(c: LinkCandidate) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The residual system as (numerators, their positive denominators), by shape.
+
+    A family's curve side, if any, is the left one.  Star-star: each
+    coefficient satisfies the symmetric degree relation, alpha*kx3 - 2*sigma
+    over alpha's denominator on each side.  A residual vanishes exactly
+    when its numerator does.
+    """
     co = c.coeffs
-    return tuple(
-        (x.numerator * c.kx3 - 2 * sig * x.denominator, x.denominator)
-        for x, sig in ((co.alpha, c.sigma_left), (co.alpha_plus, c.sigma_right))
-    )
-
-
-def _diophantine(c: LinkCandidate) -> bool:
-    # A family's curve side, if any, is the left one.  Every residual lies
-    # over a positive denominator, so it vanishes exactly when its numerator does.
     if not c.left.is_e1:
-        # Star-star: each coefficient satisfies the symmetric degree relation.
-        return not any(num for num, _ in _symmetric_numerators(c))
-    co = c.coeffs
+        na, da = co.alpha.as_integer_ratio()
+        nap, dap = co.alpha_plus.as_integer_ratio()
+        numerators = (na * c.kx3 - 2 * c.sigma_left * da, nap * c.kx3 - 2 * c.sigma_right * dap)
+        return numerators, (da, dap)
     left = over_common_denominator(co.alpha, co.beta)
     right = over_common_denominator(co.alpha_plus, co.beta_plus)
+    den, den_p = left[2], right[2]
     if c.right.is_e1:
-        return not any(
-            e1e1_residual_numerators(
-                c.kx3, left, right, c.left.g, c.sigma_left, c.right.g, c.sigma_right
-            )
-        )
-    return not any(
-        e1estar_residual_numerators(c.kx3, left, right, c.left.r, c.left.d, c.left.g, c.sigma_right)
-    )
+        return e1e1_residual_numerators(
+            c.kx3, left, right, c.left.g, c.sigma_left, c.right.g, c.sigma_right
+        ), (den * den, den_p * den_p)
+    return e1estar_residual_numerators(
+        c.kx3, left, right, c.left.r, c.left.d, c.left.g, c.sigma_right
+    ), (den * den, den, den_p * den_p, den_p)
 
 
-def _diophantine_detail(c: LinkCandidate) -> str:
-    co = c.coeffs
-    if not c.left.is_e1:
-        residuals = tuple(Fraction(num, den) for num, den in _symmetric_numerators(c))
-    elif c.right.is_e1:
-        residuals = e1e1_residuals(c.kx3, co, c.left.g, c.sigma_left, c.right.g, c.sigma_right)
-    else:
-        residuals = e1estar_residuals(c.kx3, co, c.left.r, c.left.d, c.left.g, c.sigma_right)
-    return "residuals " + ", ".join(str(r) for r in residuals)
+def _ratios(numerators: Iterable[int], denominators: Iterable[int]) -> str:
+    return ", ".join(str(Fraction(n, d)) for n, d in zip(numerators, denominators))
 
 
 def _coeff_relations_detail(c: LinkCandidate) -> str:
-    detail = "closure " + ", ".join(str(r) for r in c.coeffs.closure_residuals())
-    if not c.coeffs.all_nonzero():
+    co = c.coeffs
+    da, db = co.alpha.denominator, co.beta.denominator
+    dap, dbp = co.alpha_plus.denominator, co.beta_plus.denominator
+    denominators = (db * dbp, da * db * dap, dap * dbp * da)
+    detail = "closure " + _ratios(co.closure_numerators(), denominators)
+    if not co.all_nonzero():
         detail += "; some coefficient is zero"
     return detail
 
@@ -131,7 +122,7 @@ def _coeff_relations_detail(c: LinkCandidate) -> str:
 def _primitive(side: SideData, alpha: Fraction, beta: Fraction) -> bool:
     """Primitivity of the flopped divisor in an E1 side's integral basis.
 
-    Both coefficients of its basis_decomposition, lead/den and diff/den,
+    Both coefficients of its basis decomposition, lead/den and diff/den,
     must be integers with trivial common divisor: together, exactly when
     gcd(lead, diff) == den.  A point-type side has no such constraint.
     """
@@ -144,11 +135,11 @@ def _primitive(side: SideData, alpha: Fraction, beta: Fraction) -> bool:
 def _primitive_detail(role: str, side: SideData, alpha: Fraction, beta: Fraction) -> str:
     if not side.is_e1:
         return f"{role} side is not E1; no primitivity constraint"
-    lead, diff = basis_decomposition(alpha, beta, side.r)
-    if not (is_integer(lead) and is_integer(diff)):
-        return f"non-integral decomposition ({lead}, {diff})"
-    lead_i, diff_i = as_integer(lead), as_integer(diff)
-    return f"decomposition ({lead_i}, {diff_i}), gcd {math.gcd(lead_i, diff_i)}"
+    lead, diff, den = basis_decomposition_numerators(alpha, beta, side.r)
+    if lead % den or diff % den:
+        return f"non-integral decomposition ({Fraction(lead, den)}, {Fraction(diff, den)})"
+    lead, diff = lead // den, diff // den
+    return f"decomposition ({lead}, {diff}), gcd {math.gcd(lead, diff)}"
 
 
 def _point_side_pairs(c: LinkCandidate) -> list[tuple[str, Fraction, Fraction]]:
@@ -290,7 +281,11 @@ REGISTRY: dict[str, Check] = {
         lambda c: _degree_ok(c.right, c.kY3_right),
         lambda c: _degree_detail(c.right, c.kY3_right),
     ),
-    "DIOPHANTINE": Check("the exact residual system vanishes", _diophantine, _diophantine_detail),
+    "DIOPHANTINE": Check(
+        "the exact residual system vanishes",
+        lambda c: not any(_residuals(c)[0]),
+        lambda c: "residuals " + _ratios(*_residuals(c)),
+    ),
     "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
         lambda c: not any(c.coeffs.closure_numerators()) and c.coeffs.all_nonzero(),

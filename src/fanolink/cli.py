@@ -24,15 +24,16 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import checks as checks_mod
 from . import golden as golden_mod
 from . import render as render_mod
 from . import search as search_mod
-from .formulas import basis_decomposition
+from .formulas import basis_decomposition_numerators
 from .model import FAMILIES
-from .rational import render_exact
+from .rational import RationalOverflowError, audit_magnitude, render_exact
 
 
 def _parse_families(value: str) -> list[str]:
@@ -171,6 +172,8 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
     names = FAMILIES[family].explain_fields
     if len(numbers) != len(names):
         raise ValueError(f"{family} tuple is ({', '.join(names)})")
+    for number in numbers:
+        audit_magnitude(number)
     fields = dict(zip(names, numbers))
     if fields["kx3"] <= 0:
         raise ValueError(f"central degree kx3 must be positive, got {fields['kx3']}")
@@ -180,7 +183,7 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
 def _cmd_explain(args: argparse.Namespace) -> int:
     try:
         candidate = _resolve_explain_target(args.family, args.key)
-    except ValueError as exc:
+    except (ValueError, RationalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -215,10 +218,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         ("right", candidate.right, coeffs.alpha_plus, coeffs.beta_plus, "_plus"),
     ):
         if side.is_e1:
-            lead, diff_term = basis_decomposition(alpha, beta, side.r)
+            lead, diff_term, den = basis_decomposition_numerators(alpha, beta, side.r)
             print(
                 f"{role}-basis decomposition (alpha{plus}*r{plus}, beta{plus}-alpha{plus}): "
-                f"({render_exact(lead)}, {render_exact(diff_term)})"
+                f"({render_exact(Fraction(lead, den))}, {render_exact(Fraction(diff_term, den))})"
             )
     print("checks:")
     reports = checks_mod.run_checks(candidate)

@@ -53,19 +53,15 @@ def ky3_from_kx3(kx3: int, side: SideData) -> Fraction | int:
 
 
 def basis_decomposition_numerators(alpha: Fraction, beta: Fraction, r: int) -> tuple[int, int, int]:
-    """(lead, diff, den): basis_decomposition is (lead/den, diff/den), den > 0."""
-    a, b, den = over_common_denominator(alpha, beta)
-    return a * r, b - a, den
-
-
-def basis_decomposition(alpha: Fraction, beta: Fraction, r: int) -> tuple[Fraction, Fraction]:
-    """Coefficients of alpha*H + beta*E in an E1 side's integral basis.
+    """Coefficients of alpha*H + beta*E in an E1 side's integral basis, as numerators.
 
     On an index-r side H = r*A - E, with A the pullback of the target's
     ample generator, so alpha*H + beta*E = (alpha*r)*A + (beta - alpha)*E.
+    Returns (lead, diff, den): the coefficients are lead/den and diff/den,
+    den > 0.
     """
-    lead, diff, den = basis_decomposition_numerators(alpha, beta, r)
-    return Fraction(lead, den), Fraction(diff, den)
+    a, b, den = over_common_denominator(alpha, beta)
+    return a * r, b - a, den
 
 
 def coeffs_e1e1(
@@ -112,10 +108,14 @@ def e1e1_residual_numerators(
     g_right: int,
     sigma_right: int,
 ) -> tuple[int, int]:
-    """Integer numerators of e1e1_residuals, over den^2 and den_p^2.
+    """Genus-consistency residual pair of an E1-E1 candidate, as numerators.
 
-    left = (a, b, den) and right = (ap, bp, den_p) are the coefficient
-    pairs over their common denominators (over_common_denominator).
+    Each residual equates the arithmetic genus of the opposite curve,
+    computed through the flopped divisor, with its stated genus; both must
+    vanish on an admissible candidate.  left = (a, b, den) and
+    right = (ap, bp, den_p) are the coefficient pairs over their common
+    denominators (over_common_denominator); the residuals are these
+    numerators over den^2 and den_p^2.
     """
     a, b, den = left
     ap, bp, den_p = right
@@ -124,28 +124,6 @@ def e1e1_residual_numerators(
         a * a * kx3 + 2 * a * b * sigma_left + b * b * gl - den * den * gr,
         ap * ap * kx3 + 2 * ap * bp * sigma_right + bp * bp * gr - den_p * den_p * gl,
     )
-
-
-def e1e1_residuals(
-    kx3: int,
-    coeffs: FlopCoefficients,
-    g_left: int,
-    sigma_left: int,
-    g_right: int,
-    sigma_right: int,
-) -> tuple[Fraction, Fraction]:
-    """Genus-consistency residual pair for an E1-E1 candidate.
-
-    Each residual equates the arithmetic genus of the opposite curve,
-    computed through the flopped divisor, with its stated genus; both must
-    vanish on an admissible candidate.
-    """
-    left = over_common_denominator(coeffs.alpha, coeffs.beta)
-    right = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
-    res1, res2 = e1e1_residual_numerators(
-        kx3, left, right, g_left, sigma_left, g_right, sigma_right
-    )
-    return Fraction(res1, left[2] * left[2]), Fraction(res2, right[2] * right[2])
 
 
 def e1estar_residual_numerators(
@@ -157,8 +135,11 @@ def e1estar_residual_numerators(
     g: int,
     star_c: int,
 ) -> tuple[int, int, int, int]:
-    """Integer numerators of e1estar_residuals.
+    """Residual system of an E1 side paired with a point-type side, as numerators.
 
+    res1, res3 are the two cubic/genus consistency relations (they involve
+    the literal K^3 = -kx3); res2, res4 are the linear excess relations.
+    star_c is the point-side constant 4, 2 or 1.  All four must vanish.
     left = (a, b, den) and right = (ap, bp, den_p) are the coefficient
     pairs over their common denominators (over_common_denominator); the
     residuals are these numerators over den^2, den, den_p^2 and den_p.
@@ -174,32 +155,6 @@ def e1estar_residual_numerators(
         a * kx3 + b * sig - star_c * den,
         -ap * ap * kx3 - 2 * ap * bp * star_c + 2 * bp * bp - two_minus_2g * den_p * den_p,
         ap * kx3 + bp * star_c - sig * den_p,
-    )
-
-
-def e1estar_residuals(
-    kx3: int,
-    coeffs: FlopCoefficients,
-    r: int,
-    d: int,
-    g: int,
-    star_c: int,
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Residual system for an E1 side paired with a point-type side.
-
-    res1, res3 are the two cubic/genus consistency relations (they involve
-    the literal K^3 = -kx3); res2, res4 are the linear excess relations.
-    star_c is the point-side constant 4, 2 or 1.  All four must vanish.
-    """
-    left = over_common_denominator(coeffs.alpha, coeffs.beta)
-    right = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
-    res1, res2, res3, res4 = e1estar_residual_numerators(kx3, left, right, r, d, g, star_c)
-    den, den_p = left[2], right[2]
-    return (
-        Fraction(res1, den * den),
-        Fraction(res2, den),
-        Fraction(res3, den_p * den_p),
-        Fraction(res4, den_p),
     )
 
 

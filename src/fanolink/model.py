@@ -141,10 +141,12 @@ class FlopCoefficients:
     beta_plus: Fraction
 
     def closure_numerators(self) -> tuple[int, int, int]:
-        """Integer numerators of closure_residuals, in its order.
+        """Numerators of the closure relations; all zero iff the pairs are consistent.
 
-        They lie over db*dbp, da*db*dap and dap*dbp*da, the products of the
-        coefficients' positive denominators.
+        The relations are beta*beta_plus - 1, alpha + beta*alpha_plus and
+        alpha_plus + beta_plus*alpha; these numerators lie over db*dbp,
+        da*db*dap and dap*dbp*da, the products of the coefficients'
+        positive denominators.
         """
         na, da = self.alpha.as_integer_ratio()
         nb, db = self.beta.as_integer_ratio()
@@ -154,21 +156,6 @@ class FlopCoefficients:
             nb * nbp - db * dbp,
             na * db * dap + nb * nap * da,
             nap * dbp * da + nbp * na * dap,
-        )
-
-    def closure_residuals(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Zero iff the two coefficient pairs are mutually consistent.
-
-        beta*beta_plus - 1, alpha + beta*alpha_plus and alpha_plus +
-        beta_plus*alpha, each built as one Fraction from integer terms.
-        """
-        da, db = self.alpha.denominator, self.beta.denominator
-        dap, dbp = self.alpha_plus.denominator, self.beta_plus.denominator
-        n1, n2, n3 = self.closure_numerators()
-        return (
-            Fraction(n1, db * dbp),
-            Fraction(n2, da * db * dap),
-            Fraction(n3, dap * dbp * da),
         )
 
     def all_nonzero(self) -> bool:

@@ -14,12 +14,13 @@ Two independent routes produce every family's candidate set:
   linear one; for the symmetric families it scans the full degree/alpha
   grid instead of walking divisors.
 
-The E1 oracles skip each left side whose target degree FANO_DEGREE_LEFT
-rejects: that check reads the left side alone, so it fails every candidate
-on it.  Likewise the E1-E1 oracle skips each solved right side, before
-deriving it, when FANO_DEGREE_RIGHT rejects it: that check reads kx3 and
-the right side alone.  Both skips make the checks' own calls, not the
-enumerator's side prune, so a wrong prune still shows as a set difference.
+The E1 oracles skip each left side that SIGMA_POS or FANO_DEGREE_LEFT
+rejects: the first reads the two sides alone, the second the left side
+alone, so either fails every candidate on the side.  Likewise the E1-E1
+oracle skips each solved right side, before deriving it, when SIGMA_POS or
+FANO_DEGREE_RIGHT (which reads kx3 and the right side alone) rejects it.
+The degree skips, like the enumerator's side prune, make the checks' own
+calls (_e1_degree_ok), so they drop exactly what the check would reject.
 
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
@@ -221,6 +222,15 @@ _SIDE_GRID: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
+# E1 sides by (r, d, g), each validated once: building a SideData costs more than its degree test.
+_e1_side = functools.cache(functools.partial(SideData, ContractionType.E1))
+
+
+def _e1_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
+    """The FANO_DEGREE checks' own calls on the E1 side (r, d, g) at central degree kx3."""
+    return is_valid_fano_degree(r, ky3_from_kx3(kx3, _e1_side(r, d, g)))
+
+
 @functools.cache
 def _pruned_sides(
     kx3: int, r: int, sigma_pos: bool, degree: bool
@@ -239,7 +249,7 @@ def _pruned_sides(
         sig = sigma(r, d, g)
         if sigma_pos and sig < E1_SIGMA_MIN:
             verdicts.append(1)
-        elif degree and not is_valid_fano_degree(r, kx3 + 2 * r * d + 2 - 2 * g):
+        elif degree and not _e1_degree_ok(kx3, r, d, g):
             verdicts.append(2)
         else:
             verdicts.append(0)
@@ -421,20 +431,13 @@ def enumerate_family(
 # Brute-force oracle
 
 
-def _oracle_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
-    """The FANO_DEGREE checks' own calls on the E1 side (r, d, g) at central degree kx3."""
-    return is_valid_fano_degree(r, ky3_from_kx3(kx3, SideData(ContractionType.E1, r, d, g)))
-
-
 def _oracle_left_sides() -> Iterator[tuple[int, int, int, int, int]]:
     """(kx3, r, d, g, sigma) of each E1 left side the E1 oracles scan; see the module doc."""
     for kx3 in KX3_VALUES:
         for r in range(1, 5):
             for d, g in _SIDE_GRID[r]:
                 sig = sigma(r, d, g)
-                if sig <= 0:
-                    continue  # sigma 1 or 2 is kept: SIGMA_POS (sigma >= 3) rejects it
-                if _oracle_degree_ok(kx3, r, d, g):
+                if sig >= E1_SIGMA_MIN and _e1_degree_ok(kx3, r, d, g):
                     yield kx3, r, d, g, sig
 
 
@@ -476,8 +479,8 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                     if num_sig % den_sig != 0:
                         continue
                     sig_p = num_sig // den_sig
-                    if not 0 < sig_p <= sig_p_cap:
-                        continue
+                    if not E1_SIGMA_MIN <= sig_p <= sig_p_cap:
+                        continue  # below E1_SIGMA_MIN, SIGMA_POS rejects the right side
                     dp_num = sig_p - 2 + 2 * gp
                     if dp_num % rp != 0:
                         continue
@@ -486,7 +489,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     if not orientation_canonical((r, d, g), (rp, dp, gp)):
                         continue
-                    if not _oracle_degree_ok(kx3, rp, dp, gp):
+                    if not _e1_degree_ok(kx3, rp, dp, gp):
                         continue  # FANO_DEGREE_RIGHT rejects the solved right side
                     candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
                     if candidate.coeffs.alpha_plus != Fraction(p, q):

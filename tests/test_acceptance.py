@@ -20,13 +20,7 @@ from fanolink import catalog
 from fanolink.catalog import load_hodge_table
 from fanolink.checks import DEFAULT_CHECKS, admitted, run_checks
 from fanolink.cli import main
-from fanolink.formulas import (
-    defect,
-    e1e1_residuals,
-    e1estar_residuals,
-    etilde_cubed,
-    star_sigma,
-)
+from fanolink.formulas import defect, etilde_cubed
 from fanolink.golden import diff, golden_for_family
 from fanolink.model import ContractionType, SideData, intersection_constants
 from fanolink.search import FAMILY_IDS, enumerate_family, mirror_candidate
@@ -184,21 +178,30 @@ def test_criterion_5_oracle_equivalence(enumerated, oracle):
 
 def test_criterion_6_property_suites(enumerated, golden, monkeypatch):
     """Structural invariants on every emitted row, plus catalog mutation."""
-    # --- coefficient-relation closure on every emitted candidate -----------
+    # --- coefficient closure and residual systems on every emitted candidate -
+    # Written out in plain Fractions, without the formulas module; a point
+    # side's excess (-K)^2.E is the constant 4 (E2), 2 (E3/E4) or 1 (E5).
+    point_excess = {ContractionType.E2: 4, ContractionType.E34: 2, ContractionType.E5: 1}
     for family, candidates in enumerated.items():
         for c in candidates:
-            assert c.coeffs.closure_residuals() == (0, 0, 0)
+            a, b = Fraction(c.coeffs.alpha), Fraction(c.coeffs.beta)
+            ap, bp = Fraction(c.coeffs.alpha_plus), Fraction(c.coeffs.beta_plus)
+            assert (b * bp - 1, a + b * ap, ap + bp * a) == (0, 0, 0)
             if family == "e1e1":
-                assert e1e1_residuals(
-                    c.kx3, c.coeffs, c.left.g, c.sigma_left, c.right.g, c.sigma_right
-                ) == (0, 0)
+                r, d, g, rp, dp, gp = c.left.r, c.left.d, c.left.g, c.right.r, c.right.d, c.right.g
+                sig, sig_p = r * d + 2 - 2 * g, rp * dp + 2 - 2 * gp
+                assert a * a * c.kx3 + 2 * a * b * sig + b * b * (2 * g - 2) == 2 * gp - 2
+                assert ap * ap * c.kx3 + 2 * ap * bp * sig_p + bp * bp * (2 * gp - 2) == 2 * g - 2
             elif family in ("e1e2", "e1e3", "e1e5"):
-                assert e1estar_residuals(
-                    c.kx3, c.coeffs, c.left.r, c.left.d, c.left.g,
-                    star_sigma(c.right.ctype),
-                ) == (0, 0, 0, 0)
+                r, d, g = c.left.r, c.left.d, c.left.g
+                sig, star_c = r * d + 2 - 2 * g, point_excess[c.right.ctype]
+                k3 = -c.kx3  # the literal K^3
+                assert a * a * k3 - 2 * a * b * r * d + (2 - 2 * g) * (b * b - 2 * a * b) == 2
+                assert a * c.kx3 + b * sig == star_c
+                assert ap * ap * k3 - 2 * ap * bp * star_c + 2 * bp * bp == 2 - 2 * g
+                assert ap * c.kx3 + bp * star_c == sig
             else:
-                assert c.coeffs.alpha * c.kx3 == 2 * star_sigma(c.left.ctype)
+                assert a * c.kx3 == 2 * point_excess[c.left.ctype]
 
     # --- mirror-symmetry of two-sided admission -----------------------------
     for c in enumerated["e1e1"]:

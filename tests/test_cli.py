@@ -327,6 +327,22 @@ class TestExplain:
         assert main(["explain", "e1e1", "(a,b)"]) == 2
         assert "cannot parse tuple" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family,key,value",
+        [
+            ("e1e1", "4,1,99999999999999999999,0,1,1,0", "99999999999999999999"),
+            ("e1e2", "(4,2,12,7,5,-9223372036854775809)", "-9223372036854775809"),
+            ("e2e2", "(9223372036854775808,1)", "9223372036854775808"),
+        ],
+    )
+    def test_out_of_64_bit_range_field_is_usage_error(self, capsys, family, key, value):
+        # One past the signed 64-bit range on each side; 2**63 - 1 is accepted.
+        assert main(["explain", family, key]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "64-bit" in captured.err and value in captured.err
+        assert main(["explain", "e2e2", "(9223372036854775807,1)"]) == 0
+
 
 class TestRepeatedCalls:
     """main() runs many times in one process: in the tests and in bench/."""

@@ -10,14 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanolink.formulas import (
-    basis_decomposition,
+    basis_decomposition_numerators,
     coeffs_e1e1,
     coeffs_from_star_pair,
     coeffs_symmetric,
     defect,
-    e1e1_residuals,
+    e1e1_residual_numerators,
     e1estar_residual_numerators,
-    e1estar_residuals,
     etilde_cubed,
     ky3_from_kx3,
     sigma,
@@ -79,7 +78,7 @@ class TestCoefficients:
         coeffs = coeffs_e1e1(2, 1, 1, 3, 3)
         assert (coeffs.alpha, coeffs.beta) == (3, -1)
         assert (coeffs.alpha_plus, coeffs.beta_plus) == (3, -1)
-        assert coeffs.closure_residuals() == (0, 0, 0)
+        assert coeffs.closure_numerators() == (0, 0, 0)
 
     def test_coeffs_e1e1_mixed_indices(self):
         # Golden row 70: kx3=4, left (3,9,3), right (1,5,0).
@@ -95,7 +94,7 @@ class TestCoefficients:
         assert coeffs.beta == Fraction(-1, 2)
         assert coeffs.alpha_plus == 5
         assert coeffs.beta_plus == -2
-        assert coeffs.closure_residuals() == (0, 0, 0)
+        assert coeffs.closure_numerators() == (0, 0, 0)
 
     def test_coeffs_from_star_pair_rejects_zero_beta(self):
         with pytest.raises(ValueError):
@@ -107,22 +106,64 @@ class TestCoefficients:
         assert (coeffs.alpha_plus, coeffs.beta_plus) == (4, -1)
 
 
+def _e1e1_residuals(kx3, coeffs, g, sig, gp, sig_p):
+    """e1e1_residual_numerators over their stated denominators den^2 and den_p^2."""
+    left = over_common_denominator(coeffs.alpha, coeffs.beta)
+    right = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
+    numerators = e1e1_residual_numerators(kx3, left, right, g, sig, gp, sig_p)
+    assert all(type(n) is int for n in numerators)
+    return Fraction(numerators[0], left[2] ** 2), Fraction(numerators[1], right[2] ** 2)
+
+
+def _e1estar_residuals(kx3, coeffs, r, d, g, star_c):
+    """e1estar_residual_numerators over den^2, den, den_p^2 and den_p."""
+    left = over_common_denominator(coeffs.alpha, coeffs.beta)
+    right = over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus)
+    numerators = e1estar_residual_numerators(kx3, left, right, r, d, g, star_c)
+    assert all(type(n) is int for n in numerators)
+    den, den_p = left[2], right[2]
+    return tuple(map(Fraction, numerators, (den * den, den, den_p * den_p, den_p)))
+
+
+def _e1e1_fraction_residuals(kx3, coeffs, g, sig, gp, sig_p):
+    """The E1-E1 genus residuals, written out in plain Fractions."""
+    a, b = Fraction(coeffs.alpha), Fraction(coeffs.beta)
+    ap, bp = Fraction(coeffs.alpha_plus), Fraction(coeffs.beta_plus)
+    return (
+        a * a * kx3 + 2 * a * b * sig + b * b * (2 * g - 2) - (2 * gp - 2),
+        ap * ap * kx3 + 2 * ap * bp * sig_p + bp * bp * (2 * gp - 2) - (2 * g - 2),
+    )
+
+
+def _e1estar_fraction_residuals(kx3, coeffs, r, d, g, star_c):
+    """The E1-point residual system, written out in plain Fractions."""
+    a, b = Fraction(coeffs.alpha), Fraction(coeffs.beta)
+    ap, bp = Fraction(coeffs.alpha_plus), Fraction(coeffs.beta_plus)
+    sig = r * d + 2 - 2 * g
+    return (
+        a * a * (-kx3) - 2 * a * b * (r * d) + (2 - 2 * g) * (-2 * a * b + b * b) - 2,
+        a * kx3 + b * sig - star_c,
+        ap * ap * (-kx3) - 2 * ap * bp * star_c + 2 * bp * bp - (2 - 2 * g),
+        ap * kx3 + bp * star_c - sig,
+    )
+
+
 class TestResiduals:
     def test_e1e1_residuals_vanish_on_golden_data(self):
         coeffs = coeffs_e1e1(2, 1, 1, 3, 3)
-        assert e1e1_residuals(2, coeffs, 0, 3, 0, 3) == (0, 0)
+        assert _e1e1_residuals(2, coeffs, 0, 3, 0, 3) == (0, 0)
 
     def test_e1e1_residuals_detect_wrong_genus(self):
         coeffs = coeffs_e1e1(2, 1, 1, 3, 3)
-        assert e1e1_residuals(2, coeffs, 0, 3, 1, 3) == (-2, 2)
+        assert _e1e1_residuals(2, coeffs, 0, 3, 1, 3) == (-2, 2)
 
     def test_e1estar_residuals_vanish_on_golden_data(self):
         coeffs = coeffs_from_star_pair(5, -2)
-        assert e1estar_residuals(4, coeffs, 2, 12, 7, 4) == (0, 0, 0, 0)
+        assert _e1estar_residuals(4, coeffs, 2, 12, 7, 4) == (0, 0, 0, 0)
 
     def test_e1estar_residuals_detect_wrong_constant(self):
         coeffs = coeffs_from_star_pair(5, -2)
-        residuals = e1estar_residuals(4, coeffs, 2, 12, 7, 2)
+        residuals = _e1estar_residuals(4, coeffs, 2, 12, 7, 2)
         assert any(res != 0 for res in residuals)
 
 
@@ -155,8 +196,9 @@ class TestTransformCube:
 class TestBasisDecomposition:
     def test_worked_values(self):
         # Golden row 70's left side: alpha = 11/3, beta = -1/3 at r = 3.
-        assert basis_decomposition(Fraction(11, 3), Fraction(-1, 3), 3) == (11, -4)
-        assert basis_decomposition(Fraction(5, 2), Fraction(-1, 2), 2) == (5, -3)
+        # The numerators lie over the coefficients' common denominator: (11, -4) and (5, -3).
+        assert basis_decomposition_numerators(Fraction(11, 3), Fraction(-1, 3), 3) == (33, -12, 3)
+        assert basis_decomposition_numerators(Fraction(5, 2), Fraction(-1, 2), 2) == (10, -6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +215,7 @@ _genera = st.integers(min_value=0, max_value=39)
 def test_e1e1_closure_holds_identically(kx3, r, rp, d, g, dp, gp):
     """The closed-form coefficient set always satisfies the closure system."""
     coeffs = coeffs_e1e1(kx3, r, rp, sigma(r, d, g), sigma(rp, dp, gp))
-    assert coeffs.closure_residuals() == (0, 0, 0)
+    assert coeffs.closure_numerators() == (0, 0, 0)
 
 
 @given(_kx3, _indices, _indices, _degrees, _genera, _degrees, _genera)
@@ -188,7 +230,7 @@ def test_e1e1_residuals_are_antisymmetric(kx3, r, rp, d, g, dp, gp):
     """
     sig, sig_p = sigma(r, d, g), sigma(rp, dp, gp)
     coeffs = coeffs_e1e1(kx3, r, rp, sig, sig_p)
-    res1, res2 = e1e1_residuals(kx3, coeffs, g, sig, gp, sig_p)
+    res1, res2 = _e1e1_residuals(kx3, coeffs, g, sig, gp, sig_p)
     assert r * r * res1 + rp * rp * res2 == 0
     assert (res1 == 0) == (res2 == 0)
 
@@ -198,12 +240,12 @@ def test_e1e1_symmetric_residuals_vanish(kx3, r, d, g):
     """A side paired with itself always solves the genus system exactly."""
     sig = sigma(r, d, g)
     coeffs = coeffs_e1e1(kx3, r, r, sig, sig)
-    assert e1e1_residuals(kx3, coeffs, g, sig, g, sig) == (0, 0)
+    assert _e1e1_residuals(kx3, coeffs, g, sig, g, sig) == (0, 0)
 
 
 @given(_kx3, st.integers(min_value=1, max_value=86), st.integers(min_value=-4, max_value=-1))
 def test_star_pair_closure_holds_identically(kx3, ap, bp):
-    assert coeffs_from_star_pair(ap, bp).closure_residuals() == (0, 0, 0)
+    assert coeffs_from_star_pair(ap, bp).closure_numerators() == (0, 0, 0)
 
 
 @given(
@@ -224,9 +266,9 @@ def test_e1estar_numerators_on_the_star_pair_box(kx3, r, d, g, ap, bp, star_c):
     coeffs = coeffs_from_star_pair(ap, bp)
     assert over_common_denominator(coeffs.alpha, coeffs.beta) == (ap, -1, -bp)
     assert over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus) == (ap, bp, 1)
-    res1, res2, res3, res4 = e1estar_residuals(kx3, coeffs, r, d, g, star_c)
-    numerators = e1estar_residual_numerators(kx3, (ap, -1, -bp), (ap, bp, 1), r, d, g, star_c)
-    assert numerators == (res1 * bp * bp, res2 * -bp, res3, res4)
+    n1, n2, n3, n4 = e1estar_residual_numerators(kx3, (ap, -1, -bp), (ap, bp, 1), r, d, g, star_c)
+    residuals = (Fraction(n1, bp * bp), Fraction(n2, -bp), n3, n4)
+    assert residuals == _e1estar_fraction_residuals(kx3, coeffs, r, d, g, star_c)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +314,12 @@ def test_defect_matches_the_fraction_expression(e3self, etilde3):
 
 @given(_wide_rationals, _wide_rationals, _wide_ints)
 def test_basis_decomposition_matches_the_fraction_expression(alpha, beta, r):
-    lead, diff = basis_decomposition(alpha, beta, r)
-    assert (lead, diff) == (Fraction(alpha) * r, Fraction(beta) - Fraction(alpha))
-    assert _is_reduced_rational(lead) and _is_reduced_rational(diff)
+    lead, diff, den = basis_decomposition_numerators(alpha, beta, r)
+    assert type(lead) is int and type(diff) is int and den > 0
+    assert (Fraction(lead, den), Fraction(diff, den)) == (
+        Fraction(alpha) * r,
+        Fraction(beta) - Fraction(alpha),
+    )
 
 
 @given(_nonzero_ints, _nonzero_ints, _nonzero_ints, _wide_ints, _wide_ints)
@@ -290,28 +335,11 @@ def test_coeffs_e1e1_matches_the_fraction_expression(kx3, r, rp, sig, sig_p):
 
 @given(_wide_ints, _coefficient_sets, _wide_ints, _wide_ints, _wide_ints, _wide_ints)
 def test_e1e1_residuals_match_the_fraction_expression(kx3, coeffs, g, sig, gp, sig_p):
-    a, b = Fraction(coeffs.alpha), Fraction(coeffs.beta)
-    ap, bp = Fraction(coeffs.alpha_plus), Fraction(coeffs.beta_plus)
-    expected = (
-        a * a * kx3 + 2 * a * b * sig + b * b * (2 * g - 2) - (2 * gp - 2),
-        ap * ap * kx3 + 2 * ap * bp * sig_p + bp * bp * (2 * gp - 2) - (2 * g - 2),
-    )
-    residuals = e1e1_residuals(kx3, coeffs, g, sig, gp, sig_p)
-    assert residuals == expected
-    assert all(_is_reduced_rational(res) for res in residuals)
+    expected = _e1e1_fraction_residuals(kx3, coeffs, g, sig, gp, sig_p)
+    assert _e1e1_residuals(kx3, coeffs, g, sig, gp, sig_p) == expected
 
 
 @given(_wide_ints, _coefficient_sets, _wide_ints, _wide_ints, _wide_ints, _wide_ints)
 def test_e1estar_residuals_match_the_fraction_expression(kx3, coeffs, r, d, g, star_c):
-    a, b = Fraction(coeffs.alpha), Fraction(coeffs.beta)
-    ap, bp = Fraction(coeffs.alpha_plus), Fraction(coeffs.beta_plus)
-    sig = r * d + 2 - 2 * g
-    expected = (
-        a * a * (-kx3) - 2 * a * b * (r * d) + (2 - 2 * g) * (-2 * a * b + b * b) - 2,
-        a * kx3 + b * sig - star_c,
-        ap * ap * (-kx3) - 2 * ap * bp * star_c + 2 * bp * bp - (2 - 2 * g),
-        ap * kx3 + bp * star_c - sig,
-    )
-    residuals = e1estar_residuals(kx3, coeffs, r, d, g, star_c)
-    assert residuals == expected
-    assert all(_is_reduced_rational(res) for res in residuals)
+    expected = _e1estar_fraction_residuals(kx3, coeffs, r, d, g, star_c)
+    assert _e1estar_residuals(kx3, coeffs, r, d, g, star_c) == expected

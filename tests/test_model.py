@@ -114,12 +114,12 @@ class TestFlopCoefficients:
         coeffs = FlopCoefficients(
             Fraction(11, 3), Fraction(-1, 3), Fraction(11), Fraction(-3)
         )
-        assert coeffs.closure_residuals() == (0, 0, 0)
+        assert coeffs.closure_numerators() == (0, 0, 0)
         assert coeffs.all_nonzero()
 
     def test_closure_residuals_flag_inconsistency(self):
         coeffs = FlopCoefficients(Fraction(3), Fraction(-1), Fraction(4), Fraction(-1))
-        assert any(res != 0 for res in coeffs.closure_residuals())
+        assert any(coeffs.closure_numerators())
 
     @given(
         st.lists(
@@ -133,10 +133,13 @@ class TestFlopCoefficients:
     )
     def test_closure_residuals_match_the_fraction_expression(self, values):
         # Denominators far beyond the search's 1..88, and plain ints.
+        # The numerators lie over db*dbp, da*db*dap and dap*dbp*da.
         a, b, ap, bp = map(Fraction, values)
-        residuals = FlopCoefficients(*values).closure_residuals()
+        numerators = FlopCoefficients(*values).closure_numerators()
+        assert all(type(n) is int for n in numerators)
+        da, db, dap, dbp = a.denominator, b.denominator, ap.denominator, bp.denominator
+        residuals = tuple(map(Fraction, numerators, (db * dbp, da * db * dap, dap * dbp * da)))
         assert residuals == (b * bp - 1, a + b * ap, ap + bp * a)
-        assert all(isinstance(res, (Fraction, int)) for res in residuals)
 
     def test_all_nonzero_rejects_zero_coefficient(self):
         coeffs = FlopCoefficients(Fraction(0), Fraction(-1), Fraction(0), Fraction(-1))

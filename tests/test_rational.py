@@ -1,14 +1,17 @@
-"""Exact rationals: the 64-bit guard, predicates, rendering, parsing."""
+"""Exact rationals: the 64-bit guard, predicates, rendering, parsing, no floats."""
 
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fanolink
 from fanolink.rational import (
     INT64_LIMIT,
     RationalOverflowError,
@@ -132,3 +135,19 @@ def test_over_common_denominator(x, y):
     m, n, d = over_common_denominator(x, y)
     assert (Fraction(m, d), Fraction(n, d)) == (x, y)
     assert d == math.lcm(Fraction(x).denominator, Fraction(y).denominator)
+
+
+def test_no_float_literal_or_float_name_in_the_package():
+    """The no-floats contract, read statically off every module of the package.
+
+    A float (or complex) literal, or any use of the name ``float``, fails;
+    text in strings and comments does not count.
+    """
+    found = []
+    for path in sorted(Path(fanolink.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{path.name}:{node.lineno}: name float")
+    assert found == []

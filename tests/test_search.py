@@ -9,7 +9,7 @@ from hashlib import sha256
 import pytest
 
 from fanolink import search
-from fanolink.catalog import is_valid_fano_degree
+from fanolink.catalog import FANO_DEGREES, is_valid_fano_degree
 from fanolink.checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
@@ -19,7 +19,7 @@ from fanolink.checks import (
     admitted,
     run_checks,
 )
-from fanolink.formulas import ky3_from_kx3, sigma
+from fanolink.formulas import ky3_from_kx3, sigma, star_sigma
 from fanolink.golden import candidate_key, diff
 from fanolink.model import ContractionType, Shape, SideData, family_spec
 from fanolink.rational import RationalOverflowError
@@ -142,6 +142,40 @@ class TestConstants:
         assert G_MAX == {1: 10, 2: 20, 3: 29, 4: 39}
         assert MAX_ALPHA_PLUS == 86
         assert ORACLE_NUMERATOR_BOUND == 360
+
+    def test_search_box_covers_the_derived_bounds(self):
+        # An admitted E1 side passes SIGMA_POS, sigma >= E1_SIGMA_MIN, and
+        # its FANO_DEGREE check: kY3 = kx3 + r*d + sigma is a Fano degree of
+        # index r.  With kx3 >= 2 that gives r*d <= max degree - 2 - 3, and
+        # then 2g = r*d + 2 - sigma <= r*d - 1 bounds the genus.
+        kx3_min, top = min(KX3_VALUES), {r: max(degrees) for r, degrees in FANO_DEGREES.items()}
+        d_bound = {r: (top[r] - kx3_min - E1_SIGMA_MIN) // r for r in top}
+        g_bound = {r: (r * d_bound[r] + 2 - E1_SIGMA_MIN) // 2 for r in top}
+        assert d_bound == {1: 17, 2: 17, 3: 16, 4: 14}
+        assert g_bound == {1: 8, 2: 16, 3: 23, 4: 27}
+        assert D_MAX >= max(d_bound.values())
+        assert all(G_MAX[r] >= g_bound[r] for r in top)
+        # E1-point: alpha_plus*kx3 = sigma - beta_plus*c with beta_plus >= -r,
+        # c the point-side constant, and sigma = kY3 - kx3 - r*d <= top - kx3 - r
+        # (d >= 1); the bound falls with kx3.  Symmetric: alpha*kx3 = 2c.
+        point_c = [star_sigma(t) for t in ContractionType if t is not ContractionType.E1]
+        ap_bound = max((top[r] - kx3_min - r + r * c) // kx3_min for r in top for c in point_c)
+        assert ap_bound == 37
+        assert MAX_ALPHA_PLUS >= max(ap_bound, 2 * max(point_c) // kx3_min)
+
+    def test_enlarged_box_gives_the_same_rows(self, enumerated, monkeypatch):
+        # D_MAX 30 and every G_MAX doubled; the side lists are rebuilt from it.
+        grid = {
+            r: tuple((d, g) for d in range(1, 31) for g in range(2 * G_MAX[r] + 1)) for r in G_MAX
+        }
+        search._pruned_sides.cache_clear()
+        monkeypatch.setattr(search, "_SIDE_GRID", grid)
+        try:
+            out = {family: enumerate_family(family) for family in FAMILY_IDS}
+        finally:
+            search._pruned_sides.cache_clear()
+        assert out == enumerated
+        assert sum(map(len, out.values())) == 134
 
     def test_family_ids(self):
         assert FAMILY_IDS == ("e1e1", "e1e2", "e1e3", "e1e5", "e2e2", "e3e3", "e5e5")
@@ -481,22 +515,24 @@ class TestOracle:
             brute_force_oracle("nope")
 
     def test_oracle_skips_exactly_the_sides_fano_degree_left_rejects(self):
-        # FANO_DEGREE_LEFT reads the left side alone, so its verdict against
-        # one fixed right side is its verdict on every candidate of the side.
+        # SIGMA_POS and FANO_DEGREE_LEFT read the left side alone (the fixed
+        # right side (1, 1, 0) has excess 3, so SIGMA_POS passes it), so
+        # their verdict against it is their verdict on every candidate of
+        # the left side.
         kept = {(kx3, r, d, g): sig for kx3, r, d, g, sig in search._oracle_left_sides()}
-        only_left = frozenset({"FANO_DEGREE_LEFT"})
-        scanned = 0
+        left_checks = frozenset({"SIGMA_POS", "FANO_DEGREE_LEFT"})
+        verdicts = Counter()
         for kx3 in KX3_VALUES:
             for r, grid in search._SIDE_GRID.items():
                 for d, g in grid:
-                    if sigma(r, d, g) <= 0:
-                        continue
-                    scanned += 1
                     c = build_e1e1(kx3, (r, d, g), (1, 1, 0))
-                    passes = admitted(run_checks(c, only_left))
+                    passes = admitted(run_checks(c, left_checks))
                     assert passes == ((kx3, r, d, g) in kept), (kx3, r, d, g)
+                    verdicts[passes, sigma(r, d, g) >= E1_SIGMA_MIN] += 1
         assert all(sig == sigma(r, d, g) for (_, r, d, g), sig in kept.items())
-        assert 0 < len(kept) < scanned
+        # Both checks skip sides: some with excess >= 3 fail on the degree.
+        assert verdicts[True, True] == len(kept) > 0
+        assert verdicts[False, True] > 0 and verdicts[False, False] > 0
 
     def test_oracle_skips_exactly_the_right_sides_fano_degree_right_rejects(self, monkeypatch):
         # FANO_DEGREE_RIGHT reads kx3 and the right side alone.  The E1-E1
@@ -515,13 +551,38 @@ class TestOracle:
         with_skip = search._oracle_e1e1()
         kept = list(derived)
         derived.clear()
-        monkeypatch.setattr(search, "_oracle_degree_ok", lambda *side: True)
+        monkeypatch.setattr(search, "_e1_degree_ok", lambda *side: True)
         assert search._oracle_e1e1() == with_skip
         skipped = set(derived) - set(kept)
         for kx3, left, right in derived:
             passes = admitted(run_checks(build_e1e1(kx3, left, right), {"FANO_DEGREE_RIGHT"}))
             assert passes == ((kx3, left, right) not in skipped), (kx3, left, right)
-        assert (len(derived), len(kept), len(skipped)) == (1443, 761, 682)
+        assert (len(derived), len(kept), len(skipped)) == (1090, 515, 575)
+
+    def test_oracle_skips_only_right_sides_sigma_pos_rejects(self, monkeypatch):
+        # SIGMA_POS reads the two sides alone.  With its floor lowered to 1
+        # (any positive excess) the E1-E1 oracle solves more right sides
+        # over the same left sides; every one it solves only then must fail
+        # SIGMA_POS, and the admitted set must not change.
+        lefts = tuple(search._oracle_left_sides())
+        monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
+        derived = []
+
+        def recording_build(kx3, left, right):
+            derived.append((kx3, left, right))
+            return build_e1e1(kx3, left, right)
+
+        monkeypatch.setattr(search, "build_e1e1", recording_build)
+        with_skip = search._oracle_e1e1()
+        kept = set(derived)
+        derived.clear()
+        monkeypatch.setattr(search, "E1_SIGMA_MIN", 1)
+        assert search._oracle_e1e1() == with_skip
+        assert kept < set(derived)
+        for kx3, left, right in set(derived) - kept:
+            assert sigma(*right) < E1_SIGMA_MIN
+            c = build_e1e1(kx3, left, right)
+            assert not admitted(run_checks(c, {"SIGMA_POS"})), (kx3, left, right)
 
 
 class TestEmittedCandidates:
