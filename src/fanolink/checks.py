@@ -7,32 +7,34 @@ throw: a condition that cannot be evaluated (for example a Hodge lookup
 for a degree outside the catalog, reachable when earlier checks are
 disabled) becomes a failing report with a reason, not an exception.
 
-Each check is a verdict and a description.  The verdict, ``passes``,
-decides from the candidate's fields by integer arithmetic and comparisons:
-it formats no text and builds no Fraction.  The description, ``describe``, writes the report's
-detail text, and a report calls it only when its ``detail`` is read (the
-search reads only names and verdicts; ``explain`` prints the details).
+Each check is a verdict and a description, both read from a candidate's
+integer record (model.CandidateRecord).  The verdict, ``passes``, decides
+by integer arithmetic and comparisons: it formats no text and builds no
+Fraction.  The description, ``describe``, writes the report's detail text,
+and a report calls it only when its ``detail`` is read (the search reads
+only names and verdicts; ``explain`` prints the details).
 
 A candidate is admitted when every enabled check passes.  Disabling checks
 can only widen the admitted set (each check is a pure predicate on the
-candidate), which the property tests exercise.
+record), which the property tests exercise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import catalog
 from .formulas import (
     basis_decomposition_numerators,
+    closure_numerators,
     e1e1_residual_numerators,
     e1estar_residual_numerators,
 )
-from .model import LinkCandidate, SideData
-from .rational import is_integer, over_common_denominator
+from .model import CandidateRecord, LinkCandidate, Pair, SideData
 
 # The central-degree domain: even, 2..22.  It is also the search range.
 KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
@@ -41,15 +43,15 @@ MAX_ALPHA_PLUS = 86
 
 
 class CheckReport(NamedTuple):
-    """One check's verdict on a candidate; its detail text is written when read."""
+    """One check's verdict on a candidate record; its detail text is written when read."""
 
     name: str
     passed: bool
-    candidate: LinkCandidate
+    record: CandidateRecord
 
     @property
     def detail(self) -> str:
-        return REGISTRY[self.name].describe(self.candidate)
+        return REGISTRY[self.name].describe(self.record)
 
 
 # Minimum anticanonical excess on a blown-up-curve side.  The base-point-free
@@ -78,29 +80,28 @@ def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
     return f"target degree {ky3} at index {index}"
 
 
-def _residuals(c: LinkCandidate) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _residuals(rec: CandidateRecord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The residual system as (numerators, their positive denominators), by shape.
 
     A family's curve side, if any, is the left one.  Star-star: each
     coefficient satisfies the symmetric degree relation, alpha*kx3 - 2*sigma
-    over alpha's denominator on each side.  A residual vanishes exactly
+    over its pair's denominator on each side.  A residual vanishes exactly
     when its numerator does.
     """
-    co = c.coeffs
-    if not c.left.is_e1:
-        na, da = co.alpha.as_integer_ratio()
-        nap, dap = co.alpha_plus.as_integer_ratio()
-        numerators = (na * c.kx3 - 2 * c.sigma_left * da, nap * c.kx3 - 2 * c.sigma_right * dap)
-        return numerators, (da, dap)
-    left = over_common_denominator(co.alpha, co.beta)
-    right = over_common_denominator(co.alpha_plus, co.beta_plus)
-    den, den_p = left[2], right[2]
-    if c.right.is_e1:
+    pair, pair_plus, left = rec.pair, rec.pair_plus, rec.left
+    den, den_p = pair[2], pair_plus[2]
+    if not left.is_e1:
+        numerators = (
+            pair[0] * rec.kx3 - 2 * rec.sigma_left * den,
+            pair_plus[0] * rec.kx3 - 2 * rec.sigma_right * den_p,
+        )
+        return numerators, (den, den_p)
+    if rec.right.is_e1:
         return e1e1_residual_numerators(
-            c.kx3, left, right, c.left.g, c.sigma_left, c.right.g, c.sigma_right
+            rec.kx3, pair, pair_plus, left.g, rec.sigma_left, rec.right.g, rec.sigma_right
         ), (den * den, den_p * den_p)
     return e1estar_residual_numerators(
-        c.kx3, left, right, c.left.r, c.left.d, c.left.g, c.sigma_right
+        rec.kx3, pair, pair_plus, left.r, left.d, left.g, rec.sigma_right
     ), (den * den, den, den_p * den_p, den_p)
 
 
@@ -108,79 +109,93 @@ def _ratios(numerators: Iterable[int], denominators: Iterable[int]) -> str:
     return ", ".join(str(Fraction(n, d)) for n, d in zip(numerators, denominators))
 
 
-def _coeff_relations_detail(c: LinkCandidate) -> str:
-    co = c.coeffs
-    da, db = co.alpha.denominator, co.beta.denominator
-    dap, dbp = co.alpha_plus.denominator, co.beta_plus.denominator
-    denominators = (db * dbp, da * db * dap, dap * dbp * da)
-    detail = "closure " + _ratios(co.closure_numerators(), denominators)
-    if not co.all_nonzero():
+def _fractions(pair: Pair) -> tuple[Fraction, Fraction]:
+    a, b, den = pair
+    return Fraction(a, den), Fraction(b, den)
+
+
+def _coeff_relations(rec: CandidateRecord) -> bool:
+    pair, pair_plus = rec.pair, rec.pair_plus
+    return not any(closure_numerators(pair, pair_plus)) and 0 not in (*pair[:2], *pair_plus[:2])
+
+
+def _coeff_relations_detail(rec: CandidateRecord) -> str:
+    den = rec.pair[2] * rec.pair_plus[2]
+    detail = "closure " + _ratios(closure_numerators(rec.pair, rec.pair_plus), (den, den, den))
+    if 0 in (*rec.pair[:2], *rec.pair_plus[:2]):
         detail += "; some coefficient is zero"
     return detail
 
 
-def _primitive(side: SideData, alpha: Fraction, beta: Fraction) -> bool:
+def _primitive(side: SideData, pair: Pair) -> bool:
     """Primitivity of the flopped divisor in an E1 side's integral basis.
 
     Both coefficients of its basis decomposition, lead/den and diff/den,
     must be integers with trivial common divisor: together, exactly when
-    gcd(lead, diff) == den.  A point-type side has no such constraint.
+    gcd(lead, diff) == den (den > 0).  A point-type side has no such
+    constraint.
     """
     if not side.is_e1:
         return True
-    lead, diff, den = basis_decomposition_numerators(alpha, beta, side.r)
+    lead, diff, den = basis_decomposition_numerators(pair, side.r)
     return math.gcd(lead, diff) == den
 
 
-def _primitive_detail(role: str, side: SideData, alpha: Fraction, beta: Fraction) -> str:
+def _primitive_detail(role: str, side: SideData, pair: Pair) -> str:
     if not side.is_e1:
         return f"{role} side is not E1; no primitivity constraint"
-    lead, diff, den = basis_decomposition_numerators(alpha, beta, side.r)
+    lead, diff, den = basis_decomposition_numerators(pair, side.r)
     if lead % den or diff % den:
         return f"non-integral decomposition ({Fraction(lead, den)}, {Fraction(diff, den)})"
     lead, diff = lead // den, diff // den
     return f"decomposition ({lead}, {diff}), gcd {math.gcd(lead, diff)}"
 
 
-def _point_side_pairs(c: LinkCandidate) -> list[tuple[str, Fraction, Fraction]]:
+def _point_side_pairs(rec: CandidateRecord) -> list[tuple[str, Pair]]:
     pairs = []
-    if not c.left.is_e1:
-        pairs.append(("left", c.coeffs.alpha, c.coeffs.beta))
-    if not c.right.is_e1:
-        pairs.append(("right", c.coeffs.alpha_plus, c.coeffs.beta_plus))
+    if not rec.left.is_e1:
+        pairs.append(("left", rec.pair))
+    if not rec.right.is_e1:
+        pairs.append(("right", rec.pair_plus))
     return pairs
 
 
-def _coeff_integrality_detail(c: LinkCandidate) -> str:
-    pairs = _point_side_pairs(c)
+def _integral_pair(pair: Pair) -> bool:
+    a, b, den = pair
+    return a % den == 0 and b % den == 0
+
+
+def _coeff_integrality_detail(rec: CandidateRecord) -> str:
+    pairs = _point_side_pairs(rec)
     if not pairs:
         return "no point-type side; integrality not required"
-    bad = [
-        f"{side} ({a}, {b})" for side, a, b in pairs if not (is_integer(a) and is_integer(b))
-    ]
+    shown = {side: "({}, {})".format(*_fractions(pair)) for side, pair in pairs}
+    bad = [f"{side} {shown[side]}" for side, pair in pairs if not _integral_pair(pair)]
     if bad:
         return "non-integral point-side coefficients: " + "; ".join(bad)
     return "point-side coefficients integral: " + "; ".join(
-        f"{side} ({a}, {b})" for side, a, b in pairs
+        f"{side} {text}" for side, text in shown.items()
     )
 
 
-def _positive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x.numerator > 0
+def _defect_positive(rec: CandidateRecord) -> bool:
+    (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
+    positive = num_left > 0 and num_right > 0
+    return positive and num_left % den_left == 0 and num_right % den_right == 0
 
 
-def _defect_divisible(c: LinkCandidate) -> bool:
+def _defect_divisible(rec: CandidateRecord) -> bool:
     # e / scale is an integer exactly when scale * den(e) divides num(e).
-    e, e_plus = c.defect_left, c.defect_right
-    norm_left, rem_left = divmod(e.numerator, c.left.cube_scale * e.denominator)
-    norm_right, rem_right = divmod(e_plus.numerator, c.right.cube_scale * e_plus.denominator)
+    (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
+    norm_left, rem_left = divmod(num_left, rec.left.cube_scale * den_left)
+    norm_right, rem_right = divmod(num_right, rec.right.cube_scale * den_right)
     return rem_left == 0 and rem_right == 0 and norm_left == norm_right
 
 
-def _defect_divisible_detail(c: LinkCandidate) -> str:
-    scale_left, scale_right = c.left.cube_scale, c.right.cube_scale
-    norm_left = c.defect_left / scale_left
-    norm_right = c.defect_right / scale_right
+def _defect_divisible_detail(rec: CandidateRecord) -> str:
+    scale_left, scale_right = rec.left.cube_scale, rec.right.cube_scale
+    norm_left = Fraction(rec.defect_left[0], rec.defect_left[1] * scale_left)
+    norm_right = Fraction(rec.defect_right[0], rec.defect_right[1] * scale_right)
     return f"normalized defects {norm_left} (left/{scale_left}), {norm_right} (right/{scale_right})"
 
 
@@ -189,64 +204,66 @@ def _hodge_sum(side: SideData, ky3: Fraction | int) -> int:
     return value + (side.g if side.is_e1 else 0)
 
 
-def _hodge(c: LinkCandidate) -> bool:
-    if c.left.target_index is None or c.right.target_index is None:
+def _hodge(rec: CandidateRecord) -> bool:
+    if rec.left.target_index is None or rec.right.target_index is None:
         return True
     try:
-        return _hodge_sum(c.left, c.kY3_left) == _hodge_sum(c.right, c.kY3_right)
+        return _hodge_sum(rec.left, rec.kY3_left) == _hodge_sum(rec.right, rec.kY3_right)
     except ValueError:
         return False
 
 
-def _hodge_detail(c: LinkCandidate) -> str:
-    if c.left.target_index is None or c.right.target_index is None:
+def _hodge_detail(rec: CandidateRecord) -> str:
+    if rec.left.target_index is None or rec.right.target_index is None:
         return "a target is singular; Hodge balance not applicable"
     try:
-        lhs = _hodge_sum(c.left, c.kY3_left)
-        rhs = _hodge_sum(c.right, c.kY3_right)
+        lhs = _hodge_sum(rec.left, rec.kY3_left)
+        rhs = _hodge_sum(rec.right, rec.kY3_right)
     except ValueError as exc:
         return f"Hodge lookup failed: {exc}"
     return f"curve-corrected h12: {lhs} vs {rhs}"
 
 
-def _hyperelliptic_sym_detail(c: LinkCandidate) -> str:
-    if c.kx3 != 2:
+def _hyperelliptic_sym_detail(rec: CandidateRecord) -> str:
+    if rec.kx3 != 2:
         return "central degree above 2; symmetry not forced"
-    return f"degree-2 link sides {'equal' if c.left == c.right else 'differ'}"
+    return f"degree-2 link sides {'equal' if rec.left == rec.right else 'differ'}"
 
 
-def _alpha_plus_bound(c: LinkCandidate) -> bool:
-    if c.left.is_e1 and c.right.is_e1:
+def _alpha_plus_bound(rec: CandidateRecord) -> bool:
+    if rec.left.is_e1 and rec.right.is_e1:
         return True
-    num, den = c.coeffs.alpha_plus.as_integer_ratio()
-    return 0 < num <= MAX_ALPHA_PLUS * den
+    ap, _, den_p = rec.pair_plus
+    return 0 < ap <= MAX_ALPHA_PLUS * den_p
 
 
-def _alpha_plus_bound_detail(c: LinkCandidate) -> str:
-    if c.left.is_e1 and c.right.is_e1:
+def _alpha_plus_bound_detail(rec: CandidateRecord) -> str:
+    if rec.left.is_e1 and rec.right.is_e1:
         return "both sides E1; no point-side coefficient bound"
-    return f"alpha_plus = {c.coeffs.alpha_plus}, bound (0, {MAX_ALPHA_PLUS}]"
+    alpha_plus = _fractions(rec.pair_plus)[0]
+    return f"alpha_plus = {alpha_plus}, bound (0, {MAX_ALPHA_PLUS}]"
 
 
-def _beta_plus_range(c: LinkCandidate) -> bool:
-    co = c.coeffs
-    if c.left.is_e1 and c.right.is_e1:
+def _beta_plus_range(rec: CandidateRecord) -> bool:
+    if rec.left.is_e1 and rec.right.is_e1:
         return True
-    if c.left.is_e1:
-        bp = co.beta_plus
-        return bp.denominator == 1 and -c.left.r <= bp.numerator <= -1
-    return co.beta == -1 and co.beta_plus == -1 and co.alpha == co.alpha_plus
+    a, b, den = rec.pair
+    ap, bp, den_p = rec.pair_plus
+    if rec.left.is_e1:
+        return bp % den_p == 0 and -rec.left.r <= bp // den_p <= -1
+    return b == -den and bp == -den_p and a * den_p == ap * den
 
 
-def _beta_plus_range_detail(c: LinkCandidate) -> str:
-    co = c.coeffs
-    if c.left.is_e1 and c.right.is_e1:
+def _beta_plus_range_detail(rec: CandidateRecord) -> str:
+    if rec.left.is_e1 and rec.right.is_e1:
         return "both sides E1; range fixed by the index ratio"
-    if c.left.is_e1:
-        return f"beta_plus = {co.beta_plus}, required integer in [-{c.left.r}, -1]"
+    alpha, beta = _fractions(rec.pair)
+    alpha_plus, beta_plus = _fractions(rec.pair_plus)
+    if rec.left.is_e1:
+        return f"beta_plus = {beta_plus}, required integer in [-{rec.left.r}, -1]"
     return (
-        f"symmetric coefficients alpha={co.alpha}, alpha_plus={co.alpha_plus}, "
-        f"beta={co.beta}, beta_plus={co.beta_plus}"
+        f"symmetric coefficients alpha={alpha}, alpha_plus={alpha_plus}, "
+        f"beta={beta}, beta_plus={beta_plus}"
     )
 
 
@@ -254,8 +271,8 @@ class Check(NamedTuple):
     """A registry entry: what the check demands, its verdict and its detail text."""
 
     description: str
-    passes: Callable[[LinkCandidate], bool]
-    describe: Callable[[LinkCandidate], str]
+    passes: Callable[[CandidateRecord], bool]
+    describe: Callable[[CandidateRecord], str]
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -288,33 +305,35 @@ REGISTRY: dict[str, Check] = {
     ),
     "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
-        lambda c: not any(c.coeffs.closure_numerators()) and c.coeffs.all_nonzero(),
+        _coeff_relations,
         _coeff_relations_detail,
     ),
     "ETILDE_INTEGRAL": Check(
         "both flopped divisor cubes are integers",
-        lambda c: is_integer(c.etilde3_left) and is_integer(c.etilde3_right),
-        lambda c: f"transform cubes {c.etilde3_left}, {c.etilde3_right}",
+        lambda c: c.etilde3_left[0] % c.etilde3_left[1] == 0
+        and c.etilde3_right[0] % c.etilde3_right[1] == 0,
+        lambda c: f"transform cubes {Fraction(*c.etilde3_left)}, {Fraction(*c.etilde3_right)}",
     ),
     "GCD_LEFT": Check(
         "left-basis decomposition of the flopped divisor is primitive",
-        lambda c: _primitive(c.left, c.coeffs.alpha, c.coeffs.beta),
-        lambda c: _primitive_detail("left", c.left, c.coeffs.alpha, c.coeffs.beta),
+        lambda c: _primitive(c.left, c.pair),
+        lambda c: _primitive_detail("left", c.left, c.pair),
     ),
     "GCD_RIGHT": Check(
         "right-basis decomposition of the flopped divisor is primitive",
-        lambda c: _primitive(c.right, c.coeffs.alpha_plus, c.coeffs.beta_plus),
-        lambda c: _primitive_detail("right", c.right, c.coeffs.alpha_plus, c.coeffs.beta_plus),
+        lambda c: _primitive(c.right, c.pair_plus),
+        lambda c: _primitive_detail("right", c.right, c.pair_plus),
     ),
     "COEFF_INTEGRALITY": Check(
         "point-side coefficients are integers",
-        lambda c: all(is_integer(a) and is_integer(b) for _, a, b in _point_side_pairs(c)),
+        lambda c: (c.left.is_e1 or _integral_pair(c.pair))
+        and (c.right.is_e1 or _integral_pair(c.pair_plus)),
         _coeff_integrality_detail,
     ),
     "DEFECT_POSITIVE": Check(
         "both flop defects are positive integers",
-        lambda c: _positive_integer(c.defect_left) and _positive_integer(c.defect_right),
-        lambda c: f"defects {c.defect_left}, {c.defect_right}",
+        _defect_positive,
+        lambda c: f"defects {Fraction(*c.defect_left)}, {Fraction(*c.defect_right)}",
     ),
     "DEFECT_DIVISIBLE": Check(
         "defects agree after dividing by the index cubes",
@@ -353,30 +372,35 @@ def validate_check_ids(names: Iterable[str]) -> None:
 
 
 @functools.cache
-def _plan(enabled: frozenset[str]) -> tuple[tuple[str, Callable[[LinkCandidate], bool]], ...]:
-    """The enabled checks' (name, passes) in registry order, validated once per set."""
+def _plan(enabled: frozenset[str]) -> dict[str, Callable[[CandidateRecord], bool]]:
+    """The enabled checks' verdicts by name, in registry order, validated once per set."""
     validate_check_ids(enabled)
-    return tuple((name, check.passes) for name, check in REGISTRY.items() if name in enabled)
+    return {name: check.passes for name, check in REGISTRY.items() if name in enabled}
 
 
 def run_checks(
-    candidate: LinkCandidate,
+    candidate: CandidateRecord | LinkCandidate,
     enabled: frozenset[str] = DEFAULT_CHECKS,
     short_circuit: bool = False,
 ) -> tuple[CheckReport, ...]:
-    """Evaluate the enabled checks in registry order.
+    """Evaluate the enabled checks in registry order on a record.
 
-    With short_circuit the evaluation stops after the first failure (the
-    admission verdict is unchanged; only trailing reports are omitted).
+    A LinkCandidate is read through its record view.  With short_circuit
+    the evaluation stops at the first failure and reports it alone, so an
+    admitted record gets no reports; the admission verdict is the same.
     """
-    reports: list[CheckReport] = []
-    for name, passes in _plan(frozenset(enabled)):
-        passed = passes(candidate)
-        reports.append(CheckReport(name, passed, candidate))
-        if short_circuit and not passed:
-            break
-    return tuple(reports)
+    record = candidate.record if isinstance(candidate, LinkCandidate) else candidate
+    plan = _plan(frozenset(enabled))
+    if short_circuit:
+        for name, passes in plan.items():
+            if not passes(record):
+                return (CheckReport(name, False, record),)
+        return ()
+    return tuple(CheckReport(name, passes(record), record) for name, passes in plan.items())
+
+
+_passed = operator.attrgetter("passed")
 
 
 def admitted(reports: Iterable[CheckReport]) -> bool:
-    return all(report.passed for report in reports)
+    return all(map(_passed, reports))

@@ -181,8 +181,19 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    # Every number printed below is held to the 64-bit contract first.
     try:
-        candidate = _resolve_explain_target(args.family, args.key)
+        candidate = search_mod.audit_candidate(_resolve_explain_target(args.family, args.key))
+        record = candidate.record
+        decompositions = []
+        for role, side, pair, plus in (
+            ("left", candidate.left, record.pair, ""),
+            ("right", candidate.right, record.pair_plus, "_plus"),
+        ):
+            if side.is_e1:
+                lead, diff_term, den = basis_decomposition_numerators(pair, side.r)
+                values = (Fraction(lead, den), Fraction(diff_term, den))
+                decompositions.append((role, plus, tuple(map(audit_magnitude, values))))
     except (ValueError, RationalOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -213,18 +224,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     norm = candidate.e_over_r3
     norm_text = "non-integral" if norm is None else render_exact(norm)
     print(f"defects: e={defect_left}, e_plus={defect_right}, e/r^3={norm_text}")
-    for role, side, alpha, beta, plus in (
-        ("left", candidate.left, coeffs.alpha, coeffs.beta, ""),
-        ("right", candidate.right, coeffs.alpha_plus, coeffs.beta_plus, "_plus"),
-    ):
-        if side.is_e1:
-            lead, diff_term, den = basis_decomposition_numerators(alpha, beta, side.r)
-            print(
-                f"{role}-basis decomposition (alpha{plus}*r{plus}, beta{plus}-alpha{plus}): "
-                f"({render_exact(Fraction(lead, den))}, {render_exact(Fraction(diff_term, den))})"
-            )
+    for role, plus, (lead, diff_term) in decompositions:
+        print(
+            f"{role}-basis decomposition (alpha{plus}*r{plus}, beta{plus}-alpha{plus}): "
+            f"({render_exact(lead)}, {render_exact(diff_term)})"
+        )
     print("checks:")
-    reports = checks_mod.run_checks(candidate)
+    reports = checks_mod.run_checks(record)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(f"  {status} {report.name}: {report.detail}")

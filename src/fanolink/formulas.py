@@ -10,21 +10,26 @@ Conventions used throughout (and by the golden tables):
   (-K)^2.E of the exceptional divisor: 4 for E2, 2 for E3/E4, 1 for E5.
 
 All functions are pure and exact; they accept ints or Fractions and return
-ints or Fractions, never floats.  The rational-valued ones work on integer
-numerators over one common denominator (r*kx3 and r_plus*kx3 on E1-E1,
-beta_plus on E1-point, 1 on the symmetric families) and build a single
-reduced Fraction at the end, never a chain of Fraction operations.
+ints or Fractions, never floats.  The derivation works on integer
+numerators over one common denominator per coefficient pair (r*kx3 and
+r_plus*kx3 on E1-E1, |beta_plus| on E1-point, 1 on the symmetric
+families): ``derive`` collects them into one CandidateRecord per tuple,
+and the Fraction functions (coefficients, etilde_cubed, defect) divide
+the same numerators into single reduced Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .model import (
     STAR_DEGREE_OFFSET,
+    CandidateRecord,
     ContractionType,
     FlopCoefficients,
     IntersectionConstants,
+    Pair,
     SideData,
     intersection_constants,
 )
@@ -52,22 +57,35 @@ def ky3_from_kx3(kx3: int, side: SideData) -> Fraction | int:
     return kx3 + STAR_DEGREE_OFFSET[side.ctype]
 
 
-def basis_decomposition_numerators(alpha: Fraction, beta: Fraction, r: int) -> tuple[int, int, int]:
+def basis_decomposition_numerators(pair: Pair, r: int) -> tuple[int, int, int]:
     """Coefficients of alpha*H + beta*E in an E1 side's integral basis, as numerators.
 
     On an index-r side H = r*A - E, with A the pullback of the target's
     ample generator, so alpha*H + beta*E = (alpha*r)*A + (beta - alpha)*E.
-    Returns (lead, diff, den): the coefficients are lead/den and diff/den,
-    den > 0.
+    pair = (a, b, den) holds alpha = a/den and beta = b/den, den > 0.
+    Returns (lead, diff, den): the coefficients are lead/den and diff/den.
     """
-    a, b, den = over_common_denominator(alpha, beta)
+    a, b, den = pair
     return a * r, b - a, den
 
 
-def coeffs_e1e1(
+def closure_numerators(pair: Pair, pair_plus: Pair) -> tuple[int, int, int]:
+    """Numerators of the closure relations; all zero iff the two pairs are consistent.
+
+    pair = (a, b, den) holds (alpha, beta) and pair_plus = (ap, bp, den_p)
+    holds (alpha_plus, beta_plus), both denominators positive.  The
+    relations beta*beta_plus - 1, alpha + beta*alpha_plus and
+    alpha_plus + beta_plus*alpha are these numerators over den*den_p.
+    """
+    a, b, den = pair
+    ap, bp, den_p = pair_plus
+    return b * bp - den * den_p, a * den_p + b * ap, ap * den + bp * a
+
+
+def e1e1_pairs(
     kx3: int, r: int, r_plus: int, sigma_left: int, sigma_right: int
-) -> FlopCoefficients:
-    """Full coefficient set for an E1-E1 candidate (closed-form route).
+) -> tuple[Pair, Pair]:
+    """The E1-E1 coefficient pairs in closed form, as (numerator, numerator, denominator).
 
     The E-coefficients are beta = -r_plus/r and beta_plus = -r/r_plus.
     Intersecting the flopped divisor with (-K)^2 on both sides gives
@@ -77,32 +95,37 @@ def coeffs_e1e1(
     alpha = n/(r*kx3) and alpha_plus = n/(r_plus*kx3).
     """
     n = sigma_left * r_plus + r * sigma_right
-    return FlopCoefficients(
-        Fraction(n, r * kx3), Fraction(-r_plus, r), Fraction(n, r_plus * kx3), Fraction(-r, r_plus)
-    )
+    return (n, -r_plus * kx3, r * kx3), (n, -r * kx3, r_plus * kx3)
 
 
-def coeffs_from_star_pair(alpha_plus: int, beta_plus: int) -> FlopCoefficients:
-    """Coefficients for an E1-star candidate from the integer star-side pair."""
+def star_pairs(alpha_plus: int, beta_plus: int) -> tuple[Pair, Pair]:
+    """An E1-star candidate's pairs from its integer star-side pair.
+
+    alpha = -alpha_plus/beta_plus and beta = 1/beta_plus, over |beta_plus|.
+    """
     if beta_plus == 0:
         raise ValueError("beta_plus must be nonzero")
+    sign = 1 if beta_plus > 0 else -1
+    return (-alpha_plus * sign, sign, beta_plus * sign), (alpha_plus, beta_plus, 1)
+
+
+def symmetric_pairs(alpha: int) -> tuple[Pair, Pair]:
+    """A symmetric star-star candidate's pairs: alpha = alpha_plus, beta = beta_plus = -1."""
+    return (alpha, -1, 1), (alpha, -1, 1)
+
+
+def coefficients(pair: Pair, pair_plus: Pair) -> FlopCoefficients:
+    """The Fraction form of two coefficient pairs: each numerator over its denominator."""
+    (a, b, den), (ap, bp, den_p) = pair, pair_plus
     return FlopCoefficients(
-        Fraction(-alpha_plus, beta_plus),
-        Fraction(1, beta_plus),
-        Fraction(alpha_plus),
-        Fraction(beta_plus),
+        Fraction(a, den), Fraction(b, den), Fraction(ap, den_p), Fraction(bp, den_p)
     )
-
-
-def coeffs_symmetric(alpha: int) -> FlopCoefficients:
-    """Coefficients for a symmetric star-star candidate: alpha = alpha_plus, beta = -1."""
-    return FlopCoefficients(Fraction(alpha), Fraction(-1), Fraction(alpha), Fraction(-1))
 
 
 def e1e1_residual_numerators(
     kx3: int,
-    left: tuple[int, int, int],
-    right: tuple[int, int, int],
+    left: Pair,
+    right: Pair,
     g_left: int,
     sigma_left: int,
     g_right: int,
@@ -113,9 +136,8 @@ def e1e1_residual_numerators(
     Each residual equates the arithmetic genus of the opposite curve,
     computed through the flopped divisor, with its stated genus; both must
     vanish on an admissible candidate.  left = (a, b, den) and
-    right = (ap, bp, den_p) are the coefficient pairs over their common
-    denominators (over_common_denominator); the residuals are these
-    numerators over den^2 and den_p^2.
+    right = (ap, bp, den_p) are the coefficient pairs over positive common
+    denominators; the residuals are these numerators over den^2 and den_p^2.
     """
     a, b, den = left
     ap, bp, den_p = right
@@ -128,8 +150,8 @@ def e1e1_residual_numerators(
 
 def e1estar_residual_numerators(
     kx3: int,
-    left: tuple[int, int, int],
-    right: tuple[int, int, int],
+    left: Pair,
+    right: Pair,
     r: int,
     d: int,
     g: int,
@@ -141,8 +163,8 @@ def e1estar_residual_numerators(
     the literal K^3 = -kx3); res2, res4 are the linear excess relations.
     star_c is the point-side constant 4, 2 or 1.  All four must vanish.
     left = (a, b, den) and right = (ap, bp, den_p) are the coefficient
-    pairs over their common denominators (over_common_denominator); the
-    residuals are these numerators over den^2, den, den_p^2 and den_p.
+    pairs over positive common denominators; the residuals are these
+    numerators over den^2, den, den_p^2 and den_p.
     The denominators are positive, so a residual vanishes exactly when
     its numerator does.
     """
@@ -158,12 +180,9 @@ def e1estar_residual_numerators(
     )
 
 
-def etilde_cubed(
-    alpha_plus: Fraction,
-    beta_plus: Fraction,
-    kx3: int,
-    opposite: IntersectionConstants,
-) -> Fraction:
+def etilde_cube_numerators(
+    pair: Pair, kx3: int, opposite: IntersectionConstants
+) -> tuple[int, int]:
     """Cube of a flopped exceptional divisor, expanded in the opposite basis.
 
     With the strict transform written alpha_plus*H + beta_plus*E and H the
@@ -171,17 +190,85 @@ def etilde_cubed(
     intersection constants gives
         a^3 kx3 + 3 a^2 b (H^2.E) - 3 a b^2 (H.E^2) + b^3 E^3,
     the middle signs reflecting that H = -K.  The form is homogeneous, so
-    it takes the numerators over the common denominator den, then / den^3.
+    with pair = (a, b, den) it returns (numerator, den^3).
     """
-    a, b, den = over_common_denominator(alpha_plus, beta_plus)
+    a, b, den = pair
     num = a * a * (a * kx3 + 3 * b * opposite.kx2E) - b * b * (
         3 * a * opposite.kxE2 - b * opposite.e3self
     )
-    return Fraction(num, den * den * den)
+    return num, den * den * den
+
+
+def etilde_cubed(
+    alpha_plus: Fraction | int,
+    beta_plus: Fraction | int,
+    kx3: int,
+    opposite: IntersectionConstants,
+) -> Fraction:
+    """The cube of etilde_cube_numerators as one reduced Fraction."""
+    pair = over_common_denominator(alpha_plus, beta_plus)
+    return Fraction(*etilde_cube_numerators(pair, kx3, opposite))
+
+
+def defect_numerators(e3self: int, cube: tuple[int, int]) -> tuple[int, int]:
+    """Flop defect E^3 - Etilde^3 over the cube's denominator: (numerator, denominator)."""
+    num, den = cube
+    return e3self * den - num, den
 
 
 def defect(e3self: int, etilde3: Fraction | int) -> Fraction:
     """Flop defect: drop of the divisor's self-cube across the flop."""
-    num, den = etilde3.as_integer_ratio()
-    return Fraction(e3self * den - num, den)
+    return Fraction(*defect_numerators(e3self, etilde3.as_integer_ratio()))
 
+
+# One side's share of every record with that side at a central degree: the
+# side, its intersection constants and its target degree.
+SideTerm = tuple[SideData, IntersectionConstants, "Fraction | int"]
+# The first seven fields of a CandidateRecord (kx3, the two sides, their
+# excesses and target degrees), with the sides' intersection constants.
+SideTerms = tuple[tuple, IntersectionConstants, IntersectionConstants]
+
+
+def side_term(kx3: int, side: SideData) -> SideTerm:
+    """What every record with this side at kx3 shares: the side, its constants, its kY3.
+
+    The side's excess is its (-K)^2.E constant: sigma(r, d, g) on E1, the
+    point-side constant otherwise.
+    """
+    return side, intersection_constants(side), ky3_from_kx3(kx3, side)
+
+
+def side_terms(kx3: int, left: SideTerm, right: SideTerm) -> SideTerms:
+    """The record fields a tuple shares with every tuple on the same two sides at kx3."""
+    (left_side, const_left, ky3_left), (right_side, const_right, ky3_right) = left, right
+    fields = (kx3, left_side, right_side, const_left.kx2E, const_right.kx2E, ky3_left, ky3_right)
+    return fields, const_left, const_right
+
+
+def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> CandidateRecord:
+    """A tuple's integer record: every quantity the checks read.
+
+    sides comes from side_terms; pair and pair_plus are the coefficient
+    pairs.  The left side's flopped divisor is expanded in the right basis
+    with (alpha_plus, beta_plus), and the right one in the left basis with
+    (alpha, beta).
+    """
+    fields, const_left, const_right = sides
+    kx3 = fields[0]
+    cube_left = etilde_cube_numerators(pair_plus, kx3, const_right)
+    cube_right = etilde_cube_numerators(pair, kx3, const_left)
+    return _record(
+        (
+            *fields,
+            pair,
+            pair_plus,
+            cube_left,
+            cube_right,
+            defect_numerators(const_left.e3self, cube_left),
+            defect_numerators(const_right.e3self, cube_right),
+        )
+    )
+
+
+# CandidateRecord(*fields) without the Python-level __new__: one per tuple decided.
+_record = functools.partial(tuple.__new__, CandidateRecord)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .rational import is_integer
+from .rational import is_integer, over_common_denominator
 
 
 class ContractionType(enum.Enum):
@@ -86,8 +86,7 @@ class SideData:
         return None
 
 
-@dataclass(frozen=True)
-class IntersectionConstants:
+class IntersectionConstants(NamedTuple):
     """Intersection numbers of one exceptional divisor E on the central variety.
 
     kx2E  = (-K)^2 . E
@@ -139,30 +138,6 @@ class FlopCoefficients:
     beta: Fraction
     alpha_plus: Fraction
     beta_plus: Fraction
-
-    def closure_numerators(self) -> tuple[int, int, int]:
-        """Numerators of the closure relations; all zero iff the pairs are consistent.
-
-        The relations are beta*beta_plus - 1, alpha + beta*alpha_plus and
-        alpha_plus + beta_plus*alpha; these numerators lie over db*dbp,
-        da*db*dap and dap*dbp*da, the products of the coefficients'
-        positive denominators.
-        """
-        na, da = self.alpha.as_integer_ratio()
-        nb, db = self.beta.as_integer_ratio()
-        nap, dap = self.alpha_plus.as_integer_ratio()
-        nbp, dbp = self.beta_plus.as_integer_ratio()
-        return (
-            nb * nbp - db * dbp,
-            na * db * dap + nb * nap * da,
-            nap * dbp * da + nbp * na * dap,
-        )
-
-    def all_nonzero(self) -> bool:
-        return 0 not in (self.alpha, self.beta, self.alpha_plus, self.beta_plus)
-
-    def mirrored(self) -> "FlopCoefficients":
-        return FlopCoefficients(self.alpha_plus, self.beta_plus, self.alpha, self.beta)
 
 
 class Shape(enum.Enum):
@@ -288,6 +263,39 @@ def family_spec(family: str) -> FamilySpec:
     return FAMILIES[family]
 
 
+# A coefficient pair (alpha, beta) as (a, b, den): alpha = a/den, beta = b/den, den > 0.
+Pair = tuple[int, int, int]
+
+
+class CandidateRecord(NamedTuple):
+    """One tuple's derived quantities in integers: what the admission checks read.
+
+    Built once per tuple by formulas.derive.  The fields mirror
+    LinkCandidate's; each rational one is held as numerators over a
+    positive denominator, which need not be the least one:
+
+    * pair = (a, b, den) is (alpha, beta) and pair_plus = (ap, bp, den_p)
+      is (alpha_plus, beta_plus);
+    * each flopped-divisor cube and each defect is (numerator, denominator).
+
+    kY3 is an int, or a Fraction for an E5 side's half-integral degree.
+    """
+
+    kx3: int
+    left: SideData
+    right: SideData
+    sigma_left: int
+    sigma_right: int
+    kY3_left: Fraction | int
+    kY3_right: Fraction | int
+    pair: Pair
+    pair_plus: Pair
+    etilde3_left: tuple[int, int]
+    etilde3_right: tuple[int, int]
+    defect_left: tuple[int, int]
+    defect_right: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class LinkCandidate:
     """A fully derived candidate link, prior to or after admission.
@@ -333,6 +341,26 @@ class LinkCandidate:
         if self.defect_e is None:
             return None
         return Fraction(self.defect_e, self.left.cube_scale)
+
+    @property
+    def record(self) -> CandidateRecord:
+        """The candidate's own fields as a record, each Fraction split into numerators."""
+        coeffs = self.coeffs
+        return CandidateRecord(
+            self.kx3,
+            self.left,
+            self.right,
+            self.sigma_left,
+            self.sigma_right,
+            self.kY3_left,
+            self.kY3_right,
+            over_common_denominator(coeffs.alpha, coeffs.beta),
+            over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus),
+            self.etilde3_left.as_integer_ratio(),
+            self.etilde3_right.as_integer_ratio(),
+            self.defect_left.as_integer_ratio(),
+            self.defect_right.as_integer_ratio(),
+        )
 
     def cells(self) -> dict[str, object]:
         """Every column value, keyed by golden-table column name."""

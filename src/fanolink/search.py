@@ -5,7 +5,9 @@ Two independent routes produce every family's candidate set:
 * The primary enumerators loop over the documented search space, derive
   the flop coefficients in closed form (or scan the integer coefficient
   box for the point-type families), prune with exact integer forms of the
-  residual system, and admit through the full check suite.
+  residual system, and decide each remaining tuple on its integer record
+  (formulas.derive) through the check suite.  Only a kept row is built
+  into its Fraction form (build_candidate).
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -19,8 +21,10 @@ rejects: the first reads the two sides alone, the second the left side
 alone, so either fails every candidate on the side.  Likewise the E1-E1
 oracle skips each solved right side, before deriving it, when SIGMA_POS or
 FANO_DEGREE_RIGHT (which reads kx3 and the right side alone) rejects it.
-The degree skips, like the enumerator's side prune, make the checks' own
-calls (_e1_degree_ok), so they drop exactly what the check would reject.
+The E1-point oracles skip each kx3 at which the point side fails
+FANO_DEGREE_RIGHT, which reads kx3 and that side alone.  The degree skips,
+like the enumerators' side prunes, make the checks' own calls (_degree_ok),
+so they drop exactly what the check would reject.
 
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
@@ -31,6 +35,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -46,20 +51,25 @@ from .checks import (
     run_checks,
 )
 from .formulas import (
-    coeffs_e1e1,
-    coeffs_from_star_pair,
-    coeffs_symmetric,
+    SideTerm,
+    SideTerms,
+    coefficients,
     defect,
-    e1estar_residual_numerators,
+    derive,
+    e1e1_pairs,
     etilde_cubed,
     ky3_from_kx3,
+    side_term,
+    side_terms,
     sigma,
+    star_pairs,
     star_sigma,
+    symmetric_pairs,
 )
 from .model import (
     FAMILY_IDS,  # re-exported: search's callers list the families from here
+    CandidateRecord,
     ContractionType,
-    FlopCoefficients,
     LinkCandidate,
     Shape,
     SideData,
@@ -76,19 +86,64 @@ ORACLE_NUMERATOR_BOUND = 360
 
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
+# The checks that read kx3 and the sides alone.  The E1 enumerators decide
+# them before any coefficient: the side lists prune SIGMA_POS and the
+# FANO_DEGREE checks on E1 sides, a point side's excess is positive, kx3
+# runs over KX3_VALUES, and a point side's FANO_DEGREE_RIGHT is tested once
+# per kx3.  Each record is then checked against the rest.
+SIDE_CHECKS = frozenset({"SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT"})
+
 
 # ---------------------------------------------------------------------------
-# Candidate construction
+# Records and candidates
 
 
-def _finish(
-    kx3: int, left: SideData, right: SideData, coeffs: FlopCoefficients
-) -> LinkCandidate:
-    """Derive every remaining quantity of a candidate from its sides and coefficients.
+# The enumerators' sides by (ctype, r, d, g), each validated once: building a
+# SideData costs more than its use.
+_side = functools.cache(SideData)
+_e1_side = functools.partial(_side, ContractionType.E1)
 
-    Each side's excess is its (-K)^2.E constant: sigma(r, d, g) on E1, the
-    point-side constant otherwise.
+
+def _side_terms(kx3: int, left: SideData, right: SideData) -> SideTerms:
+    return side_terms(kx3, side_term(kx3, left), side_term(kx3, right))
+
+
+def record_e1e1(
+    kx3: int, left_data: tuple[int, int, int], right_data: tuple[int, int, int]
+) -> CandidateRecord:
+    """Integer record of an E1-E1 tuple from the two curve data triples."""
+    left = SideData(ContractionType.E1, *left_data)
+    right = SideData(ContractionType.E1, *right_data)
+    pairs = e1e1_pairs(kx3, left.r, right.r, sigma(*left_data), sigma(*right_data))
+    return derive(_side_terms(kx3, left, right), *pairs)
+
+
+def record_e1estar(
+    kx3: int,
+    left_data: tuple[int, int, int],
+    star: ContractionType,
+    alpha_plus: int,
+    beta_plus: int,
+) -> CandidateRecord:
+    """Integer record of an E1 side against a point-type side."""
+    sides = _side_terms(kx3, SideData(ContractionType.E1, *left_data), SideData(star))
+    return derive(sides, *star_pairs(alpha_plus, beta_plus))
+
+
+def record_symmetric(star: ContractionType, alpha: int, kx3: int) -> CandidateRecord:
+    """Integer record of a symmetric point-type tuple."""
+    side = SideData(star)
+    return derive(_side_terms(kx3, side, side), *symmetric_pairs(alpha))
+
+
+def build_candidate(record: CandidateRecord) -> LinkCandidate:
+    """The Fraction form of a record, for the rows that are kept or shown.
+
+    The coefficients divide the record's pairs, and the cubes and defects
+    come from the Fraction functions over the same numerator kernels.
     """
+    kx3, left, right = record.kx3, record.left, record.right
+    coeffs = coefficients(record.pair, record.pair_plus)
     const_left, const_right = intersection_constants(left), intersection_constants(right)
     etilde3_left = etilde_cubed(coeffs.alpha_plus, coeffs.beta_plus, kx3, const_right)
     etilde3_right = etilde_cubed(coeffs.alpha, coeffs.beta, kx3, const_left)
@@ -97,10 +152,10 @@ def _finish(
         left=left,
         right=right,
         coeffs=coeffs,
-        sigma_left=const_left.kx2E,
-        sigma_right=const_right.kx2E,
-        kY3_left=ky3_from_kx3(kx3, left),
-        kY3_right=ky3_from_kx3(kx3, right),
+        sigma_left=record.sigma_left,
+        sigma_right=record.sigma_right,
+        kY3_left=record.kY3_left,
+        kY3_right=record.kY3_right,
         etilde3_left=etilde3_left,
         etilde3_right=etilde3_right,
         defect_left=defect(const_left.e3self, etilde3_left),
@@ -112,12 +167,7 @@ def build_e1e1(
     kx3: int, left_data: tuple[int, int, int], right_data: tuple[int, int, int]
 ) -> LinkCandidate:
     """Fully derived E1-E1 candidate from the two curve data triples."""
-    r, d, g = left_data
-    rp, dp, gp = right_data
-    left = SideData(ContractionType.E1, r, d, g)
-    right = SideData(ContractionType.E1, rp, dp, gp)
-    coeffs = coeffs_e1e1(kx3, r, rp, sigma(r, d, g), sigma(rp, dp, gp))
-    return _finish(kx3, left, right, coeffs)
+    return build_candidate(record_e1e1(kx3, left_data, right_data))
 
 
 def build_e1estar(
@@ -128,17 +178,12 @@ def build_e1estar(
     beta_plus: int,
 ) -> LinkCandidate:
     """Fully derived candidate for an E1 side against a point-type side."""
-    r, d, g = left_data
-    left = SideData(ContractionType.E1, r, d, g)
-    right = SideData(star)
-    coeffs = coeffs_from_star_pair(alpha_plus, beta_plus)
-    return _finish(kx3, left, right, coeffs)
+    return build_candidate(record_e1estar(kx3, left_data, star, alpha_plus, beta_plus))
 
 
 def build_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidate:
     """Fully derived symmetric point-type candidate."""
-    side = SideData(star)
-    return _finish(kx3, side, side, coeffs_symmetric(alpha))
+    return build_candidate(record_symmetric(star, alpha, kx3))
 
 
 def candidate_from_fields(family: str, fields: Mapping[str, object]) -> LinkCandidate:
@@ -187,27 +232,37 @@ def mirror_candidate(c: LinkCandidate) -> LinkCandidate:
     Defined on E1-E1 and symmetric candidates; an E1-point candidate raises
     ValueError, since no family has a point type on the left.
     """
-    return _finish(c.kx3, c.right, c.left, c.coeffs.mirrored())
+    record = c.record
+    return build_candidate(
+        derive(_side_terms(record.kx3, record.right, record.left), record.pair_plus, record.pair)
+    )
+
+
+def audit_candidate(candidate: LinkCandidate) -> LinkCandidate:
+    """Return the candidate unchanged, raising if a number in it leaves the 64-bit contract."""
+    for part in (candidate, candidate.left, candidate.right, candidate.coeffs):
+        for field in dataclasses.fields(part):
+            value = getattr(part, field.name)
+            if isinstance(value, (int, Fraction)):
+                audit_magnitude(value)
+    return candidate
 
 
 def _admit(
-    candidate: LinkCandidate,
+    record: CandidateRecord,
     enabled: frozenset[str],
     trace: TraceFn | None,
     data: tuple,
     results: list[LinkCandidate],
 ) -> None:
-    """Run the enabled checks: keep an admitted candidate, trace a rejected one.
+    """Run the enabled checks on a record: keep an admitted one, trace a rejected one.
 
-    An admitted candidate's numbers are held to the 64-bit contract first.
+    Only an admitted record is built into a candidate, and its numbers are
+    held to the 64-bit contract first.
     """
-    reports = run_checks(candidate, enabled, short_circuit=trace is None)
+    reports = run_checks(record, enabled, short_circuit=trace is None)
     if admitted(reports):
-        for part in (candidate, candidate.left, candidate.right, candidate.coeffs):
-            for value in vars(part).values():
-                if isinstance(value, (int, Fraction)):
-                    audit_magnitude(value)
-        results.append(candidate)
+        results.append(audit_candidate(build_candidate(record)))
     elif trace is not None:
         trace("full", data, tuple(rep.name for rep in reports if not rep.passed))
 
@@ -222,13 +277,15 @@ _SIDE_GRID: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-# E1 sides by (r, d, g), each validated once: building a SideData costs more than its degree test.
-_e1_side = functools.cache(functools.partial(SideData, ContractionType.E1))
+def _degree_ok(kx3: int, side: SideData) -> bool:
+    """The FANO_DEGREE checks' own call on one side at central degree kx3."""
+    index = side.target_index
+    return index is None or is_valid_fano_degree(index, ky3_from_kx3(kx3, side))
 
 
 def _e1_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
-    """The FANO_DEGREE checks' own calls on the E1 side (r, d, g) at central degree kx3."""
-    return is_valid_fano_degree(r, ky3_from_kx3(kx3, _e1_side(r, d, g)))
+    """The FANO_DEGREE checks' own call on the E1 side (r, d, g) at central degree kx3."""
+    return _degree_ok(kx3, _e1_side(r, d, g))
 
 
 @functools.cache
@@ -278,6 +335,13 @@ def _e1_side_list(
     return sides
 
 
+def _with_terms(
+    kx3: int, r: int, sides: tuple[tuple[int, int, int], ...]
+) -> tuple[tuple[int, int, int, SideTerm], ...]:
+    """A side list's (d, g, sigma) entries, each with its side's share of a record."""
+    return tuple((d, g, sig, side_term(kx3, _e1_side(r, d, g))) for d, g, sig in sides)
+
+
 def enumerate_e1e1(
     enabled: frozenset[str] = DEFAULT_CHECKS,
     trace: TraceFn | None = None,
@@ -290,15 +354,16 @@ def enumerate_e1e1(
     then every right one, each once per (kx3, index).
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
-    left = {key: _e1_side_list(*key, enabled, "left", trace) for key in indices}
-    right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
+    left = {key: _with_terms(*key, _e1_side_list(*key, enabled, "left", trace)) for key in indices}
+    right = {key: _with_terms(*key, _e1_side_list(*key, enabled, "right", trace)) for key in indices}
     fast = "DIOPHANTINE" in enabled
+    record_checks = enabled - SIDE_CHECKS
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
-            for d, g, sig in left[(kx3, r)]:
+            for d, g, sig, left_term in left[(kx3, r)]:
                 two_g_minus_2 = 2 * g - 2
-                for dp, gp, sig_p in right[(kx3, rp)]:
+                for dp, gp, sig_p, right_term in right[(kx3, rp)]:
                     if r == rp and (d, g) < (dp, gp):
                         continue
                     data = (kx3, r, d, g, rp, dp, gp)
@@ -318,8 +383,9 @@ def enumerate_e1e1(
                             if trace is not None:
                                 trace("pair-fast", data, ("DIOPHANTINE",))
                             continue
-                    candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-                    _admit(candidate, enabled, trace, data, results)
+                    pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
+                    record = derive(side_terms(kx3, left_term, right_term), *pairs)
+                    _admit(record, record_checks, trace, data, results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -339,20 +405,28 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
+    Each tuple left is decided on its integer record.
 
-    Without a trace hook, a pinned tuple is then derived only when all four
-    residual numerators (formulas.e1estar_residual_numerators) vanish,
-    which skips exactly the tuples DIOPHANTINE would reject.  With a hook
-    every pinned tuple is derived and checked in full, as short_circuit
-    is off there, so the trace reports each rejection with all its
-    failing checks.
+    FANO_DEGREE_RIGHT reads kx3 and the point side alone, so it runs once
+    per kx3 (the check's own call, _degree_ok): where it fails, every tuple
+    at that kx3 fails it, and a run without a trace hook skips the kx3.
+    With a hook every tuple is checked in full, as short_circuit is off
+    there, so the trace reports each rejection with all its failing checks.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
+    right = _side(star)
     fast = "DIOPHANTINE" in enabled
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
+        right_term = side_term(kx3, right)
+        record_checks = enabled - SIDE_CHECKS
+        if "FANO_DEGREE_RIGHT" in enabled and not _degree_ok(kx3, right):
+            if trace is None:
+                continue
+            record_checks |= {"FANO_DEGREE_RIGHT"}
         for r in range(1, 5):
             for d, g, sig in _e1_side_list(kx3, r, enabled, "left", trace):
+                sides = side_terms(kx3, side_term(kx3, _e1_side(r, d, g)), right_term)
                 for bp in range(-r, 0):
                     if fast:
                         # res4 = ap*kx3 + bp*c - sig vanishes for exactly one
@@ -363,19 +437,12 @@ def enumerate_e1estar(
                             if trace is not None:
                                 trace("pair-fast", (kx3, r, d, g, bp), ("DIOPHANTINE",))
                             continue
-                        # Integer pre-test, untraced runs only: (ap, -1, -bp)
-                        # and (ap, bp, 1) are the two coefficient pairs over
-                        # their common denominators.
-                        if trace is None and any(
-                            e1estar_residual_numerators(kx3, (ap, -1, -bp), (ap, bp, 1), r, d, g, c)
-                        ):
-                            continue
-                        candidates_ap = (ap,)
+                        alpha_pluses = (ap,)
                     else:
-                        candidates_ap = range(1, MAX_ALPHA_PLUS + 1)
-                    for ap in candidates_ap:
-                        candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
-                        _admit(candidate, enabled, trace, (kx3, r, d, g, ap, bp), results)
+                        alpha_pluses = range(1, MAX_ALPHA_PLUS + 1)
+                    for ap in alpha_pluses:
+                        record = derive(sides, *star_pairs(ap, bp))
+                        _admit(record, record_checks, trace, (kx3, r, d, g, ap, bp), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -404,8 +471,7 @@ def enumerate_symmetric(
             if trace is not None:
                 trace("domain", (kx3, alpha), ("KX3_RANGE",))
             continue
-        candidate = build_symmetric(star, alpha, kx3)
-        _admit(candidate, enabled, trace, (kx3, alpha), results)
+        _admit(record_symmetric(star, alpha, kx3), enabled, trace, (kx3, alpha), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -491,11 +557,12 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     if not _e1_degree_ok(kx3, rp, dp, gp):
                         continue  # FANO_DEGREE_RIGHT rejects the solved right side
-                    candidate = build_e1e1(kx3, (r, d, g), (rp, dp, gp))
-                    if candidate.coeffs.alpha_plus != Fraction(p, q):
-                        continue
-                    if admitted(run_checks(candidate, short_circuit=True)):
-                        results.append(candidate)
+                    record = record_e1e1(kx3, (r, d, g), (rp, dp, gp))
+                    ap_num, _, ap_den = record.pair_plus
+                    if ap_num * q != p * ap_den:
+                        continue  # the closed form's alpha_plus is not p/q
+                    if admitted(run_checks(record, short_circuit=True)):
+                        results.append(build_candidate(record))
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -508,8 +575,11 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
     full check suite.
     """
     c = star_sigma(star)
+    right = _side(star)
     results: list[LinkCandidate] = []
     for kx3, r, d, g, _ in _oracle_left_sides():
+        if not _degree_ok(kx3, right):
+            continue  # FANO_DEGREE_RIGHT rejects every tuple at this kx3
         two_minus_2g = 2 - 2 * g
         for bp in range(-r, 0):
             # res3 = 0 rearranged: ap*(ap*kx3 + 2*bp*c) = 2*bp^2 - (2-2g).
@@ -517,9 +587,9 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
             for ap in range(1, MAX_ALPHA_PLUS + 1):
                 if ap * (ap * kx3 + 2 * bp * c) != rhs:
                     continue
-                candidate = build_e1estar(kx3, (r, d, g), star, ap, bp)
-                if admitted(run_checks(candidate, short_circuit=True)):
-                    results.append(candidate)
+                record = record_e1estar(kx3, (r, d, g), star, ap, bp)
+                if admitted(run_checks(record, short_circuit=True)):
+                    results.append(build_candidate(record))
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -531,9 +601,9 @@ def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
         for alpha in range(1, MAX_ALPHA_PLUS + 1):
             if alpha * kx3 != two_c:
                 continue
-            candidate = build_symmetric(star, alpha, kx3)
-            if admitted(run_checks(candidate, short_circuit=True)):
-                results.append(candidate)
+            record = record_symmetric(star, alpha, kx3)
+            if admitted(run_checks(record, short_circuit=True)):
+                results.append(build_candidate(record))
     return tuple(sorted(results, key=canonical_sort_key))
 
 

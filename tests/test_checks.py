@@ -416,4 +416,4 @@ def _perturbed(draw):
 )
 def test_integer_verdicts_equal_the_fraction_predicates(candidate):
     for name, predicate in BY_FRACTIONS.items():
-        assert REGISTRY[name].passes(candidate) == predicate(candidate), name
+        assert REGISTRY[name].passes(candidate.record) == predicate(candidate), name

@@ -336,12 +336,40 @@ class TestExplain:
         ],
     )
     def test_out_of_64_bit_range_field_is_usage_error(self, capsys, family, key, value):
-        # One past the signed 64-bit range on each side; 2**63 - 1 is accepted.
+        # One past the signed 64-bit range on each side; 2**63 - 1 is accepted
+        # as a field, and then its target degree 2**63 + 7 is what is named.
         assert main(["explain", family, key]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "64-bit" in captured.err and value in captured.err
-        assert main(["explain", "e2e2", "(9223372036854775807,1)"]) == 0
+        assert main(["explain", "e2e2", "(9223372036854775807,1)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "9223372036854775807" not in captured.err
+        assert "9223372036854775815" in captured.err
+
+    @pytest.mark.parametrize(
+        "family,key,value",
+        [
+            # kY3 = kx3 + 8 = 2**63 + 7.
+            ("e2e2", "(9223372036854775807,1)", "9223372036854775815/1"),
+            # The left excess r*d + 2 - 2g = 2**63 + 1.
+            ("e1e1", "(2,1,9223372036854775807,0,1,1,0)", "9223372036854775809/1"),
+            # kY3 = kx3 + 2*r*d + 2 - 2g = 2**63 + 2.
+            ("e1e1", "(9223372036854775806,1,1,0,1,1,0)", "9223372036854775810/1"),
+            ("e1e2", "(9223372036854775806,1,1,0,1,-1)", "9223372036854775810/1"),
+            # Every field is in range; the flopped-divisor cube is not: with
+            # alpha = 2**62, beta = -1 and the E2 constants (4, 2, 1) it is
+            # 2*alpha^3 - 12*alpha^2 - 6*alpha - 1.
+            ("e2e2", "(2,4611686018427387904)", f"{2 * 2**186 - 12 * 2**124 - 6 * 2**62 - 1}/1"),
+        ],
+    )
+    def test_out_of_64_bit_range_derived_value_is_usage_error(self, capsys, family, key, value):
+        # Every derived number is audited before anything is printed.
+        assert main(["explain", family, key]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: magnitude outside signed 64-bit range: {value}\n"
 
 
 class TestRepeatedCalls:

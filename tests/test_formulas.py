@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fanolink import search as search_mod
+from fanolink.checks import KX3_VALUES, MAX_ALPHA_PLUS
 from fanolink.formulas import (
     basis_decomposition_numerators,
-    coeffs_e1e1,
-    coeffs_from_star_pair,
-    coeffs_symmetric,
+    closure_numerators,
+    coefficients,
     defect,
+    e1e1_pairs,
     e1e1_residual_numerators,
     e1estar_residual_numerators,
     etilde_cubed,
     ky3_from_kx3,
     sigma,
+    star_pairs,
     star_sigma,
+    symmetric_pairs,
 )
 from fanolink.model import (
     ContractionType,
@@ -30,6 +34,28 @@ from fanolink.model import (
     intersection_constants,
 )
 from fanolink.rational import over_common_denominator
+from fanolink.search import D_MAX, G_MAX
+
+
+def coeffs_e1e1(kx3, r, r_plus, sigma_left, sigma_right):
+    """The closed-form E1-E1 coefficient set: its two pairs divided out."""
+    return coefficients(*e1e1_pairs(kx3, r, r_plus, sigma_left, sigma_right))
+
+
+def coeffs_from_star_pair(alpha_plus, beta_plus):
+    return coefficients(*star_pairs(alpha_plus, beta_plus))
+
+
+def coeffs_symmetric(alpha):
+    return coefficients(*symmetric_pairs(alpha))
+
+
+def _closure(coeffs):
+    """closure_numerators of a coefficient set's two pairs over their common denominators."""
+    return closure_numerators(
+        over_common_denominator(coeffs.alpha, coeffs.beta),
+        over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus),
+    )
 
 
 class TestSigma:
@@ -78,7 +104,7 @@ class TestCoefficients:
         coeffs = coeffs_e1e1(2, 1, 1, 3, 3)
         assert (coeffs.alpha, coeffs.beta) == (3, -1)
         assert (coeffs.alpha_plus, coeffs.beta_plus) == (3, -1)
-        assert coeffs.closure_numerators() == (0, 0, 0)
+        assert _closure(coeffs) == (0, 0, 0)
 
     def test_coeffs_e1e1_mixed_indices(self):
         # Golden row 70: kx3=4, left (3,9,3), right (1,5,0).
@@ -94,7 +120,7 @@ class TestCoefficients:
         assert coeffs.beta == Fraction(-1, 2)
         assert coeffs.alpha_plus == 5
         assert coeffs.beta_plus == -2
-        assert coeffs.closure_numerators() == (0, 0, 0)
+        assert _closure(coeffs) == (0, 0, 0)
 
     def test_coeffs_from_star_pair_rejects_zero_beta(self):
         with pytest.raises(ValueError):
@@ -197,8 +223,8 @@ class TestBasisDecomposition:
     def test_worked_values(self):
         # Golden row 70's left side: alpha = 11/3, beta = -1/3 at r = 3.
         # The numerators lie over the coefficients' common denominator: (11, -4) and (5, -3).
-        assert basis_decomposition_numerators(Fraction(11, 3), Fraction(-1, 3), 3) == (33, -12, 3)
-        assert basis_decomposition_numerators(Fraction(5, 2), Fraction(-1, 2), 2) == (10, -6, 2)
+        assert basis_decomposition_numerators((11, -1, 3), 3) == (33, -12, 3)
+        assert basis_decomposition_numerators((5, -1, 2), 2) == (10, -6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +241,7 @@ _genera = st.integers(min_value=0, max_value=39)
 def test_e1e1_closure_holds_identically(kx3, r, rp, d, g, dp, gp):
     """The closed-form coefficient set always satisfies the closure system."""
     coeffs = coeffs_e1e1(kx3, r, rp, sigma(r, d, g), sigma(rp, dp, gp))
-    assert coeffs.closure_numerators() == (0, 0, 0)
+    assert _closure(coeffs) == (0, 0, 0)
 
 
 @given(_kx3, _indices, _indices, _degrees, _genera, _degrees, _genera)
@@ -245,7 +271,7 @@ def test_e1e1_symmetric_residuals_vanish(kx3, r, d, g):
 
 @given(_kx3, st.integers(min_value=1, max_value=86), st.integers(min_value=-4, max_value=-1))
 def test_star_pair_closure_holds_identically(kx3, ap, bp):
-    assert coeffs_from_star_pair(ap, bp).closure_numerators() == (0, 0, 0)
+    assert _closure(coeffs_from_star_pair(ap, bp)) == (0, 0, 0)
 
 
 @given(
@@ -314,7 +340,7 @@ def test_defect_matches_the_fraction_expression(e3self, etilde3):
 
 @given(_wide_rationals, _wide_rationals, _wide_ints)
 def test_basis_decomposition_matches_the_fraction_expression(alpha, beta, r):
-    lead, diff, den = basis_decomposition_numerators(alpha, beta, r)
+    lead, diff, den = basis_decomposition_numerators(over_common_denominator(alpha, beta), r)
     assert type(lead) is int and type(diff) is int and den > 0
     assert (Fraction(lead, den), Fraction(diff, den)) == (
         Fraction(alpha) * r,
@@ -343,3 +369,112 @@ def test_e1e1_residuals_match_the_fraction_expression(kx3, coeffs, g, sig, gp, s
 def test_e1estar_residuals_match_the_fraction_expression(kx3, coeffs, r, d, g, star_c):
     expected = _e1estar_fraction_residuals(kx3, coeffs, r, d, g, star_c)
     assert _e1estar_residuals(kx3, coeffs, r, d, g, star_c) == expected
+
+
+# ---------------------------------------------------------------------------
+# Each field of a candidate's integer record against its plain-Fraction
+# expression, written out here without the formulas module.  The tuples
+# come from the unpruned E1-E1 box, the E1-point scan box (DIOPHANTINE
+# off) and the symmetric grid, where most fail some check.
+
+# (-K)^2.E, (-K).E^2, E^3 and the target-degree offset of each point type.
+_POINT_SIDES = {
+    ContractionType.E2: (4, 2, 1, 8),
+    ContractionType.E34: (2, 2, 2, 2),
+    ContractionType.E5: (1, 2, 4, Fraction(1, 2)),
+}
+
+
+def _side_terms_by_fractions(kx3, side):
+    """(excess, (-K).E^2, E^3, kY3) of one side."""
+    if side.ctype is ContractionType.E1:
+        rd, two_minus_2g = side.r * side.d, 2 - 2 * side.g
+        return rd + two_minus_2g, two_minus_2g, -rd + two_minus_2g, kx3 + 2 * rd + two_minus_2g
+    kx2e, kxe2, e3self, offset = _POINT_SIDES[side.ctype]
+    return kx2e, kxe2, e3self, kx3 + offset
+
+
+def _cube_by_fractions(a, b, kx3, opposite):
+    kx2e, kxe2, e3self, _ = opposite
+    return a**3 * kx3 + 3 * a**2 * b * kx2e - 3 * a * b**2 * kxe2 + b**3 * e3self
+
+
+def _assert_record_fields(record, kx3, left, right, alpha, beta, alpha_plus, beta_plus):
+    terms_left = _side_terms_by_fractions(kx3, left)
+    terms_right = _side_terms_by_fractions(kx3, right)
+    cube_left = _cube_by_fractions(alpha_plus, beta_plus, kx3, terms_right)
+    cube_right = _cube_by_fractions(alpha, beta, kx3, terms_left)
+    assert (record.kx3, record.left, record.right) == (kx3, left, right)
+    assert (record.sigma_left, record.sigma_right) == (terms_left[0], terms_right[0])
+    assert (record.kY3_left, record.kY3_right) == (terms_left[3], terms_right[3])
+    for (a, b, den), expected in (
+        (record.pair, (alpha, beta)),
+        (record.pair_plus, (alpha_plus, beta_plus)),
+    ):
+        assert all(type(n) is int for n in (a, b, den)) and den > 0
+        assert (Fraction(a, den), Fraction(b, den)) == expected
+    for ratio, expected in (
+        (record.etilde3_left, cube_left),
+        (record.etilde3_right, cube_right),
+        (record.defect_left, terms_left[2] - cube_left),
+        (record.defect_right, terms_right[2] - cube_right),
+    ):
+        assert all(type(n) is int for n in ratio) and ratio[1] > 0
+        assert Fraction(*ratio) == expected
+    # The Fraction form divides the same numbers.
+    candidate = search_mod.build_candidate(record)
+    assert candidate.record == record._replace(
+        pair=over_common_denominator(alpha, beta),
+        pair_plus=over_common_denominator(alpha_plus, beta_plus),
+        etilde3_left=Fraction(cube_left).as_integer_ratio(),
+        etilde3_right=Fraction(cube_right).as_integer_ratio(),
+        defect_left=Fraction(terms_left[2] - cube_left).as_integer_ratio(),
+        defect_right=Fraction(terms_right[2] - cube_right).as_integer_ratio(),
+    )
+
+
+_box_kx3 = st.sampled_from(KX3_VALUES)
+
+
+@st.composite
+def _e1_data(draw, r=None):
+    r = draw(st.integers(1, 4)) if r is None else r
+    return r, draw(st.integers(1, D_MAX)), draw(st.integers(0, G_MAX[r]))
+
+
+@st.composite
+def _e1e1_tuples(draw):
+    kx3, left_data = draw(_box_kx3), draw(_e1_data())
+    right_data = draw(_e1_data(draw(st.integers(1, left_data[0]))))
+    (r, d, g), (rp, dp, gp) = left_data, right_data
+    beta, beta_plus = Fraction(-rp, r), Fraction(-r, rp)
+    alpha_plus = (r * d + 2 - 2 * g - beta_plus * (rp * dp + 2 - 2 * gp)) / Fraction(kx3)
+    alpha = -beta * alpha_plus
+    sides = SideData(ContractionType.E1, r, d, g), SideData(ContractionType.E1, rp, dp, gp)
+    record = search_mod.record_e1e1(kx3, left_data, right_data)
+    return record, (kx3, *sides, alpha, beta, alpha_plus, beta_plus)
+
+
+@st.composite
+def _e1estar_tuples(draw):
+    kx3, left_data = draw(_box_kx3), draw(_e1_data())
+    star, ap = draw(st.sampled_from(tuple(_POINT_SIDES))), draw(st.integers(1, MAX_ALPHA_PLUS))
+    bp = draw(st.integers(-left_data[0], -1))
+    sides = SideData(ContractionType.E1, *left_data), SideData(star)
+    record = search_mod.record_e1estar(kx3, left_data, star, ap, bp)
+    return record, (kx3, *sides, Fraction(-ap, bp), Fraction(1, bp), Fraction(ap), Fraction(bp))
+
+
+@st.composite
+def _symmetric_tuples(draw):
+    kx3, star = draw(_box_kx3), draw(st.sampled_from(tuple(_POINT_SIDES)))
+    alpha = draw(st.integers(1, MAX_ALPHA_PLUS))
+    record = search_mod.record_symmetric(star, alpha, kx3)
+    side = SideData(star)
+    return record, (kx3, side, side, Fraction(alpha), Fraction(-1), Fraction(alpha), Fraction(-1))
+
+
+@given(st.one_of(_e1e1_tuples(), _e1estar_tuples(), _symmetric_tuples()))
+def test_record_fields_match_the_fraction_expressions(drawn):
+    record, expected = drawn
+    _assert_record_fields(record, *expected)

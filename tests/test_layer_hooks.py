@@ -1,0 +1,69 @@
+"""The names the per-layer benchmark harness wraps stay bound and in use.
+
+``bench/tracing.py`` measures each layer by replacing module attributes
+while an op runs, and it skips an attribute that is missing without a
+word.  A refactor that renamed or stopped calling one of them would zero
+its metrics (``search.build_calls``, ``formulas.etilde_calls``,
+``checks.run_calls``, ...) silently; these tests fail instead.
+"""
+
+from __future__ import annotations
+
+import inspect
+from collections import Counter
+
+from fanolink import catalog, golden, render, search
+
+# (module, attribute) pairs that bench/tracing.py wraps besides search.build_*.
+WRAPPED = (
+    (search, "etilde_cubed"),
+    (search, "run_checks"),
+    (search, "is_valid_fano_degree"),
+    (catalog, "hodge_h12"),
+    (search, "enumerate_family"),
+    (search, "brute_force_oracle"),
+    (golden, "golden_for_family"),
+    (golden, "diff"),
+    (render, "render_dispatch"),
+)
+
+
+def _build_functions() -> list[str]:
+    return [
+        name
+        for name in dir(search)
+        if name.startswith("build_") and inspect.isfunction(getattr(search, name))
+    ]
+
+
+def test_every_wrapped_name_is_bound():
+    assert set(_build_functions()) >= {
+        "build_candidate", "build_e1e1", "build_e1estar", "build_symmetric"
+    }
+    for module, name in WRAPPED:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_a_default_enumeration_calls_the_derivation_and_check_layers(monkeypatch):
+    # One E1-point family reaches every layer: its point side's degree test
+    # (is_valid_fano_degree), the check registry, the Hodge lookup of the
+    # records that reach HODGE, and the Fraction form of its three rows.
+    calls: Counter[str] = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _build_functions():
+        monkeypatch.setattr(search, name, counting("search.build_*", getattr(search, name)))
+    for module, name in WRAPPED[:4]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert len(search.enumerate_family("e1e2")) == 3
+    assert calls["search.build_*"] == 3
+    assert calls["etilde_cubed"] == 6
+    assert calls["run_checks"] > 0
+    assert calls["is_valid_fano_degree"] > 0
+    assert calls["hodge_h12"] > 0

@@ -21,7 +21,7 @@ from fanolink.checks import (
 )
 from fanolink.formulas import ky3_from_kx3, sigma, star_sigma
 from fanolink.golden import candidate_key, diff
-from fanolink.model import ContractionType, Shape, SideData, family_spec
+from fanolink.model import ContractionType, Shape, SideData, family_id, family_spec
 from fanolink.rational import RationalOverflowError
 from fanolink.search import (
     D_MAX,
@@ -45,6 +45,11 @@ from fanolink.search import (
 ABLATION_EXTRAS = {
     "SIGMA_POS": {
         "e1e1": (138, "13a2a5bdfec13636964b1319de9582a4446e9f3819142571d44b55a9bf0894d8"),
+    },
+    "DIOPHANTINE": {
+        "e1e2": (1, "7199cf179f256a7cda49fe587968a947c1f9cd70c49a36169582dac9c924b77e"),
+        "e1e3": (14, "b9899d0c2cde225fae11b5da0b75378abf132b3f33100ff63f35550c4f2d94a6"),
+        "e1e5": (12, "e51a5b487f471dfe2f642d775af9ac7bf7d692c3ae7bc3c789924d089e12366e"),
     },
     "FANO_DEGREE_LEFT": {
         "e1e3": (2, "9bd164d9fe8cd221ce9b93783b1dc8a51996e885326072c6bf571ff450da6ad5"),
@@ -323,12 +328,8 @@ class TestDomainFacts:
 class TestAblations:
     @pytest.mark.parametrize("check", REGISTRY)
     def test_single_check_ablation_matrix(self, enumerated, ablated, check):
-        families = FAMILY_IDS
-        if check == "DIOPHANTINE":
-            # Without the residual pruning each E1-point family takes 10-16 s.
-            families = [f for f in FAMILY_IDS if family_spec(f).shape is not Shape.CURVE_POINT]
         extras = {}
-        for family in families:
+        for family in FAMILY_IDS:
             out = set(ablated(check, family))
             assert set(enumerated[family]) <= out, family
             if len(out) > len(enumerated[family]):
@@ -440,6 +441,31 @@ class TestTracing:
             funnel[family] = {**counts, "admitted": len(out)}
         assert funnel == DEFAULT_FUNNEL
 
+    def test_default_run_derivations_are_pinned(self, monkeypatch):
+        # A default run decides every tuple that passes its family's pair
+        # test on an integer record, and builds the Fraction form only for
+        # the 134 rows it keeps (measured).
+        records, built = Counter(), Counter()
+        derive, build = search.derive, search.build_candidate
+
+        def counted_derive(sides, *pairs):
+            fields = sides[0]
+            records[family_id(fields[1].ctype, fields[2].ctype)] += 1
+            return derive(sides, *pairs)
+
+        def counted_build(record):
+            built[family_id(record.left.ctype, record.right.ctype)] += 1
+            return build(record)
+
+        monkeypatch.setattr(search, "derive", counted_derive)
+        monkeypatch.setattr(search, "build_candidate", counted_build)
+        for family in FAMILY_IDS:
+            enumerate_family(family)
+        assert records == {
+            "e1e1": 622, "e1e2": 249, "e1e3": 249, "e1e5": 161, "e2e2": 3, "e3e3": 2, "e5e5": 1
+        }
+        assert built == EXPECTED_COUNTS
+
     def test_star_family_trace(self, enumerated):
         events = []
         out = enumerate_e1estar(ContractionType.E2, trace=lambda s, d, f: events.append(s))
@@ -464,27 +490,41 @@ class TestE1PointPreTest:
         assert enumerate_family(family) == enumerate_family(family, trace=lambda s, d, f: None)
 
     def test_pre_test_runs_only_without_a_trace(self, monkeypatch):
-        # Untraced, only the pinned tuples whose residual numerators all
-        # vanish are derived; traced, every pinned tuple is (measured: 47
-        # and 699 in all).
-        calls = Counter()
-        build = search.build_e1estar
+        # Every pinned tuple is decided on its integer record, traced or
+        # not, and only the admitted ones are built into candidates.  The
+        # one step an untraced run takes alone is FANO_DEGREE_RIGHT once per
+        # kx3: on e1e2 (kY3 = kx3 + 8 must be an index-1 Fano degree) it
+        # skips kx3 = 12 and 16..22; E3/E4 and E5 targets have no index.
+        records, built = Counter(), Counter()
+        derive, build = search.derive, search.build_candidate
 
-        def counted(*args):
-            calls[traced, args[2]] += 1
-            return build(*args)
+        def counted_derive(*args):
+            records[traced, args[0][0][2].ctype] += 1
+            return derive(*args)
 
-        monkeypatch.setattr(search, "build_e1estar", counted)
+        def counted_build(record):
+            built[traced, record.right.ctype] += 1
+            return build(record)
+
+        monkeypatch.setattr(search, "derive", counted_derive)
+        monkeypatch.setattr(search, "build_candidate", counted_build)
         for traced in (False, True):
             for family in self.STAR_FAMILIES:
                 enumerate_family(family, trace=(lambda s, d, f: None) if traced else None)
-        assert calls == {
-            (False, ContractionType.E2): 14,
-            (False, ContractionType.E34): 17,
-            (False, ContractionType.E5): 16,
+        assert records == {
+            (False, ContractionType.E2): 249,  # 289 less the 40 at those kx3
+            (False, ContractionType.E34): 249,
+            (False, ContractionType.E5): 161,
             (True, ContractionType.E2): 289,
             (True, ContractionType.E34): 249,
             (True, ContractionType.E5): 161,
+        }
+        assert built == {
+            (traced, star): count
+            for traced in (False, True)
+            for star, count in (
+                (ContractionType.E2, 3), (ContractionType.E34, 7), (ContractionType.E5, 7)
+            )
         }
 
 
@@ -525,8 +565,8 @@ class TestOracle:
         for kx3 in KX3_VALUES:
             for r, grid in search._SIDE_GRID.items():
                 for d, g in grid:
-                    c = build_e1e1(kx3, (r, d, g), (1, 1, 0))
-                    passes = admitted(run_checks(c, left_checks))
+                    record = search.record_e1e1(kx3, (r, d, g), (1, 1, 0))
+                    passes = admitted(run_checks(record, left_checks))
                     assert passes == ((kx3, r, d, g) in kept), (kx3, r, d, g)
                     verdicts[passes, sigma(r, d, g) >= E1_SIGMA_MIN] += 1
         assert all(sig == sigma(r, d, g) for (_, r, d, g), sig in kept.items())
@@ -542,12 +582,13 @@ class TestOracle:
         lefts = tuple(search._oracle_left_sides())
         monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
         derived = []
+        record = search.record_e1e1
 
-        def recording_build(kx3, left, right):
+        def recording_record(kx3, left, right):
             derived.append((kx3, left, right))
-            return build_e1e1(kx3, left, right)
+            return record(kx3, left, right)
 
-        monkeypatch.setattr(search, "build_e1e1", recording_build)
+        monkeypatch.setattr(search, "record_e1e1", recording_record)
         with_skip = search._oracle_e1e1()
         kept = list(derived)
         derived.clear()
@@ -555,7 +596,7 @@ class TestOracle:
         assert search._oracle_e1e1() == with_skip
         skipped = set(derived) - set(kept)
         for kx3, left, right in derived:
-            passes = admitted(run_checks(build_e1e1(kx3, left, right), {"FANO_DEGREE_RIGHT"}))
+            passes = admitted(run_checks(record(kx3, left, right), {"FANO_DEGREE_RIGHT"}))
             assert passes == ((kx3, left, right) not in skipped), (kx3, left, right)
         assert (len(derived), len(kept), len(skipped)) == (1090, 515, 575)
 
@@ -567,12 +608,13 @@ class TestOracle:
         lefts = tuple(search._oracle_left_sides())
         monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
         derived = []
+        record = search.record_e1e1
 
-        def recording_build(kx3, left, right):
+        def recording_record(kx3, left, right):
             derived.append((kx3, left, right))
-            return build_e1e1(kx3, left, right)
+            return record(kx3, left, right)
 
-        monkeypatch.setattr(search, "build_e1e1", recording_build)
+        monkeypatch.setattr(search, "record_e1e1", recording_record)
         with_skip = search._oracle_e1e1()
         kept = set(derived)
         derived.clear()
@@ -581,8 +623,37 @@ class TestOracle:
         assert kept < set(derived)
         for kx3, left, right in set(derived) - kept:
             assert sigma(*right) < E1_SIGMA_MIN
-            c = build_e1e1(kx3, left, right)
-            assert not admitted(run_checks(c, {"SIGMA_POS"})), (kx3, left, right)
+            passes = admitted(run_checks(record(kx3, left, right), {"SIGMA_POS"}))
+            assert not passes, (kx3, left, right)
+
+    def test_e1_point_oracle_skips_exactly_the_kx3_fano_degree_right_rejects(self, monkeypatch):
+        # On a point side FANO_DEGREE_RIGHT reads kx3 alone.  The E1-point
+        # oracles run twice over the same left sides, with the kx3 skip and
+        # without it; the tuples only the second run derives are the
+        # skipped ones, all on e1e2 (kY3 = kx3 + 8; E3/E4 and E5 targets
+        # are singular and have no degree constraint).
+        lefts = tuple(search._oracle_left_sides())
+        monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
+        derived = []
+        record = search.record_e1estar
+
+        def recording_record(*args):
+            derived.append(args)
+            return record(*args)
+
+        monkeypatch.setattr(search, "record_e1estar", recording_record)
+        stars = [family_spec(f).star for f in TestE1PointPreTest.STAR_FAMILIES]
+        with_skip = [search._oracle_e1estar(star) for star in stars]
+        kept = list(derived)
+        derived.clear()
+        monkeypatch.setattr(search, "_degree_ok", lambda kx3, side: True)
+        assert [search._oracle_e1estar(star) for star in stars] == with_skip
+        skipped = set(derived) - set(kept)
+        for args in derived:
+            passes = admitted(run_checks(record(*args), {"FANO_DEGREE_RIGHT"}))
+            assert passes == (args not in skipped), args
+        assert {args[2] for args in skipped} == {ContractionType.E2}
+        assert (len(derived), len(kept), len(skipped)) == (356, 339, 17)
 
 
 class TestEmittedCandidates:
