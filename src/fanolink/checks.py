@@ -8,7 +8,7 @@ for a degree outside the catalog, reachable when earlier checks are
 disabled) becomes a failing report with a reason, not an exception.
 
 Each check is a verdict and a description, both read from a candidate's
-integer record (model.CandidateRecord).  The verdict, ``passes``, decides
+integer fields (model.LinkCandidate).  The verdict, ``passes``, decides
 by integer arithmetic and comparisons: it formats no text and builds no
 Fraction.  The description, ``describe``, writes the report's detail text,
 and a report calls it only when its ``detail`` is read (the search reads
@@ -16,7 +16,7 @@ only names and verdicts; ``explain`` prints the details).
 
 A candidate is admitted when every enabled check passes.  Disabling checks
 can only widen the admitted set (each check is a pure predicate on the
-record), which the property tests exercise.
+candidate), which the property tests exercise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .formulas import (
     e1e1_residual_numerators,
     e1estar_residual_numerators,
 )
-from .model import CandidateRecord, LinkCandidate, Pair, SideData
+from .model import LinkCandidate, Pair, SideData
 
 # The central-degree domain: even, 2..22.  It is also the search range.
 KX3_VALUES: tuple[int, ...] = tuple(range(2, 23, 2))
@@ -43,15 +43,15 @@ MAX_ALPHA_PLUS = 86
 
 
 class CheckReport(NamedTuple):
-    """One check's verdict on a candidate record; its detail text is written when read."""
+    """One check's verdict on a candidate; its detail text is written when read."""
 
     name: str
     passed: bool
-    record: CandidateRecord
+    candidate: LinkCandidate
 
     @property
     def detail(self) -> str:
-        return REGISTRY[self.name].describe(self.record)
+        return REGISTRY[self.name].describe(self.candidate)
 
 
 # Minimum anticanonical excess on a blown-up-curve side.  The base-point-free
@@ -80,7 +80,7 @@ def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
     return f"target degree {ky3} at index {index}"
 
 
-def _residuals(rec: CandidateRecord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _residuals(rec: LinkCandidate) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The residual system as (numerators, their positive denominators), by shape.
 
     A family's curve side, if any, is the left one.  Star-star: each
@@ -114,12 +114,12 @@ def _fractions(pair: Pair) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(b, den)
 
 
-def _coeff_relations(rec: CandidateRecord) -> bool:
+def _coeff_relations(rec: LinkCandidate) -> bool:
     pair, pair_plus = rec.pair, rec.pair_plus
     return not any(closure_numerators(pair, pair_plus)) and 0 not in (*pair[:2], *pair_plus[:2])
 
 
-def _coeff_relations_detail(rec: CandidateRecord) -> str:
+def _coeff_relations_detail(rec: LinkCandidate) -> str:
     den = rec.pair[2] * rec.pair_plus[2]
     detail = "closure " + _ratios(closure_numerators(rec.pair, rec.pair_plus), (den, den, den))
     if 0 in (*rec.pair[:2], *rec.pair_plus[:2]):
@@ -151,7 +151,7 @@ def _primitive_detail(role: str, side: SideData, pair: Pair) -> str:
     return f"decomposition ({lead}, {diff}), gcd {math.gcd(lead, diff)}"
 
 
-def _point_side_pairs(rec: CandidateRecord) -> list[tuple[str, Pair]]:
+def _point_side_pairs(rec: LinkCandidate) -> list[tuple[str, Pair]]:
     pairs = []
     if not rec.left.is_e1:
         pairs.append(("left", rec.pair))
@@ -165,7 +165,7 @@ def _integral_pair(pair: Pair) -> bool:
     return a % den == 0 and b % den == 0
 
 
-def _coeff_integrality_detail(rec: CandidateRecord) -> str:
+def _coeff_integrality_detail(rec: LinkCandidate) -> str:
     pairs = _point_side_pairs(rec)
     if not pairs:
         return "no point-type side; integrality not required"
@@ -178,13 +178,13 @@ def _coeff_integrality_detail(rec: CandidateRecord) -> str:
     )
 
 
-def _defect_positive(rec: CandidateRecord) -> bool:
+def _defect_positive(rec: LinkCandidate) -> bool:
     (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
     positive = num_left > 0 and num_right > 0
     return positive and num_left % den_left == 0 and num_right % den_right == 0
 
 
-def _defect_divisible(rec: CandidateRecord) -> bool:
+def _defect_divisible(rec: LinkCandidate) -> bool:
     # e / scale is an integer exactly when scale * den(e) divides num(e).
     (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
     norm_left, rem_left = divmod(num_left, rec.left.cube_scale * den_left)
@@ -192,7 +192,7 @@ def _defect_divisible(rec: CandidateRecord) -> bool:
     return rem_left == 0 and rem_right == 0 and norm_left == norm_right
 
 
-def _defect_divisible_detail(rec: CandidateRecord) -> str:
+def _defect_divisible_detail(rec: LinkCandidate) -> str:
     scale_left, scale_right = rec.left.cube_scale, rec.right.cube_scale
     norm_left = Fraction(rec.defect_left[0], rec.defect_left[1] * scale_left)
     norm_right = Fraction(rec.defect_right[0], rec.defect_right[1] * scale_right)
@@ -204,7 +204,7 @@ def _hodge_sum(side: SideData, ky3: Fraction | int) -> int:
     return value + (side.g if side.is_e1 else 0)
 
 
-def _hodge(rec: CandidateRecord) -> bool:
+def _hodge(rec: LinkCandidate) -> bool:
     if rec.left.target_index is None or rec.right.target_index is None:
         return True
     try:
@@ -213,7 +213,7 @@ def _hodge(rec: CandidateRecord) -> bool:
         return False
 
 
-def _hodge_detail(rec: CandidateRecord) -> str:
+def _hodge_detail(rec: LinkCandidate) -> str:
     if rec.left.target_index is None or rec.right.target_index is None:
         return "a target is singular; Hodge balance not applicable"
     try:
@@ -224,27 +224,27 @@ def _hodge_detail(rec: CandidateRecord) -> str:
     return f"curve-corrected h12: {lhs} vs {rhs}"
 
 
-def _hyperelliptic_sym_detail(rec: CandidateRecord) -> str:
+def _hyperelliptic_sym_detail(rec: LinkCandidate) -> str:
     if rec.kx3 != 2:
         return "central degree above 2; symmetry not forced"
     return f"degree-2 link sides {'equal' if rec.left == rec.right else 'differ'}"
 
 
-def _alpha_plus_bound(rec: CandidateRecord) -> bool:
+def _alpha_plus_bound(rec: LinkCandidate) -> bool:
     if rec.left.is_e1 and rec.right.is_e1:
         return True
     ap, _, den_p = rec.pair_plus
     return 0 < ap <= MAX_ALPHA_PLUS * den_p
 
 
-def _alpha_plus_bound_detail(rec: CandidateRecord) -> str:
+def _alpha_plus_bound_detail(rec: LinkCandidate) -> str:
     if rec.left.is_e1 and rec.right.is_e1:
         return "both sides E1; no point-side coefficient bound"
     alpha_plus = _fractions(rec.pair_plus)[0]
     return f"alpha_plus = {alpha_plus}, bound (0, {MAX_ALPHA_PLUS}]"
 
 
-def _beta_plus_range(rec: CandidateRecord) -> bool:
+def _beta_plus_range(rec: LinkCandidate) -> bool:
     if rec.left.is_e1 and rec.right.is_e1:
         return True
     a, b, den = rec.pair
@@ -254,7 +254,7 @@ def _beta_plus_range(rec: CandidateRecord) -> bool:
     return b == -den and bp == -den_p and a * den_p == ap * den
 
 
-def _beta_plus_range_detail(rec: CandidateRecord) -> str:
+def _beta_plus_range_detail(rec: LinkCandidate) -> str:
     if rec.left.is_e1 and rec.right.is_e1:
         return "both sides E1; range fixed by the index ratio"
     alpha, beta = _fractions(rec.pair)
@@ -271,8 +271,8 @@ class Check(NamedTuple):
     """A registry entry: what the check demands, its verdict and its detail text."""
 
     description: str
-    passes: Callable[[CandidateRecord], bool]
-    describe: Callable[[CandidateRecord], str]
+    passes: Callable[[LinkCandidate], bool]
+    describe: Callable[[LinkCandidate], str]
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -372,31 +372,30 @@ def validate_check_ids(names: Iterable[str]) -> None:
 
 
 @functools.cache
-def _plan(enabled: frozenset[str]) -> dict[str, Callable[[CandidateRecord], bool]]:
+def _plan(enabled: frozenset[str]) -> dict[str, Callable[[LinkCandidate], bool]]:
     """The enabled checks' verdicts by name, in registry order, validated once per set."""
     validate_check_ids(enabled)
     return {name: check.passes for name, check in REGISTRY.items() if name in enabled}
 
 
 def run_checks(
-    candidate: CandidateRecord | LinkCandidate,
+    candidate: LinkCandidate,
     enabled: frozenset[str] = DEFAULT_CHECKS,
     short_circuit: bool = False,
 ) -> tuple[CheckReport, ...]:
-    """Evaluate the enabled checks in registry order on a record.
+    """Evaluate the enabled checks in registry order on a candidate.
 
-    A LinkCandidate is read through its record view.  With short_circuit
-    the evaluation stops at the first failure and reports it alone, so an
-    admitted record gets no reports; the admission verdict is the same.
+    With short_circuit the evaluation stops at the first failure and
+    reports it alone, so an admitted candidate gets no reports; the
+    admission verdict is the same.
     """
-    record = candidate.record if isinstance(candidate, LinkCandidate) else candidate
     plan = _plan(frozenset(enabled))
     if short_circuit:
         for name, passes in plan.items():
-            if not passes(record):
-                return (CheckReport(name, False, record),)
+            if not passes(candidate):
+                return (CheckReport(name, False, candidate),)
         return ()
-    return tuple(CheckReport(name, passes(record), record) for name, passes in plan.items())
+    return tuple(CheckReport(name, passes(candidate), candidate) for name, passes in plan.items())
 
 
 _passed = operator.attrgetter("passed")

@@ -35,6 +35,10 @@ from .formulas import basis_decomposition_numerators
 from .model import FAMILIES
 from .rational import RationalOverflowError, audit_magnitude, render_exact
 
+# Trace lines per write to stderr: at most about 250 kB, under the 1 MiB mmap
+# threshold main() sets (README, "Memory").
+TRACE_CHUNK_LINES = 4096
+
 
 def _parse_families(value: str) -> list[str]:
     requested = [part.strip() for part in value.split(",") if part.strip()]
@@ -109,17 +113,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return 2
     enabled = frozenset(checks_mod.DEFAULT_CHECKS - set(args.disable_check))
 
+    lines: list[str] = []
     trace = None
     if args.trace_rejections:
 
         def trace(stage: str, data: tuple, failed: tuple[str, ...]) -> None:
-            print(f"reject[{stage}] {data} failed={','.join(failed)}", file=sys.stderr)
+            lines.append(f"reject[{stage}] {data} failed={','.join(failed)}\n")
+            if len(lines) == TRACE_CHUNK_LINES:
+                sys.stderr.write("".join(lines))
+                lines.clear()
 
     sections = []
     golden_rows = []
-    for family in families:
-        sections.append((family, search_mod.enumerate_family(family, enabled, trace=trace)))
-        golden_rows.extend(golden_mod.golden_for_family(family))
+    try:
+        for family in families:
+            sections.append((family, search_mod.enumerate_family(family, enabled, trace=trace)))
+            golden_rows.extend(golden_mod.golden_for_family(family))
+    finally:
+        if lines:
+            sys.stderr.write("".join(lines))
     golden_index = render_mod.build_golden_index(golden_rows)
     text = render_mod.render_dispatch(args.format, sections, golden_index)
 
@@ -181,14 +193,14 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    # Every number printed below is held to the 64-bit contract first.
+    # Every number printed below is held to the 64-bit contract first: the
+    # candidate's by search.build_candidate, the decompositions' here.
     try:
-        candidate = search_mod.audit_candidate(_resolve_explain_target(args.family, args.key))
-        record = candidate.record
+        candidate = _resolve_explain_target(args.family, args.key)
         decompositions = []
         for role, side, pair, plus in (
-            ("left", candidate.left, record.pair, ""),
-            ("right", candidate.right, record.pair_plus, "_plus"),
+            ("left", candidate.left, candidate.pair, ""),
+            ("right", candidate.right, candidate.pair_plus, "_plus"),
         ):
             if side.is_e1:
                 lead, diff_term, den = basis_decomposition_numerators(pair, side.r)
@@ -215,10 +227,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"alpha={render_exact(coeffs.alpha)}, beta={render_exact(coeffs.beta)}, "
         f"alpha_plus={render_exact(coeffs.alpha_plus)}, beta_plus={render_exact(coeffs.beta_plus)}"
     )
-    print(
-        "flopped divisor cubes: "
-        f"left={render_exact(candidate.etilde3_left)}, right={render_exact(candidate.etilde3_right)}"
-    )
+    cube_left, cube_right = Fraction(*candidate.etilde3_left), Fraction(*candidate.etilde3_right)
+    print(f"flopped divisor cubes: left={render_exact(cube_left)}, right={render_exact(cube_right)}")
     defect_left = "non-integral" if candidate.defect_e is None else str(candidate.defect_e)
     defect_right = "non-integral" if candidate.defect_e_plus is None else str(candidate.defect_e_plus)
     norm = candidate.e_over_r3
@@ -230,7 +240,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             f"({render_exact(lead)}, {render_exact(diff_term)})"
         )
     print("checks:")
-    reports = checks_mod.run_checks(record)
+    reports = checks_mod.run_checks(candidate)
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
         print(f"  {status} {report.name}: {report.detail}")

@@ -9,13 +9,12 @@ Conventions used throughout (and by the golden tables):
 * For the point-type contractions the analogous excess is the constant
   (-K)^2.E of the exceptional divisor: 4 for E2, 2 for E3/E4, 1 for E5.
 
-All functions are pure and exact; they accept ints or Fractions and return
-ints or Fractions, never floats.  The derivation works on integer
-numerators over one common denominator per coefficient pair (r*kx3 and
-r_plus*kx3 on E1-E1, |beta_plus| on E1-point, 1 on the symmetric
-families): ``derive`` collects them into one CandidateRecord per tuple,
-and the Fraction functions (coefficients, etilde_cubed, defect) divide
-the same numerators into single reduced Fractions.
+All functions are pure and exact; they return ints or Fractions, never
+floats.  The derivation works on integer numerators over one common
+denominator per coefficient pair (r*kx3 and r_plus*kx3 on E1-E1,
+|beta_plus| on E1-point, 1 on the symmetric families): ``derive``
+collects them into one LinkCandidate per tuple, which divides them out
+only where its values are read.
 """
 
 from __future__ import annotations
@@ -25,15 +24,13 @@ from fractions import Fraction
 
 from .model import (
     STAR_DEGREE_OFFSET,
-    CandidateRecord,
     ContractionType,
-    FlopCoefficients,
     IntersectionConstants,
+    LinkCandidate,
     Pair,
     SideData,
     intersection_constants,
 )
-from .rational import over_common_denominator
 
 
 def sigma(r: int, d: int, g: int) -> int:
@@ -114,14 +111,6 @@ def symmetric_pairs(alpha: int) -> tuple[Pair, Pair]:
     return (alpha, -1, 1), (alpha, -1, 1)
 
 
-def coefficients(pair: Pair, pair_plus: Pair) -> FlopCoefficients:
-    """The Fraction form of two coefficient pairs: each numerator over its denominator."""
-    (a, b, den), (ap, bp, den_p) = pair, pair_plus
-    return FlopCoefficients(
-        Fraction(a, den), Fraction(b, den), Fraction(ap, den_p), Fraction(bp, den_p)
-    )
-
-
 def e1e1_residual_numerators(
     kx3: int,
     left: Pair,
@@ -199,38 +188,22 @@ def etilde_cube_numerators(
     return num, den * den * den
 
 
-def etilde_cubed(
-    alpha_plus: Fraction | int,
-    beta_plus: Fraction | int,
-    kx3: int,
-    opposite: IntersectionConstants,
-) -> Fraction:
-    """The cube of etilde_cube_numerators as one reduced Fraction."""
-    pair = over_common_denominator(alpha_plus, beta_plus)
-    return Fraction(*etilde_cube_numerators(pair, kx3, opposite))
-
-
 def defect_numerators(e3self: int, cube: tuple[int, int]) -> tuple[int, int]:
     """Flop defect E^3 - Etilde^3 over the cube's denominator: (numerator, denominator)."""
     num, den = cube
     return e3self * den - num, den
 
 
-def defect(e3self: int, etilde3: Fraction | int) -> Fraction:
-    """Flop defect: drop of the divisor's self-cube across the flop."""
-    return Fraction(*defect_numerators(e3self, etilde3.as_integer_ratio()))
-
-
-# One side's share of every record with that side at a central degree: the
+# One side's share of every candidate with that side at a central degree: the
 # side, its intersection constants and its target degree.
 SideTerm = tuple[SideData, IntersectionConstants, "Fraction | int"]
-# The first seven fields of a CandidateRecord (kx3, the two sides, their
+# The first seven fields of a LinkCandidate (kx3, the two sides, their
 # excesses and target degrees), with the sides' intersection constants.
 SideTerms = tuple[tuple, IntersectionConstants, IntersectionConstants]
 
 
 def side_term(kx3: int, side: SideData) -> SideTerm:
-    """What every record with this side at kx3 shares: the side, its constants, its kY3.
+    """What every candidate with this side at kx3 shares: the side, its constants, its kY3.
 
     The side's excess is its (-K)^2.E constant: sigma(r, d, g) on E1, the
     point-side constant otherwise.
@@ -239,14 +212,14 @@ def side_term(kx3: int, side: SideData) -> SideTerm:
 
 
 def side_terms(kx3: int, left: SideTerm, right: SideTerm) -> SideTerms:
-    """The record fields a tuple shares with every tuple on the same two sides at kx3."""
+    """The candidate fields a tuple shares with every tuple on the same two sides at kx3."""
     (left_side, const_left, ky3_left), (right_side, const_right, ky3_right) = left, right
     fields = (kx3, left_side, right_side, const_left.kx2E, const_right.kx2E, ky3_left, ky3_right)
     return fields, const_left, const_right
 
 
-def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> CandidateRecord:
-    """A tuple's integer record: every quantity the checks read.
+def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> LinkCandidate:
+    """A tuple's candidate: every quantity the checks read, in integers.
 
     sides comes from side_terms; pair and pair_plus are the coefficient
     pairs.  The left side's flopped divisor is expanded in the right basis
@@ -257,7 +230,7 @@ def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> CandidateRecord:
     kx3 = fields[0]
     cube_left = etilde_cube_numerators(pair_plus, kx3, const_right)
     cube_right = etilde_cube_numerators(pair, kx3, const_left)
-    return _record(
+    return _candidate(
         (
             *fields,
             pair,
@@ -270,5 +243,5 @@ def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> CandidateRecord:
     )
 
 
-# CandidateRecord(*fields) without the Python-level __new__: one per tuple decided.
-_record = functools.partial(tuple.__new__, CandidateRecord)
+# LinkCandidate(*fields) without the Python-level __new__: one per tuple decided.
+_candidate = functools.partial(tuple.__new__, LinkCandidate)

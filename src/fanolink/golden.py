@@ -293,7 +293,10 @@ def _duplicates(keys: Iterable[tuple]) -> tuple[tuple, ...]:
 
 def diff(candidates: Sequence[LinkCandidate], golden: Iterable[GoldenRow]) -> DiffReport:
     """Exact column-by-column comparison of a candidate set with golden rows."""
-    computed_rows = [(candidate_key(c), c.cells()) for c in candidates]
+    computed_rows = []
+    for c in candidates:
+        cells = c.cells()
+        computed_rows.append((FAMILIES[c.family].key(cells), cells))
     reference_rows = [(golden_key(row), row) for row in golden]
     computed = dict(computed_rows)
     reference = dict(reference_rows)

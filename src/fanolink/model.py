@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .rational import is_integer, over_common_denominator
-
 
 class ContractionType(enum.Enum):
     """Divisorial contraction types that can bound the link."""
@@ -267,18 +265,26 @@ def family_spec(family: str) -> FamilySpec:
 Pair = tuple[int, int, int]
 
 
-class CandidateRecord(NamedTuple):
-    """One tuple's derived quantities in integers: what the admission checks read.
+class LinkCandidate(NamedTuple):
+    """One tuple's derived candidate link, in integers.
 
-    Built once per tuple by formulas.derive.  The fields mirror
-    LinkCandidate's; each rational one is held as numerators over a
-    positive denominator, which need not be the least one:
+    Built once per tuple by formulas.derive; the admission checks read its
+    fields, and output reads the values computed from them (coeffs,
+    family, defect_e, defect_e_plus, e_over_r3, cells).  Each rational
+    quantity is held as numerators over a positive denominator, which need
+    not be the least one:
 
     * pair = (a, b, den) is (alpha, beta) and pair_plus = (ap, bp, den_p)
       is (alpha_plus, beta_plus);
-    * each flopped-divisor cube and each defect is (numerator, denominator).
+    * each flopped-divisor cube and each flop defect E^3 - Etilde^3 is
+      (numerator, denominator).
 
     kY3 is an int, or a Fraction for an E5 side's half-integral degree.
+    Equality and hashing are over these fields.  Every route (enumerators,
+    oracle, mirror, explain) derives the pairs through the same pair
+    functions, so one tuple has one candidate whichever route built it.
+    The side types must be one family's types: family raises ValueError
+    otherwise.
     """
 
     kx3: int
@@ -295,45 +301,25 @@ class CandidateRecord(NamedTuple):
     defect_left: tuple[int, int]
     defect_right: tuple[int, int]
 
-
-@dataclass(frozen=True)
-class LinkCandidate:
-    """A fully derived candidate link, prior to or after admission.
-
-    defect_left and defect_right are the exact flop defects E^3 - Etilde^3
-    of the two sides' divisors, derived once with the candidate.  defect_e
-    and defect_e_plus give them as ints, or None when one is not an integer
-    (possible on rejected candidates kept for tracing).  The side types
-    must be one family's types (ValueError otherwise).
-    """
-
-    kx3: int
-    left: SideData
-    right: SideData
-    coeffs: FlopCoefficients
-    sigma_left: int
-    sigma_right: int
-    kY3_left: Fraction
-    kY3_right: Fraction
-    etilde3_left: Fraction
-    etilde3_right: Fraction
-    defect_left: Fraction
-    defect_right: Fraction
-
-    def __post_init__(self) -> None:
-        family_id(self.left.ctype, self.right.ctype)
-
     @property
     def family(self) -> str:
         return family_id(self.left.ctype, self.right.ctype)
 
     @property
+    def coeffs(self) -> FlopCoefficients:
+        (a, b, den), (ap, bp, den_p) = self.pair, self.pair_plus
+        return FlopCoefficients(
+            Fraction(a, den), Fraction(b, den), Fraction(ap, den_p), Fraction(bp, den_p)
+        )
+
+    @property
     def defect_e(self) -> int | None:
-        return int(self.defect_left) if is_integer(self.defect_left) else None
+        """The left defect as an int, or None when it is not an integer (on rejected tuples)."""
+        return _integer(self.defect_left)
 
     @property
     def defect_e_plus(self) -> int | None:
-        return int(self.defect_right) if is_integer(self.defect_right) else None
+        return _integer(self.defect_right)
 
     @property
     def e_over_r3(self) -> Fraction | None:
@@ -341,26 +327,6 @@ class LinkCandidate:
         if self.defect_e is None:
             return None
         return Fraction(self.defect_e, self.left.cube_scale)
-
-    @property
-    def record(self) -> CandidateRecord:
-        """The candidate's own fields as a record, each Fraction split into numerators."""
-        coeffs = self.coeffs
-        return CandidateRecord(
-            self.kx3,
-            self.left,
-            self.right,
-            self.sigma_left,
-            self.sigma_right,
-            self.kY3_left,
-            self.kY3_right,
-            over_common_denominator(coeffs.alpha, coeffs.beta),
-            over_common_denominator(coeffs.alpha_plus, coeffs.beta_plus),
-            self.etilde3_left.as_integer_ratio(),
-            self.etilde3_right.as_integer_ratio(),
-            self.defect_left.as_integer_ratio(),
-            self.defect_right.as_integer_ratio(),
-        )
 
     def cells(self) -> dict[str, object]:
         """Every column value, keyed by golden-table column name."""
@@ -384,3 +350,8 @@ class LinkCandidate:
             "e_over_r3": self.e_over_r3,
             "e": self.defect_e,
         }
+
+
+def _integer(ratio: tuple[int, int]) -> int | None:
+    num, den = ratio
+    return None if num % den else num // den

@@ -5,9 +5,9 @@ Two independent routes produce every family's candidate set:
 * The primary enumerators loop over the documented search space, derive
   the flop coefficients in closed form (or scan the integer coefficient
   box for the point-type families), prune with exact integer forms of the
-  residual system, and decide each remaining tuple on its integer record
-  (formulas.derive) through the check suite.  Only a kept row is built
-  into its Fraction form (build_candidate).
+  residual system, and decide each remaining tuple on its integer
+  candidate (formulas.derive) through the check suite.  Only a kept row
+  is audited (build_candidate).
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -35,7 +35,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -53,11 +52,8 @@ from .checks import (
 from .formulas import (
     SideTerm,
     SideTerms,
-    coefficients,
-    defect,
     derive,
     e1e1_pairs,
-    etilde_cubed,
     ky3_from_kx3,
     side_term,
     side_terms,
@@ -68,13 +64,11 @@ from .formulas import (
 )
 from .model import (
     FAMILY_IDS,  # re-exported: search's callers list the families from here
-    CandidateRecord,
     ContractionType,
     LinkCandidate,
     Shape,
     SideData,
     family_spec,
-    intersection_constants,
 )
 from .rational import as_integer, audit_magnitude
 
@@ -90,12 +84,12 @@ TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 # them before any coefficient: the side lists prune SIGMA_POS and the
 # FANO_DEGREE checks on E1 sides, a point side's excess is positive, kx3
 # runs over KX3_VALUES, and a point side's FANO_DEGREE_RIGHT is tested once
-# per kx3.  Each record is then checked against the rest.
+# per kx3.  Each candidate is then checked against the rest.
 SIDE_CHECKS = frozenset({"SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT"})
 
 
 # ---------------------------------------------------------------------------
-# Records and candidates
+# Candidates
 
 
 # The enumerators' sides by (ctype, r, d, g), each validated once: building a
@@ -110,8 +104,8 @@ def _side_terms(kx3: int, left: SideData, right: SideData) -> SideTerms:
 
 def record_e1e1(
     kx3: int, left_data: tuple[int, int, int], right_data: tuple[int, int, int]
-) -> CandidateRecord:
-    """Integer record of an E1-E1 tuple from the two curve data triples."""
+) -> LinkCandidate:
+    """Unchecked candidate of an E1-E1 tuple from the two curve data triples."""
     left = SideData(ContractionType.E1, *left_data)
     right = SideData(ContractionType.E1, *right_data)
     pairs = e1e1_pairs(kx3, left.r, right.r, sigma(*left_data), sigma(*right_data))
@@ -124,49 +118,46 @@ def record_e1estar(
     star: ContractionType,
     alpha_plus: int,
     beta_plus: int,
-) -> CandidateRecord:
-    """Integer record of an E1 side against a point-type side."""
+) -> LinkCandidate:
+    """Unchecked candidate of an E1 side against a point-type side."""
     sides = _side_terms(kx3, SideData(ContractionType.E1, *left_data), SideData(star))
     return derive(sides, *star_pairs(alpha_plus, beta_plus))
 
 
-def record_symmetric(star: ContractionType, alpha: int, kx3: int) -> CandidateRecord:
-    """Integer record of a symmetric point-type tuple."""
+def record_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidate:
+    """Unchecked candidate of a symmetric point-type tuple."""
     side = SideData(star)
     return derive(_side_terms(kx3, side, side), *symmetric_pairs(alpha))
 
 
-def build_candidate(record: CandidateRecord) -> LinkCandidate:
-    """The Fraction form of a record, for the rows that are kept or shown.
+def build_candidate(candidate: LinkCandidate) -> LinkCandidate:
+    """A candidate to keep or show, returned unchanged once its family and magnitudes hold.
 
-    The coefficients divide the record's pairs, and the cubes and defects
-    come from the Fraction functions over the same numerator kernels.
+    Raises ValueError when its side types form no family, and
+    RationalOverflowError when a value, reduced, leaves the 64-bit
+    contract.  The values are audited in this order: kx3, the excesses,
+    the target degrees, the cubes, the defects, the left and the right
+    side's (r, d, g), and the coefficients.
     """
-    kx3, left, right = record.kx3, record.left, record.right
-    coeffs = coefficients(record.pair, record.pair_plus)
-    const_left, const_right = intersection_constants(left), intersection_constants(right)
-    etilde3_left = etilde_cubed(coeffs.alpha_plus, coeffs.beta_plus, kx3, const_right)
-    etilde3_right = etilde_cubed(coeffs.alpha, coeffs.beta, kx3, const_left)
-    return LinkCandidate(
-        kx3=kx3,
-        left=left,
-        right=right,
-        coeffs=coeffs,
-        sigma_left=record.sigma_left,
-        sigma_right=record.sigma_right,
-        kY3_left=record.kY3_left,
-        kY3_right=record.kY3_right,
-        etilde3_left=etilde3_left,
-        etilde3_right=etilde3_right,
-        defect_left=defect(const_left.e3self, etilde3_left),
-        defect_right=defect(const_right.e3self, etilde3_right),
-    )
+    c = candidate
+    c.family
+    coeffs = c.coeffs
+    ratios = (c.etilde3_left, c.etilde3_right, c.defect_left, c.defect_right)
+    for value in (
+        c.kx3, c.sigma_left, c.sigma_right, c.kY3_left, c.kY3_right,
+        *(Fraction(*ratio) for ratio in ratios),
+        c.left.r, c.left.d, c.left.g, c.right.r, c.right.d, c.right.g,
+        coeffs.alpha, coeffs.beta, coeffs.alpha_plus, coeffs.beta_plus,
+    ):
+        if value is not None:
+            audit_magnitude(value)
+    return candidate
 
 
 def build_e1e1(
     kx3: int, left_data: tuple[int, int, int], right_data: tuple[int, int, int]
 ) -> LinkCandidate:
-    """Fully derived E1-E1 candidate from the two curve data triples."""
+    """Checked E1-E1 candidate from the two curve data triples."""
     return build_candidate(record_e1e1(kx3, left_data, right_data))
 
 
@@ -177,12 +168,12 @@ def build_e1estar(
     alpha_plus: int,
     beta_plus: int,
 ) -> LinkCandidate:
-    """Fully derived candidate for an E1 side against a point-type side."""
+    """Checked candidate for an E1 side against a point-type side."""
     return build_candidate(record_e1estar(kx3, left_data, star, alpha_plus, beta_plus))
 
 
 def build_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidate:
-    """Fully derived symmetric point-type candidate."""
+    """Checked symmetric point-type candidate."""
     return build_candidate(record_symmetric(star, alpha, kx3))
 
 
@@ -232,37 +223,23 @@ def mirror_candidate(c: LinkCandidate) -> LinkCandidate:
     Defined on E1-E1 and symmetric candidates; an E1-point candidate raises
     ValueError, since no family has a point type on the left.
     """
-    record = c.record
-    return build_candidate(
-        derive(_side_terms(record.kx3, record.right, record.left), record.pair_plus, record.pair)
-    )
-
-
-def audit_candidate(candidate: LinkCandidate) -> LinkCandidate:
-    """Return the candidate unchanged, raising if a number in it leaves the 64-bit contract."""
-    for part in (candidate, candidate.left, candidate.right, candidate.coeffs):
-        for field in dataclasses.fields(part):
-            value = getattr(part, field.name)
-            if isinstance(value, (int, Fraction)):
-                audit_magnitude(value)
-    return candidate
+    return build_candidate(derive(_side_terms(c.kx3, c.right, c.left), c.pair_plus, c.pair))
 
 
 def _admit(
-    record: CandidateRecord,
+    candidate: LinkCandidate,
     enabled: frozenset[str],
     trace: TraceFn | None,
     data: tuple,
     results: list[LinkCandidate],
 ) -> None:
-    """Run the enabled checks on a record: keep an admitted one, trace a rejected one.
+    """Run the enabled checks on a candidate: keep an admitted one, trace a rejected one.
 
-    Only an admitted record is built into a candidate, and its numbers are
-    held to the 64-bit contract first.
+    Only an admitted candidate is held to the 64-bit contract (build_candidate).
     """
-    reports = run_checks(record, enabled, short_circuit=trace is None)
+    reports = run_checks(candidate, enabled, short_circuit=trace is None)
     if admitted(reports):
-        results.append(audit_candidate(build_candidate(record)))
+        results.append(build_candidate(candidate))
     elif trace is not None:
         trace("full", data, tuple(rep.name for rep in reports if not rep.passed))
 
@@ -338,7 +315,7 @@ def _e1_side_list(
 def _with_terms(
     kx3: int, r: int, sides: tuple[tuple[int, int, int], ...]
 ) -> tuple[tuple[int, int, int, SideTerm], ...]:
-    """A side list's (d, g, sigma) entries, each with its side's share of a record."""
+    """A side list's (d, g, sigma) entries, each with its side's share of a candidate."""
     return tuple((d, g, sig, side_term(kx3, _e1_side(r, d, g))) for d, g, sig in sides)
 
 
@@ -384,8 +361,8 @@ def enumerate_e1e1(
                                 trace("pair-fast", data, ("DIOPHANTINE",))
                             continue
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
-                    record = derive(side_terms(kx3, left_term, right_term), *pairs)
-                    _admit(record, record_checks, trace, data, results)
+                    candidate = derive(side_terms(kx3, left_term, right_term), *pairs)
+                    _admit(candidate, record_checks, trace, data, results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -405,7 +382,7 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
-    Each tuple left is decided on its integer record.
+    Each tuple left is decided on its integer candidate.
 
     FANO_DEGREE_RIGHT reads kx3 and the point side alone, so it runs once
     per kx3 (the check's own call, _degree_ok): where it fails, every tuple
@@ -441,8 +418,8 @@ def enumerate_e1estar(
                     else:
                         alpha_pluses = range(1, MAX_ALPHA_PLUS + 1)
                     for ap in alpha_pluses:
-                        record = derive(sides, *star_pairs(ap, bp))
-                        _admit(record, record_checks, trace, (kx3, r, d, g, ap, bp), results)
+                        candidate = derive(sides, *star_pairs(ap, bp))
+                        _admit(candidate, record_checks, trace, (kx3, r, d, g, ap, bp), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -557,12 +534,12 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     if not _e1_degree_ok(kx3, rp, dp, gp):
                         continue  # FANO_DEGREE_RIGHT rejects the solved right side
-                    record = record_e1e1(kx3, (r, d, g), (rp, dp, gp))
-                    ap_num, _, ap_den = record.pair_plus
+                    candidate = record_e1e1(kx3, (r, d, g), (rp, dp, gp))
+                    ap_num, _, ap_den = candidate.pair_plus
                     if ap_num * q != p * ap_den:
                         continue  # the closed form's alpha_plus is not p/q
-                    if admitted(run_checks(record, short_circuit=True)):
-                        results.append(build_candidate(record))
+                    if admitted(run_checks(candidate, short_circuit=True)):
+                        results.append(build_candidate(candidate))
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -587,9 +564,9 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
             for ap in range(1, MAX_ALPHA_PLUS + 1):
                 if ap * (ap * kx3 + 2 * bp * c) != rhs:
                     continue
-                record = record_e1estar(kx3, (r, d, g), star, ap, bp)
-                if admitted(run_checks(record, short_circuit=True)):
-                    results.append(build_candidate(record))
+                candidate = record_e1estar(kx3, (r, d, g), star, ap, bp)
+                if admitted(run_checks(candidate, short_circuit=True)):
+                    results.append(build_candidate(candidate))
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -601,9 +578,9 @@ def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
         for alpha in range(1, MAX_ALPHA_PLUS + 1):
             if alpha * kx3 != two_c:
                 continue
-            record = record_symmetric(star, alpha, kx3)
-            if admitted(run_checks(record, short_circuit=True)):
-                results.append(build_candidate(record))
+            candidate = record_symmetric(star, alpha, kx3)
+            if admitted(run_checks(candidate, short_circuit=True)):
+                results.append(build_candidate(candidate))
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -20,9 +20,10 @@ from fanolink import catalog
 from fanolink.catalog import load_hodge_table
 from fanolink.checks import DEFAULT_CHECKS, admitted, run_checks
 from fanolink.cli import main
-from fanolink.formulas import defect, etilde_cubed
+from fanolink.formulas import defect_numerators, etilde_cube_numerators
 from fanolink.golden import diff, golden_for_family
 from fanolink.model import ContractionType, SideData, intersection_constants
+from fanolink.rational import over_common_denominator
 from fanolink.search import FAMILY_IDS, enumerate_family, mirror_candidate
 
 # SHA-256 of `enumerate --families all` output: the CSV, the stderr of
@@ -104,37 +105,32 @@ def test_criterion_4_spot_defects_recomputed():
     def e1_side(r, d, g):
         return SideData(ContractionType.E1, r, d, g)
 
+    def cube_and_defect(row, opposite, side):
+        # The left divisor's cube in the opposite basis, and the left defect.
+        pair = over_common_denominator(row.alpha_plus, row.beta_plus)
+        cube = etilde_cube_numerators(pair, row.kx3, intersection_constants(opposite))
+        e3self = intersection_constants(side).e3self
+        return Fraction(*cube), Fraction(*defect_numerators(e3self, cube))
+
     rows = {row.row: row for row in golden_for_family("e1e1")}
 
     row1 = rows[1]
-    cube1 = etilde_cubed(
-        row1.alpha_plus, row1.beta_plus, row1.kx3, intersection_constants(e1_side(1, 1, 0))
-    )
+    cube1, e1 = cube_and_defect(row1, e1_side(1, 1, 0), e1_side(1, 1, 0))
     assert cube1 == -46
-    e1 = defect(intersection_constants(e1_side(1, 1, 0)).e3self, cube1)
     assert e1 == 47
     assert e1 // row1.r**3 == row1.e_over_r3 == 47
 
     row27 = rows[27]
     assert (row27.r, row27.d, row27.g) == (2, 1, 0)
-    cube27 = etilde_cubed(
-        row27.alpha_plus, row27.beta_plus, row27.kx3, intersection_constants(e1_side(2, 1, 0))
-    )
+    cube27, e27 = cube_and_defect(row27, e1_side(2, 1, 0), e1_side(2, 1, 0))
     assert cube27 == -88
-    e27 = defect(intersection_constants(e1_side(2, 1, 0)).e3self, cube27)
     assert e27 == 88
     assert e27 // row27.r**3 == row27.e_over_r3 == 11
 
     star_row = golden_for_family("e1e2")[0]
     assert (star_row.r, star_row.d, star_row.g) == (2, 12, 7)
-    cube_star = etilde_cubed(
-        star_row.alpha_plus,
-        star_row.beta_plus,
-        star_row.kx3,
-        intersection_constants(SideData(ContractionType.E2)),
-    )
+    cube_star, e_star = cube_and_defect(star_row, SideData(ContractionType.E2), e1_side(2, 12, 7))
     assert cube_star == -228
-    e_star = defect(intersection_constants(e1_side(2, 12, 7)).e3self, cube_star)
     assert e_star == 192
     assert star_row.r**3 == 8
     assert e_star // star_row.r**3 == star_row.e_over_r3 == 24

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -22,6 +21,7 @@ from fanolink.checks import (
     validate_check_ids,
 )
 from fanolink.model import ContractionType
+from fanolink.rational import over_common_denominator
 from fanolink.search import D_MAX, G_MAX, build_e1e1, build_e1estar, build_symmetric
 
 CANONICAL_ORDER = (
@@ -315,8 +315,8 @@ def _primitive_by_fractions(alpha, beta, r):
 
 
 def _defect_divisible_by_fractions(c):
-    norm_left = c.defect_left / (c.left.r**3 if c.left.is_e1 else 1)
-    norm_right = c.defect_right / (c.right.r**3 if c.right.is_e1 else 1)
+    norm_left = Fraction(*c.defect_left) / (c.left.r**3 if c.left.is_e1 else 1)
+    norm_right = Fraction(*c.defect_right) / (c.right.r**3 if c.right.is_e1 else 1)
     return norm_left.denominator == 1 and norm_right.denominator == 1 and norm_left == norm_right
 
 
@@ -337,7 +337,7 @@ BY_FRACTIONS = {
     "GCD_RIGHT": lambda c: not c.right.is_e1
     or _primitive_by_fractions(c.coeffs.alpha_plus, c.coeffs.beta_plus, c.right.r),
     "DEFECT_POSITIVE": lambda c: all(
-        e.denominator == 1 and e > 0 for e in (c.defect_left, c.defect_right)
+        e.denominator == 1 and e > 0 for e in (Fraction(*c.defect_left), Fraction(*c.defect_right))
     ),
     "DEFECT_DIVISIBLE": _defect_divisible_by_fractions,
     "ALPHA_PLUS_BOUND": lambda c: (c.left.is_e1 and c.right.is_e1)
@@ -379,8 +379,12 @@ _BOXES = st.one_of(_e1e1_box(), _e1estar_box(), _SYMMETRIC_GRID)
 
 
 def _with_coeff(candidate, field, value):
-    coeffs = dataclasses.replace(candidate.coeffs, **{field: value})
-    return dataclasses.replace(candidate, coeffs=coeffs)
+    """The candidate with one coefficient replaced; its cubes and defects stay as they were."""
+    coeffs = {**vars(candidate.coeffs), field: value}
+    return candidate._replace(
+        pair=over_common_denominator(coeffs["alpha"], coeffs["beta"]),
+        pair_plus=over_common_denominator(coeffs["alpha_plus"], coeffs["beta_plus"]),
+    )
 
 
 @st.composite
@@ -410,10 +414,8 @@ def _perturbed(draw):
     )
 )
 @example(  # non-integral defects whose numerators the index cubes divide alike
-    candidate=dataclasses.replace(
-        build_e1e1(2, (2, 1, 0), (1, 1, 0)), defect_left=Fraction(8, 3), defect_right=Fraction(1, 3)
-    )
+    candidate=build_e1e1(2, (2, 1, 0), (1, 1, 0))._replace(defect_left=(8, 3), defect_right=(1, 3))
 )
 def test_integer_verdicts_equal_the_fraction_predicates(candidate):
     for name, predicate in BY_FRACTIONS.items():
-        assert REGISTRY[name].passes(candidate.record) == predicate(candidate), name
+        assert REGISTRY[name].passes(candidate) == predicate(candidate), name

@@ -5,17 +5,31 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import io
 import json
+import sys
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
+from fanolink import formulas
 from fanolink import golden as golden_mod
 from fanolink import search as search_mod
 from fanolink.checks import REGISTRY
-from fanolink.cli import main
+from fanolink.cli import TRACE_CHUNK_LINES, main
 from fanolink.render import build_golden_index, render_csv
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 class TestTopLevel:
@@ -105,7 +119,7 @@ class TestEnumerate:
         assert capsys.readouterr().err.startswith("internal error:")
 
     def test_audit_failure_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(search_mod, "etilde_cubed", lambda *args: Fraction(-(2**63)))
+        monkeypatch.setattr(formulas, "etilde_cube_numerators", lambda *args: (-(2**63), 1))
         assert main(["enumerate", "--families", "e2e2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -120,6 +134,36 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out.startswith("# family: e5e5")
         assert "reject[domain] (1, 2) failed=KX3_RANGE" in captured.err
+
+    def test_trace_is_written_in_chunks(self, monkeypatch):
+        # Each write carries up to TRACE_CHUNK_LINES lines, in the bytes a
+        # per-line print would give.
+        expected = []
+        search_mod.enumerate_family(
+            "e1e2", trace=lambda s, d, f: expected.append(f"reject[{s}] {d} failed={','.join(f)}\n")
+        )
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stderr", stream)
+        assert main(["enumerate", "--families", "e1e2", "--trace-rejections"]) == 0
+        assert stream.getvalue() == "".join(expected)
+        assert len(expected) > 5 * TRACE_CHUNK_LINES
+        assert stream.writes <= -(-len(expected) // TRACE_CHUNK_LINES) + 1
+
+    def test_trace_is_flushed_before_an_internal_error(self, monkeypatch, capsys):
+        assert main(["enumerate", "--families", "e1e2", "--trace-rejections"]) == 0
+        traced = capsys.readouterr().err
+        enumerate_family = search_mod.enumerate_family
+
+        def failing_after_e1e2(family, *args, **kwargs):
+            if family != "e1e2":
+                raise RuntimeError("boom")
+            return enumerate_family(family, *args, **kwargs)
+
+        monkeypatch.setattr(search_mod, "enumerate_family", failing_after_e1e2)
+        assert main(["enumerate", "--families", "e1e2,e1e3", "--trace-rejections"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == traced + "internal error: boom\n"
 
     def test_markdown_smoke(self, capsys):
         assert main(["enumerate", "--families", "e5e5", "--format", "markdown"]) == 0

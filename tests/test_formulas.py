@@ -14,12 +14,11 @@ from fanolink.checks import KX3_VALUES, MAX_ALPHA_PLUS
 from fanolink.formulas import (
     basis_decomposition_numerators,
     closure_numerators,
-    coefficients,
-    defect,
+    defect_numerators,
     e1e1_pairs,
     e1e1_residual_numerators,
     e1estar_residual_numerators,
-    etilde_cubed,
+    etilde_cube_numerators,
     ky3_from_kx3,
     sigma,
     star_pairs,
@@ -30,11 +29,17 @@ from fanolink.model import (
     ContractionType,
     FlopCoefficients,
     IntersectionConstants,
+    LinkCandidate,
     SideData,
     intersection_constants,
 )
 from fanolink.rational import over_common_denominator
 from fanolink.search import D_MAX, G_MAX
+
+
+def coefficients(pair, pair_plus):
+    """A candidate's coeffs on two coefficient pairs; coeffs reads no other field."""
+    return LinkCandidate(*(None,) * 7, pair, pair_plus, *(None,) * 4).coeffs
 
 
 def coeffs_e1e1(kx3, r, r_plus, sigma_left, sigma_right):
@@ -196,27 +201,25 @@ class TestResiduals:
 class TestTransformCube:
     def test_first_row_cube(self):
         constants = intersection_constants(SideData(ContractionType.E1, 1, 1, 0))
-        assert etilde_cubed(Fraction(3), Fraction(-1), 2, constants) == -46
+        assert etilde_cube_numerators((3, -1, 1), 2, constants) == (-46, 1)
 
     def test_point_side_cube(self):
         # e2e2 with alpha = 1 at kx3 = 8: cube against the E2 constants.
         constants = intersection_constants(SideData(ContractionType.E2))
-        assert etilde_cubed(Fraction(1), Fraction(-1), 8, constants) == -11
+        assert etilde_cube_numerators((1, -1, 1), 8, constants) == (-11, 1)
 
     def test_cube_against_explicit_constants(self):
-        value = etilde_cubed(
-            Fraction(2), Fraction(-1), 2, IntersectionConstants(kx2E=2, kxE2=2, e3self=2)
-        )
-        assert value == -22
+        constants = IntersectionConstants(kx2E=2, kxE2=2, e3self=2)
+        assert etilde_cube_numerators((2, -1, 1), 2, constants) == (-22, 1)
 
     def test_defect(self):
-        assert defect(1, -46) == 47
-        assert defect(0, -88) == 88
-        assert defect(1, -11) == 12
-        assert defect(2, -22) == 24
+        assert defect_numerators(1, (-46, 1)) == (47, 1)
+        assert defect_numerators(0, (-88, 1)) == (88, 1)
+        assert defect_numerators(1, (-11, 1)) == (12, 1)
+        assert defect_numerators(2, (-22, 1)) == (24, 1)
 
     def test_defect_keeps_fractions_exact(self):
-        assert defect(4, Fraction(-1, 2)) == Fraction(9, 2)
+        assert Fraction(*defect_numerators(4, (-1, 2))) == Fraction(9, 2)
 
 
 class TestBasisDecomposition:
@@ -314,13 +317,8 @@ _coefficient_sets = st.builds(
 _constants = st.builds(IntersectionConstants, _wide_ints, _wide_ints, _wide_ints)
 
 
-def _is_reduced_rational(x) -> bool:
-    """A Fraction or an int, never a float (a Fraction is always reduced)."""
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
-
 @given(_wide_rationals, _wide_rationals, _wide_ints, _constants)
-def test_etilde_cubed_matches_the_fraction_expression(a, b, kx3, opposite):
+def test_etilde_cube_numerators_match_the_fraction_expression(a, b, kx3, opposite):
     a_f, b_f = Fraction(a), Fraction(b)
     expected = (
         a_f * a_f * a_f * kx3
@@ -328,14 +326,16 @@ def test_etilde_cubed_matches_the_fraction_expression(a, b, kx3, opposite):
         - 3 * a_f * b_f * b_f * opposite.kxE2
         + b_f * b_f * b_f * opposite.e3self
     )
-    value = etilde_cubed(a, b, kx3, opposite)
-    assert value == expected and _is_reduced_rational(value)
+    numerator, den = etilde_cube_numerators(over_common_denominator(a, b), kx3, opposite)
+    assert type(numerator) is int and type(den) is int and den > 0
+    assert Fraction(numerator, den) == expected
 
 
 @given(_wide_ints, _wide_rationals)
-def test_defect_matches_the_fraction_expression(e3self, etilde3):
-    value = defect(e3self, etilde3)
-    assert value == e3self - Fraction(etilde3) and type(value) is Fraction
+def test_defect_numerators_match_the_fraction_expression(e3self, etilde3):
+    numerator, den = defect_numerators(e3self, Fraction(etilde3).as_integer_ratio())
+    assert type(numerator) is int and den > 0
+    assert Fraction(numerator, den) == e3self - Fraction(etilde3)
 
 
 @given(_wide_rationals, _wide_rationals, _wide_ints)
@@ -421,16 +421,13 @@ def _assert_record_fields(record, kx3, left, right, alpha, beta, alpha_plus, bet
     ):
         assert all(type(n) is int for n in ratio) and ratio[1] > 0
         assert Fraction(*ratio) == expected
-    # The Fraction form divides the same numbers.
-    candidate = search_mod.build_candidate(record)
-    assert candidate.record == record._replace(
-        pair=over_common_denominator(alpha, beta),
-        pair_plus=over_common_denominator(alpha_plus, beta_plus),
-        etilde3_left=Fraction(cube_left).as_integer_ratio(),
-        etilde3_right=Fraction(cube_right).as_integer_ratio(),
-        defect_left=Fraction(terms_left[2] - cube_left).as_integer_ratio(),
-        defect_right=Fraction(terms_right[2] - cube_right).as_integer_ratio(),
-    )
+    # The values output reads divide the same numbers.
+    assert record.coeffs == FlopCoefficients(alpha, beta, alpha_plus, beta_plus)
+    for value, expected in (
+        (record.defect_e, terms_left[2] - cube_left),
+        (record.defect_e_plus, terms_right[2] - cube_right),
+    ):
+        assert value == (expected if Fraction(expected).denominator == 1 else None)
 
 
 _box_kx3 = st.sampled_from(KX3_VALUES)

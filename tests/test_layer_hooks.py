@@ -3,8 +3,8 @@
 ``bench/tracing.py`` measures each layer by replacing module attributes
 while an op runs, and it skips an attribute that is missing without a
 word.  A refactor that renamed or stopped calling one of them would zero
-its metrics (``search.build_calls``, ``formulas.etilde_calls``,
-``checks.run_calls``, ...) silently; these tests fail instead.
+its metrics (``search.build_calls``, ``checks.run_calls``, ...)
+silently; these tests fail instead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fanolink import catalog, golden, render, search
 
 # (module, attribute) pairs that bench/tracing.py wraps besides search.build_*.
 WRAPPED = (
-    (search, "etilde_cubed"),
     (search, "run_checks"),
     (search, "is_valid_fano_degree"),
     (catalog, "hodge_h12"),
@@ -47,7 +46,7 @@ def test_every_wrapped_name_is_bound():
 def test_a_default_enumeration_calls_the_derivation_and_check_layers(monkeypatch):
     # One E1-point family reaches every layer: its point side's degree test
     # (is_valid_fano_degree), the check registry, the Hodge lookup of the
-    # records that reach HODGE, and the Fraction form of its three rows.
+    # candidates that reach HODGE, and the kept-row step of its three rows.
     calls: Counter[str] = Counter()
 
     def counting(key, fn):
@@ -59,11 +58,10 @@ def test_a_default_enumeration_calls_the_derivation_and_check_layers(monkeypatch
 
     for name in _build_functions():
         monkeypatch.setattr(search, name, counting("search.build_*", getattr(search, name)))
-    for module, name in WRAPPED[:4]:
+    for module, name in WRAPPED[:3]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert len(search.enumerate_family("e1e2")) == 3
     assert calls["search.build_*"] == 3
-    assert calls["etilde_cubed"] == 6
     assert calls["run_checks"] > 0
     assert calls["is_valid_fano_degree"] > 0
     assert calls["hodge_h12"] > 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from fanolink.model import (
     intersection_constants,
 )
 from fanolink.rational import over_common_denominator
-from fanolink.search import build_e1e1, build_e1estar, build_symmetric
+from fanolink.search import build_candidate, build_e1e1, build_e1estar, build_symmetric
 
 
 def _closure(coeffs):
@@ -202,12 +201,15 @@ class TestLinkCandidate:
 
     def test_side_types_must_form_a_family(self):
         candidate = build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2)
-        with pytest.raises(ValueError, match="no family has side types E2,E1"):
-            dataclasses.replace(candidate, left=candidate.right, right=candidate.left)
-        with pytest.raises(ValueError, match="no family has side types E2,E5"):
-            dataclasses.replace(
-                candidate, left=SideData(ContractionType.E2), right=SideData(ContractionType.E5)
-            )
+        for left, right, types in (
+            (candidate.right, candidate.left, "E2,E1"),
+            (SideData(ContractionType.E2), SideData(ContractionType.E5), "E2,E5"),
+        ):
+            unpaired = candidate._replace(left=left, right=right)
+            with pytest.raises(ValueError, match=f"no family has side types {types}"):
+                unpaired.family
+            with pytest.raises(ValueError, match=f"no family has side types {types}"):
+                build_candidate(unpaired)
 
     def test_frozen(self):
         candidate = build_symmetric(ContractionType.E2, 1, 8)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from hashlib import sha256
 
 import pytest
 
-from fanolink import search
+from fanolink import formulas, search
 from fanolink.catalog import FANO_DEGREES, is_valid_fano_degree
 from fanolink.checks import (
     DEFAULT_CHECKS,
@@ -167,6 +166,22 @@ class TestConstants:
         ap_bound = max((top[r] - kx3_min - r + r * c) // kx3_min for r in top for c in point_c)
         assert ap_bound == 37
         assert MAX_ALPHA_PLUS >= max(ap_bound, 2 * max(point_c) // kx3_min)
+
+    def test_oracle_bounds_never_cut_its_scan(self):
+        # The right-excess cap of the E1-E1 oracle is the largest excess on
+        # an index-rp side of the grid (d = D_MAX, g = 0).
+        for rp in range(1, 5):
+            assert D_MAX * rp + 2 == max(sigma(rp, d, g) for d, g in search._SIDE_GRID[rp])
+        # Its widest p window, over every left side it scans, stays within
+        # ORACLE_NUMERATOR_BOUND, so the min() cap never cuts the scan.
+        widest = max(
+            (q * (sig * rp + r * (D_MAX * rp + 2))) // (rp * kx3)
+            for kx3, r, _, _, sig in search._oracle_left_sides()
+            for rp in range(1, 5)
+            for q in range(1, 5)
+        )
+        assert widest == 228
+        assert widest <= ORACLE_NUMERATOR_BOUND
 
     def test_enlarged_box_gives_the_same_rows(self, enumerated, monkeypatch):
         # D_MAX 30 and every G_MAX doubled; the side lists are rebuilt from it.
@@ -443,7 +458,7 @@ class TestTracing:
 
     def test_default_run_derivations_are_pinned(self, monkeypatch):
         # A default run decides every tuple that passes its family's pair
-        # test on an integer record, and builds the Fraction form only for
+        # test on its integer candidate, and audits (build_candidate) only
         # the 134 rows it keeps (measured).
         records, built = Counter(), Counter()
         derive, build = search.derive, search.build_candidate
@@ -491,7 +506,7 @@ class TestE1PointPreTest:
 
     def test_pre_test_runs_only_without_a_trace(self, monkeypatch):
         # Every pinned tuple is decided on its integer record, traced or
-        # not, and only the admitted ones are built into candidates.  The
+        # not, and only the admitted ones reach build_candidate.  The
         # one step an untraced run takes alone is FANO_DEGREE_RIGHT once per
         # kx3: on e1e2 (kY3 = kx3 + 8 must be an index-1 Fano degree) it
         # skips kx3 = 12 and 16..22; E3/E4 and E5 targets have no index.
@@ -672,6 +687,6 @@ class TestEmissionAudit:
     def test_out_of_range_defect_is_not_emitted(self, monkeypatch):
         # E2's self-cube is 1, so this cube gives the defect 2**63 + 1,
         # one past the 64-bit contract; the candidates pass every check.
-        monkeypatch.setattr(search, "etilde_cubed", lambda *args: Fraction(-(2**63)))
+        monkeypatch.setattr(formulas, "etilde_cube_numerators", lambda *args: (-(2**63), 1))
         with pytest.raises(RationalOverflowError):
             enumerate_family("e2e2")
