@@ -88,11 +88,27 @@ def e1e1_pairs(
     Intersecting the flopped divisor with (-K)^2 on both sides gives
     alpha_plus * kx3 = sigma_left - beta_plus * sigma_right, and
     alpha = -beta * alpha_plus.  With n = sigma_left*r_plus + r*sigma_right
-    (the enumerator's integer pair test uses the same n) that is
-    alpha = n/(r*kx3) and alpha_plus = n/(r_plus*kx3).
+    that is alpha = n/(r*kx3) and alpha_plus = n/(r_plus*kx3).
     """
     n = sigma_left * r_plus + r * sigma_right
     return (n, -r_plus * kx3, r * kx3), (n, -r * kx3, r_plus * kx3)
+
+
+def genus_form(kx3: int, sigma: int, g: int) -> int:
+    """Genus form Q = sigma^2 - kx3*(2g - 2) of an E1 side with excess sigma and genus g.
+
+    On the closed-form pairs of e1e1_pairs the genus residuals reduce to it.
+    With n = sigma*r_plus + r*sigma_plus the left pair is
+    (n, -r_plus*kx3, r*kx3), so the first residual numerator
+    (e1e1_residual_numerators) is
+        kx3 * (n^2 - 2*n*sigma*r_plus + r_plus^2*kx3*(2g - 2) - r^2*kx3*(2g_plus - 2)),
+    and n^2 - 2*n*sigma*r_plus = r^2*sigma_plus^2 - r_plus^2*sigma^2 turns
+    the bracket into m = r^2*Q_plus - r_plus^2*Q.  The second residual is
+    the first with the sides swapped, -kx3*m.  So an E1-E1 pair passes
+    DIOPHANTINE exactly when r^2*Q_plus == r_plus^2*Q: each side carries one
+    invariant, and its partners share the matching value.
+    """
+    return sigma * sigma - kx3 * (2 * g - 2)
 
 
 def star_pairs(alpha_plus: int, beta_plus: int) -> tuple[Pair, Pair]:

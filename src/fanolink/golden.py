@@ -234,10 +234,6 @@ def golden_key(row: GoldenRow) -> tuple:
     return FAMILIES[row.family].key(vars(row))
 
 
-def candidate_key(candidate: LinkCandidate) -> tuple:
-    return FAMILIES[candidate.family].key(candidate.cells())
-
-
 @dataclass(frozen=True)
 class FieldMismatch:
     key: tuple

@@ -15,7 +15,6 @@ integers would fail loudly here rather than wrap around.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 # Magnitude bound for the 64-bit arithmetic contract.
@@ -42,14 +41,6 @@ def as_integer(x: Fraction | int) -> int:
     if x.denominator != 1:
         raise ValueError(f"not an integer: {x}")
     return x.numerator
-
-
-def over_common_denominator(x: Fraction | int, y: Fraction | int) -> tuple[int, int, int]:
-    """Integers (m, n, d) with x = m/d and y = n/d, d the least common denominator."""
-    m, dx = x.as_integer_ratio()
-    n, dy = y.as_integer_ratio()
-    d = math.lcm(dx, dy)
-    return m * (d // dx), n * (d // dy), d
 
 
 def render_exact(x: Fraction | int) -> str:

@@ -7,7 +7,9 @@ Two independent routes produce every family's candidate set:
   box for the point-type families), prune with exact integer forms of the
   residual system, and decide each remaining tuple on its integer
   candidate (formulas.derive) through the check suite.  Only a kept row
-  is audited (build_candidate).
+  is audited (build_candidate).  E1-E1 joins each left side to its
+  partners by genus form (formulas.genus_form); traced runs and runs
+  without DIOPHANTINE walk every pair instead (enumerate_e1e1).
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -54,6 +56,7 @@ from .formulas import (
     SideTerms,
     derive,
     e1e1_pairs,
+    genus_form,
     ky3_from_kx3,
     side_term,
     side_terms,
@@ -265,20 +268,25 @@ def _e1_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
     return _degree_ok(kx3, _e1_side(r, d, g))
 
 
+# A kept E1 side at one kx3: (d, g, sigma, genus form, side term).
+E1Side = tuple[int, int, int, int, SideTerm]
+
+
 @functools.cache
 def _pruned_sides(
     kx3: int, r: int, sigma_pos: bool, degree: bool
-) -> tuple[tuple[tuple[int, int, int], ...], bytes]:
-    """The kept (d, g, sigma) sides of one index, and why the others were pruned.
+) -> tuple[tuple[E1Side, ...], bytes, dict[int, tuple[E1Side, ...]]]:
+    """The kept sides of one index, why the others were pruned, and the kept ones by genus form.
 
     sigma_pos prunes excesses below E1_SIGMA_MIN; degree prunes sides whose
     target degree is not a Fano degree of index r.  The bytes hold one
     verdict per _SIDE_GRID[r] entry: 0 kept, 1 SIGMA_POS, 2 degree (a byte,
-    not a tuple, per prune keeps the cache small).  The arguments carry
-    only what decides a prune, so both sides and any check sets share at
-    most four entries per (kx3, r).
+    not a tuple, per prune keeps the cache small).  The dict is the E1-E1
+    join's index: the kept sides grouped by genus form, in list order.  The
+    arguments carry only what decides a prune, so both sides and any check
+    sets share at most four entries per (kx3, r).
     """
-    sides, verdicts = [], bytearray()
+    sides, verdicts, by_form = [], bytearray(), {}
     for d, g in _SIDE_GRID[r]:
         sig = sigma(r, d, g)
         if sigma_pos and sig < E1_SIGMA_MIN:
@@ -287,14 +295,16 @@ def _pruned_sides(
             verdicts.append(2)
         else:
             verdicts.append(0)
-            sides.append((d, g, sig))
-    return tuple(sides), bytes(verdicts)
+            side = (d, g, sig, genus_form(kx3, sig, g), side_term(kx3, _e1_side(r, d, g)))
+            sides.append(side)
+            by_form.setdefault(side[3], []).append(side)
+    return tuple(sides), bytes(verdicts), {form: tuple(group) for form, group in by_form.items()}
 
 
 def _e1_side_list(
     kx3: int, r: int, enabled: frozenset[str], role: str, trace: TraceFn | None = None
-) -> tuple[tuple[int, int, int], ...]:
-    """All (d, g, sigma) for one index on the "left" or "right" side, pruned.
+) -> tuple[tuple[E1Side, ...], dict[int, tuple[E1Side, ...]]]:
+    """All kept sides of one index on the "left" or "right" side, and the same by genus form.
 
     Pruning here is an optimization only: a side is dropped exactly when
     SIGMA_POS or the role's FANO_DEGREE check, if enabled, would reject
@@ -303,20 +313,15 @@ def _e1_side_list(
     once (not once per pair), in loop order, at stage side-<role>.
     """
     degree_check = f"FANO_DEGREE_{role.upper()}"
-    sides, verdicts = _pruned_sides(kx3, r, "SIGMA_POS" in enabled, degree_check in enabled)
+    sides, verdicts, by_form = _pruned_sides(
+        kx3, r, "SIGMA_POS" in enabled, degree_check in enabled
+    )
     if trace is not None:
         failed = (None, ("SIGMA_POS",), (degree_check,))
         for (d, g), verdict in zip(_SIDE_GRID[r], verdicts):
             if verdict:
                 trace(f"side-{role}", (kx3, r, d, g), failed[verdict])
-    return sides
-
-
-def _with_terms(
-    kx3: int, r: int, sides: tuple[tuple[int, int, int], ...]
-) -> tuple[tuple[int, int, int, SideTerm], ...]:
-    """A side list's (d, g, sigma) entries, each with its side's share of a candidate."""
-    return tuple((d, g, sig, side_term(kx3, _e1_side(r, d, g))) for d, g, sig in sides)
+    return sides, by_form
 
 
 def enumerate_e1e1(
@@ -329,37 +334,39 @@ def enumerate_e1e1(
     canonical orientation (rp <= r); coefficients come from the closed
     form.  Every left side list is fetched (and its prunes traced) first,
     then every right one, each once per (kx3, index).
+
+    DIOPHANTINE holds exactly when r^2 * Q_plus == rp^2 * Q for the sides'
+    genus forms (formulas.genus_form).  Without a trace hook a left side
+    therefore looks up its partners by Q_plus = rp^2 * Q / r^2, and has none
+    unless that division is exact.  A traced run, which names every rejected
+    pair, and a run without DIOPHANTINE, which derives every pair, walk each
+    right side instead; only the iterable differs.  The test decides
+    DIOPHANTINE, so the candidates are checked without it.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
-    left = {key: _with_terms(*key, _e1_side_list(*key, enabled, "left", trace)) for key in indices}
-    right = {key: _with_terms(*key, _e1_side_list(*key, enabled, "right", trace)) for key in indices}
+    left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
+    right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
     fast = "DIOPHANTINE" in enabled
-    record_checks = enabled - SIDE_CHECKS
+    walk = trace is not None or not fast
+    record_checks = enabled - SIDE_CHECKS - {"DIOPHANTINE"}
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
-            for d, g, sig, left_term in left[(kx3, r)]:
-                two_g_minus_2 = 2 * g - 2
-                for dp, gp, sig_p, right_term in right[(kx3, rp)]:
+            right_sides, right_by_form = right[(kx3, rp)]
+            for d, g, sig, form, left_term in left[(kx3, r)]:
+                if walk:
+                    partners = right_sides
+                else:
+                    wanted, rem = divmod(rp * rp * form, r * r)
+                    partners = () if rem else right_by_form.get(wanted, ())
+                for dp, gp, sig_p, form_p, right_term in partners:
                     if r == rp and (d, g) < (dp, gp):
                         continue
                     data = (kx3, r, d, g, rp, dp, gp)
-                    if fast:
-                        # Exact integer multiple of the first genus residual;
-                        # the second residual is its negative once the leading
-                        # coefficient comes from the closed form (their sum
-                        # telescopes), so one test decides the pair.
-                        n = sig * rp + r * sig_p
-                        r1 = (
-                            n * n
-                            - 2 * n * sig * rp
-                            + rp * rp * kx3 * two_g_minus_2
-                            - r * r * kx3 * (2 * gp - 2)
-                        )
-                        if r1 != 0:
-                            if trace is not None:
-                                trace("pair-fast", data, ("DIOPHANTINE",))
-                            continue
+                    if fast and r * r * form_p != rp * rp * form:
+                        if trace is not None:
+                            trace("pair-fast", data, ("DIOPHANTINE",))
+                        continue
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
                     candidate = derive(side_terms(kx3, left_term, right_term), *pairs)
                     _admit(candidate, record_checks, trace, data, results)
@@ -402,8 +409,8 @@ def enumerate_e1estar(
                 continue
             record_checks |= {"FANO_DEGREE_RIGHT"}
         for r in range(1, 5):
-            for d, g, sig in _e1_side_list(kx3, r, enabled, "left", trace):
-                sides = side_terms(kx3, side_term(kx3, _e1_side(r, d, g)), right_term)
+            for d, g, sig, _, left_term in _e1_side_list(kx3, r, enabled, "left", trace)[0]:
+                sides = None
                 for bp in range(-r, 0):
                     if fast:
                         # res4 = ap*kx3 + bp*c - sig vanishes for exactly one
@@ -417,6 +424,8 @@ def enumerate_e1estar(
                         alpha_pluses = (ap,)
                     else:
                         alpha_pluses = range(1, MAX_ALPHA_PLUS + 1)
+                    if sides is None:
+                        sides = side_terms(kx3, left_term, right_term)
                     for ap in alpha_pluses:
                         candidate = derive(sides, *star_pairs(ap, bp))
                         _admit(candidate, record_checks, trace, (kx3, r, d, g, ap, bp), results)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import pytest
@@ -20,6 +22,14 @@ from fanolink.golden import GoldenRow, golden_for_family
 from fanolink.model import FAMILIES
 from fanolink.rational import render_exact
 from fanolink.search import FAMILY_IDS, brute_force_oracle, enumerate_family
+
+
+def over_common_denominator(x: Fraction | int, y: Fraction | int) -> tuple[int, int, int]:
+    """Integers (m, n, d) with x = m/d and y = n/d, d the least common denominator."""
+    m, dx = x.as_integer_ratio()
+    n, dy = y.as_integer_ratio()
+    d = math.lcm(dx, dy)
+    return m * (d // dx), n * (d // dy), d
 
 
 @pytest.fixture(scope="session")

@@ -23,8 +23,9 @@ from fanolink.cli import main
 from fanolink.formulas import defect_numerators, etilde_cube_numerators
 from fanolink.golden import diff, golden_for_family
 from fanolink.model import ContractionType, SideData, intersection_constants
-from fanolink.rational import over_common_denominator
 from fanolink.search import FAMILY_IDS, enumerate_family, mirror_candidate
+
+from conftest import over_common_denominator
 
 # SHA-256 of `enumerate --families all` output: the CSV, the stderr of
 # `--trace-rejections` (117,469 lines) and the `--format json` document.

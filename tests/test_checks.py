@@ -21,8 +21,9 @@ from fanolink.checks import (
     validate_check_ids,
 )
 from fanolink.model import ContractionType
-from fanolink.rational import over_common_denominator
 from fanolink.search import D_MAX, G_MAX, build_e1e1, build_e1estar, build_symmetric
+
+from conftest import over_common_denominator
 
 CANONICAL_ORDER = (
     "SIGMA_POS",

@@ -33,8 +33,9 @@ from fanolink.model import (
     SideData,
     intersection_constants,
 )
-from fanolink.rational import over_common_denominator
 from fanolink.search import D_MAX, G_MAX
+
+from conftest import over_common_denominator
 
 
 def coefficients(pair, pair_plus):

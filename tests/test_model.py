@@ -20,8 +20,9 @@ from fanolink.model import (
     family_id,
     intersection_constants,
 )
-from fanolink.rational import over_common_denominator
 from fanolink.search import build_candidate, build_e1e1, build_e1estar, build_symmetric
+
+from conftest import over_common_denominator
 
 
 def _closure(coeffs):

@@ -18,11 +18,12 @@ from fanolink.rational import (
     as_integer,
     audit_magnitude,
     is_integer,
-    over_common_denominator,
     parse_rational,
     render_exact,
     render_table,
 )
+
+from conftest import over_common_denominator
 
 # A half and a quarter inside the 64-bit contract but beyond a float's
 # 53-bit mantissa.

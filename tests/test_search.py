@@ -19,8 +19,8 @@ from fanolink.checks import (
     run_checks,
 )
 from fanolink.formulas import ky3_from_kx3, sigma, star_sigma
-from fanolink.golden import candidate_key, diff
-from fanolink.model import ContractionType, Shape, SideData, family_id, family_spec
+from fanolink.golden import diff
+from fanolink.model import FAMILIES, ContractionType, Shape, SideData, family_id, family_spec
 from fanolink.rational import RationalOverflowError
 from fanolink.search import (
     D_MAX,
@@ -39,8 +39,9 @@ from fanolink.search import (
 )
 
 # Rows that disabling one check adds to each family's default output, and
-# the SHA-256 of the repr of the sorted candidate_keys of that output
-# (measured); every check and family not listed adds none.
+# the SHA-256 of the repr of the sorted row keys (FAMILIES[family].key of
+# each candidate's cells) of that output (measured); every check and family
+# not listed adds none.
 ABLATION_EXTRAS = {
     "SIGMA_POS": {
         "e1e1": (138, "13a2a5bdfec13636964b1319de9582a4446e9f3819142571d44b55a9bf0894d8"),
@@ -334,10 +335,38 @@ class TestDomainFacts:
                         r, ky3_from_kx3(kx3, SideData(ContractionType.E1, r, d, g))
                     )
                 ]
-                sides = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "left")
-                assert sides == tuple(expected), (kx3, r)
+                sides = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "left")[0]
+                assert tuple(side[:3] for side in sides) == tuple(expected), (kx3, r)
                 total += len(sides)
         assert total == 420
+
+
+class TestGenusJoin:
+    def test_genus_forms_decide_the_residual_pair(self):
+        # On every oriented pair of the default side lists the closed-form
+        # genus residuals are (kx3*m, -kx3*m) with m = r^2*Q_plus - rp^2*Q,
+        # so the join's lookup by Q_plus = rp^2*Q/r^2 and the walk's test
+        # r^2*Q_plus != rp^2*Q each decide DIOPHANTINE exactly.
+        pairs = passing = 0
+        for kx3 in KX3_VALUES:
+            for r in G_MAX:
+                left = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "left")[0]
+                for rp in range(1, r + 1):
+                    right = search._e1_side_list(kx3, rp, DEFAULT_CHECKS, "right")[0]
+                    for d, g, sig, form, _ in left:
+                        assert form == formulas.genus_form(kx3, sig, g)
+                        for dp, gp, sig_p, form_p, _ in right:
+                            if not orientation_canonical((r, d, g), (rp, dp, gp)):
+                                continue
+                            pair, pair_plus = formulas.e1e1_pairs(kx3, r, rp, sig, sig_p)
+                            m = r * r * form_p - rp * rp * form
+                            residuals = formulas.e1e1_residual_numerators(
+                                kx3, pair, pair_plus, g, sig, gp, sig_p
+                            )
+                            assert residuals == (kx3 * m, -kx3 * m), (kx3, r, d, g, rp, dp, gp)
+                            pairs += 1
+                            passing += m == 0
+        assert (pairs, passing) == (10_350, 622)
 
 
 class TestAblations:
@@ -348,9 +377,24 @@ class TestAblations:
             out = set(ablated(check, family))
             assert set(enumerated[family]) <= out, family
             if len(out) > len(enumerated[family]):
-                keys = repr(sorted(candidate_key(c) for c in out)).encode()
+                keys = repr(sorted(FAMILIES[c.family].key(c.cells()) for c in out)).encode()
                 extras[family] = (len(out) - len(enumerated[family]), sha256(keys).hexdigest())
         assert extras == ABLATION_EXTRAS.get(check, {})
+
+    def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
+        # Without DIOPHANTINE E1-E1 derives every oriented pair; the full
+        # default suite, DIOPHANTINE included, then keeps the default rows.
+        records = Counter()
+        derive = search.derive
+
+        def counted_derive(*args):
+            records["e1e1"] += 1
+            return derive(*args)
+
+        monkeypatch.setattr(search, "derive", counted_derive)
+        out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE"})
+        assert records == {"e1e1": 10_350}
+        assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
 
     def test_e1_point_scan_path_agrees_with_the_fast_path(self, monkeypatch):
         # With DIOPHANTINE off the E1-point enumerator scans alpha_plus
@@ -480,6 +524,11 @@ class TestTracing:
             "e1e1": 622, "e1e2": 249, "e1e3": 249, "e1e5": 161, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
         assert built == EXPECTED_COUNTS
+        # A traced E1-E1 run walks every right side instead of looking up
+        # each left side's partners, and derives the same 622 records.
+        records.clear()
+        enumerate_family("e1e1", trace=lambda s, d, f: None)
+        assert records == {"e1e1": 622}
 
     def test_star_family_trace(self, enumerated):
         events = []
