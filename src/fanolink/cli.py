@@ -169,7 +169,7 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
     text = " ".join(key_tokens).strip()
     if text.lower().startswith("row"):
         number_text = text[3:].strip()
-        if not number_text.lstrip("-").isdigit():
+        if not number_text.removeprefix("-").isdecimal():
             raise ValueError(f"bad row number: {number_text!r}")
         number = int(number_text)
         for row in golden_mod.golden_for_family(family):

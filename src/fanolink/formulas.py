@@ -5,9 +5,9 @@ Conventions used throughout (and by the golden tables):
 * kx3 denotes the positive anticanonical degree (-K)^3 of the central
   variety, so the literal intersection number K^3 equals -kx3.  Formulas
   that involve K^3 itself therefore carry an explicit minus sign.
-* An E1 contraction datum (r, d, g) has excess sigma = r*d + 2 - 2g.
-* For the point-type contractions the analogous excess is the constant
-  (-K)^2.E of the exceptional divisor: 4 for E2, 2 for E3/E4, 1 for E5.
+* A side's excess sigma is (-K)^2.E of its exceptional divisor: model.sigma
+  of the datum (r, d, g) on an E1 side, a constant of the type on a
+  point-type side (model.POINT_TYPES).
 
 All functions are pure and exact; they return ints or Fractions, never
 floats.  The derivation works on integer numerators over one common
@@ -23,19 +23,15 @@ import functools
 from fractions import Fraction
 
 from .model import (
-    STAR_DEGREE_OFFSET,
+    POINT_TYPES,
     ContractionType,
     IntersectionConstants,
     LinkCandidate,
     Pair,
     SideData,
     intersection_constants,
+    sigma,
 )
-
-
-def sigma(r: int, d: int, g: int) -> int:
-    """Anticanonical excess (-K)^2.E of an E1 side with data (r, d, g)."""
-    return r * d + 2 - 2 * g
 
 
 def star_sigma(ctype: ContractionType) -> int:
@@ -46,12 +42,12 @@ def star_sigma(ctype: ContractionType) -> int:
 def ky3_from_kx3(kx3: int, side: SideData) -> Fraction | int:
     """Anticanonical degree of the side's contraction target.
 
-    Blowing down adds rd + sigma for an E1 side; the point-type sides add
-    the fixed amounts in STAR_DEGREE_OFFSET.
+    Blowing down adds rd + sigma for an E1 side; a point-type side adds
+    its type's degree offset (POINT_TYPES).
     """
     if side.ctype is ContractionType.E1:
-        return kx3 + 2 * side.r * side.d + 2 - 2 * side.g
-    return kx3 + STAR_DEGREE_OFFSET[side.ctype]
+        return kx3 + side.r * side.d + sigma(side.r, side.d, side.g)
+    return kx3 + POINT_TYPES[side.ctype].degree_offset
 
 
 def basis_decomposition_numerators(pair: Pair, r: int) -> tuple[int, int, int]:

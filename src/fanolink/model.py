@@ -74,14 +74,9 @@ class SideData:
     def target_index(self) -> int | None:
         """Fano index of this side's contraction target, if it is smooth.
 
-        E1 lands on the index-r rank-one Fano, E2 on an index-1 one; the
-        E3/E4 and E5 targets are singular and have no catalog index.
+        E1 lands on the index-r rank-one Fano; a point type's is in POINT_TYPES.
         """
-        if self.ctype is ContractionType.E1:
-            return self.r
-        if self.ctype is ContractionType.E2:
-            return 1
-        return None
+        return self.r if self.ctype is ContractionType.E1 else POINT_TYPES[self.ctype].target_index
 
 
 class IntersectionConstants(NamedTuple):
@@ -97,29 +92,41 @@ class IntersectionConstants(NamedTuple):
     e3self: int
 
 
-_STAR_CONSTANTS = {
-    ContractionType.E2: IntersectionConstants(4, 2, 1),
-    ContractionType.E34: IntersectionConstants(2, 2, 2),
-    ContractionType.E5: IntersectionConstants(1, 2, 4),
+class PointType(NamedTuple):
+    """What a point-type contraction contributes to every candidate with that side.
+
+    constants are its exceptional divisor's intersection numbers,
+    degree_offset the anticanonical degree its contraction adds to the
+    central one, and target_index the Fano index of its target, or None
+    for a singular target with no catalog index.
+    """
+
+    constants: IntersectionConstants
+    degree_offset: int | Fraction
+    target_index: int | None
+
+
+POINT_TYPES: dict[ContractionType, PointType] = {
+    ContractionType.E2: PointType(IntersectionConstants(4, 2, 1), 8, 1),
+    ContractionType.E34: PointType(IntersectionConstants(2, 2, 2), 2, None),
+    # The E5 target is singular, with a half-integral degree.
+    ContractionType.E5: PointType(IntersectionConstants(1, 2, 4), Fraction(1, 2), None),
 }
 
-# Anticanonical degree gained by contracting a point-type divisor (the E5
-# target is singular with a half-integral degree).
-STAR_DEGREE_OFFSET: dict[ContractionType, int | Fraction] = {
-    ContractionType.E2: 8,
-    ContractionType.E34: 2,
-    ContractionType.E5: Fraction(1, 2),
-}
+
+def sigma(r: int, d: int, g: int) -> int:
+    """Anticanonical excess (-K)^2.E of an E1 side with data (r, d, g)."""
+    return r * d + 2 - 2 * g
 
 
 def intersection_constants(side: SideData) -> IntersectionConstants:
     """Intersection constants of the side's exceptional divisor."""
     if side.ctype is ContractionType.E1:
         # For a curve of degree d and genus g inside the index-r target:
-        # (-K)^2.E = rd + 2 - 2g, (-K).E^2 = 2 - 2g, E^3 = -rd + 2 - 2g.
-        rd = side.r * side.d
-        return IntersectionConstants(rd + 2 - 2 * side.g, 2 - 2 * side.g, -rd + 2 - 2 * side.g)
-    return _STAR_CONSTANTS[side.ctype]
+        # (-K)^2.E = sigma, (-K).E^2 = 2 - 2g, E^3 = sigma - 2rd.
+        excess = sigma(side.r, side.d, side.g)
+        return IntersectionConstants(excess, 2 - 2 * side.g, excess - 2 * side.r * side.d)
+    return POINT_TYPES[side.ctype].constants
 
 
 @dataclass(frozen=True)
@@ -138,17 +145,9 @@ class FlopCoefficients:
     beta_plus: Fraction
 
 
-class Shape(enum.Enum):
-    """Which sides of a family's links contract a curve and which a point."""
-
-    CURVE_CURVE = "curve-curve"
-    CURVE_POINT = "curve-point"
-    POINT_POINT = "point-point"
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """What tells one family apart: star type, golden tables and column layout.
+    """What tells one family apart: side types, golden tables and column layout.
 
     Column names are GoldenRow field names and LinkCandidate.cells keys
     ("no" in the display columns is the running row number).  ``tables``
@@ -156,22 +155,14 @@ class FamilySpec:
     """
 
     id: str
-    star: ContractionType | None
+    types: tuple[ContractionType, ContractionType]  # (left, right); a curve side is the left
     tables: tuple[tuple[int, int], ...]
-    shape: Shape
     csv_columns: tuple[str, ...]
     key_columns: tuple[str, ...]
     value_columns: tuple[str, ...]
     sort_columns: tuple[str, ...]
     display_columns: tuple[str, ...]
     explain_fields: tuple[str, ...]
-
-    @property
-    def types(self) -> tuple[ContractionType, ContractionType]:
-        """The (left, right) side types; a curve side is always the left one."""
-        left = self.star if self.shape is Shape.POINT_POINT else ContractionType.E1
-        right = ContractionType.E1 if self.shape is Shape.CURVE_CURVE else self.star
-        return left, right
 
     def key(self, cells: Mapping[str, object]) -> tuple:
         """The row's identity within the family: its key-column values."""
@@ -186,7 +177,6 @@ class FamilySpec:
 _VALUE_COLUMNS = ("alpha", "beta", "alpha_plus", "beta_plus", "kY3")
 
 _CURVE_CURVE = dict(
-    shape=Shape.CURVE_CURVE,
     csv_columns=(
         "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
         "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
@@ -202,7 +192,6 @@ _CURVE_CURVE = dict(
 )
 
 _CURVE_POINT = dict(
-    shape=Shape.CURVE_POINT,
     csv_columns=(
         "kx3", "type_left", "type_right", "r", "d", "g",
         "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
@@ -218,7 +207,6 @@ _CURVE_POINT = dict(
 )
 
 _POINT_POINT = dict(
-    shape=Shape.POINT_POINT,
     csv_columns=("kx3", "type_left", "type_right", "alpha", "beta", "kY3", "e", "exists", "ref"),
     key_columns=("type_left", "type_right", "kx3"),
     value_columns=_VALUE_COLUMNS + ("e",),
@@ -227,18 +215,20 @@ _POINT_POINT = dict(
     explain_fields=("kx3", "alpha"),
 )
 
+_E1, _E2, _E34, _E5 = ContractionType  # in declaration order
+
 # The seven families in canonical order: output sections, verification and
 # the CLI's family lists all follow it.
 FAMILIES: dict[str, FamilySpec] = {
     spec.id: spec
     for spec in (
-        FamilySpec("e1e1", None, ((1, 26), (2, 27), (3, 58)), **_CURVE_CURVE),
-        FamilySpec("e1e2", ContractionType.E2, ((4, 3),), **_CURVE_POINT),
-        FamilySpec("e1e3", ContractionType.E34, ((5, 7),), **_CURVE_POINT),
-        FamilySpec("e1e5", ContractionType.E5, ((6, 7),), **_CURVE_POINT),
-        FamilySpec("e2e2", ContractionType.E2, ((7, 3),), **_POINT_POINT),
-        FamilySpec("e3e3", ContractionType.E34, ((8, 2),), **_POINT_POINT),
-        FamilySpec("e5e5", ContractionType.E5, ((9, 1),), **_POINT_POINT),
+        FamilySpec("e1e1", (_E1, _E1), ((1, 26), (2, 27), (3, 58)), **_CURVE_CURVE),
+        FamilySpec("e1e2", (_E1, _E2), ((4, 3),), **_CURVE_POINT),
+        FamilySpec("e1e3", (_E1, _E34), ((5, 7),), **_CURVE_POINT),
+        FamilySpec("e1e5", (_E1, _E5), ((6, 7),), **_CURVE_POINT),
+        FamilySpec("e2e2", (_E2, _E2), ((7, 3),), **_POINT_POINT),
+        FamilySpec("e3e3", (_E34, _E34), ((8, 2),), **_POINT_POINT),
+        FamilySpec("e5e5", (_E5, _E5), ((9, 1),), **_POINT_POINT),
     )
 }
 

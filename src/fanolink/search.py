@@ -69,17 +69,14 @@ from .model import (
     FAMILY_IDS,  # re-exported: search's callers list the families from here
     ContractionType,
     LinkCandidate,
-    Shape,
     SideData,
     family_spec,
 )
 from .rational import as_integer, audit_magnitude
 
 D_MAX = 19
-# Maximal genus per index; beyond these the excess is never positive.
-G_MAX: dict[int, int] = {1: 10, 2: 20, 3: 29, 4: 39}
-# Oracle scan bound for leading-coefficient numerators (denominators 1..4).
-ORACLE_NUMERATOR_BOUND = 360
+# Maximal genus per index: the largest g whose excess at d = D_MAX is not negative.
+G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
@@ -188,12 +185,13 @@ def candidate_from_fields(family: str, fields: Mapping[str, object]) -> LinkCand
     """
     spec = family_spec(family)
     f = {name: as_integer(fields[name]) for name in spec.explain_fields}
-    if spec.shape is Shape.POINT_POINT:
-        return build_symmetric(spec.star, f["alpha"], f["kx3"])
+    left_type, right_type = spec.types
+    if left_type is not ContractionType.E1:
+        return build_symmetric(left_type, f["alpha"], f["kx3"])
     left = (f["r"], f["d"], f["g"])
-    if spec.shape is Shape.CURVE_CURVE:
+    if right_type is ContractionType.E1:
         return build_e1e1(f["kx3"], left, (f["r_plus"], f["d_plus"], f["g_plus"]))
-    return build_e1estar(f["kx3"], left, spec.star, f["alpha_plus"], f["beta_plus"])
+    return build_e1estar(f["kx3"], left, right_type, f["alpha_plus"], f["beta_plus"])
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +442,8 @@ def enumerate_symmetric(
     """All admissible symmetric candidates for one point type.
 
     alpha runs over the positive divisors of twice the point-side constant;
-    the central degree 2c/alpha must lie in the central-degree domain, and
-    the full check suite decides admission.
+    with KX3_RANGE enabled the central degree 2c/alpha must lie in the
+    central-degree domain, and the full check suite decides admission.
     """
     two_c = 2 * star_sigma(star)  # raises ValueError for an E1 star
     results: list[LinkCandidate] = []
@@ -453,7 +451,7 @@ def enumerate_symmetric(
         if two_c % alpha != 0:
             continue
         kx3 = two_c // alpha
-        if kx3 not in KX3_VALUES:
+        if kx3 not in KX3_VALUES and "KX3_RANGE" in enabled:
             if trace is not None:
                 trace("domain", (kx3, alpha), ("KX3_RANGE",))
             continue
@@ -471,12 +469,12 @@ def enumerate_family(
     trace: TraceFn | None = None,
 ) -> tuple[LinkCandidate, ...]:
     """All admissible candidates of one family, in canonical order."""
-    spec = family_spec(family)
-    if spec.shape is Shape.CURVE_CURVE:
+    left, right = family_spec(family).types
+    if left is not ContractionType.E1:
+        return enumerate_symmetric(left, enabled, trace=trace)
+    if right is ContractionType.E1:
         return enumerate_e1e1(enabled, trace=trace)
-    if spec.shape is Shape.CURVE_POINT:
-        return enumerate_e1estar(spec.star, enabled, trace=trace)
-    return enumerate_symmetric(spec.star, enabled, trace=trace)
+    return enumerate_e1estar(right, enabled, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +502,11 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     results: list[LinkCandidate] = []
     for kx3, r, d, g, sig in _oracle_left_sides():
         for rp in range(1, 5):
-            sig_p_cap = D_MAX * rp + 2
+            sig_p_cap = sigma(rp, D_MAX, 0)  # the largest excess on the grid
             for q in range(1, 5):
                 # p window: positive right excess up to its cap.
                 p_lo = (q * sig) // kx3 + 1
                 p_hi = (q * (sig * rp + r * sig_p_cap)) // (rp * kx3)
-                p_hi = min(p_hi, ORACLE_NUMERATOR_BOUND)
                 for p in range(max(1, p_lo), p_hi + 1):
                     if math.gcd(p, q) != 1:
                         continue
@@ -547,8 +544,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                     ap_num, _, ap_den = candidate.pair_plus
                     if ap_num * q != p * ap_den:
                         continue  # the closed form's alpha_plus is not p/q
-                    if admitted(run_checks(candidate, short_circuit=True)):
-                        results.append(build_candidate(candidate))
+                    _admit(candidate, DEFAULT_CHECKS, None, (), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -574,8 +570,7 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
                 if ap * (ap * kx3 + 2 * bp * c) != rhs:
                     continue
                 candidate = record_e1estar(kx3, (r, d, g), star, ap, bp)
-                if admitted(run_checks(candidate, short_circuit=True)):
-                    results.append(build_candidate(candidate))
+                _admit(candidate, DEFAULT_CHECKS, None, (), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -587,9 +582,7 @@ def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
         for alpha in range(1, MAX_ALPHA_PLUS + 1):
             if alpha * kx3 != two_c:
                 continue
-            candidate = record_symmetric(star, alpha, kx3)
-            if admitted(run_checks(candidate, short_circuit=True)):
-                results.append(build_candidate(candidate))
+            _admit(record_symmetric(star, alpha, kx3), DEFAULT_CHECKS, None, (), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -599,9 +592,9 @@ def brute_force_oracle(family: str) -> tuple[LinkCandidate, ...]:
     Always runs the default check suite; the result must coincide with the
     primary enumerator's output exactly.
     """
-    spec = family_spec(family)
-    if spec.shape is Shape.CURVE_CURVE:
+    left, right = family_spec(family).types
+    if left is not ContractionType.E1:
+        return _oracle_symmetric(left)
+    if right is ContractionType.E1:
         return _oracle_e1e1()
-    if spec.shape is Shape.CURVE_POINT:
-        return _oracle_e1estar(spec.star)
-    return _oracle_symmetric(spec.star)
+    return _oracle_e1estar(right)

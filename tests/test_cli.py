@@ -19,6 +19,17 @@ from fanolink.checks import REGISTRY
 from fanolink.cli import TRACE_CHUNK_LINES, main
 from fanolink.render import build_golden_index, render_csv
 
+# SHA-256 of the stdout of each output that only people read (measured).
+DISPLAY_SHA256 = {
+    ("--list-checks",): "b2fe6c2c10b93eced91ad60bc0d435eb00729952dfc2af69770645b47fabc94f",
+    ("enumerate", "--families", "all", "--format", "markdown"): (
+        "ac045e5040627b23ade8ed2f6fdf77a94318b72eb6dd2d58830bd70b34777124"
+    ),
+    ("enumerate", "--families", "all", "--format", "latex"): (
+        "cb69f57bed484050fcee90de85940319c0e7be428e1c3eca065858d0a6de7654"
+    ),
+}
+
 
 class _CountingStream(io.StringIO):
     """A text stream that counts its write calls."""
@@ -49,6 +60,14 @@ class TestTopLevel:
         assert [line.split()[0] for line in lines] == list(REGISTRY)
         width = max(len(name) for name in REGISTRY)
         assert lines[0].startswith(f"{'SIGMA_POS':<{width}}  ")
+
+    @pytest.mark.parametrize("argv", DISPLAY_SHA256, ids=lambda argv: argv[-1])
+    def test_display_bytes_are_pinned(self, capsys, argv):
+        # The family specs' display columns drive markdown and LaTeX.
+        assert main(list(argv)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == DISPLAY_SHA256[argv]
 
 
 class TestEnumerate:
@@ -342,8 +361,10 @@ class TestExplain:
         assert capsys.readouterr().err.strip() == "error: no golden row 999 in family e1e1"
 
     def test_bad_row_number(self, capsys):
-        assert main(["explain", "e1e1", "row", "one"]) == 2
-        assert "bad row number: 'one'" in capsys.readouterr().err
+        # int() rejects "²", which str.isdigit accepts, and a doubled sign.
+        for text in ("one", "²", "--5"):
+            assert main(["explain", "e1e1", f"row {text}"]) == 2
+            assert capsys.readouterr().err == f"error: bad row number: {text!r}\n"
 
     def test_wrong_tuple_arity(self, capsys):
         assert main(["explain", "e1e1", "(2,1,2)"]) == 2

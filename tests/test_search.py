@@ -20,13 +20,12 @@ from fanolink.checks import (
 )
 from fanolink.formulas import ky3_from_kx3, sigma, star_sigma
 from fanolink.golden import diff
-from fanolink.model import FAMILIES, ContractionType, Shape, SideData, family_id, family_spec
+from fanolink.model import FAMILIES, ContractionType, SideData, family_id, family_spec
 from fanolink.rational import RationalOverflowError
 from fanolink.search import (
     D_MAX,
     FAMILY_IDS,
     G_MAX,
-    ORACLE_NUMERATOR_BOUND,
     brute_force_oracle,
     build_e1e1,
     canonical_sort_key,
@@ -45,6 +44,10 @@ from fanolink.search import (
 ABLATION_EXTRAS = {
     "SIGMA_POS": {
         "e1e1": (138, "13a2a5bdfec13636964b1319de9582a4446e9f3819142571d44b55a9bf0894d8"),
+    },
+    "KX3_RANGE": {
+        "e3e3": (1, "f370febeda7cb84c915b2217712f24eaabf0f49392049718bdab7d49fc517fef"),
+        "e5e5": (1, "52698b2e9f6a4d5019edd42c990052af9bc44a4cc08cfc5f625accd310ae8a26"),
     },
     "DIOPHANTINE": {
         "e1e2": (1, "7199cf179f256a7cda49fe587968a947c1f9cd70c49a36169582dac9c924b77e"),
@@ -146,7 +149,6 @@ class TestConstants:
         assert D_MAX == 19
         assert G_MAX == {1: 10, 2: 20, 3: 29, 4: 39}
         assert MAX_ALPHA_PLUS == 86
-        assert ORACLE_NUMERATOR_BOUND == 360
 
     def test_search_box_covers_the_derived_bounds(self):
         # An admitted E1 side passes SIGMA_POS, sigma >= E1_SIGMA_MIN, and
@@ -173,8 +175,7 @@ class TestConstants:
         # an index-rp side of the grid (d = D_MAX, g = 0).
         for rp in range(1, 5):
             assert D_MAX * rp + 2 == max(sigma(rp, d, g) for d, g in search._SIDE_GRID[rp])
-        # Its widest p window, over every left side it scans, stays within
-        # ORACLE_NUMERATOR_BOUND, so the min() cap never cuts the scan.
+        # Its widest p window, over every left side it scans (measured).
         widest = max(
             (q * (sig * rp + r * (D_MAX * rp + 2))) // (rp * kx3)
             for kx3, r, _, _, sig in search._oracle_left_sides()
@@ -182,7 +183,6 @@ class TestConstants:
             for q in range(1, 5)
         )
         assert widest == 228
-        assert widest <= ORACLE_NUMERATOR_BOUND
 
     def test_enlarged_box_gives_the_same_rows(self, enumerated, monkeypatch):
         # D_MAX 30 and every G_MAX doubled; the side lists are rebuilt from it.
@@ -372,10 +372,16 @@ class TestGenusJoin:
 class TestAblations:
     @pytest.mark.parametrize("check", REGISTRY)
     def test_single_check_ablation_matrix(self, enumerated, ablated, check):
+        # Each cell, filtered through the full default suite, gives back the
+        # default rows: no shortcut the ablation turns off (side prunes,
+        # SIDE_CHECKS, the E1-E1 join, the E1-point alpha_plus pin, the
+        # untraced kx3 skip, the symmetric domain prune) drops a row that
+        # the checks admit.
         extras = {}
         for family in FAMILY_IDS:
-            out = set(ablated(check, family))
-            assert set(enumerated[family]) <= out, family
+            cell = ablated(check, family)
+            assert tuple(c for c in cell if admitted(run_checks(c))) == enumerated[family], family
+            out = set(cell)
             if len(out) > len(enumerated[family]):
                 keys = repr(sorted(FAMILIES[c.family].key(c.cells()) for c in out)).encode()
                 extras[family] = (len(out) - len(enumerated[family]), sha256(keys).hexdigest())
@@ -395,15 +401,6 @@ class TestAblations:
         out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE"})
         assert records == {"e1e1": 10_350}
         assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
-
-    def test_e1_point_scan_path_agrees_with_the_fast_path(self, monkeypatch):
-        # With DIOPHANTINE off the E1-point enumerator scans alpha_plus
-        # literally; one central degree keeps that scan to about a second.
-        monkeypatch.setattr(search, "KX3_VALUES", (4,))
-        fast = enumerate_e1estar(ContractionType.E34)
-        scanned = enumerate_e1estar(ContractionType.E34, DEFAULT_CHECKS - {"DIOPHANTINE"})
-        assert len(fast) == 2 and len(scanned) == 6
-        assert tuple(c for c in scanned if admitted(run_checks(c))) == fast
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
@@ -545,9 +542,20 @@ class TestTracing:
         # alpha = 2 forces the odd central degree 1, rejected at the domain stage.
         assert ("domain", (1, 2), ("KX3_RANGE",)) in events
 
+    def test_symmetric_trace_never_names_a_disabled_check(self):
+        # The domain prune runs only while KX3_RANGE, which it stands for, is on.
+        for check in REGISTRY:
+            for family in ("e2e2", "e3e3", "e5e5"):
+                named = set()
+                enumerate_family(
+                    family, DEFAULT_CHECKS - {check}, trace=lambda s, d, f: named.update(f)
+                )
+                assert check not in named, (check, family)
+
 
 class TestE1PointPreTest:
-    STAR_FAMILIES = [f for f in FAMILY_IDS if family_spec(f).shape is Shape.CURVE_POINT]
+    # The families of an E1 side against a point side.
+    STAR_FAMILIES = [f for f, spec in FAMILIES.items() if spec.types[0] is not spec.types[1]]
 
     @pytest.mark.parametrize("family", STAR_FAMILIES)
     def test_traced_run_without_the_pre_test_admits_the_same(self, family):
@@ -706,7 +714,7 @@ class TestOracle:
             return record(*args)
 
         monkeypatch.setattr(search, "record_e1estar", recording_record)
-        stars = [family_spec(f).star for f in TestE1PointPreTest.STAR_FAMILIES]
+        stars = [family_spec(f).types[1] for f in TestE1PointPreTest.STAR_FAMILIES]
         with_skip = [search._oracle_e1estar(star) for star in stars]
         kept = list(derived)
         derived.clear()
