@@ -35,8 +35,9 @@ from .formulas import basis_decomposition_numerators
 from .model import FAMILIES
 from .rational import RationalOverflowError, audit_magnitude, render_exact
 
-# Trace lines per write to stderr: at most about 250 kB, under the 1 MiB mmap
-# threshold main() sets (README, "Memory").
+# Trace lines per write to stderr: every write but the last carries exactly
+# this many, at most about 250 kB, under the 1 MiB mmap threshold main() sets
+# (README, "Memory").
 TRACE_CHUNK_LINES = 4096
 
 
@@ -104,6 +105,39 @@ def _print_check_listing(stream) -> None:
         print(f"{name:<{width}}  {check.description}", file=stream)
 
 
+class _TraceSink:
+    """The --trace-rejections hook: one ``reject[stage] data failed=...`` line per rejection.
+
+    side_prunes (search.TraceFn) builds a side list's lines from the "d, g)"
+    text of each grid cell, kept per index r for the run.
+    """
+
+    def __init__(self) -> None:
+        self._lines: list[str] = []
+        self._cells: dict[int, list[str]] = {}
+
+    def __call__(self, stage: str, data: tuple, failed: tuple[str, ...]) -> None:
+        self._lines.append("reject[%s] %r failed=%s\n" % (stage, data, ",".join(failed)))
+        if len(self._lines) >= TRACE_CHUNK_LINES:
+            self.write()
+
+    def side_prunes(self, stage, kx3, r, cells, verdicts, failed) -> None:
+        head = f"reject[{stage}] ({kx3}, {r}, "
+        tails = [f" failed={','.join(checks)}\n" for checks in failed]
+        if r not in self._cells:
+            self._cells[r] = [f"{d}, {g})" for d, g in cells]
+        self._lines += [head + cell + tails[v] for cell, v in zip(self._cells[r], verdicts) if v]
+        if len(self._lines) >= TRACE_CHUNK_LINES:
+            self.write()
+
+    def write(self, last: bool = False) -> None:
+        """Write every full chunk of lines, and with last also the rest."""
+        lines = self._lines
+        while len(lines) >= TRACE_CHUNK_LINES or (last and lines):
+            sys.stderr.write("".join(lines[:TRACE_CHUNK_LINES]))
+            del lines[:TRACE_CHUNK_LINES]
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         families = _parse_families(args.families)
@@ -113,16 +147,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return 2
     enabled = frozenset(checks_mod.DEFAULT_CHECKS - set(args.disable_check))
 
-    lines: list[str] = []
-    trace = None
-    if args.trace_rejections:
-
-        def trace(stage: str, data: tuple, failed: tuple[str, ...]) -> None:
-            lines.append(f"reject[{stage}] {data} failed={','.join(failed)}\n")
-            if len(lines) == TRACE_CHUNK_LINES:
-                sys.stderr.write("".join(lines))
-                lines.clear()
-
+    trace = _TraceSink() if args.trace_rejections else None
     sections = []
     golden_rows = []
     try:
@@ -130,8 +155,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             sections.append((family, search_mod.enumerate_family(family, enabled, trace=trace)))
             golden_rows.extend(golden_mod.golden_for_family(family))
     finally:
-        if lines:
-            sys.stderr.write("".join(lines))
+        if trace is not None:
+            trace.write(last=True)
     golden_index = render_mod.build_golden_index(golden_rows)
     text = render_mod.render_dispatch(args.format, sections, golden_index)
 

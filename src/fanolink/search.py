@@ -31,6 +31,11 @@ so they drop exactly what the check would reject.
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
 
+A ``trace`` hook (TraceFn) hears every rejected tuple, with the checks it
+fails.  Most rejections are E1 side-list prunes, so a hook with a
+``side_prunes`` block method takes each side list's prunes in one call;
+any other callable gets them one event at a time.
+
 Ordering is canonical and total per family, so outputs are reproducible
 byte for byte.
 """
@@ -78,6 +83,12 @@ D_MAX = 19
 # Maximal genus per index: the largest g whose excess at d = D_MAX is not negative.
 G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 
+# A trace hook is called once per rejection: trace(stage, data, failed checks).
+# A hook may also have a block method, side_prunes(stage, kx3, r, cells,
+# verdicts, failed), which takes an E1 side list's prunes in one call: cells
+# is _SIDE_GRID[r], verdicts one byte per cell (0 kept), and failed[v] the
+# checks a verdict v names.  A hook without it gets the same events one call
+# each, in the same order (_replay_side_prunes).
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
 # The checks that read kx3 and the sides alone.  The E1 enumerators decide
@@ -308,18 +319,24 @@ def _e1_side_list(
     SIGMA_POS or the role's FANO_DEGREE check, if enabled, would reject
     every pair containing it.  The lists are built once per process
     (_pruned_sides); with tracing on, each call reports every pruned side
-    once (not once per pair), in loop order, at stage side-<role>.
+    once (not once per pair), in loop order, at stage side-<role>, in one
+    call of the hook's side_prunes block method if it has one (TraceFn).
     """
     degree_check = f"FANO_DEGREE_{role.upper()}"
     sides, verdicts, by_form = _pruned_sides(
         kx3, r, "SIGMA_POS" in enabled, degree_check in enabled
     )
     if trace is not None:
-        failed = (None, ("SIGMA_POS",), (degree_check,))
-        for (d, g), verdict in zip(_SIDE_GRID[r], verdicts):
-            if verdict:
-                trace(f"side-{role}", (kx3, r, d, g), failed[verdict])
+        block = getattr(trace, "side_prunes", None) or functools.partial(_replay_side_prunes, trace)
+        block(f"side-{role}", kx3, r, _SIDE_GRID[r], verdicts, ((), ("SIGMA_POS",), (degree_check,)))
     return sides, by_form
+
+
+def _replay_side_prunes(trace: TraceFn, stage, kx3, r, cells, verdicts, failed) -> None:
+    """A side list's prunes reported to a hook without a block method, one call per pruned side."""
+    for (d, g), verdict in zip(cells, verdicts):
+        if verdict:
+            trace(stage, (kx3, r, d, g), failed[verdict])
 
 
 def enumerate_e1e1(

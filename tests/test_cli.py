@@ -15,7 +15,7 @@ import pytest
 from fanolink import formulas
 from fanolink import golden as golden_mod
 from fanolink import search as search_mod
-from fanolink.checks import REGISTRY
+from fanolink.checks import DEFAULT_CHECKS, REGISTRY
 from fanolink.cli import TRACE_CHUNK_LINES, main
 from fanolink.render import build_golden_index, render_csv
 
@@ -154,19 +154,36 @@ class TestEnumerate:
         assert captured.out.startswith("# family: e5e5")
         assert "reject[domain] (1, 2) failed=KX3_RANGE" in captured.err
 
-    def test_trace_is_written_in_chunks(self, monkeypatch):
-        # Each write carries up to TRACE_CHUNK_LINES lines, in the bytes a
-        # per-line print would give.
+    @pytest.mark.parametrize(
+        "disabled",
+        [(), ("SIGMA_POS",), ("FANO_DEGREE_LEFT",), ("FANO_DEGREE_RIGHT",)],
+        ids=lambda disabled: "-".join(disabled) or "default",
+    )
+    @pytest.mark.parametrize("family", search_mod.FAMILY_IDS)
+    def test_trace_is_written_in_chunks(self, monkeypatch, family, disabled):
+        # Each write but the last carries TRACE_CHUNK_LINES lines, in the
+        # bytes a per-line print would give.  The reference hook is a plain callable,
+        # so it hears each side prune as its own event, while the CLI's hook
+        # takes a side list's prunes in one block call.
         expected = []
         search_mod.enumerate_family(
-            "e1e2", trace=lambda s, d, f: expected.append(f"reject[{s}] {d} failed={','.join(f)}\n")
+            family,
+            DEFAULT_CHECKS - set(disabled),
+            trace=lambda s, d, f: expected.append(f"reject[{s}] {d} failed={','.join(f)}\n"),
         )
         stream = _CountingStream()
         monkeypatch.setattr(sys, "stderr", stream)
-        assert main(["enumerate", "--families", "e1e2", "--trace-rejections"]) == 0
-        assert stream.getvalue() == "".join(expected)
-        assert len(expected) > 5 * TRACE_CHUNK_LINES
-        assert stream.writes <= -(-len(expected) // TRACE_CHUNK_LINES) + 1
+        argv = ["enumerate", "--families", family, "--trace-rejections"]
+        for check in disabled:
+            argv += ["--disable-check", check]
+        assert main(argv) == 0
+        # Line by line: the first unequal pair shows without a diff of megabytes.
+        lines = stream.getvalue().splitlines(keepends=True)
+        assert next((pair for pair in zip(lines, expected) if pair[0] != pair[1]), None) is None
+        assert len(lines) == len(expected)
+        if family.startswith("e1"):
+            assert len(expected) > 4 * TRACE_CHUNK_LINES
+        assert stream.writes == -(-len(expected) // TRACE_CHUNK_LINES)
 
     def test_trace_is_flushed_before_an_internal_error(self, monkeypatch, capsys):
         assert main(["enumerate", "--families", "e1e2", "--trace-rejections"]) == 0
@@ -359,6 +376,12 @@ class TestExplain:
     def test_missing_golden_row(self, capsys):
         assert main(["explain", "e1e1", "row", "999"]) == 2
         assert capsys.readouterr().err.strip() == "error: no golden row 999 in family e1e1"
+
+    def test_row_number_may_follow_row_without_a_space(self, capsys):
+        assert main(["explain", "e1e1", "row", "27"]) == 0
+        spaced = capsys.readouterr()
+        assert main(["explain", "e1e1", "row27"]) == 0
+        assert capsys.readouterr() == spaced
 
     def test_bad_row_number(self, capsys):
         # int() rejects "²", which str.isdigit accepts, and a doubled sign.
