@@ -17,6 +17,12 @@ only names and verdicts; ``explain`` prints the details).
 A candidate is admitted when every enabled check passes.  Disabling checks
 can only widen the admitted set (each check is a pure predicate on the
 candidate), which the property tests exercise.
+
+Each check also declares its scope (Scope): the candidate fields its
+verdict reads (kx3 alone, one side and kx3, each side, both sides, or the
+whole record), and the enumerator walks whose pairs pass it by
+construction.  record_plan derives from that table the checks a walk still
+runs on each record; explain and the oracles run the full suite.
 """
 
 from __future__ import annotations
@@ -25,14 +31,17 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import catalog
 from .formulas import (
     basis_decomposition_numerators,
     closure_numerators,
+    e1e1_pairs,
     e1e1_residual_numerators,
     e1estar_residual_numerators,
+    star_pairs,
+    symmetric_pairs,
 )
 from .model import LinkCandidate, Pair, SideData
 
@@ -52,6 +61,10 @@ class CheckReport(NamedTuple):
     @property
     def detail(self) -> str:
         return REGISTRY[self.name].describe(self.candidate)
+
+
+# CheckReport(*fields) without the Python-level __new__: one per rejected record.
+_report = functools.partial(tuple.__new__, CheckReport)
 
 
 # Minimum anticanonical excess on a blown-up-curve side.  The base-point-free
@@ -267,12 +280,43 @@ def _beta_plus_range_detail(rec: LinkCandidate) -> str:
     )
 
 
+_LEFT = frozenset({"kx3", "left", "sigma_left", "kY3_left"})
+_RIGHT = frozenset({"kx3", "right", "sigma_right", "kY3_right"})
+
+# The candidate fields (model.LinkCandidate) a verdict of each scope reads.
+SCOPE_FIELDS: dict[str, frozenset[str]] = {
+    "kx3": frozenset({"kx3"}),
+    "left": _LEFT,  # the left side and kx3
+    "right": _RIGHT,  # the right side and kx3
+    "each side": _LEFT | _RIGHT,  # each side and kx3 apart; a failing side fails every pair
+    "both sides": _LEFT | _RIGHT,  # the two sides and kx3 together
+    "record": frozenset(LinkCandidate._fields),
+}
+
+
+class Scope(NamedTuple):
+    """What a check's verdict reads, and which enumerator walks decide it by construction.
+
+    reads is a SCOPE_FIELDS key.  built maps a walk's pair function
+    (formulas.e1e1_pairs, star_pairs or symmetric_pairs) to the checks
+    whose prunes that walk needs enabled so that every record it derives
+    passes this one; an empty set means its pairs pass by construction.
+    """
+
+    reads: str
+    built: Mapping[Callable, frozenset[str]] = {}
+
+
+_ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset(), symmetric_pairs: frozenset()}
+
+
 class Check(NamedTuple):
-    """A registry entry: what the check demands, its verdict and its detail text."""
+    """A registry entry: what the check demands, its verdict, its detail text and its scope."""
 
     description: str
     passes: Callable[[LinkCandidate], bool]
     describe: Callable[[LinkCandidate], str]
+    scope: Scope
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -282,81 +326,107 @@ REGISTRY: dict[str, Check] = {
         lambda c: _side_sigma_admissible(c.left, c.sigma_left)
         and _side_sigma_admissible(c.right, c.sigma_right),
         lambda c: f"sigma={c.sigma_left}, sigma_plus={c.sigma_right}",
+        Scope("each side"),
     ),
     "KX3_RANGE": Check(
         "central degree is even and within 2..22",
         lambda c: c.kx3 in KX3_VALUES,
         lambda c: f"central degree {c.kx3}",
+        Scope("kx3"),
     ),
     "FANO_DEGREE_LEFT": Check(
         "left target degree is in the rank-one catalog",
         lambda c: _degree_ok(c.left, c.kY3_left),
         lambda c: _degree_detail(c.left, c.kY3_left),
+        Scope("left"),
     ),
     "FANO_DEGREE_RIGHT": Check(
         "right target degree is in the rank-one catalog",
         lambda c: _degree_ok(c.right, c.kY3_right),
         lambda c: _degree_detail(c.right, c.kY3_right),
+        Scope("right"),
     ),
     "DIOPHANTINE": Check(
         "the exact residual system vanishes",
         lambda c: not any(_residuals(c)[0]),
         lambda c: "residuals " + _ratios(*_residuals(c)),
+        # The E1-E1 walk derives a pair only after its genus-form test, which
+        # is DIOPHANTINE's exact decision there (formulas.genus_form).
+        Scope("record", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
     ),
     "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
         _coeff_relations,
         _coeff_relations_detail,
+        # Every closure relation holds identically on each pair function's
+        # pairs; an E1-E1 alpha is (sigma*r_plus + r*sigma_plus)/(r*kx3),
+        # nonzero once SIGMA_POS keeps both excesses positive.
+        Scope("record", {**_ANY_PAIRS, e1e1_pairs: frozenset({"SIGMA_POS"})}),
     ),
     "ETILDE_INTEGRAL": Check(
         "both flopped divisor cubes are integers",
         lambda c: c.etilde3_left[0] % c.etilde3_left[1] == 0
         and c.etilde3_right[0] % c.etilde3_right[1] == 0,
         lambda c: f"transform cubes {Fraction(*c.etilde3_left)}, {Fraction(*c.etilde3_right)}",
+        Scope("record"),
     ),
     "GCD_LEFT": Check(
         "left-basis decomposition of the flopped divisor is primitive",
         lambda c: _primitive(c.left, c.pair),
         lambda c: _primitive_detail("left", c.left, c.pair),
+        Scope("record", {symmetric_pairs: frozenset()}),  # a point left side passes
     ),
     "GCD_RIGHT": Check(
         "right-basis decomposition of the flopped divisor is primitive",
         lambda c: _primitive(c.right, c.pair_plus),
         lambda c: _primitive_detail("right", c.right, c.pair_plus),
+        # A point right side passes.
+        Scope("record", {star_pairs: frozenset(), symmetric_pairs: frozenset()}),
     ),
     "COEFF_INTEGRALITY": Check(
         "point-side coefficients are integers",
         lambda c: (c.left.is_e1 or _integral_pair(c.pair))
         and (c.right.is_e1 or _integral_pair(c.pair_plus)),
         _coeff_integrality_detail,
+        Scope("record", _ANY_PAIRS),  # every point-side pair is over 1
     ),
     "DEFECT_POSITIVE": Check(
         "both flop defects are positive integers",
         _defect_positive,
         lambda c: f"defects {Fraction(*c.defect_left)}, {Fraction(*c.defect_right)}",
+        Scope("record"),
     ),
     "DEFECT_DIVISIBLE": Check(
         "defects agree after dividing by the index cubes",
         _defect_divisible,
         _defect_divisible_detail,
+        Scope("record"),
     ),
     "HODGE": Check(
-        "curve-corrected Hodge numbers balance across the link", _hodge, _hodge_detail
+        "curve-corrected Hodge numbers balance across the link",
+        _hodge,
+        _hodge_detail,
+        Scope("both sides"),
     ),
     "HYPERELLIPTIC_SYM": Check(
         "central degree 2 forces equal sides",
         lambda c: c.kx3 != 2 or c.left == c.right,
         _hyperelliptic_sym_detail,
+        Scope("both sides"),
     ),
     "ALPHA_PLUS_BOUND": Check(
         "point-side leading coefficient within its search bound",
         _alpha_plus_bound,
         _alpha_plus_bound_detail,
+        # alpha_plus runs over 1..MAX_ALPHA_PLUS in the E1-point walk and
+        # divides 2c <= 8 in the symmetric one.
+        Scope("record", _ANY_PAIRS),
     ),
     "BETA_PLUS_RANGE": Check(
         "point-side E-coefficient within its admissible range",
         _beta_plus_range,
         _beta_plus_range_detail,
+        Scope("record", _ANY_PAIRS),  # the E1-point walk's beta_plus runs over -r..-1
     ),
 }
 
@@ -372,10 +442,32 @@ def validate_check_ids(names: Iterable[str]) -> None:
 
 
 @functools.cache
-def _plan(enabled: frozenset[str]) -> dict[str, Callable[[LinkCandidate], bool]]:
-    """The enabled checks' verdicts by name, in registry order, validated once per set."""
+def _plan(enabled: frozenset[str]) -> tuple[tuple[str, Callable[[LinkCandidate], bool]], ...]:
+    """The enabled checks' (name, verdict) pairs, in registry order, validated once per set."""
     validate_check_ids(enabled)
-    return {name: check.passes for name, check in REGISTRY.items() if name in enabled}
+    return tuple((name, check.passes) for name, check in REGISTRY.items() if name in enabled)
+
+
+@functools.cache
+def record_plan(
+    pairs: Callable, enabled: frozenset[str], decided: frozenset[str]
+) -> frozenset[str]:
+    """The enabled checks an enumerator walk still runs on each record it derives.
+
+    pairs is the walk's pair function and decided the scopes (Scope.reads)
+    it settles before any record.  An enabled check drops out when its
+    scope is decided, or when the walk's records pass it by construction:
+    its Scope.built names pairs, with every check that needs enabled.
+    Cached per walk, enabled set and decided scopes, like _plan.
+    """
+    validate_check_ids(enabled)
+    return frozenset(
+        name
+        for name, check in REGISTRY.items()
+        if name in enabled
+        and check.scope.reads not in decided
+        and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
+    )
 
 
 def run_checks(
@@ -391,11 +483,11 @@ def run_checks(
     """
     plan = _plan(frozenset(enabled))
     if short_circuit:
-        for name, passes in plan.items():
+        for name, passes in plan:
             if not passes(candidate):
-                return (CheckReport(name, False, candidate),)
+                return (_report((name, False, candidate)),)
         return ()
-    return tuple(CheckReport(name, passes(candidate), candidate) for name, passes in plan.items())
+    return tuple(_report((name, passes(candidate), candidate)) for name, passes in plan)
 
 
 _passed = operator.attrgetter("passed")

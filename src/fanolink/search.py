@@ -53,7 +53,7 @@ from .checks import (
     E1_SIGMA_MIN,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
-    admitted,
+    record_plan,
     run_checks,
 )
 from .formulas import (
@@ -91,12 +91,15 @@ G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 # each, in the same order (_replay_side_prunes).
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
-# The checks that read kx3 and the sides alone.  The E1 enumerators decide
-# them before any coefficient: the side lists prune SIGMA_POS and the
-# FANO_DEGREE checks on E1 sides, a point side's excess is positive, kx3
-# runs over KX3_VALUES, and a point side's FANO_DEGREE_RIGHT is tested once
-# per kx3.  Each candidate is then checked against the rest.
-SIDE_CHECKS = frozenset({"SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT"})
+# The check scopes (checks.Scope.reads) each walk decides before it derives
+# a record; checks.record_plan drops them from the walk's record checks.
+# Every walk keeps kx3 in KX3_VALUES (KX3_RANGE).  The E1 walks' side lists
+# prune each E1 side (SIGMA_POS, FANO_DEGREE_*), a point side's excess is
+# positive, and the E1-point walk tests its point side's FANO_DEGREE_RIGHT
+# once per kx3; where that fails, a traced walk checks it on every record.
+_KX3_DECIDED = frozenset({"kx3"})
+_SIDES_DECIDED = frozenset({"kx3", "left", "right", "each side"})
+_LEFT_DECIDED = frozenset({"kx3", "left", "each side"})
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +243,26 @@ def mirror_candidate(c: LinkCandidate) -> LinkCandidate:
 
 def _admit(
     candidate: LinkCandidate,
-    enabled: frozenset[str],
+    checks: frozenset[str],
     trace: TraceFn | None,
     data: tuple,
     results: list[LinkCandidate],
 ) -> None:
-    """Run the enabled checks on a candidate: keep an admitted one, trace a rejected one.
+    """Run the checks on a candidate: keep an admitted one, trace a rejected one.
 
-    Only an admitted candidate is held to the 64-bit contract (build_candidate).
+    Without a trace hook the checks short-circuit, so run_checks returns no
+    report exactly when every check passes.  Only an admitted candidate is
+    held to the 64-bit contract (build_candidate).
     """
-    reports = run_checks(candidate, enabled, short_circuit=trace is None)
-    if admitted(reports):
+    if trace is None:
+        if not run_checks(candidate, checks, True):
+            results.append(build_candidate(candidate))
+        return
+    failed = tuple(rep.name for rep in run_checks(candidate, checks) if not rep.passed)
+    if failed:
+        trace("full", data, failed)
+    else:
         results.append(build_candidate(candidate))
-    elif trace is not None:
-        trace("full", data, tuple(rep.name for rep in reports if not rep.passed))
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +364,17 @@ def enumerate_e1e1(
     therefore looks up its partners by Q_plus = rp^2 * Q / r^2, and has none
     unless that division is exact.  A traced run, which names every rejected
     pair, and a run without DIOPHANTINE, which derives every pair, walk each
-    right side instead; only the iterable differs.  The test decides
-    DIOPHANTINE, so the candidates are checked without it.
+    right side instead; only the iterable differs.  Each record is checked
+    against the walk's record plan (checks.record_plan): the test decides
+    DIOPHANTINE, the side lists the side checks, and the closed-form pairs
+    the coefficient checks (COEFF_RELATIONS while SIGMA_POS is enabled).
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
     right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
     fast = "DIOPHANTINE" in enabled
     walk = trace is not None or not fast
-    record_checks = enabled - SIDE_CHECKS - {"DIOPHANTINE"}
+    plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED)
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
@@ -384,7 +395,7 @@ def enumerate_e1e1(
                         continue
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
                     candidate = derive(side_terms(kx3, left_term, right_term), *pairs)
-                    _admit(candidate, record_checks, trace, data, results)
+                    _admit(candidate, plan, trace, data, results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -404,13 +415,18 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
-    Each tuple left is decided on its integer candidate.
+    Each tuple left is decided on its integer candidate, against the walk's
+    record plan (checks.record_plan): the side lists decide the E1 side's
+    checks, and the star pairs inside the box pass the coefficient checks
+    (COEFF_RELATIONS, COEFF_INTEGRALITY, ALPHA_PLUS_BOUND, BETA_PLUS_RANGE)
+    and the point side's GCD_RIGHT by construction.
 
     FANO_DEGREE_RIGHT reads kx3 and the point side alone, so it runs once
     per kx3 (the check's own call, _degree_ok): where it fails, every tuple
     at that kx3 fails it, and a run without a trace hook skips the kx3.
-    With a hook every tuple is checked in full, as short_circuit is off
-    there, so the trace reports each rejection with all its failing checks.
+    With a hook the records at that kx3 are checked against it too, without
+    short-circuit, so the trace reports each rejection with all its
+    failing checks.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)
@@ -418,11 +434,12 @@ def enumerate_e1estar(
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         right_term = side_term(kx3, right)
-        record_checks = enabled - SIDE_CHECKS
+        decided = _SIDES_DECIDED
         if "FANO_DEGREE_RIGHT" in enabled and not _degree_ok(kx3, right):
             if trace is None:
                 continue
-            record_checks |= {"FANO_DEGREE_RIGHT"}
+            decided = _LEFT_DECIDED
+        plan = record_plan(star_pairs, frozenset(enabled), decided)
         for r in range(1, 5):
             for d, g, sig, _, left_term in _e1_side_list(kx3, r, enabled, "left", trace)[0]:
                 sides = None
@@ -443,7 +460,7 @@ def enumerate_e1estar(
                         sides = side_terms(kx3, left_term, right_term)
                     for ap in alpha_pluses:
                         candidate = derive(sides, *star_pairs(ap, bp))
-                        _admit(candidate, record_checks, trace, (kx3, r, d, g, ap, bp), results)
+                        _admit(candidate, plan, trace, (kx3, r, d, g, ap, bp), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -460,9 +477,11 @@ def enumerate_symmetric(
 
     alpha runs over the positive divisors of twice the point-side constant;
     with KX3_RANGE enabled the central degree 2c/alpha must lie in the
-    central-degree domain, and the full check suite decides admission.
+    central-degree domain, and the walk's record plan (checks.record_plan)
+    decides admission.
     """
     two_c = 2 * star_sigma(star)  # raises ValueError for an E1 star
+    plan = record_plan(symmetric_pairs, frozenset(enabled), _KX3_DECIDED)
     results: list[LinkCandidate] = []
     for alpha in range(1, two_c + 1):
         if two_c % alpha != 0:
@@ -472,7 +491,7 @@ def enumerate_symmetric(
             if trace is not None:
                 trace("domain", (kx3, alpha), ("KX3_RANGE",))
             continue
-        _admit(record_symmetric(star, alpha, kx3), enabled, trace, (kx3, alpha), results)
+        _admit(record_symmetric(star, alpha, kx3), plan, trace, (kx3, alpha), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -16,10 +16,13 @@ from fanolink.checks import (
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
+    SCOPE_FIELDS,
     admitted,
+    record_plan,
     run_checks,
     validate_check_ids,
 )
+from fanolink.formulas import e1e1_pairs, star_pairs, symmetric_pairs
 from fanolink.model import ContractionType
 from fanolink.search import D_MAX, G_MAX, build_e1e1, build_e1estar, build_symmetric
 
@@ -90,6 +93,24 @@ class TestRegistry:
     def test_exported_bounds(self):
         assert E1_SIGMA_MIN == 3
         assert MAX_ALPHA_PLUS == 86
+
+    def test_every_check_declares_a_scope(self):
+        for name, check in REGISTRY.items():
+            assert check.scope.reads in SCOPE_FIELDS, name
+            assert set(check.scope.built) <= {e1e1_pairs, star_pairs, symmetric_pairs}, name
+            for needs in check.scope.built.values():
+                assert needs <= DEFAULT_CHECKS, name
+        scoped = {name for name, check in REGISTRY.items() if check.scope.reads != "record"}
+        assert scoped == {
+            "SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "HODGE",
+            "HYPERELLIPTIC_SYM",
+        }
+
+    @pytest.mark.parametrize("ids", [{"HODGE", "NOT_A_CHECK"}, {""}])
+    def test_record_plan_raises_on_a_bad_id(self, ids):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                record_plan(e1e1_pairs, frozenset(ids), frozenset())
 
 
 class TestRunChecks:
@@ -420,3 +441,25 @@ def _perturbed(draw):
 def test_integer_verdicts_equal_the_fraction_predicates(candidate):
     for name, predicate in BY_FRACTIONS.items():
         assert REGISTRY[name].passes(candidate) == predicate(candidate), name
+
+
+_SCOPED = [name for name, check in REGISTRY.items() if check.scope.reads != "record"]
+
+
+@given(candidate=st.one_of(_BOXES, _perturbed()), other=st.one_of(_BOXES, _perturbed()))
+@example(  # equal sides at kx3 = 2 against a record with a point side
+    candidate=build_e1e1(2, (1, 1, 0), (1, 1, 0)),
+    other=build_e1estar(2, (2, 4, 2), ContractionType.E34, 5, -2),
+)
+@example(  # a symmetric record against an E1-E1 one outside the catalog and the domain
+    candidate=build_symmetric(ContractionType.E2, 2, 4),
+    other=build_e1e1(24, (1, 8, 0), (1, 1, 0)),
+)
+def test_a_verdict_reads_only_its_declared_scope(candidate, other):
+    """Replacing any field a check's scope leaves out never changes its verdict."""
+    for name in _SCOPED:
+        check = REGISTRY[name]
+        verdict = check.passes(candidate)
+        for field in set(candidate._fields) - SCOPE_FIELDS[check.scope.reads]:
+            varied = candidate._replace(**{field: getattr(other, field)})
+            assert check.passes(varied) == verdict, (name, field)

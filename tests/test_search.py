@@ -16,9 +16,17 @@ from fanolink.checks import (
     MAX_ALPHA_PLUS,
     REGISTRY,
     admitted,
+    record_plan,
     run_checks,
 )
-from fanolink.formulas import ky3_from_kx3, sigma, star_sigma
+from fanolink.formulas import (
+    e1e1_pairs,
+    ky3_from_kx3,
+    sigma,
+    star_pairs,
+    star_sigma,
+    symmetric_pairs,
+)
 from fanolink.golden import diff
 from fanolink.model import FAMILIES, ContractionType, SideData, family_id, family_spec
 from fanolink.rational import RationalOverflowError
@@ -369,12 +377,124 @@ class TestGenusJoin:
         assert (pairs, passing) == (10_350, 622)
 
 
+def _decided_by(pairs, enabled=frozenset()):
+    """The checks whose scope says every record of the pairs' walk passes, given enabled."""
+    return [
+        name
+        for name, check in REGISTRY.items()
+        if pairs in check.scope.built and check.scope.built[pairs] <= enabled
+    ]
+
+
+class TestConstructionDecided:
+    # Each check that checks.Scope.built says a walk's pair function decides
+    # passes on every pair that function makes over the walk's whole box, so
+    # the walk's record plan (checks.record_plan) may leave it out.  Each
+    # pair is checked on a record derived from sides that make it; these
+    # verdicts read the pairs, the side types and the left index.
+
+    def test_the_table_names_each_construction_decided_check(self):
+        none = frozenset()
+        every = {e1e1_pairs: none, star_pairs: none, symmetric_pairs: none}
+        built = {name: check.scope.built for name, check in REGISTRY.items() if check.scope.built}
+        assert built == {
+            "DIOPHANTINE": {e1e1_pairs: {"DIOPHANTINE"}},  # the genus-form test, TestGenusJoin
+            "COEFF_RELATIONS": {**every, e1e1_pairs: {"SIGMA_POS"}},
+            "GCD_LEFT": {symmetric_pairs: none},
+            "GCD_RIGHT": {star_pairs: none, symmetric_pairs: none},
+            "COEFF_INTEGRALITY": every,
+            "ALPHA_PLUS_BOUND": every,
+            "BETA_PLUS_RANGE": every,
+        }
+
+    def test_e1e1_pairs_on_sigma_pos_kept_sides(self):
+        # e1e1_pairs reads (kx3, r, rp, sigma, sigma_plus) alone, so the
+        # pairs of every pair of sides that SIGMA_POS keeps (the widest lists
+        # a walk with it enabled builds) are the pairs of 124,993 distinct
+        # argument tuples; 9,469 of those pairs differ.
+        names = _decided_by(e1e1_pairs, frozenset({"SIGMA_POS"}))
+        assert names == [
+            "COEFF_RELATIONS", "COEFF_INTEGRALITY", "ALPHA_PLUS_BOUND", "BETA_PLUS_RANGE"
+        ]
+        args, records = 0, {}
+        for kx3 in KX3_VALUES:
+            terms = {r: {} for r in G_MAX}
+            for r in G_MAX:
+                for _, _, sig, _, term in search._pruned_sides(kx3, r, True, False)[0]:
+                    terms[r].setdefault(sig, term)
+            for r in G_MAX:
+                for rp in range(1, r + 1):
+                    for sig, left in terms[r].items():
+                        for sig_p, right in terms[rp].items():
+                            args += 1
+                            pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
+                            if pairs not in records:
+                                sides = formulas.side_terms(kx3, left, right)
+                                records[pairs] = formulas.derive(sides, *pairs)
+        assert (args, len(records)) == (124_993, 9_469)
+        for name in names:
+            assert all(map(REGISTRY[name].passes, records.values())), name
+
+    def test_star_pairs_over_the_box(self):
+        # star_pairs reads (alpha_plus, beta_plus) alone; beta_plus runs over
+        # -r..-1 for a left side of index r.
+        names = _decided_by(star_pairs)
+        assert names == [
+            "COEFF_RELATIONS", "GCD_RIGHT", "COEFF_INTEGRALITY", "ALPHA_PLUS_BOUND",
+            "BETA_PLUS_RANGE",
+        ]
+        records = [
+            search.record_e1estar(2, (r, 1, 0), star, ap, bp)
+            for star in (ContractionType.E2, ContractionType.E34, ContractionType.E5)
+            for r in G_MAX
+            for bp in range(-r, 0)
+            for ap in range(1, MAX_ALPHA_PLUS + 1)
+        ]
+        assert len(records) == 3 * 10 * MAX_ALPHA_PLUS
+        for name in names:
+            assert all(map(REGISTRY[name].passes, records)), name
+
+    def test_symmetric_pairs_over_the_divisor_walk(self):
+        # Every divisor alpha of 2c, at kx3 = 2c/alpha in the domain or not.
+        names = _decided_by(symmetric_pairs)
+        assert names == [
+            "COEFF_RELATIONS", "GCD_LEFT", "GCD_RIGHT", "COEFF_INTEGRALITY", "ALPHA_PLUS_BOUND",
+            "BETA_PLUS_RANGE",
+        ]
+        records = [
+            search.record_symmetric(star, alpha, 2 * star_sigma(star) // alpha)
+            for star in (ContractionType.E2, ContractionType.E34, ContractionType.E5)
+            for alpha in range(1, 2 * star_sigma(star) + 1)
+            if 2 * star_sigma(star) % alpha == 0
+        ]
+        assert len(records) == 4 + 3 + 2
+        for name in names:
+            assert all(map(REGISTRY[name].passes, records)), name
+
+    def test_each_walk_checks_the_rest_on_its_records(self):
+        rest = {
+            "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM"
+        }
+        sides, left, kx3 = search._SIDES_DECIDED, search._LEFT_DECIDED, search._KX3_DECIDED
+        assert record_plan(e1e1_pairs, DEFAULT_CHECKS, sides) == rest | {"GCD_LEFT", "GCD_RIGHT"}
+        assert record_plan(e1e1_pairs, DEFAULT_CHECKS - {"SIGMA_POS"}, sides) == rest | {
+            "GCD_LEFT", "GCD_RIGHT", "COEFF_RELATIONS"
+        }
+        assert record_plan(star_pairs, DEFAULT_CHECKS, sides) == rest | {"DIOPHANTINE", "GCD_LEFT"}
+        assert record_plan(star_pairs, DEFAULT_CHECKS, left) == rest | {
+            "DIOPHANTINE", "GCD_LEFT", "FANO_DEGREE_RIGHT"
+        }
+        assert record_plan(symmetric_pairs, DEFAULT_CHECKS, kx3) == rest | {
+            "SIGMA_POS", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE"
+        }
+
+
 class TestAblations:
     @pytest.mark.parametrize("check", REGISTRY)
     def test_single_check_ablation_matrix(self, enumerated, ablated, check):
         # Each cell, filtered through the full default suite, gives back the
-        # default rows: no shortcut the ablation turns off (side prunes,
-        # SIDE_CHECKS, the E1-E1 join, the E1-point alpha_plus pin, the
+        # default rows: no shortcut the ablation turns off (side prunes, the
+        # record plans, the E1-E1 join, the E1-point alpha_plus pin, the
         # untraced kx3 skip, the symmetric domain prune) drops a row that
         # the checks admit.
         extras = {}
@@ -415,6 +535,21 @@ class TestAblations:
             if c.sigma_left > 0 and c.sigma_right > 0
         ]
         assert floor_only == [(2, (1, 2, 1), (1, 2, 1))]
+
+    def test_e1e1_checks_coeff_relations_while_sigma_pos_is_off(self):
+        # Without the SIGMA_POS side prune an excess may be 0 or negative, so
+        # the closed-form alpha = (sigma*rp + r*sigma_plus)/(r*kx3) can
+        # vanish: 308 records fail COEFF_RELATIONS, which the E1-E1 record
+        # plan must keep (each also fails another check, so no row moves).
+        named = Counter()
+
+        def trace(stage, data, failed):
+            if "COEFF_RELATIONS" in failed:
+                named[stage] += 1
+
+        out = enumerate_e1e1(DEFAULT_CHECKS - {"SIGMA_POS"}, trace=trace)
+        assert named == {"full": 308}
+        assert len(out) == 249
 
     def test_hyperelliptic_ablation_admits_asymmetric_degree_two_bodies(self, enumerated, ablated):
         out3 = ablated("HYPERELLIPTIC_SYM", "e1e3")
@@ -621,6 +756,21 @@ class TestOracle:
     def test_oracle_equals_enumerator(self, enumerated, oracle, family):
         assert set(oracle[family]) == set(enumerated[family])
         assert tuple(sorted(oracle[family], key=canonical_sort_key)) == enumerated[family]
+
+    def test_every_oracle_admission_runs_the_full_suite(self, monkeypatch):
+        # The record plans belong to the enumerators: the oracle, the
+        # independent route, decides each record it derives on all sixteen.
+        seen = Counter()
+        run = search.run_checks
+
+        def recording(candidate, enabled=DEFAULT_CHECKS, short_circuit=False):
+            seen[candidate.family, frozenset(enabled) == DEFAULT_CHECKS] += 1
+            return run(candidate, enabled, short_circuit)
+
+        monkeypatch.setattr(search, "run_checks", recording)
+        for family in ("e1e1", "e1e2", "e2e2"):
+            brute_force_oracle(family)
+        assert seen == {("e1e1", True): 515, ("e1e2", True): 79, ("e2e2", True): 3}
 
     def test_oracle_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown family"):
