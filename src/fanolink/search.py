@@ -26,7 +26,12 @@ FANO_DEGREE_RIGHT (which reads kx3 and the right side alone) rejects it.
 The E1-point oracles skip each kx3 at which the point side fails
 FANO_DEGREE_RIGHT, which reads kx3 and that side alone.  The degree skips,
 like the enumerators' side prunes, make the checks' own calls (_degree_ok),
-so they drop exactly what the check would reject.
+so they drop exactly what the check would reject.  The left sides come
+from the oracle's own scan, once per process (_oracle_left_sides), not
+from the enumerators' side lists.  The E1-E1 p scan walks only the class
+where the right excess is integral (_excess_class) and still tests it on
+every p, so a wrong class could only drop rows, which the agreement test
+catches.
 
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
@@ -45,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .catalog import is_valid_fano_degree
 from .checks import (
@@ -517,14 +522,31 @@ def enumerate_family(
 # Brute-force oracle
 
 
-def _oracle_left_sides() -> Iterator[tuple[int, int, int, int, int]]:
+@functools.cache
+def _oracle_left_sides() -> tuple[tuple[int, int, int, int, int], ...]:
     """(kx3, r, d, g, sigma) of each E1 left side the E1 oracles scan; see the module doc."""
-    for kx3 in KX3_VALUES:
-        for r in range(1, 5):
-            for d, g in _SIDE_GRID[r]:
-                sig = sigma(r, d, g)
-                if sig >= E1_SIGMA_MIN and _e1_degree_ok(kx3, r, d, g):
-                    yield kx3, r, d, g, sig
+    return tuple(
+        (kx3, r, d, g, sig)
+        for kx3 in KX3_VALUES
+        for r in range(1, 5)
+        for d, g in _SIDE_GRID[r]
+        if (sig := sigma(r, d, g)) >= E1_SIGMA_MIN and _e1_degree_ok(kx3, r, d, g)
+    )
+
+
+def _excess_class(kx3: int, r: int, sig: int, rp: int, q: int, lo: int, hi: int) -> range:
+    """The p in [lo, hi] at which the E1-E1 oracle's right excess is integral.
+
+    That excess, rp*(p*kx3 - q*sig)/(r*q), is linear in p, so those p form
+    one residue class modulo r*q / gcd(r*q, rp*kx3), whose first member
+    lies in the first window of that length.
+    """
+    den = r * q
+    step = den // math.gcd(den, rp * kx3)
+    for first in range(lo, lo + step):
+        if rp * (first * kx3 - q * sig) % den == 0:
+            return range(first, hi + 1, step)
+    return range(0)
 
 
 def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
@@ -533,44 +555,39 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     For each left side and right index, alpha_plus runs over reduced
     fractions p/q (q <= 4, p bounded); the right genus is solved from the
     genus relation and the right degree from the excess relation, instead
-    of deriving the coefficient from the two excesses in closed form.
+    of deriving the coefficient from the two excesses in closed form.  The
+    left sides are the oracle's own per-process list, and p walks only the
+    class where the right excess is integral (_excess_class), which it
+    still tests; the module doc says why both keep the route independent.
     """
     results: list[LinkCandidate] = []
     for kx3, r, d, g, sig in _oracle_left_sides():
         for rp in range(1, 5):
             sig_p_cap = sigma(rp, D_MAX, 0)  # the largest excess on the grid
+            rp2, gp_max = rp * rp, G_MAX[rp]
             for q in range(1, 5):
                 # p window: positive right excess up to its cap.
                 p_lo = (q * sig) // kx3 + 1
                 p_hi = (q * (sig * rp + r * sig_p_cap)) // (rp * kx3)
-                for p in range(max(1, p_lo), p_hi + 1):
+                den, two_q_sig, genus_q = r * r * q * q, 2 * q * sig, q * q * (2 * g - 2)
+                for p in _excess_class(kx3, r, sig, rp, q, max(1, p_lo), p_hi):
                     if math.gcd(p, q) != 1:
                         continue
                     # Genus relation solved directly for the right genus.
-                    t = p * p * kx3 - 2 * p * q * sig + q * q * (2 * g - 2)
-                    num = rp * rp * t
-                    den = r * r * q * q
-                    if num % den != 0:
-                        continue
-                    two_gp_minus_2 = num // den
-                    if two_gp_minus_2 % 2 != 0:
+                    two_gp_minus_2, rem = divmod(rp2 * (p * (p * kx3 - two_q_sig) + genus_q), den)
+                    if rem or two_gp_minus_2 % 2 != 0:
                         continue
                     gp = (two_gp_minus_2 + 2) // 2
-                    if not 0 <= gp <= G_MAX[rp]:
+                    if not 0 <= gp <= gp_max:
                         continue
                     # Excess relation gives the right-side excess.
-                    num_sig = rp * (p * kx3 - q * sig)
-                    den_sig = r * q
-                    if num_sig % den_sig != 0:
+                    sig_p, rem = divmod(rp * (p * kx3 - q * sig), r * q)
+                    if rem:
                         continue
-                    sig_p = num_sig // den_sig
                     if not E1_SIGMA_MIN <= sig_p <= sig_p_cap:
                         continue  # below E1_SIGMA_MIN, SIGMA_POS rejects the right side
-                    dp_num = sig_p - 2 + 2 * gp
-                    if dp_num % rp != 0:
-                        continue
-                    dp = dp_num // rp
-                    if not 1 <= dp <= D_MAX:
+                    dp, rem = divmod(sig_p - 2 + 2 * gp, rp)
+                    if rem or not 1 <= dp <= D_MAX:
                         continue
                     if not orientation_canonical((r, d, g), (rp, dp, gp)):
                         continue

@@ -3,8 +3,8 @@
 Every family enumerates in well under a second, but dozens of tests need
 the results; computing them once keeps the whole suite fast and makes the
 assertions in different files provably about the same objects.  The
-brute-force oracle takes seconds, so it too runs once, and so does each
-single-check ablation of each family.
+brute-force oracle takes about 0.2 s over all seven families in-process,
+so it too runs once, and so does each single-check ablation of each family.
 """
 
 from __future__ import annotations

@@ -192,6 +192,23 @@ class TestConstants:
         )
         assert widest == 228
 
+    def test_oracle_walks_p_exactly_where_the_right_excess_is_integral(self):
+        # The E1-E1 oracle's p walk (_excess_class) against a test of every
+        # p in its window, for every left side, right index and q it scans.
+        visited = scanned = 0
+        for kx3, r, _, _, sig in search._oracle_left_sides():
+            for rp in range(1, 5):
+                for q in range(1, 5):
+                    lo = max(1, (q * sig) // kx3 + 1)
+                    hi = (q * (sig * rp + r * (D_MAX * rp + 2))) // (rp * kx3)
+                    walk = list(search._excess_class(kx3, r, sig, rp, q, lo, hi))
+                    window = range(lo, hi + 1)
+                    integral = [p for p in window if rp * (p * kx3 - q * sig) % (r * q) == 0]
+                    assert walk == integral, (kx3, r, sig, rp, q)
+                    visited += len(walk)
+                    scanned += len(window)
+        assert (visited, scanned) == (79_320, 129_770)
+
     def test_enlarged_box_gives_the_same_rows(self, enumerated, monkeypatch):
         # D_MAX 30 and every G_MAX doubled; the side lists are rebuilt from it.
         grid = {
@@ -771,6 +788,21 @@ class TestOracle:
         for family in ("e1e1", "e1e2", "e2e2"):
             brute_force_oracle(family)
         assert seen == {("e1e1", True): 515, ("e1e2", True): 79, ("e2e2", True): 3}
+
+    def test_oracle_left_sides_are_built_once_per_process(self, monkeypatch):
+        lefts = search._oracle_left_sides()
+        assert search._oracle_left_sides() is lefts
+        assert lefts == search._oracle_left_sides.__wrapped__()
+        assert len(lefts) == 420
+        # A second E1-E1 oracle run makes degree calls for its right sides alone.
+        brute_force_oracle("e1e1")
+        calls = []
+        degree_ok = search._e1_degree_ok
+        monkeypatch.setattr(
+            search, "_e1_degree_ok", lambda *side: calls.append(side) or degree_ok(*side)
+        )
+        brute_force_oracle("e1e1")
+        assert len(calls) == 1090
 
     def test_oracle_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown family"):
