@@ -7,9 +7,11 @@ Two independent routes produce every family's candidate set:
   box for the point-type families), prune with exact integer forms of the
   residual system, and decide each remaining tuple on its integer
   candidate (formulas.derive) through the check suite.  Only a kept row
-  is audited (build_candidate).  E1-E1 joins each left side to its
-  partners by genus form (formulas.genus_form); traced runs and runs
-  without DIOPHANTINE walk every pair instead (enumerate_e1e1).
+  is audited (build_candidate).  An untraced E1-E1 run joins each left
+  side to its partners by genus form (formulas.genus_form), or, without
+  DIOPHANTINE, by HODGE's per-side value; an untraced E1-point run skips
+  the left sides HODGE rejects and the alpha_plus GCD_LEFT rejects.
+  Traced runs walk every tuple instead (enumerate_e1e1, enumerate_e1estar).
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -58,6 +60,8 @@ from .checks import (
     E1_SIGMA_MIN,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
+    _hodge_sum,
+    _primitive,
     record_plan,
     run_checks,
 )
@@ -353,6 +357,28 @@ def _replay_side_prunes(trace: TraceFn, stage, kx3, r, cells, verdicts, failed) 
             trace(stage, (kx3, r, d, g), failed[verdict])
 
 
+def _hodge_key(term: SideTerm) -> int | None:
+    """HODGE's own value of one side (checks._hodge_sum), or None where the check's lookup fails.
+
+    It reads the catalog's Hodge table, so each run computes it afresh.
+    """
+    side, _, ky3 = term
+    try:
+        return _hodge_sum(side, ky3)
+    except ValueError:
+        return None
+
+
+def _by_hodge(sides: tuple[E1Side, ...]) -> dict[int, list[E1Side]]:
+    """The sides grouped by HODGE's value, in list order; a side without one is in no group."""
+    groups: dict[int, list[E1Side]] = {}
+    for side in sides:
+        key = _hodge_key(side[4])
+        if key is not None:
+            groups.setdefault(key, []).append(side)
+    return groups
+
+
 def enumerate_e1e1(
     enabled: frozenset[str] = DEFAULT_CHECKS,
     trace: TraceFn | None = None,
@@ -367,29 +393,37 @@ def enumerate_e1e1(
     DIOPHANTINE holds exactly when r^2 * Q_plus == rp^2 * Q for the sides'
     genus forms (formulas.genus_form).  Without a trace hook a left side
     therefore looks up its partners by Q_plus = rp^2 * Q / r^2, and has none
-    unless that division is exact.  A traced run, which names every rejected
-    pair, and a run without DIOPHANTINE, which derives every pair, walk each
-    right side instead; only the iterable differs.  Each record is checked
-    against the walk's record plan (checks.record_plan): the test decides
-    DIOPHANTINE, the side lists the side checks, and the closed-form pairs
-    the coefficient checks (COEFF_RELATIONS while SIGMA_POS is enabled).
+    unless that division is exact.  Without DIOPHANTINE but with HODGE, an
+    untraced left side looks up its partners by HODGE's own per-side value
+    instead (_hodge_key): the check passes exactly when the two values are
+    equal.  A traced run, which names every rejected pair, and a run
+    without either check walk each right side; only the iterable differs.
+    Each record is checked against the walk's record plan
+    (checks.record_plan): the genus-form test decides DIOPHANTINE, the side
+    lists the side checks, and the closed-form pairs the coefficient checks
+    (COEFF_RELATIONS while SIGMA_POS is enabled).  HODGE stays in the plan,
+    so a wrong Hodge join could only drop rows.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
     right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
     fast = "DIOPHANTINE" in enabled
-    walk = trace is not None or not fast
+    by_form = trace is None and fast
+    by_hodge = trace is None and not fast and "HODGE" in enabled
+    right_by_hodge = {key: _by_hodge(sides) for key, (sides, _) in right.items() if by_hodge}
     plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED)
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
             right_sides, right_by_form = right[(kx3, rp)]
             for d, g, sig, form, left_term in left[(kx3, r)]:
-                if walk:
-                    partners = right_sides
-                else:
+                if by_form:
                     wanted, rem = divmod(rp * rp * form, r * r)
                     partners = () if rem else right_by_form.get(wanted, ())
+                elif by_hodge:
+                    partners = right_by_hodge[(kx3, rp)].get(_hodge_key(left_term), ())
+                else:
+                    partners = right_sides
                 for dp, gp, sig_p, form_p, right_term in partners:
                     if r == rp and (d, g) < (dp, gp):
                         continue
@@ -406,6 +440,20 @@ def enumerate_e1e1(
 
 # ---------------------------------------------------------------------------
 # E1-point enumeration
+
+
+@functools.cache
+def _gcd_left_alpha_pluses(r: int, beta_plus: int) -> tuple[int, ...]:
+    """The alpha_plus in 1..MAX_ALPHA_PLUS whose star pair passes GCD_LEFT on an index-r side.
+
+    The check's own call (checks._primitive) reads only the side's index
+    and the pair, so the tuple is fixed per (r, beta_plus); it reads no
+    catalog data, so it is built once per process.
+    """
+    side = _e1_side(r, 1, 0)
+    return tuple(
+        ap for ap in range(1, MAX_ALPHA_PLUS + 1) if _primitive(side, star_pairs(ap, beta_plus)[0])
+    )
 
 
 def enumerate_e1estar(
@@ -432,10 +480,21 @@ def enumerate_e1estar(
     With a hook the records at that kx3 are checked against it too, without
     short-circuit, so the trace reports each rejection with all its
     failing checks.
+
+    A run without a trace hook decides two more checks before deriving,
+    and keeps both in the record plan, so a wrong skip could only drop
+    rows.  HODGE on a smooth point target (E2) compares the point side's
+    value, fixed per kx3, with the left side's (_hodge_key): the kx3 is
+    skipped when the point side has none, and a left side whose value
+    differs is skipped.  Without DIOPHANTINE, GCD_LEFT reads (r, alpha_plus,
+    beta_plus) alone on a star pair, so alpha_plus runs only over the
+    values that pass it (_gcd_left_alpha_pluses).
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)
     fast = "DIOPHANTINE" in enabled
+    hodge_join = trace is None and "HODGE" in enabled and right.target_index is not None
+    gcd_filter = trace is None and "GCD_LEFT" in enabled
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         right_term = side_term(kx3, right)
@@ -444,9 +503,15 @@ def enumerate_e1estar(
             if trace is None:
                 continue
             decided = _LEFT_DECIDED
+        if hodge_join:
+            hodge = _hodge_key(right_term)
+            if hodge is None:
+                continue  # HODGE's lookup fails on every record at this kx3
         plan = record_plan(star_pairs, frozenset(enabled), decided)
         for r in range(1, 5):
             for d, g, sig, _, left_term in _e1_side_list(kx3, r, enabled, "left", trace)[0]:
+                if hodge_join and _hodge_key(left_term) != hodge:
+                    continue
                 sides = None
                 for bp in range(-r, 0):
                     if fast:
@@ -459,6 +524,8 @@ def enumerate_e1estar(
                                 trace("pair-fast", (kx3, r, d, g, bp), ("DIOPHANTINE",))
                             continue
                         alpha_pluses = (ap,)
+                    elif gcd_filter:
+                        alpha_pluses = _gcd_left_alpha_pluses(r, bp)
                     else:
                         alpha_pluses = range(1, MAX_ALPHA_PLUS + 1)
                     if sides is None:

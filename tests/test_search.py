@@ -7,7 +7,7 @@ from hashlib import sha256
 
 import pytest
 
-from fanolink import formulas, search
+from fanolink import catalog, formulas, search
 from fanolink.catalog import FANO_DEGREES, is_valid_fano_degree
 from fanolink.checks import (
     DEFAULT_CHECKS,
@@ -394,6 +394,104 @@ class TestGenusJoin:
         assert (pairs, passing) == (10_350, 622)
 
 
+def _derived_sides(monkeypatch) -> list[tuple]:
+    """Patch search.derive to log the (kx3, left, right) of each record it derives; the log."""
+    log, derive = [], search.derive
+
+    def logged(sides, *pairs):
+        log.append(sides[0][:3])
+        return derive(sides, *pairs)
+
+    monkeypatch.setattr(search, "derive", logged)
+    return log
+
+
+class TestHodgeJoin:
+    # HODGE compares one value per side (checks._hodge_sum), so an untraced
+    # walk skips, before deriving, every record whose two values differ or
+    # whose lookup fails.  Each proof runs the untraced walk, logs what it
+    # derives and checks HODGE's verdict on every tuple of the box.
+    NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
+
+    def test_e1e1_join_visits_exactly_the_pairs_hodge_passes(self, monkeypatch):
+        log = _derived_sides(monkeypatch)
+        enumerate_e1e1(self.NO_DIOPHANTINE)
+        visited = set(log)
+        assert len(visited) == len(log) == 976
+        hodge = REGISTRY["HODGE"].passes
+        pairs = passing = 0
+        for kx3 in KX3_VALUES:
+            for r in G_MAX:
+                left = search._e1_side_list(kx3, r, DEFAULT_CHECKS, "left")[0]
+                for rp in range(1, r + 1):
+                    right = search._e1_side_list(kx3, rp, DEFAULT_CHECKS, "right")[0]
+                    for d, g, sig, _, left_term in left:
+                        for dp, gp, sig_p, _, right_term in right:
+                            if not orientation_canonical((r, d, g), (rp, dp, gp)):
+                                continue
+                            sides = formulas.side_terms(kx3, left_term, right_term)
+                            record = search.derive(sides, *e1e1_pairs(kx3, r, rp, sig, sig_p))
+                            passes = hodge(record)
+                            assert passes == ((kx3, record.left, record.right) in visited)
+                            pairs += 1
+                            passing += passes
+        assert (pairs, passing) == (10_350, 976)
+
+    @pytest.mark.parametrize(
+        "enabled",
+        [NO_DIOPHANTINE, NO_DIOPHANTINE - {"FANO_DEGREE_RIGHT"}],
+        ids=["all", "no-degree"],
+    )
+    def test_e1e2_skips_exactly_the_left_sides_hodge_rejects(self, monkeypatch, enabled):
+        # HODGE reads the sides and kx3 alone, so one record per (kx3, left
+        # side) stands for all its (alpha_plus, beta_plus).  Without
+        # FANO_DEGREE_RIGHT the point side's failing lookup skips each kx3
+        # that the degree skip would.
+        log = _derived_sides(monkeypatch)
+        enumerate_e1estar(ContractionType.E2, enabled)
+        visited = {(kx3, left) for kx3, left, _ in log}
+        assert len(visited) == 32
+        hodge = REGISTRY["HODGE"].passes
+        sides = 0
+        for kx3 in KX3_VALUES:
+            for r in G_MAX:
+                for d, g, *_ in search._e1_side_list(kx3, r, enabled, "left")[0]:
+                    record = search.record_e1estar(kx3, (r, d, g), ContractionType.E2, 1, -1)
+                    assert hodge(record) == ((kx3, record.left) in visited), (kx3, r, d, g)
+                    sides += 1
+        assert sides == 420
+
+    def test_gcd_filter_leaves_out_exactly_the_alpha_pluses_gcd_left_rejects(self):
+        # GCD_LEFT reads the left index and the pair; the side's (d, g) do not matter.
+        gcd_left = REGISTRY["GCD_LEFT"].passes
+        cells = kept = 0
+        for r in G_MAX:
+            for bp in range(-r, 0):
+                alpha_pluses = search._gcd_left_alpha_pluses(r, bp)
+                for ap in range(1, MAX_ALPHA_PLUS + 1):
+                    record = search.record_e1estar(2, (r, 1, 0), ContractionType.E34, ap, bp)
+                    assert gcd_left(record) == (ap in alpha_pluses), (r, bp, ap)
+                    cells += 1
+                    kept += ap in alpha_pluses
+        assert (cells, kept) == (860, 344)
+
+    def test_untraced_runs_read_the_current_hodge_table(self, monkeypatch):
+        # The Hodge values are looked up per run: under a changed catalog an
+        # untraced run must match a run that decides HODGE on every record,
+        # here the same walk without HODGE filtered through HODGE's verdict.
+        # Raising h12 at (1, 16) drops three e1e1 rows and adds an e1e2 row.
+        hodge = REGISTRY["HODGE"].passes
+        baseline = {f: enumerate_family(f, self.NO_DIOPHANTINE) for f in ("e1e1", "e1e2")}
+        mutated = dict(catalog.load_hodge_table())
+        mutated[(1, 16)] += 1
+        monkeypatch.setattr(catalog, "load_hodge_table", lambda: mutated)
+        for family, rows in baseline.items():
+            out = enumerate_family(family, self.NO_DIOPHANTINE)
+            without = enumerate_family(family, self.NO_DIOPHANTINE - {"HODGE"})
+            assert out == tuple(c for c in without if hodge(c)), family
+            assert out != rows, family
+
+
 def _decided_by(pairs, enabled=frozenset()):
     """The checks whose scope says every record of the pairs' walk passes, given enabled."""
     return [
@@ -525,19 +623,24 @@ class TestAblations:
         assert extras == ABLATION_EXTRAS.get(check, {})
 
     def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
-        # Without DIOPHANTINE E1-E1 derives every oriented pair; the full
-        # default suite, DIOPHANTINE included, then keeps the default rows.
-        records = Counter()
-        derive = search.derive
-
-        def counted_derive(*args):
-            records["e1e1"] += 1
-            return derive(*args)
-
-        monkeypatch.setattr(search, "derive", counted_derive)
-        out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE"})
-        assert records == {"e1e1": 10_350}
+        # Without DIOPHANTINE and HODGE E1-E1 derives every oriented pair;
+        # the full default suite then keeps the default rows.
+        log = _derived_sides(monkeypatch)
+        out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE", "HODGE"})
+        assert len(log) == 10_350
         assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
+
+    def test_diophantine_off_derivations_are_pinned(self, monkeypatch):
+        # Untraced, E1-E1 derives only the pairs whose Hodge values match,
+        # and E1-E2 only the alpha_plus that pass GCD_LEFT on the left sides
+        # whose Hodge value matches the point side's (measured).
+        log = _derived_sides(monkeypatch)
+        records = {}
+        for family in ("e1e1", "e1e2"):
+            log.clear()
+            enumerate_family(family, DEFAULT_CHECKS - {"DIOPHANTINE"})
+            records[family] = len(log)
+        assert records == {"e1e1": 976, "e1e2": 2_752}
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
@@ -651,8 +754,8 @@ class TestTracing:
 
     def test_default_run_derivations_are_pinned(self, monkeypatch):
         # A default run decides every tuple that passes its family's pair
-        # test on its integer candidate, and audits (build_candidate) only
-        # the 134 rows it keeps (measured).
+        # test and, on e1e2, the Hodge skip on its integer candidate, and
+        # audits (build_candidate) only the 134 rows it keeps (measured).
         records, built = Counter(), Counter()
         derive, build = search.derive, search.build_candidate
 
@@ -670,7 +773,7 @@ class TestTracing:
         for family in FAMILY_IDS:
             enumerate_family(family)
         assert records == {
-            "e1e1": 622, "e1e2": 249, "e1e3": 249, "e1e5": 161, "e2e2": 3, "e3e3": 2, "e5e5": 1
+            "e1e1": 622, "e1e2": 22, "e1e3": 249, "e1e5": 161, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
         assert built == EXPECTED_COUNTS
         # A traced E1-E1 run walks every right side instead of looking up
@@ -715,10 +818,11 @@ class TestE1PointPreTest:
 
     def test_pre_test_runs_only_without_a_trace(self, monkeypatch):
         # Every pinned tuple is decided on its integer record, traced or
-        # not, and only the admitted ones reach build_candidate.  The
-        # one step an untraced run takes alone is FANO_DEGREE_RIGHT once per
-        # kx3: on e1e2 (kY3 = kx3 + 8 must be an index-1 Fano degree) it
-        # skips kx3 = 12 and 16..22; E3/E4 and E5 targets have no index.
+        # not, and only the admitted ones reach build_candidate.  What an
+        # untraced run skips alone is on e1e2 (E3/E4 and E5 targets have no
+        # index): FANO_DEGREE_RIGHT once per kx3 (kY3 = kx3 + 8 must be an
+        # index-1 Fano degree) skips kx3 = 12 and 16..22, and HODGE each left
+        # side whose Hodge value differs from the point side's.
         records, built = Counter(), Counter()
         derive, build = search.derive, search.build_candidate
 
@@ -736,7 +840,7 @@ class TestE1PointPreTest:
             for family in self.STAR_FAMILIES:
                 enumerate_family(family, trace=(lambda s, d, f: None) if traced else None)
         assert records == {
-            (False, ContractionType.E2): 249,  # 289 less the 40 at those kx3
+            (False, ContractionType.E2): 22,  # 289 less the 40 at those kx3 and 227 by HODGE
             (False, ContractionType.E34): 249,
             (False, ContractionType.E5): 161,
             (True, ContractionType.E2): 289,
