@@ -1,9 +1,10 @@
 """Exact-arithmetic enumeration of two-sided divisorial link candidates
 on weak Fano threefolds of Picard rank two.
 
-The public surface: candidate model and builders, the check registry,
-the primary enumerators plus the independent brute-force oracle, golden
-table loading/diffing, and renderers.
+The public surface: the candidate model, ``record`` (a family tuple's
+unaudited candidate) and ``build_candidate`` (its 64-bit audit), the
+check registry, the primary enumerators plus the independent brute-force
+oracle, golden table loading/diffing, and renderers.
 """
 
 from .catalog import hodge_h12, is_valid_fano_degree
@@ -28,14 +29,13 @@ from .model import (
 from .search import (
     FAMILY_IDS,
     brute_force_oracle,
-    build_e1e1,
-    build_e1estar,
-    build_symmetric,
+    build_candidate,
     enumerate_e1e1,
     enumerate_e1estar,
     enumerate_family,
     enumerate_symmetric,
     mirror_candidate,
+    record,
 )
 
 __version__ = "0.1.0"
@@ -56,9 +56,7 @@ __all__ = [
     "SideData",
     "admitted",
     "brute_force_oracle",
-    "build_e1e1",
-    "build_e1estar",
-    "build_symmetric",
+    "build_candidate",
     "diff",
     "enumerate_e1e1",
     "enumerate_e1estar",
@@ -70,6 +68,7 @@ __all__ = [
     "is_valid_fano_degree",
     "load_golden",
     "mirror_candidate",
+    "record",
     "run_checks",
     "__version__",
 ]

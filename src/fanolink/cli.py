@@ -33,7 +33,7 @@ from . import render as render_mod
 from . import search as search_mod
 from .formulas import basis_decomposition_numerators
 from .model import FAMILIES
-from .rational import RationalOverflowError, audit_magnitude, render_exact
+from .rational import RationalOverflowError, as_integer, audit_magnitude, render_exact
 
 # Trace lines per write to stderr: every write but the last carries exactly
 # this many, at most about 250 kB, under the 1 MiB mmap threshold main() sets
@@ -188,9 +188,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any_mismatch else 0
 
 
-def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.LinkCandidate":
+def _explain_values(family: str, key_tokens: list[str]) -> tuple[int, ...]:
+    """The family's tuple, in explain_fields order, of a golden row number or a raw tuple."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r} (choose from {', '.join(FAMILIES)})")
+    names = FAMILIES[family].explain_fields
     text = " ".join(key_tokens).strip()
     if text.lower().startswith("row"):
         number_text = text[3:].strip()
@@ -199,29 +201,28 @@ def _resolve_explain_target(family: str, key_tokens: list[str]) -> "search_mod.L
         number = int(number_text)
         for row in golden_mod.golden_for_family(family):
             if row.row == number:
-                return search_mod.candidate_from_fields(family, vars(row))
+                return tuple(as_integer(getattr(row, name)) for name in names)
         raise ValueError(f"no golden row {number} in family {family}")
     cleaned = text.strip("()")
     try:
-        numbers = [int(part.strip()) for part in cleaned.split(",") if part.strip()]
+        values = tuple(int(part.strip()) for part in cleaned.split(",") if part.strip())
     except ValueError:
         raise ValueError(f"cannot parse tuple: {text!r}") from None
-    names = FAMILIES[family].explain_fields
-    if len(numbers) != len(names):
+    if len(values) != len(names):
         raise ValueError(f"{family} tuple is ({', '.join(names)})")
-    for number in numbers:
-        audit_magnitude(number)
-    fields = dict(zip(names, numbers))
-    if fields["kx3"] <= 0:
-        raise ValueError(f"central degree kx3 must be positive, got {fields['kx3']}")
-    return search_mod.candidate_from_fields(family, fields)
+    for value in values:
+        audit_magnitude(value)
+    if values[0] <= 0:  # kx3 leads every family's tuple
+        raise ValueError(f"central degree kx3 must be positive, got {values[0]}")
+    return values
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     # Every number printed below is held to the 64-bit contract first: the
     # candidate's by search.build_candidate, the decompositions' here.
     try:
-        candidate = _resolve_explain_target(args.family, args.key)
+        values = _explain_values(args.family, args.key)
+        candidate = search_mod.build_candidate(search_mod.record(args.family, values))
         decompositions = []
         for role, side, pair, plus in (
             ("left", candidate.left, candidate.pair, ""),

@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .catalog import is_valid_fano_degree
 from .checks import (
@@ -84,9 +84,10 @@ from .model import (
     ContractionType,
     LinkCandidate,
     SideData,
+    family_id,
     family_spec,
 )
-from .rational import as_integer, audit_magnitude
+from .rational import audit_magnitude
 
 D_MAX = 19
 # Maximal genus per index: the largest g whose excess at d = D_MAX is not negative.
@@ -115,8 +116,8 @@ _LEFT_DECIDED = frozenset({"kx3", "left", "each side"})
 # Candidates
 
 
-# The enumerators' sides by (ctype, r, d, g), each validated once: building a
-# SideData costs more than its use.
+# The sides the enumerators and record build, by (ctype, r, d, g), each
+# validated once: building a SideData costs more than its use.
 _side = functools.cache(SideData)
 _e1_side = functools.partial(_side, ContractionType.E1)
 
@@ -125,32 +126,25 @@ def _side_terms(kx3: int, left: SideData, right: SideData) -> SideTerms:
     return side_terms(kx3, side_term(kx3, left), side_term(kx3, right))
 
 
-def record_e1e1(
-    kx3: int, left_data: tuple[int, int, int], right_data: tuple[int, int, int]
-) -> LinkCandidate:
-    """Unchecked candidate of an E1-E1 tuple from the two curve data triples."""
-    left = SideData(ContractionType.E1, *left_data)
-    right = SideData(ContractionType.E1, *right_data)
-    pairs = e1e1_pairs(kx3, left.r, right.r, sigma(*left_data), sigma(*right_data))
-    return derive(_side_terms(kx3, left, right), *pairs)
+def record(family: str, values: tuple[int, ...]) -> LinkCandidate:
+    """Unaudited candidate of one family's tuple, in its explain_fields order.
 
-
-def record_e1estar(
-    kx3: int,
-    left_data: tuple[int, int, int],
-    star: ContractionType,
-    alpha_plus: int,
-    beta_plus: int,
-) -> LinkCandidate:
-    """Unchecked candidate of an E1 side against a point-type side."""
-    sides = _side_terms(kx3, SideData(ContractionType.E1, *left_data), SideData(star))
-    return derive(sides, *star_pairs(alpha_plus, beta_plus))
-
-
-def record_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidate:
-    """Unchecked candidate of a symmetric point-type tuple."""
-    side = SideData(star)
-    return derive(_side_terms(kx3, side, side), *symmetric_pairs(alpha))
+    That is (kx3, r, d, g, r+, d+, g+) on E1-E1, (kx3, r, d, g, alpha+,
+    beta+) on E1-point and (kx3, alpha) on the symmetric families: the
+    tuple ``explain`` takes and the full, E1-E1 pair-fast and domain trace
+    events carry.  The side types come from the family's spec.
+    """
+    left_type, right_type = family_spec(family).types
+    if left_type is not ContractionType.E1:
+        kx3, alpha = values
+        side = _side(left_type)
+        return derive(_side_terms(kx3, side, side), *symmetric_pairs(alpha))
+    kx3, r, d, g, *plus = values
+    left = _side(left_type, r, d, g)
+    if right_type is not ContractionType.E1:
+        return derive(_side_terms(kx3, left, _side(right_type)), *star_pairs(*plus))
+    pairs = e1e1_pairs(kx3, r, plus[0], sigma(r, d, g), sigma(*plus))
+    return derive(_side_terms(kx3, left, _side(right_type, *plus)), *pairs)
 
 
 def build_candidate(candidate: LinkCandidate) -> LinkCandidate:
@@ -175,46 +169,6 @@ def build_candidate(candidate: LinkCandidate) -> LinkCandidate:
         if value is not None:
             audit_magnitude(value)
     return candidate
-
-
-def build_e1e1(
-    kx3: int, left_data: tuple[int, int, int], right_data: tuple[int, int, int]
-) -> LinkCandidate:
-    """Checked E1-E1 candidate from the two curve data triples."""
-    return build_candidate(record_e1e1(kx3, left_data, right_data))
-
-
-def build_e1estar(
-    kx3: int,
-    left_data: tuple[int, int, int],
-    star: ContractionType,
-    alpha_plus: int,
-    beta_plus: int,
-) -> LinkCandidate:
-    """Checked candidate for an E1 side against a point-type side."""
-    return build_candidate(record_e1estar(kx3, left_data, star, alpha_plus, beta_plus))
-
-
-def build_symmetric(star: ContractionType, alpha: int, kx3: int) -> LinkCandidate:
-    """Checked symmetric point-type candidate."""
-    return build_candidate(record_symmetric(star, alpha, kx3))
-
-
-def candidate_from_fields(family: str, fields: Mapping[str, object]) -> LinkCandidate:
-    """Derive one candidate from its family's explain-tuple fields.
-
-    ``fields`` maps each of the spec's explain field names to an integral
-    value (a golden row's attributes qualify).
-    """
-    spec = family_spec(family)
-    f = {name: as_integer(fields[name]) for name in spec.explain_fields}
-    left_type, right_type = spec.types
-    if left_type is not ContractionType.E1:
-        return build_symmetric(left_type, f["alpha"], f["kx3"])
-    left = (f["r"], f["d"], f["g"])
-    if right_type is ContractionType.E1:
-        return build_e1e1(f["kx3"], left, (f["r_plus"], f["d_plus"], f["g_plus"]))
-    return build_e1estar(f["kx3"], left, right_type, f["alpha_plus"], f["beta_plus"])
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +349,10 @@ def enumerate_e1e1(
     therefore looks up its partners by Q_plus = rp^2 * Q / r^2, and has none
     unless that division is exact.  Without DIOPHANTINE but with HODGE, an
     untraced left side looks up its partners by HODGE's own per-side value
-    instead (_hodge_key): the check passes exactly when the two values are
-    equal.  A traced run, which names every rejected pair, and a run
-    without either check walk each right side; only the iterable differs.
+    instead (_hodge_key, computed once per side and run): the check passes
+    exactly when the two values are equal.  A traced run, which names
+    every rejected pair, and a run without either check walk each right
+    side; only the iterable differs.
     Each record is checked against the walk's record plan
     (checks.record_plan): the genus-form test decides DIOPHANTINE, the side
     lists the side checks, and the closed-form pairs the coefficient checks
@@ -411,6 +366,10 @@ def enumerate_e1e1(
     by_form = trace is None and fast
     by_hodge = trace is None and not fast and "HODGE" in enabled
     right_by_hodge = {key: _by_hodge(sides) for key, (sides, _) in right.items() if by_hodge}
+    left_hodge = {
+        (*key, d, g): _hodge_key(term)
+        for key, sides in left.items() if by_hodge for d, g, _, _, term in sides
+    }
     plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED)
     results: list[LinkCandidate] = []
     for kx3, r in indices:
@@ -421,7 +380,7 @@ def enumerate_e1e1(
                     wanted, rem = divmod(rp * rp * form, r * r)
                     partners = () if rem else right_by_form.get(wanted, ())
                 elif by_hodge:
-                    partners = right_by_hodge[(kx3, rp)].get(_hodge_key(left_term), ())
+                    partners = right_by_hodge[(kx3, rp)].get(left_hodge[kx3, r, d, g], ())
                 else:
                     partners = right_sides
                 for dp, gp, sig_p, form_p, right_term in partners:
@@ -553,6 +512,7 @@ def enumerate_symmetric(
     decides admission.
     """
     two_c = 2 * star_sigma(star)  # raises ValueError for an E1 star
+    family = family_id(star, star)
     plan = record_plan(symmetric_pairs, frozenset(enabled), _KX3_DECIDED)
     results: list[LinkCandidate] = []
     for alpha in range(1, two_c + 1):
@@ -563,7 +523,7 @@ def enumerate_symmetric(
             if trace is not None:
                 trace("domain", (kx3, alpha), ("KX3_RANGE",))
             continue
-        _admit(record_symmetric(star, alpha, kx3), plan, trace, (kx3, alpha), results)
+        _admit(record(family, (kx3, alpha)), plan, trace, (kx3, alpha), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -660,7 +620,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     if not _e1_degree_ok(kx3, rp, dp, gp):
                         continue  # FANO_DEGREE_RIGHT rejects the solved right side
-                    candidate = record_e1e1(kx3, (r, d, g), (rp, dp, gp))
+                    candidate = record("e1e1", (kx3, r, d, g, rp, dp, gp))
                     ap_num, _, ap_den = candidate.pair_plus
                     if ap_num * q != p * ap_den:
                         continue  # the closed form's alpha_plus is not p/q
@@ -668,7 +628,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     return tuple(sorted(results, key=canonical_sort_key))
 
 
-def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
+def _oracle_e1estar(family: str, star: ContractionType) -> tuple[LinkCandidate, ...]:
     """Independent E1-point route: quadratic relation as the generator.
 
     alpha_plus is scanned over the full integer box and kept when the
@@ -689,12 +649,12 @@ def _oracle_e1estar(star: ContractionType) -> tuple[LinkCandidate, ...]:
             for ap in range(1, MAX_ALPHA_PLUS + 1):
                 if ap * (ap * kx3 + 2 * bp * c) != rhs:
                     continue
-                candidate = record_e1estar(kx3, (r, d, g), star, ap, bp)
+                candidate = record(family, (kx3, r, d, g, ap, bp))
                 _admit(candidate, DEFAULT_CHECKS, None, (), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
-def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
+def _oracle_symmetric(family: str, star: ContractionType) -> tuple[LinkCandidate, ...]:
     """Independent symmetric route: full grid scan of (degree, alpha)."""
     two_c = 2 * star_sigma(star)
     results: list[LinkCandidate] = []
@@ -702,7 +662,7 @@ def _oracle_symmetric(star: ContractionType) -> tuple[LinkCandidate, ...]:
         for alpha in range(1, MAX_ALPHA_PLUS + 1):
             if alpha * kx3 != two_c:
                 continue
-            _admit(record_symmetric(star, alpha, kx3), DEFAULT_CHECKS, None, (), results)
+            _admit(record(family, (kx3, alpha)), DEFAULT_CHECKS, None, (), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -714,7 +674,7 @@ def brute_force_oracle(family: str) -> tuple[LinkCandidate, ...]:
     """
     left, right = family_spec(family).types
     if left is not ContractionType.E1:
-        return _oracle_symmetric(left)
+        return _oracle_symmetric(family, left)
     if right is ContractionType.E1:
         return _oracle_e1e1()
-    return _oracle_e1estar(right)
+    return _oracle_e1estar(family, right)

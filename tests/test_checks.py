@@ -23,8 +23,7 @@ from fanolink.checks import (
     validate_check_ids,
 )
 from fanolink.formulas import e1e1_pairs, star_pairs, symmetric_pairs
-from fanolink.model import ContractionType
-from fanolink.search import D_MAX, G_MAX, build_e1e1, build_e1estar, build_symmetric
+from fanolink.search import D_MAX, G_MAX, record
 
 from conftest import over_common_denominator
 
@@ -84,7 +83,7 @@ class TestRegistry:
     def test_run_checks_raises_on_every_call_with_a_bad_id(self, ids, message):
         # run_checks builds one plan per enabled set and caches it; a set
         # that fails validation must raise again, not be remembered.
-        candidate = build_symmetric(ContractionType.E2, 1, 8)
+        candidate = record("e2e2", (8, 1))
         for _ in range(2):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 run_checks(candidate, frozenset(ids))
@@ -115,19 +114,19 @@ class TestRegistry:
 
 class TestRunChecks:
     def test_reports_follow_registry_order(self):
-        candidate = build_e1e1(2, (1, 1, 0), (1, 1, 0))
+        candidate = record("e1e1", (2, 1, 1, 0, 1, 1, 0))
         reports = run_checks(candidate)
         assert tuple(report.name for report in reports) == CANONICAL_ORDER
         assert admitted(reports)
 
     def test_enabled_subset_runs_only_those(self):
-        candidate = build_e1e1(2, (1, 1, 0), (1, 1, 0))
+        candidate = record("e1e1", (2, 1, 1, 0, 1, 1, 0))
         subset = frozenset({"HODGE", "SIGMA_POS"})
         reports = run_checks(candidate, subset)
         assert tuple(report.name for report in reports) == ("SIGMA_POS", "HODGE")
 
     def test_short_circuit_stops_at_first_failure(self):
-        candidate = build_e1e1(2, (1, 2, 1), (1, 2, 1))  # fails SIGMA_POS
+        candidate = record("e1e1", (2, 1, 2, 1, 1, 2, 1))  # fails SIGMA_POS
         reports = run_checks(candidate, short_circuit=True)
         assert len(reports) == 1
         assert reports[0].name == "SIGMA_POS"
@@ -135,12 +134,12 @@ class TestRunChecks:
 
     def test_short_circuit_never_changes_the_verdict(self):
         candidates = [
-            build_e1e1(2, (1, 1, 0), (1, 1, 0)),
-            build_e1e1(2, (1, 2, 1), (1, 2, 1)),
-            build_e1e1(2, (1, 8, 0), (1, 8, 0)),
-            build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2),
-            build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -1),
-            build_symmetric(ContractionType.E5, 1, 2),
+            record("e1e1", (2, 1, 1, 0, 1, 1, 0)),
+            record("e1e1", (2, 1, 2, 1, 1, 2, 1)),
+            record("e1e1", (2, 1, 8, 0, 1, 8, 0)),
+            record("e1e2", (4, 2, 12, 7, 5, -2)),
+            record("e1e2", (4, 2, 12, 7, 5, -1)),
+            record("e5e5", (2, 1)),
         ]
         for candidate in candidates:
             full = admitted(run_checks(candidate, short_circuit=False))
@@ -148,11 +147,11 @@ class TestRunChecks:
             assert full == fast
 
     def test_run_checks_is_deterministic(self):
-        candidate = build_e1e1(4, (3, 9, 3), (1, 5, 0))
+        candidate = record("e1e1", (4, 3, 9, 3, 1, 5, 0))
         assert run_checks(candidate) == run_checks(candidate)
 
     def test_rejects_unknown_check_id(self):
-        candidate = build_symmetric(ContractionType.E2, 1, 8)
+        candidate = record("e2e2", (8, 1))
         with pytest.raises(ValueError, match="unknown check ids"):
             run_checks(candidate, frozenset({"NOPE"}))
 
@@ -160,11 +159,11 @@ class TestRunChecks:
         # Degrees outside the catalog, non-integral cubes, wrong coefficient
         # systems: every check must report, not raise.
         pathological = [
-            build_e1e1(2, (1, 8, 0), (1, 8, 0)),  # target degree 20 not in catalog
-            build_e1e1(2, (1, 1, 0), (3, 1, 0)),  # non-integral transform cube
-            build_e1e1(24, (1, 1, 0), (1, 1, 0)),  # central degree out of range
-            build_e1estar(4, (2, 12, 7), ContractionType.E2, 7, -3),
-            build_symmetric(ContractionType.E34, 3, 2),
+            record("e1e1", (2, 1, 8, 0, 1, 8, 0)),  # target degree 20 not in catalog
+            record("e1e1", (2, 1, 1, 0, 3, 1, 0)),  # non-integral transform cube
+            record("e1e1", (24, 1, 1, 0, 1, 1, 0)),  # central degree out of range
+            record("e1e2", (4, 2, 12, 7, 7, -3)),
+            record("e3e3", (2, 3)),
         ]
         for candidate in pathological:
             reports = run_checks(candidate)
@@ -179,99 +178,99 @@ class TestNearMissAnchors:
         through as a phantom 112th curve-curve row; it must fail exactly
         the excess check and nothing else.
         """
-        candidate = build_e1e1(2, (1, 2, 1), (1, 2, 1))
+        candidate = record("e1e1", (2, 1, 2, 1, 1, 2, 1))
         assert failing_names(candidate) == ["SIGMA_POS"]
 
     def test_sigma_floor_is_tight(self):
         # Excess exactly 3 passes the excess check (golden row 9 data).
-        candidate = build_e1e1(2, (1, 3, 1), (1, 3, 1))
+        candidate = record("e1e1", (2, 1, 3, 1, 1, 3, 1))
         reports = {report.name: report.passed for report in run_checks(candidate)}
         assert reports["SIGMA_POS"]
 
     def test_point_side_unit_excess_is_admissible(self):
         # The quadruple-point side has constant excess 1; the floor of 3
         # applies only to curve-blowup sides.
-        candidate = build_symmetric(ContractionType.E5, 1, 2)
+        candidate = record("e5e5", (2, 1))
         assert failing_names(candidate) == []
 
     def test_catalog_miss_fails_degree_and_hodge(self):
-        candidate = build_e1e1(2, (1, 8, 0), (1, 8, 0))  # both targets have degree 20
+        candidate = record("e1e1", (2, 1, 8, 0, 1, 8, 0))  # both targets have degree 20
         assert failing_names(candidate) == ["FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "HODGE"]
         hodge = next(r for r in run_checks(candidate) if r.name == "HODGE")
         assert "Hodge lookup failed" in hodge.detail
 
     def test_hodge_passes_on_balanced_sides(self):
-        candidate = build_e1e1(2, (1, 1, 0), (1, 1, 0))
+        candidate = record("e1e1", (2, 1, 1, 0, 1, 1, 0))
         hodge = next(r for r in run_checks(candidate) if r.name == "HODGE")
         assert hodge.passed
 
     def test_hodge_skips_singular_targets(self):
-        candidate = build_symmetric(ContractionType.E34, 1, 4)
+        candidate = record("e3e3", (4, 1))
         hodge = next(r for r in run_checks(candidate) if r.name == "HODGE")
         assert hodge.passed
         assert "not applicable" in hodge.detail
 
     def test_hyperelliptic_sym_rejects_asymmetric_degree_two(self):
         # Sole rejector: every other check admits this degree-2 body.
-        candidate = build_e1estar(2, (2, 4, 2), ContractionType.E34, 5, -2)
+        candidate = record("e1e3", (2, 2, 4, 2, 5, -2))
         assert failing_names(candidate) == ["HYPERELLIPTIC_SYM"]
 
     def test_gcd_anchor_row_27(self):
-        candidate = build_e1e1(2, (2, 1, 0), (2, 1, 0))
+        candidate = record("e1e1", (2, 2, 1, 0, 2, 1, 0))
         gcd_left = next(r for r in run_checks(candidate) if r.name == "GCD_LEFT")
         assert gcd_left.passed
         assert "(8, -5)" in gcd_left.detail
 
     def test_beta_plus_range_rejects_shallow_coefficient(self):
         # beta_plus must stay within -r..-1 for a curve side of index r.
-        candidate = build_e1estar(4, (1, 2, 0), ContractionType.E2, 3, -2)
+        candidate = record("e1e2", (4, 1, 2, 0, 3, -2))
         assert "BETA_PLUS_RANGE" in failing_names(candidate)
 
     def test_alpha_plus_bound_rejects_oversized_coefficient(self):
-        candidate = build_e1estar(2, (4, 11, 1), ContractionType.E2, 87, -4)
+        candidate = record("e1e2", (2, 4, 11, 1, 87, -4))
         assert "ALPHA_PLUS_BOUND" in failing_names(candidate)
 
     def test_defect_positive_rejects_negative_defect(self):
         # The minimal-degree body whose flop defect lands at exactly -1.
-        candidate = build_e1e1(2, (1, 1, 1), (1, 1, 1))
+        candidate = record("e1e1", (2, 1, 1, 1, 1, 1, 1))
         assert candidate.defect_e == -1
         assert failing_names(candidate) == ["SIGMA_POS", "DEFECT_POSITIVE"]
 
     def test_kx3_range_rejects_odd_central_degree(self):
-        failed = failing_names(build_symmetric(ContractionType.E2, 8, 1))
+        failed = failing_names(record("e2e2", (1, 8)))
         assert "KX3_RANGE" in failed
 
 
 class TestCheckReports:
     def test_report_carries_name_passed_detail(self):
-        candidate = build_e1e1(2, (1, 1, 0), (1, 1, 0))
+        candidate = record("e1e1", (2, 1, 1, 0, 1, 1, 0))
         for report in run_checks(candidate):
             assert report.name in REGISTRY
             assert isinstance(report.passed, bool)
             assert isinstance(report.detail, str) and report.detail
 
     def test_sigma_report_detail_shows_both_sides(self):
-        candidate = build_e1e1(2, (1, 1, 0), (1, 1, 0))
+        candidate = record("e1e1", (2, 1, 1, 0, 1, 1, 0))
         sigma_report = run_checks(candidate)[0]
         assert sigma_report.detail == "sigma=3, sigma_plus=3"
 
 
 # A pool of candidates spanning admitted rows, near misses, and wrecks.
 _POOL = (
-    build_e1e1(2, (1, 1, 0), (1, 1, 0)),
-    build_e1e1(2, (1, 2, 1), (1, 2, 1)),
-    build_e1e1(2, (1, 8, 0), (1, 8, 0)),
-    build_e1e1(2, (2, 1, 0), (2, 1, 0)),
-    build_e1e1(4, (3, 9, 3), (1, 5, 0)),
-    build_e1e1(4, (1, 7, 2), (1, 1, 0)),
-    build_e1e1(24, (1, 1, 0), (1, 1, 0)),
-    build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2),
-    build_e1estar(4, (2, 6, 3), ContractionType.E34, 3, -2),
-    build_e1estar(4, (1, 3, 1), ContractionType.E5, 1, -1),
-    build_e1estar(10, (2, 3, 0), ContractionType.E5, 1, -2),
-    build_symmetric(ContractionType.E2, 2, 4),
-    build_symmetric(ContractionType.E34, 2, 2),
-    build_symmetric(ContractionType.E5, 1, 2),
+    record("e1e1", (2, 1, 1, 0, 1, 1, 0)),
+    record("e1e1", (2, 1, 2, 1, 1, 2, 1)),
+    record("e1e1", (2, 1, 8, 0, 1, 8, 0)),
+    record("e1e1", (2, 2, 1, 0, 2, 1, 0)),
+    record("e1e1", (4, 3, 9, 3, 1, 5, 0)),
+    record("e1e1", (4, 1, 7, 2, 1, 1, 0)),
+    record("e1e1", (24, 1, 1, 0, 1, 1, 0)),
+    record("e1e2", (4, 2, 12, 7, 5, -2)),
+    record("e1e3", (4, 2, 6, 3, 3, -2)),
+    record("e1e5", (4, 1, 3, 1, 1, -1)),
+    record("e1e5", (10, 2, 3, 0, 1, -2)),
+    record("e2e2", (4, 2)),
+    record("e3e3", (2, 2)),
+    record("e5e5", (2, 1)),
 )
 
 
@@ -367,9 +366,6 @@ BY_FRACTIONS = {
     "BETA_PLUS_RANGE": _beta_plus_range_by_fractions,
 }
 
-_STARS = (ContractionType.E2, ContractionType.E34, ContractionType.E5)
-
-
 @st.composite
 def _e1_side(draw, r=None):
     r = draw(st.integers(1, 4)) if r is None else r
@@ -380,20 +376,20 @@ def _e1_side(draw, r=None):
 def _e1e1_box(draw):
     left = draw(_e1_side())
     right = draw(_e1_side(draw(st.integers(1, left[0]))))
-    return build_e1e1(draw(st.sampled_from(KX3_VALUES)), left, right)
+    return record("e1e1", (draw(st.sampled_from(KX3_VALUES)), *left, *right))
 
 
 @st.composite
 def _e1estar_box(draw):
     left = draw(_e1_side())
     ap, bp = draw(st.integers(1, MAX_ALPHA_PLUS)), draw(st.integers(-left[0], -1))
-    star = draw(st.sampled_from(_STARS))
-    return build_e1estar(draw(st.sampled_from(KX3_VALUES)), left, star, ap, bp)
+    family = draw(st.sampled_from(("e1e2", "e1e3", "e1e5")))
+    return record(family, (draw(st.sampled_from(KX3_VALUES)), *left, ap, bp))
 
 
 _SYMMETRIC_GRID = st.builds(
-    build_symmetric,
-    st.sampled_from(_STARS),
+    lambda family, alpha, kx3: record(family, (kx3, alpha)),
+    st.sampled_from(("e2e2", "e3e3", "e5e5")),
     st.integers(1, MAX_ALPHA_PLUS),
     st.sampled_from(KX3_VALUES),
 )
@@ -420,23 +416,25 @@ def _perturbed(draw):
 
 
 @given(candidate=st.one_of(_BOXES, _perturbed()))
-@example(candidate=build_e1e1(2, (1, 1, 0), (1, 1, 0)))
-@example(candidate=build_e1e1(2, (2, 1, 0), (2, 1, 0)))
-@example(candidate=build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2))
-@example(candidate=build_symmetric(ContractionType.E5, 1, 2))
-@example(candidate=build_symmetric(ContractionType.E2, 0, 8))  # closed, with zero alphas
+@example(candidate=record("e1e1", (2, 1, 1, 0, 1, 1, 0)))
+@example(candidate=record("e1e1", (2, 2, 1, 0, 2, 1, 0)))
+@example(candidate=record("e1e2", (4, 2, 12, 7, 5, -2)))
+@example(candidate=record("e5e5", (2, 1)))
+@example(candidate=record("e2e2", (8, 0)))  # closed, with zero alphas
 @example(  # a fractional alpha_plus within the bound, its numerator beyond it
     candidate=_with_coeff(
-        build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2), "alpha_plus", Fraction(171, 2)
+        record("e1e2", (4, 2, 12, 7, 5, -2)), "alpha_plus", Fraction(171, 2)
     )
 )
 @example(  # a fractional beta_plus, its numerator within [-r, -1]
     candidate=_with_coeff(
-        build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2), "beta_plus", Fraction(-1, 2)
+        record("e1e2", (4, 2, 12, 7, 5, -2)), "beta_plus", Fraction(-1, 2)
     )
 )
 @example(  # non-integral defects whose numerators the index cubes divide alike
-    candidate=build_e1e1(2, (2, 1, 0), (1, 1, 0))._replace(defect_left=(8, 3), defect_right=(1, 3))
+    candidate=record("e1e1", (2, 2, 1, 0, 1, 1, 0))._replace(
+        defect_left=(8, 3), defect_right=(1, 3)
+    )
 )
 def test_integer_verdicts_equal_the_fraction_predicates(candidate):
     for name, predicate in BY_FRACTIONS.items():
@@ -448,12 +446,12 @@ _SCOPED = [name for name, check in REGISTRY.items() if check.scope.reads != "rec
 
 @given(candidate=st.one_of(_BOXES, _perturbed()), other=st.one_of(_BOXES, _perturbed()))
 @example(  # equal sides at kx3 = 2 against a record with a point side
-    candidate=build_e1e1(2, (1, 1, 0), (1, 1, 0)),
-    other=build_e1estar(2, (2, 4, 2), ContractionType.E34, 5, -2),
+    candidate=record("e1e1", (2, 1, 1, 0, 1, 1, 0)),
+    other=record("e1e3", (2, 2, 4, 2, 5, -2)),
 )
 @example(  # a symmetric record against an E1-E1 one outside the catalog and the domain
-    candidate=build_symmetric(ContractionType.E2, 2, 4),
-    other=build_e1e1(24, (1, 8, 0), (1, 1, 0)),
+    candidate=record("e2e2", (4, 2)),
+    other=record("e1e1", (24, 1, 8, 0, 1, 1, 0)),
 )
 def test_a_verdict_reads_only_its_declared_scope(candidate, other):
     """Replacing any field a check's scope leaves out never changes its verdict."""

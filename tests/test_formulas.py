@@ -31,6 +31,7 @@ from fanolink.model import (
     IntersectionConstants,
     LinkCandidate,
     SideData,
+    family_id,
     intersection_constants,
 )
 from fanolink.search import D_MAX, G_MAX
@@ -449,7 +450,7 @@ def _e1e1_tuples(draw):
     alpha_plus = (r * d + 2 - 2 * g - beta_plus * (rp * dp + 2 - 2 * gp)) / Fraction(kx3)
     alpha = -beta * alpha_plus
     sides = SideData(ContractionType.E1, r, d, g), SideData(ContractionType.E1, rp, dp, gp)
-    record = search_mod.record_e1e1(kx3, left_data, right_data)
+    record = search_mod.record("e1e1", (kx3, *left_data, *right_data))
     return record, (kx3, *sides, alpha, beta, alpha_plus, beta_plus)
 
 
@@ -459,7 +460,7 @@ def _e1estar_tuples(draw):
     star, ap = draw(st.sampled_from(tuple(_POINT_SIDES))), draw(st.integers(1, MAX_ALPHA_PLUS))
     bp = draw(st.integers(-left_data[0], -1))
     sides = SideData(ContractionType.E1, *left_data), SideData(star)
-    record = search_mod.record_e1estar(kx3, left_data, star, ap, bp)
+    record = search_mod.record(family_id(ContractionType.E1, star), (kx3, *left_data, ap, bp))
     return record, (kx3, *sides, Fraction(-ap, bp), Fraction(1, bp), Fraction(ap), Fraction(bp))
 
 
@@ -467,7 +468,7 @@ def _e1estar_tuples(draw):
 def _symmetric_tuples(draw):
     kx3, star = draw(_box_kx3), draw(st.sampled_from(tuple(_POINT_SIDES)))
     alpha = draw(st.integers(1, MAX_ALPHA_PLUS))
-    record = search_mod.record_symmetric(star, alpha, kx3)
+    record = search_mod.record(family_id(star, star), (kx3, alpha))
     side = SideData(star)
     return record, (kx3, side, side, Fraction(alpha), Fraction(-1), Fraction(alpha), Fraction(-1))
 

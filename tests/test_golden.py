@@ -16,8 +16,8 @@ from fanolink.golden import (
     golden_key,
     load_golden,
 )
-from fanolink.model import FAMILIES, ContractionType, ExistenceStatus
-from fanolink.search import FAMILY_IDS, build_e1estar
+from fanolink.model import FAMILIES, ExistenceStatus
+from fanolink.search import FAMILY_IDS, record
 
 # Table number -> (family id, row count), as the family specs state them.
 TABLES = {
@@ -344,7 +344,7 @@ class TestDiff:
         assert not report.empty
 
     def test_unmatched_candidate_is_extra(self, enumerated, golden):
-        stray = build_e1estar(8, (1, 1, 0), ContractionType.E2, 7, -1)
+        stray = record("e1e2", (8, 1, 1, 0, 7, -1))
         report = diff(list(enumerated["e1e2"]) + [stray], golden["e1e2"])
         assert report.extra == (FAMILIES[stray.family].key(stray.cells()),)
         assert not report.missing and not report.mismatches

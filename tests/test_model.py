@@ -20,7 +20,7 @@ from fanolink.model import (
     family_id,
     intersection_constants,
 )
-from fanolink.search import build_candidate, build_e1e1, build_e1estar, build_symmetric
+from fanolink.search import build_candidate, record
 
 from conftest import over_common_denominator
 
@@ -182,26 +182,26 @@ class TestFamilyId:
 
 class TestLinkCandidate:
     def test_family_property(self):
-        candidate = build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2)
+        candidate = record("e1e2", (4, 2, 12, 7, 5, -2))
         assert candidate.family == "e1e2"
 
     def test_left_cube_scale(self):
-        assert build_e1e1(4, (3, 9, 3), (1, 5, 0)).left.cube_scale == 27
-        assert build_symmetric(ContractionType.E2, 1, 8).left.cube_scale == 1
+        assert record("e1e1", (4, 3, 9, 3, 1, 5, 0)).left.cube_scale == 27
+        assert record("e2e2", (8, 1)).left.cube_scale == 1
 
     def test_e_over_r3(self):
-        candidate = build_e1e1(2, (2, 1, 0), (2, 1, 0))
+        candidate = record("e1e1", (2, 2, 1, 0, 2, 1, 0))
         assert candidate.defect_e == 88
         assert candidate.e_over_r3 == 11
 
     def test_e_over_r3_none_when_defect_missing(self):
         # A deliberately inconsistent candidate with a non-integral cube.
-        candidate = build_e1e1(2, (1, 1, 0), (3, 1, 0))
+        candidate = record("e1e1", (2, 1, 1, 0, 3, 1, 0))
         assert candidate.defect_e is None
         assert candidate.e_over_r3 is None
 
     def test_side_types_must_form_a_family(self):
-        candidate = build_e1estar(4, (2, 12, 7), ContractionType.E2, 5, -2)
+        candidate = record("e1e2", (4, 2, 12, 7, 5, -2))
         for left, right, types in (
             (candidate.right, candidate.left, "E2,E1"),
             (SideData(ContractionType.E2), SideData(ContractionType.E5), "E2,E5"),
@@ -213,6 +213,6 @@ class TestLinkCandidate:
                 build_candidate(unpaired)
 
     def test_frozen(self):
-        candidate = build_symmetric(ContractionType.E2, 1, 8)
+        candidate = record("e2e2", (8, 1))
         with pytest.raises(AttributeError):
             candidate.kx3 = 10

@@ -35,7 +35,7 @@ from fanolink.search import (
     FAMILY_IDS,
     G_MAX,
     brute_force_oracle,
-    build_e1e1,
+    build_candidate,
     canonical_sort_key,
     enumerate_e1e1,
     enumerate_e1estar,
@@ -43,6 +43,7 @@ from fanolink.search import (
     enumerate_symmetric,
     mirror_candidate,
     orientation_canonical,
+    record,
 )
 
 # Rows that disabling one check adds to each family's default output, and
@@ -308,7 +309,7 @@ class TestOrderAndOrientation:
         for c in enumerated["e1e1"]:
             left = (c.left.r, c.left.d, c.left.g)
             right = (c.right.r, c.right.d, c.right.g)
-            assert mirror_candidate(c) == build_e1e1(c.kx3, right, left)
+            assert mirror_candidate(c) == record("e1e1", (c.kx3, *right, *left))
 
     def test_mirror_of_a_curve_point_candidate_raises(self, enumerated):
         with pytest.raises(ValueError, match="no family has side types E2,E1"):
@@ -437,6 +438,18 @@ class TestHodgeJoin:
                             passing += passes
         assert (pairs, passing) == (10_350, 976)
 
+    def test_e1e1_join_looks_up_each_side_once_per_run(self, monkeypatch):
+        # One lookup per right side and one per left side (420 each), and two
+        # for each record that reaches HODGE: the 111 the walk admits.  A
+        # second run looks every side up again.
+        calls = []
+        lookup = catalog.hodge_h12
+        monkeypatch.setattr(catalog, "hodge_h12", lambda *key: calls.append(key) or lookup(*key))
+        for _ in range(2):
+            calls.clear()
+            assert len(enumerate_e1e1(self.NO_DIOPHANTINE)) == 111
+            assert len(calls) == 420 + 420 + 2 * 111
+
     @pytest.mark.parametrize(
         "enabled",
         [NO_DIOPHANTINE, NO_DIOPHANTINE - {"FANO_DEGREE_RIGHT"}],
@@ -456,8 +469,8 @@ class TestHodgeJoin:
         for kx3 in KX3_VALUES:
             for r in G_MAX:
                 for d, g, *_ in search._e1_side_list(kx3, r, enabled, "left")[0]:
-                    record = search.record_e1estar(kx3, (r, d, g), ContractionType.E2, 1, -1)
-                    assert hodge(record) == ((kx3, record.left) in visited), (kx3, r, d, g)
+                    candidate = record("e1e2", (kx3, r, d, g, 1, -1))
+                    assert hodge(candidate) == ((kx3, candidate.left) in visited), (kx3, r, d, g)
                     sides += 1
         assert sides == 420
 
@@ -469,8 +482,8 @@ class TestHodgeJoin:
             for bp in range(-r, 0):
                 alpha_pluses = search._gcd_left_alpha_pluses(r, bp)
                 for ap in range(1, MAX_ALPHA_PLUS + 1):
-                    record = search.record_e1estar(2, (r, 1, 0), ContractionType.E34, ap, bp)
-                    assert gcd_left(record) == (ap in alpha_pluses), (r, bp, ap)
+                    candidate = record("e1e3", (2, r, 1, 0, ap, bp))
+                    assert gcd_left(candidate) == (ap in alpha_pluses), (r, bp, ap)
                     cells += 1
                     kept += ap in alpha_pluses
         assert (cells, kept) == (860, 344)
@@ -559,8 +572,8 @@ class TestConstructionDecided:
             "BETA_PLUS_RANGE",
         ]
         records = [
-            search.record_e1estar(2, (r, 1, 0), star, ap, bp)
-            for star in (ContractionType.E2, ContractionType.E34, ContractionType.E5)
+            record(family, (2, r, 1, 0, ap, bp))
+            for family in ("e1e2", "e1e3", "e1e5")
             for r in G_MAX
             for bp in range(-r, 0)
             for ap in range(1, MAX_ALPHA_PLUS + 1)
@@ -577,7 +590,7 @@ class TestConstructionDecided:
             "BETA_PLUS_RANGE",
         ]
         records = [
-            search.record_symmetric(star, alpha, 2 * star_sigma(star) // alpha)
+            record(family_id(star, star), (2 * star_sigma(star) // alpha, alpha))
             for star in (ContractionType.E2, ContractionType.E34, ContractionType.E5)
             for alpha in range(1, 2 * star_sigma(star) + 1)
             if 2 * star_sigma(star) % alpha == 0
@@ -782,6 +795,30 @@ class TestTracing:
         enumerate_family("e1e1", trace=lambda s, d, f: None)
         assert records == {"e1e1": 622}
 
+    def test_trace_tuples_rebuild_their_records(self):
+        # Each full event carries its family's explain tuple: the record
+        # rebuilt from it fails exactly the checks the event names, under the
+        # default suite that explain runs.  Each E1-E1 pair-fast tuple fails
+        # DIOPHANTINE, which the genus-form test stands for, and each
+        # symmetric domain tuple fails KX3_RANGE.
+        full, pair_fast, domain = Counter(), 0, 0
+        for family in FAMILY_IDS:
+            events = []
+            enumerate_family(family, trace=lambda s, d, f: events.append((s, d, f)))
+            for stage, data, failed in events:
+                if stage == "full":
+                    reports = run_checks(record(family, data))
+                    assert tuple(rep.name for rep in reports if not rep.passed) == failed, data
+                    full[family] += 1
+                elif stage == "pair-fast" and family == "e1e1":
+                    assert not REGISTRY["DIOPHANTINE"].passes(record(family, data)), data
+                    pair_fast += 1
+                elif stage == "domain":
+                    assert not REGISTRY["KX3_RANGE"].passes(record(family, data)), data
+                    domain += 1
+        assert full == {"e1e1": 511, "e1e2": 286, "e1e3": 242, "e1e5": 154}
+        assert (pair_fast, domain) == (9728, 3)
+
     def test_star_family_trace(self, enumerated):
         events = []
         out = enumerate_e1estar(ContractionType.E2, trace=lambda s, d, f: events.append(s))
@@ -923,8 +960,8 @@ class TestOracle:
         for kx3 in KX3_VALUES:
             for r, grid in search._SIDE_GRID.items():
                 for d, g in grid:
-                    record = search.record_e1e1(kx3, (r, d, g), (1, 1, 0))
-                    passes = admitted(run_checks(record, left_checks))
+                    candidate = record("e1e1", (kx3, r, d, g, 1, 1, 0))
+                    passes = admitted(run_checks(candidate, left_checks))
                     assert passes == ((kx3, r, d, g) in kept), (kx3, r, d, g)
                     verdicts[passes, sigma(r, d, g) >= E1_SIGMA_MIN] += 1
         assert all(sig == sigma(r, d, g) for (_, r, d, g), sig in kept.items())
@@ -940,22 +977,21 @@ class TestOracle:
         lefts = tuple(search._oracle_left_sides())
         monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
         derived = []
-        record = search.record_e1e1
 
-        def recording_record(kx3, left, right):
-            derived.append((kx3, left, right))
-            return record(kx3, left, right)
+        def recording_record(family, values):
+            derived.append(values)
+            return record(family, values)
 
-        monkeypatch.setattr(search, "record_e1e1", recording_record)
+        monkeypatch.setattr(search, "record", recording_record)
         with_skip = search._oracle_e1e1()
         kept = list(derived)
         derived.clear()
         monkeypatch.setattr(search, "_e1_degree_ok", lambda *side: True)
         assert search._oracle_e1e1() == with_skip
         skipped = set(derived) - set(kept)
-        for kx3, left, right in derived:
-            passes = admitted(run_checks(record(kx3, left, right), {"FANO_DEGREE_RIGHT"}))
-            assert passes == ((kx3, left, right) not in skipped), (kx3, left, right)
+        for values in derived:
+            passes = admitted(run_checks(record("e1e1", values), {"FANO_DEGREE_RIGHT"}))
+            assert passes == (values not in skipped), values
         assert (len(derived), len(kept), len(skipped)) == (1090, 515, 575)
 
     def test_oracle_skips_only_right_sides_sigma_pos_rejects(self, monkeypatch):
@@ -966,23 +1002,22 @@ class TestOracle:
         lefts = tuple(search._oracle_left_sides())
         monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
         derived = []
-        record = search.record_e1e1
 
-        def recording_record(kx3, left, right):
-            derived.append((kx3, left, right))
-            return record(kx3, left, right)
+        def recording_record(family, values):
+            derived.append(values)
+            return record(family, values)
 
-        monkeypatch.setattr(search, "record_e1e1", recording_record)
+        monkeypatch.setattr(search, "record", recording_record)
         with_skip = search._oracle_e1e1()
         kept = set(derived)
         derived.clear()
         monkeypatch.setattr(search, "E1_SIGMA_MIN", 1)
         assert search._oracle_e1e1() == with_skip
         assert kept < set(derived)
-        for kx3, left, right in set(derived) - kept:
-            assert sigma(*right) < E1_SIGMA_MIN
-            passes = admitted(run_checks(record(kx3, left, right), {"SIGMA_POS"}))
-            assert not passes, (kx3, left, right)
+        for values in set(derived) - kept:
+            assert sigma(*values[4:]) < E1_SIGMA_MIN
+            passes = admitted(run_checks(record("e1e1", values), {"SIGMA_POS"}))
+            assert not passes, values
 
     def test_e1_point_oracle_skips_exactly_the_kx3_fano_degree_right_rejects(self, monkeypatch):
         # On a point side FANO_DEGREE_RIGHT reads kx3 alone.  The E1-point
@@ -993,24 +1028,23 @@ class TestOracle:
         lefts = tuple(search._oracle_left_sides())
         monkeypatch.setattr(search, "_oracle_left_sides", lambda: iter(lefts))
         derived = []
-        record = search.record_e1estar
 
         def recording_record(*args):
             derived.append(args)
             return record(*args)
 
-        monkeypatch.setattr(search, "record_e1estar", recording_record)
-        stars = [family_spec(f).types[1] for f in TestE1PointPreTest.STAR_FAMILIES]
-        with_skip = [search._oracle_e1estar(star) for star in stars]
+        monkeypatch.setattr(search, "record", recording_record)
+        stars = [(f, family_spec(f).types[1]) for f in TestE1PointPreTest.STAR_FAMILIES]
+        with_skip = [search._oracle_e1estar(*star) for star in stars]
         kept = list(derived)
         derived.clear()
         monkeypatch.setattr(search, "_degree_ok", lambda kx3, side: True)
-        assert [search._oracle_e1estar(star) for star in stars] == with_skip
+        assert [search._oracle_e1estar(*star) for star in stars] == with_skip
         skipped = set(derived) - set(kept)
         for args in derived:
             passes = admitted(run_checks(record(*args), {"FANO_DEGREE_RIGHT"}))
             assert passes == (args not in skipped), args
-        assert {args[2] for args in skipped} == {ContractionType.E2}
+        assert {family for family, _ in skipped} == {"e1e2"}
         assert (len(derived), len(kept), len(skipped)) == (356, 339, 17)
 
 
@@ -1022,7 +1056,7 @@ class TestEmittedCandidates:
 
     def test_emitted_candidate_equals_rebuilt_candidate(self, enumerated):
         candidate = enumerated["e1e1"][0]
-        rebuilt = build_e1e1(2, (1, 1, 0), (1, 1, 0))
+        rebuilt = build_candidate(record("e1e1", (2, 1, 1, 0, 1, 1, 0)))
         assert candidate == rebuilt
 
 
