@@ -12,7 +12,6 @@ from .checks import DEFAULT_CHECKS, REGISTRY, CheckReport, admitted, run_checks
 from .golden import (
     DiffReport,
     GoldenDataError,
-    GoldenRow,
     diff,
     golden_for_family,
     load_golden,
@@ -49,7 +48,6 @@ __all__ = [
     "FAMILY_IDS",
     "FlopCoefficients",
     "GoldenDataError",
-    "GoldenRow",
     "IntersectionConstants",
     "LinkCandidate",
     "REGISTRY",

@@ -200,8 +200,8 @@ def _explain_values(family: str, key_tokens: list[str]) -> tuple[int, ...]:
             raise ValueError(f"bad row number: {number_text!r}")
         number = int(number_text)
         for row in golden_mod.golden_for_family(family):
-            if row.row == number:
-                return tuple(as_integer(getattr(row, name)) for name in names)
+            if row["row"] == number:
+                return tuple(as_integer(row[name]) for name in names)
         raise ValueError(f"no golden row {number} in family {family}")
     cleaned = text.strip("()")
     try:

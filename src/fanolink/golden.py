@@ -16,17 +16,18 @@ iff the report is empty.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .formulas import ky3_from_kx3
 from .model import (
+    CELL_COLUMNS,
     FAMILIES,
     ContractionType,
     ExistenceStatus,
@@ -45,32 +46,11 @@ class GoldenDataError(ValueError):
     """Malformed or inconsistent golden table data."""
 
 
-@dataclass(frozen=True)
-class GoldenRow:
-    """One reference classification row, with reconstructed coefficients."""
-
-    table: int
-    row: int
-    family: str
-    kx3: int
-    type_left: str
-    type_right: str
-    r: int | None
-    d: int | None
-    g: int | None
-    r_plus: int | None
-    d_plus: int | None
-    g_plus: int | None
-    alpha: Fraction
-    beta: Fraction
-    alpha_plus: Fraction
-    beta_plus: Fraction
-    kY3: Fraction
-    kY3_plus: Fraction | None
-    e_over_r3: int | None
-    e: int | None
-    exists: ExistenceStatus
-    ref: str
+# One reference classification row: a read-only mapping of the CELL_COLUMNS
+# (None where the family has no such column, the star-side pair
+# reconstructed), exists and ref, and the row's table, running row number
+# and family.
+GoldenRow = Mapping[str, object]
 
 
 def _table_spec(table: int) -> FamilySpec:
@@ -173,7 +153,7 @@ def _parse_cell(column: str, value: str, source: str, lineno: int) -> object:
 def _build_row(
     table: int, spec: FamilySpec, ordinal: int, record: dict[str, str], source: str, lineno: int
 ) -> GoldenRow:
-    cells: dict[str, object] = {f.name: None for f in dataclasses.fields(GoldenRow)}
+    cells: dict[str, object] = dict.fromkeys(CELL_COLUMNS)
     for column, value in record.items():
         cells[column] = _parse_cell(column, value, source, lineno)
 
@@ -214,7 +194,7 @@ def _build_row(
         )
 
     cells.update(table=table, row=spec.row_offset(table) + ordinal, family=spec.id)
-    return GoldenRow(**cells)
+    return MappingProxyType(cells)
 
 
 @functools.cache
@@ -231,7 +211,7 @@ def golden_for_family(family: str, data_dir: str | Path | None = None) -> tuple[
 
 
 def golden_key(row: GoldenRow) -> tuple:
-    return FAMILIES[row.family].key(vars(row))
+    return FAMILIES[row["family"]].key(row)
 
 
 @dataclass(frozen=True)
@@ -304,8 +284,8 @@ def diff(candidates: Sequence[LinkCandidate], golden: Iterable[GoldenRow]) -> Di
     for key in sorted(set(reference) & set(computed), key=repr):
         row = reference[key]
         actual = computed[key]
-        for column in FAMILIES[row.family].value_columns:
-            expected_value = getattr(row, column)
+        for column in FAMILIES[row["family"]].value_columns:
+            expected_value = row[column]
             if actual[column] != expected_value:
                 mismatches.append(FieldMismatch(key, column, expected_value, actual[column]))
     return DiffReport(

@@ -129,8 +129,7 @@ def intersection_constants(side: SideData) -> IntersectionConstants:
     return POINT_TYPES[side.ctype].constants
 
 
-@dataclass(frozen=True)
-class FlopCoefficients:
+class FlopCoefficients(NamedTuple):
     """Basis coefficients of the flopped exceptional divisors.
 
     Writing H for the anticanonical class and E for a side's exceptional
@@ -149,9 +148,9 @@ class FlopCoefficients:
 class FamilySpec:
     """What tells one family apart: side types, golden tables and column layout.
 
-    Column names are GoldenRow field names and LinkCandidate.cells keys
-    ("no" in the display columns is the running row number).  ``tables``
-    holds (golden table number, row count) pairs in table order.
+    Column names are CELL_COLUMNS names, plus "exists" and "ref" (golden
+    metadata) and, in the display columns, "no" (the running row number).
+    ``tables`` holds (golden table number, row count) pairs in table order.
     """
 
     id: str
@@ -174,46 +173,32 @@ class FamilySpec:
         return sum(count for _, count in self.tables[: numbers.index(table)])
 
 
-_VALUE_COLUMNS = ("alpha", "beta", "alpha_plus", "beta_plus", "kY3")
+def _layout(sides, degrees, defect, sort_columns, explain_fields) -> dict[str, tuple[str, ...]]:
+    """One shape's column layout: csv, key, value and display columns follow from the rest."""
+    return dict(
+        csv_columns=(
+            "kx3", "type_left", "type_right", *sides, "alpha", "beta", *degrees, defect,
+            "exists", "ref",
+        ),
+        key_columns=("type_left", "type_right", "kx3", *sides),
+        value_columns=("alpha", "beta", "alpha_plus", "beta_plus", *degrees, defect),
+        display_columns=("no", "kx3", *degrees, "alpha", "beta", *sides, defect, "exists", "ref"),
+        sort_columns=sort_columns,
+        explain_fields=explain_fields,
+    )
 
-_CURVE_CURVE = dict(
-    csv_columns=(
-        "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
-        "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
-    ),
-    key_columns=("type_left", "type_right", "kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus"),
-    value_columns=_VALUE_COLUMNS + ("kY3_plus", "e_over_r3"),
+
+_CURVE_CURVE = _layout(
+    ("r", "d", "g", "r_plus", "d_plus", "g_plus"), ("kY3", "kY3_plus"), "e_over_r3",
     sort_columns=("kx3", "r", "r_plus", "g", "d", "g_plus", "d_plus"),
-    display_columns=(
-        "no", "kx3", "kY3", "kY3_plus", "alpha", "beta", "r", "d", "g",
-        "r_plus", "d_plus", "g_plus", "e_over_r3", "exists", "ref",
-    ),
     explain_fields=("kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus"),
 )
-
-_CURVE_POINT = dict(
-    csv_columns=(
-        "kx3", "type_left", "type_right", "r", "d", "g",
-        "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
-    ),
-    key_columns=("type_left", "type_right", "kx3", "r", "d", "g"),
-    value_columns=_VALUE_COLUMNS + ("kY3_plus", "e_over_r3"),
+_CURVE_POINT = _layout(
+    ("r", "d", "g"), ("kY3", "kY3_plus"), "e_over_r3",
     sort_columns=("kx3", "r", "g", "d"),
-    display_columns=(
-        "no", "kx3", "kY3", "kY3_plus", "alpha", "beta", "r", "d", "g",
-        "e_over_r3", "exists", "ref",
-    ),
     explain_fields=("kx3", "r", "d", "g", "alpha_plus", "beta_plus"),
 )
-
-_POINT_POINT = dict(
-    csv_columns=("kx3", "type_left", "type_right", "alpha", "beta", "kY3", "e", "exists", "ref"),
-    key_columns=("type_left", "type_right", "kx3"),
-    value_columns=_VALUE_COLUMNS + ("e",),
-    sort_columns=("alpha",),
-    display_columns=("no", "kx3", "kY3", "alpha", "beta", "e", "exists", "ref"),
-    explain_fields=("kx3", "alpha"),
-)
+_POINT_POINT = _layout((), ("kY3",), "e", sort_columns=("alpha",), explain_fields=("kx3", "alpha"))
 
 _E1, _E2, _E34, _E5 = ContractionType  # in declaration order
 
@@ -319,27 +304,20 @@ class LinkCandidate(NamedTuple):
         return Fraction(self.defect_e, self.left.cube_scale)
 
     def cells(self) -> dict[str, object]:
-        """Every column value, keyed by golden-table column name."""
-        left, right, coeffs = self.left, self.right, self.coeffs
-        return {
-            "kx3": self.kx3,
-            "type_left": left.ctype.value,
-            "type_right": right.ctype.value,
-            "r": left.r,
-            "d": left.d,
-            "g": left.g,
-            "r_plus": right.r,
-            "d_plus": right.d,
-            "g_plus": right.g,
-            "alpha": coeffs.alpha,
-            "beta": coeffs.beta,
-            "alpha_plus": coeffs.alpha_plus,
-            "beta_plus": coeffs.beta_plus,
-            "kY3": self.kY3_left,
-            "kY3_plus": self.kY3_right,
-            "e_over_r3": self.e_over_r3,
-            "e": self.defect_e,
-        }
+        """Every column value, keyed by CELL_COLUMNS name."""
+        left, right = self.left, self.right
+        return dict(zip(CELL_COLUMNS, (
+            self.kx3, left.ctype.value, right.ctype.value,
+            left.r, left.d, left.g, right.r, right.d, right.g,
+            *self.coeffs, self.kY3_left, self.kY3_right, self.e_over_r3, self.defect_e,
+        )))
+
+
+# The cells of a candidate and of a golden row, by golden-table column name.
+CELL_COLUMNS: tuple[str, ...] = (
+    "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
+    "alpha", "beta", "alpha_plus", "beta_plus", "kY3", "kY3_plus", "e_over_r3", "e",
+)
 
 
 def _integer(ratio: tuple[int, int]) -> int | None:

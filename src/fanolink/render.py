@@ -37,8 +37,8 @@ def _candidate_cells(
     cells = candidate.cells()
     row = golden_index.get(FAMILIES[candidate.family].key(cells))
     # Status and reference come from the golden row; JSON writes absent ones as null.
-    cells["exists"] = None if row is None else row.exists.value
-    cells["ref"] = None if row is None else row.ref or None
+    cells["exists"] = None if row is None else row["exists"].value
+    cells["ref"] = None if row is None else row["ref"] or None
     return cells
 
 

@@ -158,13 +158,12 @@ def build_candidate(candidate: LinkCandidate) -> LinkCandidate:
     """
     c = candidate
     c.family
-    coeffs = c.coeffs
     ratios = (c.etilde3_left, c.etilde3_right, c.defect_left, c.defect_right)
     for value in (
         c.kx3, c.sigma_left, c.sigma_right, c.kY3_left, c.kY3_right,
         *(Fraction(*ratio) for ratio in ratios),
         c.left.r, c.left.d, c.left.g, c.right.r, c.right.d, c.right.g,
-        coeffs.alpha, coeffs.beta, coeffs.alpha_plus, coeffs.beta_plus,
+        *c.coeffs,
     ):
         if value is not None:
             audit_magnitude(value)
@@ -323,11 +322,17 @@ def _hodge_key(term: SideTerm) -> int | None:
         return None
 
 
-def _by_hodge(sides: tuple[E1Side, ...]) -> dict[int, list[E1Side]]:
+def _hodge_values(*side_lists: tuple[E1Side, ...]) -> dict[tuple[int, int], int | None]:
+    """HODGE's value of each (d, g) in the lists, looked up once though a side is in several."""
+    terms = {(d, g): term for sides in side_lists for d, g, _, _, term in sides}
+    return {dg: _hodge_key(term) for dg, term in terms.items()}
+
+
+def _by_hodge(sides: tuple[E1Side, ...], values: dict) -> dict[int, list[E1Side]]:
     """The sides grouped by HODGE's value, in list order; a side without one is in no group."""
     groups: dict[int, list[E1Side]] = {}
     for side in sides:
-        key = _hodge_key(side[4])
+        key = values[side[:2]]
         if key is not None:
             groups.setdefault(key, []).append(side)
     return groups
@@ -349,10 +354,10 @@ def enumerate_e1e1(
     therefore looks up its partners by Q_plus = rp^2 * Q / r^2, and has none
     unless that division is exact.  Without DIOPHANTINE but with HODGE, an
     untraced left side looks up its partners by HODGE's own per-side value
-    instead (_hodge_key, computed once per side and run): the check passes
-    exactly when the two values are equal.  A traced run, which names
-    every rejected pair, and a run without either check walk each right
-    side; only the iterable differs.
+    instead (_hodge_values, once per (kx3, r, d, g) and run, whichever role
+    the side plays): the check passes exactly when the two values are
+    equal.  A traced run, which names every rejected pair, and a run
+    without either check walk each right side; only the iterable differs.
     Each record is checked against the walk's record plan
     (checks.record_plan): the genus-form test decides DIOPHANTINE, the side
     lists the side checks, and the closed-form pairs the coefficient checks
@@ -365,11 +370,8 @@ def enumerate_e1e1(
     fast = "DIOPHANTINE" in enabled
     by_form = trace is None and fast
     by_hodge = trace is None and not fast and "HODGE" in enabled
-    right_by_hodge = {key: _by_hodge(sides) for key, (sides, _) in right.items() if by_hodge}
-    left_hodge = {
-        (*key, d, g): _hodge_key(term)
-        for key, sides in left.items() if by_hodge for d, g, _, _, term in sides
-    }
+    hodge = {key: _hodge_values(left[key], right[key][0]) for key in indices if by_hodge}
+    right_by_hodge = {key: _by_hodge(right[key][0], hodge[key]) for key in hodge}
     plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED)
     results: list[LinkCandidate] = []
     for kx3, r in indices:
@@ -380,7 +382,7 @@ def enumerate_e1e1(
                     wanted, rem = divmod(rp * rp * form, r * r)
                     partners = () if rem else right_by_form.get(wanted, ())
                 elif by_hodge:
-                    partners = right_by_hodge[(kx3, rp)].get(left_hodge[kx3, r, d, g], ())
+                    partners = right_by_hodge[(kx3, rp)].get(hodge[kx3, r][d, g], ())
                 else:
                     partners = right_sides
                 for dp, gp, sig_p, form_p, right_term in partners:

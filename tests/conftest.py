@@ -67,7 +67,7 @@ def golden() -> dict[str, tuple]:
 def golden_csv() -> Callable[[Sequence[GoldenRow], str], str]:
     """golden_csv(rows, family): golden rows serialized back to the CSV schema.
 
-    Loading the result again yields equal GoldenRow values (decimal
+    Loading the result again yields equal golden rows (decimal
     spellings normalize to exact fractions; the values are unchanged).
     """
 
@@ -82,7 +82,7 @@ def golden_csv() -> Callable[[Sequence[GoldenRow], str], str]:
         header = FAMILIES[family].csv_columns
         writer.writerow(header)
         for row in rows:
-            cells = {**vars(row), "exists": row.exists.value}
+            cells = dict(row, exists=row["exists"].value)
             writer.writerow([cell(cells[column]) for column in header])
         return out.getvalue()
 

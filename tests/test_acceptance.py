@@ -108,33 +108,33 @@ def test_criterion_4_spot_defects_recomputed():
 
     def cube_and_defect(row, opposite, side):
         # The left divisor's cube in the opposite basis, and the left defect.
-        pair = over_common_denominator(row.alpha_plus, row.beta_plus)
-        cube = etilde_cube_numerators(pair, row.kx3, intersection_constants(opposite))
+        pair = over_common_denominator(row["alpha_plus"], row["beta_plus"])
+        cube = etilde_cube_numerators(pair, row["kx3"], intersection_constants(opposite))
         e3self = intersection_constants(side).e3self
         return Fraction(*cube), Fraction(*defect_numerators(e3self, cube))
 
-    rows = {row.row: row for row in golden_for_family("e1e1")}
+    rows = {row["row"]: row for row in golden_for_family("e1e1")}
 
     row1 = rows[1]
     cube1, e1 = cube_and_defect(row1, e1_side(1, 1, 0), e1_side(1, 1, 0))
     assert cube1 == -46
     assert e1 == 47
-    assert e1 // row1.r**3 == row1.e_over_r3 == 47
+    assert e1 // row1["r"]**3 == row1["e_over_r3"] == 47
 
     row27 = rows[27]
-    assert (row27.r, row27.d, row27.g) == (2, 1, 0)
+    assert (row27["r"], row27["d"], row27["g"]) == (2, 1, 0)
     cube27, e27 = cube_and_defect(row27, e1_side(2, 1, 0), e1_side(2, 1, 0))
     assert cube27 == -88
     assert e27 == 88
-    assert e27 // row27.r**3 == row27.e_over_r3 == 11
+    assert e27 // row27["r"]**3 == row27["e_over_r3"] == 11
 
     star_row = golden_for_family("e1e2")[0]
-    assert (star_row.r, star_row.d, star_row.g) == (2, 12, 7)
+    assert (star_row["r"], star_row["d"], star_row["g"]) == (2, 12, 7)
     cube_star, e_star = cube_and_defect(star_row, SideData(ContractionType.E2), e1_side(2, 12, 7))
     assert cube_star == -228
     assert e_star == 192
-    assert star_row.r**3 == 8
-    assert e_star // star_row.r**3 == star_row.e_over_r3 == 24
+    assert star_row["r"]**3 == 8
+    assert e_star // star_row["r"]**3 == star_row["e_over_r3"] == 24
 
     def cube(a, b, kx3, opposite):
         # a^3 kx3 + 3 a^2 b (H^2.E) - 3 a b^2 (H.E^2) + b^3 E^3 on the opposite side.
@@ -149,22 +149,24 @@ def test_criterion_4_spot_defects_recomputed():
     all_rows = [row for family in FAMILY_IDS for row in golden_for_family(family)]
     assert len(all_rows) == 134
     for row in all_rows:
-        where = (row.table, row.row)
-        left = SideData(ContractionType(row.type_left), row.r, row.d, row.g)
-        right = SideData(ContractionType(row.type_right), row.r_plus, row.d_plus, row.g_plus)
+        where = (row["table"], row["row"])
+        left = SideData(ContractionType(row["type_left"]), row["r"], row["d"], row["g"])
+        right = SideData(
+            ContractionType(row["type_right"]), row["r_plus"], row["d_plus"], row["g_plus"]
+        )
         const_left, const_right = intersection_constants(left), intersection_constants(right)
         # Each side's flopped divisor is expanded in the opposite side's basis.
-        e = const_left.e3self - cube(row.alpha_plus, row.beta_plus, row.kx3, const_right)
-        e_plus = const_right.e3self - cube(row.alpha, row.beta, row.kx3, const_left)
+        e = const_left.e3self - cube(row["alpha_plus"], row["beta_plus"], row["kx3"], const_right)
+        e_plus = const_right.e3self - cube(row["alpha"], row["beta"], row["kx3"], const_left)
         assert e.denominator == 1 and e > 0, where
         assert e_plus.denominator == 1 and e_plus > 0, where
         normalized = e / left.cube_scale
         assert normalized == e_plus / right.cube_scale, where
-        assert row.e_over_r3 is not None or row.e is not None, where
-        if row.e_over_r3 is not None:
-            assert normalized == row.e_over_r3, where
-        if row.e is not None:
-            assert e == row.e, where
+        assert row["e_over_r3"] is not None or row["e"] is not None, where
+        if row["e_over_r3"] is not None:
+            assert normalized == row["e_over_r3"], where
+        if row["e"] is not None:
+            assert e == row["e"], where
 
 
 def test_criterion_5_oracle_equivalence(enumerated, oracle):

@@ -398,7 +398,7 @@ _BOXES = st.one_of(_e1e1_box(), _e1estar_box(), _SYMMETRIC_GRID)
 
 def _with_coeff(candidate, field, value):
     """The candidate with one coefficient replaced; its cubes and defects stay as they were."""
-    coeffs = {**vars(candidate.coeffs), field: value}
+    coeffs = {**candidate.coeffs._asdict(), field: value}
     return candidate._replace(
         pair=over_common_denominator(coeffs["alpha"], coeffs["beta"]),
         pair_plus=over_common_denominator(coeffs["alpha_plus"], coeffs["beta_plus"]),

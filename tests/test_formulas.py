@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -358,7 +357,7 @@ def test_coeffs_e1e1_matches_the_fraction_expression(kx3, r, rp, sig, sig_p):
     coeffs = coeffs_e1e1(kx3, r, rp, sig, sig_p)
     assert coeffs == FlopCoefficients(alpha, beta, alpha_plus, beta_plus)
     # The CSV and JSON renderers print exactly these Fractions.
-    assert all(type(value) is Fraction for value in dataclasses.astuple(coeffs))
+    assert all(type(value) is Fraction for value in coeffs)
 
 
 @given(_wide_ints, _coefficient_sets, _wide_ints, _wide_ints, _wide_ints, _wide_ints)

@@ -16,7 +16,8 @@ from fanolink.golden import (
     golden_key,
     load_golden,
 )
-from fanolink.model import FAMILIES, ExistenceStatus
+from fanolink.model import CELL_COLUMNS, FAMILIES, ExistenceStatus
+from fanolink.rational import as_integer
 from fanolink.search import FAMILY_IDS, record
 
 # Table number -> (family id, row count), as the family specs state them.
@@ -72,66 +73,96 @@ class TestRowNumbering:
         assert {table: FAMILIES["e1e1"].row_offset(table) for table in (1, 2, 3)} == {
             1: 0, 2: 26, 3: 53,
         }
-        assert [row.row for row in golden["e1e1"]] == list(range(1, 112))
-        assert [row.table for row in golden["e1e1"]] == [1] * 26 + [2] * 27 + [3] * 58
+        assert [row["row"] for row in golden["e1e1"]] == list(range(1, 112))
+        assert [row["table"] for row in golden["e1e1"]] == [1] * 26 + [2] * 27 + [3] * 58
 
     @pytest.mark.parametrize("family", ["e1e2", "e1e3", "e1e5", "e2e2", "e3e3", "e5e5"])
     def test_single_table_families_restart_at_one(self, golden, family):
-        assert [row.row for row in golden[family]] == list(range(1, len(golden[family]) + 1))
+        assert [row["row"] for row in golden[family]] == list(range(1, len(golden[family]) + 1))
 
 
 class TestExistenceColumn:
     def test_e1e1_status_breakdown(self, golden):
         rows = golden["e1e1"]
-        not_exists = [row.row for row in rows if row.exists is ExistenceStatus.NOT_EXISTS]
+        not_exists = [row["row"] for row in rows if row["exists"] is ExistenceStatus.NOT_EXISTS]
         assert not_exists == [9, 27, 32, 36, 43, 53, 62, 66, 73, 82, 85, 91, 95]
-        assert sum(row.exists is ExistenceStatus.EXISTS for row in rows) == 60
-        assert sum(row.exists is ExistenceStatus.OPEN for row in rows) == 38
+        assert sum(row["exists"] is ExistenceStatus.EXISTS for row in rows) == 60
+        assert sum(row["exists"] is ExistenceStatus.OPEN for row in rows) == 38
 
     def test_open_rows_have_no_reference(self, golden):
         for rows in golden.values():
             for row in rows:
-                if row.exists is ExistenceStatus.OPEN:
-                    assert row.ref == ""
+                if row["exists"] is ExistenceStatus.OPEN:
+                    assert row["ref"] == ""
                 else:
-                    assert row.ref != ""
+                    assert row["ref"] != ""
+
+
+class TestRowsAsCells:
+    def test_rows_are_read_only(self, golden):
+        row = golden["e1e2"][0]
+        with pytest.raises(TypeError):
+            row["e_over_r3"] = 25  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del row["ref"]  # type: ignore[attr-defined]
+        assert row["e_over_r3"] == 24
+
+    def test_reloading_gives_equal_rows(self, golden):
+        golden_for_family.cache_clear()
+        for family, rows in golden.items():
+            again = golden_for_family(family)
+            assert again is not rows
+            assert again == rows
+
+    def test_every_row_holds_the_cells_of_its_tuple(self, golden):
+        # A row's explain fields, put through the record builder, give cells
+        # equal to the row on every key and value column.
+        assert sum(map(len, golden.values())) == 134
+        for family, rows in golden.items():
+            spec = FAMILIES[family]
+            for row in rows:
+                assert set(row) == {*CELL_COLUMNS, "exists", "ref", "table", "row", "family"}
+                values = tuple(as_integer(row[field]) for field in spec.explain_fields)
+                cells = record(family, values).cells()
+                for column in spec.key_columns + spec.value_columns:
+                    assert cells[column] == row[column], (family, row["row"], column)
 
 
 class TestReconstructedCoefficients:
     def test_row_70_star_pair(self, golden):
-        row = next(r for r in golden["e1e1"] if r.row == 70)
-        assert row.kx3 == 4
-        assert (row.r, row.d, row.g) == (3, 9, 3)
-        assert (row.r_plus, row.d_plus, row.g_plus) == (1, 5, 0)
-        assert row.alpha == Fraction(11, 3)
-        assert row.beta == Fraction(-1, 3)
-        assert row.alpha_plus == 11
-        assert row.beta_plus == -3
+        row = next(r for r in golden["e1e1"] if r["row"] == 70)
+        assert row["kx3"] == 4
+        assert (row["r"], row["d"], row["g"]) == (3, 9, 3)
+        assert (row["r_plus"], row["d_plus"], row["g_plus"]) == (1, 5, 0)
+        assert row["alpha"] == Fraction(11, 3)
+        assert row["beta"] == Fraction(-1, 3)
+        assert row["alpha_plus"] == 11
+        assert row["beta_plus"] == -3
 
     def test_table_4_first_row(self, golden):
         row = golden["e1e2"][0]
-        assert (row.table, row.row) == (4, 1)
-        assert row.kx3 == 4
-        assert (row.r, row.d, row.g) == (2, 12, 7)
-        assert (row.alpha, row.beta) == (Fraction(5, 2), Fraction(-1, 2))
-        assert (row.alpha_plus, row.beta_plus) == (5, -2)
-        assert (row.kY3, row.kY3_plus) == (40, 12)
-        assert row.e_over_r3 == 24
-        assert row.exists is ExistenceStatus.EXISTS
-        assert row.ref == "Tak89"
+        assert (row["table"], row["row"]) == (4, 1)
+        assert row["kx3"] == 4
+        assert (row["r"], row["d"], row["g"]) == (2, 12, 7)
+        assert (row["alpha"], row["beta"]) == (Fraction(5, 2), Fraction(-1, 2))
+        assert (row["alpha_plus"], row["beta_plus"]) == (5, -2)
+        assert (row["kY3"], row["kY3_plus"]) == (40, 12)
+        assert row["e_over_r3"] == 24
+        assert row["exists"] is ExistenceStatus.EXISTS
+        assert row["ref"] == "Tak89"
 
     def test_symmetric_row_parses_decimal_degree(self, golden):
         row = golden["e5e5"][0]
-        assert row.kY3 == Fraction(5, 2)
-        assert row.e == 15
-        assert row.e_over_r3 is None and row.kY3_plus is None
-        assert row.r is None and row.d is None and row.g is None
+        assert row["kY3"] == Fraction(5, 2)
+        assert row["e"] == 15
+        assert row["e_over_r3"] is None and row["kY3_plus"] is None
+        assert row["r"] is None and row["d"] is None and row["g"] is None
 
     def test_reconstruction_identity_holds_on_every_row(self, golden):
         for rows in golden.values():
             for row in rows:
-                assert row.alpha_plus == -row.alpha / row.beta
-                assert row.beta_plus == 1 / row.beta
+                assert row["alpha_plus"] == -row["alpha"] / row["beta"]
+                assert row["beta_plus"] == 1 / row["beta"]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +312,7 @@ class TestParseErrors:
         text = _packaged_text(9)
         _write_table(tmp_path, 9, "\n# extra leading comment\n" + text + "\n\n# trailing\n")
         loaded = load_golden(9, data_dir=tmp_path)
-        assert [dataclasses.replace(r) for r in loaded] == list(load_golden(9))
+        assert loaded == load_golden(9)
 
     def test_error_names_the_data_dir_source(self, tmp_path):
         _corrupt(tmp_path, 9, "\n2,E5,E5", "\nx,E5,E5")
@@ -324,7 +355,7 @@ class TestDiff:
 
     def test_single_field_perturbation_is_one_mismatch(self, enumerated, golden):
         doctored = list(golden["e1e2"])
-        doctored[0] = dataclasses.replace(doctored[0], e_over_r3=25)
+        doctored[0] = {**doctored[0], "e_over_r3": 25}
         report = diff(enumerated["e1e2"], doctored)
         assert not report.missing and not report.extra
         assert len(report.mismatches) == 1

@@ -180,6 +180,70 @@ class TestFamilyId:
             family_id(ContractionType.E2, ContractionType.E5)
 
 
+# Each shape's six column tuples as they were listed by hand before the
+# layouts were derived: value_columns orders the mismatch report, and
+# key_columns each row's identity.
+_LAYOUTS = {
+    "curve-curve": dict(
+        csv_columns=(
+            "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
+            "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
+        ),
+        key_columns=(
+            "type_left", "type_right", "kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus",
+        ),
+        value_columns=(
+            "alpha", "beta", "alpha_plus", "beta_plus", "kY3", "kY3_plus", "e_over_r3",
+        ),
+        sort_columns=("kx3", "r", "r_plus", "g", "d", "g_plus", "d_plus"),
+        display_columns=(
+            "no", "kx3", "kY3", "kY3_plus", "alpha", "beta", "r", "d", "g",
+            "r_plus", "d_plus", "g_plus", "e_over_r3", "exists", "ref",
+        ),
+        explain_fields=("kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus"),
+    ),
+    "curve-point": dict(
+        csv_columns=(
+            "kx3", "type_left", "type_right", "r", "d", "g",
+            "alpha", "beta", "kY3", "kY3_plus", "e_over_r3", "exists", "ref",
+        ),
+        key_columns=("type_left", "type_right", "kx3", "r", "d", "g"),
+        value_columns=(
+            "alpha", "beta", "alpha_plus", "beta_plus", "kY3", "kY3_plus", "e_over_r3",
+        ),
+        sort_columns=("kx3", "r", "g", "d"),
+        display_columns=(
+            "no", "kx3", "kY3", "kY3_plus", "alpha", "beta", "r", "d", "g",
+            "e_over_r3", "exists", "ref",
+        ),
+        explain_fields=("kx3", "r", "d", "g", "alpha_plus", "beta_plus"),
+    ),
+    "point-point": dict(
+        csv_columns=(
+            "kx3", "type_left", "type_right", "alpha", "beta", "kY3", "e", "exists", "ref",
+        ),
+        key_columns=("type_left", "type_right", "kx3"),
+        value_columns=("alpha", "beta", "alpha_plus", "beta_plus", "kY3", "e"),
+        sort_columns=("alpha",),
+        display_columns=("no", "kx3", "kY3", "alpha", "beta", "e", "exists", "ref"),
+        explain_fields=("kx3", "alpha"),
+    ),
+}
+_SHAPES = {
+    "e1e1": "curve-curve", "e1e2": "curve-point", "e1e3": "curve-point",
+    "e1e5": "curve-point", "e2e2": "point-point", "e3e3": "point-point",
+    "e5e5": "point-point",
+}
+
+
+class TestFamilyLayouts:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_derived_layout_matches_the_listed_one(self, family):
+        spec = FAMILIES[family]
+        layout = {name: getattr(spec, name) for name in _LAYOUTS[_SHAPES[family]]}
+        assert layout == _LAYOUTS[_SHAPES[family]]
+
+
 class TestLinkCandidate:
     def test_family_property(self):
         candidate = record("e1e2", (4, 2, 12, 7, 5, -2))

@@ -439,16 +439,24 @@ class TestHodgeJoin:
         assert (pairs, passing) == (10_350, 976)
 
     def test_e1e1_join_looks_up_each_side_once_per_run(self, monkeypatch):
-        # One lookup per right side and one per left side (420 each), and two
-        # for each record that reaches HODGE: the 111 the walk admits.  A
-        # second run looks every side up again.
+        # One lookup per side, whichever role it plays (with both degree
+        # checks on, the two roles share the same 420 sides), and two for
+        # each record that reaches HODGE: the 111 the walk admits.  A second
+        # run looks every side up again.
         calls = []
         lookup = catalog.hodge_h12
         monkeypatch.setattr(catalog, "hodge_h12", lambda *key: calls.append(key) or lookup(*key))
         for _ in range(2):
             calls.clear()
             assert len(enumerate_e1e1(self.NO_DIOPHANTINE)) == 111
-            assert len(calls) == 420 + 420 + 2 * 111
+            assert len(calls) == 420 + 2 * 111
+
+    @pytest.mark.parametrize("degree", ["FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT"])
+    def test_e1e1_join_over_unequal_side_lists_keeps_the_default_rows(self, enumerated, degree):
+        # Without one degree check the two roles' side lists differ, so the
+        # shared Hodge lookup must cover the sides of either list.
+        out = enumerate_e1e1(self.NO_DIOPHANTINE - {degree})
+        assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
 
     @pytest.mark.parametrize(
         "enabled",
