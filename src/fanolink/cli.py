@@ -108,34 +108,55 @@ def _print_check_listing(stream) -> None:
 class _TraceSink:
     """The --trace-rejections hook: one ``reject[stage] data failed=...`` line per rejection.
 
-    side_prunes (search.TraceFn) builds a side list's lines from the "d, g)"
-    text of each grid cell, kept per index r for the run.
+    A block (search.TraceFn) is written as a head such as ``reject[side-left]
+    (kx3, r, `` joined with its lines' ``d, g) failed=...`` suffixes, kept for
+    the run per index and tail and per verdicts bytes.  Pending output is
+    text pieces and their line count; a block that crosses a chunk boundary
+    is split on its suffixes.
     """
 
     def __init__(self) -> None:
-        self._lines: list[str] = []
-        self._cells: dict[int, list[str]] = {}
+        self._pieces: list[str] = []  # pending text, self._lines lines in all
+        self._lines = 0
+        self._suffixes: dict[tuple, list[str]] = {}
 
     def __call__(self, stage: str, data: tuple, failed: tuple[str, ...]) -> None:
-        self._lines.append("reject[%s] %r failed=%s\n" % (stage, data, ",".join(failed)))
-        if len(self._lines) >= TRACE_CHUNK_LINES:
-            self.write()
+        self._pieces.append("reject[%s] %r failed=%s\n" % (stage, data, ",".join(failed)))
+        self._lines += 1
+        self.write()
+
+    def _cell_suffixes(self, key: tuple, cells, checks: tuple[str, ...]) -> list[str]:
+        """The "d, g) failed=..." suffix of each cell, formatted once per run under key."""
+        if key not in self._suffixes:
+            self._suffixes[key] = [f"{d}, {g}) failed={','.join(checks)}\n" for d, g in cells]
+        return self._suffixes[key]
 
     def side_prunes(self, stage, kx3, r, cells, verdicts, failed) -> None:
-        head = f"reject[{stage}] ({kx3}, {r}, "
-        tails = [f" failed={','.join(checks)}\n" for checks in failed]
-        if r not in self._cells:
-            self._cells[r] = [f"{d}, {g})" for d, g in cells]
-        self._lines += [head + cell + tails[v] for cell, v in zip(self._cells[r], verdicts) if v]
-        if len(self._lines) >= TRACE_CHUNK_LINES:
+        key = (r, failed, verdicts)  # the pruned cells' suffixes, picked from the grid's
+        if key not in self._suffixes:
+            tails = [c and self._cell_suffixes((r, c), cells, c) for c in failed]
+            self._suffixes[key] = [tails[v][i] for i, v in enumerate(verdicts) if v]
+        self._add(f"reject[{stage}] ({kx3}, {r}, ", self._suffixes[key])
+
+    def pair_fast(self, stage, data, cells, verdicts, start, stop, failed) -> None:
+        # The right list's verdicts name its cells: they are the grid cells it keeps.
+        head = f"reject[{stage}] ({', '.join(map(str, data))}, "
+        self._add(head, self._cell_suffixes((verdicts, failed), cells, failed)[start:stop])
+
+    def _add(self, head: str, suffixes: list[str]) -> None:
+        """Queue the lines head + suffix, split where a chunk fills and written then."""
+        while suffixes:
+            room = TRACE_CHUNK_LINES - self._lines
+            block, suffixes = suffixes[:room], suffixes[room:]
+            self._pieces.append(head + head.join(block))
+            self._lines += len(block)
             self.write()
 
     def write(self, last: bool = False) -> None:
-        """Write every full chunk of lines, and with last also the rest."""
-        lines = self._lines
-        while len(lines) >= TRACE_CHUNK_LINES or (last and lines):
-            sys.stderr.write("".join(lines[:TRACE_CHUNK_LINES]))
-            del lines[:TRACE_CHUNK_LINES]
+        """Write the pending chunk once it is full, and with last also a partial one."""
+        if self._lines == TRACE_CHUNK_LINES or (last and self._pieces):
+            sys.stderr.write("".join(self._pieces))
+            self._pieces, self._lines = [], 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

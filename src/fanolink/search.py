@@ -10,8 +10,9 @@ Two independent routes produce every family's candidate set:
   is audited (build_candidate).  An untraced E1-E1 run joins each left
   side to its partners by genus form (formulas.genus_form), or, without
   DIOPHANTINE, by HODGE's per-side value; an untraced E1-point run skips
-  the left sides HODGE rejects and the alpha_plus GCD_LEFT rejects.
-  Traced runs walk every tuple instead (enumerate_e1e1, enumerate_e1estar).
+  the left sides HODGE rejects and the alpha_plus GCD_LEFT rejects.  A
+  traced E1-E1 run joins by genus form too; other traced runs walk every
+  tuple (enumerate_e1e1, enumerate_e1estar).
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -39,9 +40,10 @@ The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
 
 A ``trace`` hook (TraceFn) hears every rejected tuple, with the checks it
-fails.  Most rejections are E1 side-list prunes, so a hook with a
-``side_prunes`` block method takes each side list's prunes in one call;
-any other callable gets them one event at a time.
+fails.  A hook with the ``side_prunes`` and ``pair_fast`` block methods
+takes each E1 side list's prunes, and the E1-E1 join's pair-fast rejects
+between two partners, in one call; any other callable gets them one event
+at a time.
 
 Ordering is canonical and total per family, so outputs are reproducible
 byte for byte.
@@ -49,6 +51,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -61,6 +64,7 @@ from .checks import (
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     _hodge_sum,
+    _plan,
     _primitive,
     record_plan,
     run_checks,
@@ -94,11 +98,13 @@ D_MAX = 19
 G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 
 # A trace hook is called once per rejection: trace(stage, data, failed checks).
-# A hook may also have a block method, side_prunes(stage, kx3, r, cells,
-# verdicts, failed), which takes an E1 side list's prunes in one call: cells
-# is _SIDE_GRID[r], verdicts one byte per cell (0 kept), and failed[v] the
-# checks a verdict v names.  A hook without it gets the same events one call
-# each, in the same order (_replay_side_prunes).
+# It may also have block methods, which take many events in one call; a hook
+# without one gets the same events one call each, in order (_replay).
+# side_prunes(stage, kx3, r, cells, verdicts, failed): an E1 side list's
+# prunes; cells is _SIDE_GRID[r], verdicts one byte per cell (0 kept), and
+# failed[v] the checks a verdict v names.  pair_fast(stage, data, cells,
+# verdicts, start, stop, failed): data + cell for each cell in cells[start:stop],
+# the (d, g) of the right list that verdicts keeps, between two E1-E1 partners.
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
 # The check scopes (checks.Scope.reads) each walk decides before it derives
@@ -213,17 +219,15 @@ def _admit(
     """Run the checks on a candidate: keep an admitted one, trace a rejected one.
 
     Without a trace hook the checks short-circuit, so run_checks returns no
-    report exactly when every check passes.  Only an admitted candidate is
-    held to the 64-bit contract (build_candidate).
+    report exactly when every check passes; with one, every check runs and
+    names its failures from checks._plan, building no report.  Only an
+    admitted candidate is held to the 64-bit contract (build_candidate).
     """
     if trace is None:
-        if not run_checks(candidate, checks, True):
-            results.append(build_candidate(candidate))
-        return
-    failed = tuple(rep.name for rep in run_checks(candidate, checks) if not rep.passed)
-    if failed:
+        failed = run_checks(candidate, checks, True)
+    elif failed := tuple(name for name, passes in _plan(checks) if not passes(candidate)):
         trace("full", data, failed)
-    else:
+    if not failed:
         results.append(build_candidate(candidate))
 
 
@@ -283,8 +287,8 @@ def _pruned_sides(
 
 def _e1_side_list(
     kx3: int, r: int, enabled: frozenset[str], role: str, trace: TraceFn | None = None
-) -> tuple[tuple[E1Side, ...], dict[int, tuple[E1Side, ...]]]:
-    """All kept sides of one index on the "left" or "right" side, and the same by genus form.
+) -> tuple[tuple[E1Side, ...], bytes, dict[int, tuple[E1Side, ...]]]:
+    """The kept sides of one index on the "left" or "right" side, their verdicts and genus forms.
 
     Pruning here is an optimization only: a side is dropped exactly when
     SIGMA_POS or the role's FANO_DEGREE check, if enabled, would reject
@@ -294,20 +298,20 @@ def _e1_side_list(
     call of the hook's side_prunes block method if it has one (TraceFn).
     """
     degree_check = f"FANO_DEGREE_{role.upper()}"
-    sides, verdicts, by_form = _pruned_sides(
-        kx3, r, "SIGMA_POS" in enabled, degree_check in enabled
-    )
-    if trace is not None:
-        block = getattr(trace, "side_prunes", None) or functools.partial(_replay_side_prunes, trace)
-        block(f"side-{role}", kx3, r, _SIDE_GRID[r], verdicts, ((), ("SIGMA_POS",), (degree_check,)))
-    return sides, by_form
+    pruned = _pruned_sides(kx3, r, "SIGMA_POS" in enabled, degree_check in enabled)
+    stage, failed = f"side-{role}", ((), ("SIGMA_POS",), (degree_check,))
+    if hasattr(trace, "side_prunes"):
+        trace.side_prunes(stage, kx3, r, _SIDE_GRID[r], pruned[1], failed)
+    elif trace is not None:
+        _replay(trace, stage, (kx3, r), _SIDE_GRID[r], map(failed.__getitem__, pruned[1]))
+    return pruned
 
 
-def _replay_side_prunes(trace: TraceFn, stage, kx3, r, cells, verdicts, failed) -> None:
-    """A side list's prunes reported to a hook without a block method, one call per pruned side."""
-    for (d, g), verdict in zip(cells, verdicts):
-        if verdict:
-            trace(stage, (kx3, r, d, g), failed[verdict])
+def _replay(trace: TraceFn, stage: str, data: tuple, cells, failed) -> None:
+    """A block for a hook without its block method: one event per cell whose checks are not ()."""
+    for cell, checks in zip(cells, failed):
+        if checks:
+            trace(stage, (*data, *cell), checks)
 
 
 def _hodge_key(term: SideTerm) -> int | None:
@@ -338,6 +342,15 @@ def _by_hodge(sides: tuple[E1Side, ...], values: dict) -> dict[int, list[E1Side]
     return groups
 
 
+def _pair_fast(trace: TraceFn, data: tuple, cells, verdicts, start: int, stop: int) -> None:
+    """The right sides cells[start:stop] of a left side's join, reported as DIOPHANTINE rejects."""
+    if start < stop:
+        if hasattr(trace, "pair_fast"):
+            trace.pair_fast("pair-fast", data, cells, verdicts, start, stop, ("DIOPHANTINE",))
+        else:
+            _replay(trace, "pair-fast", data, cells[start:stop], [("DIOPHANTINE",)] * (stop - start))
+
+
 def enumerate_e1e1(
     enabled: frozenset[str] = DEFAULT_CHECKS,
     trace: TraceFn | None = None,
@@ -350,14 +363,15 @@ def enumerate_e1e1(
     then every right one, each once per (kx3, index).
 
     DIOPHANTINE holds exactly when r^2 * Q_plus == rp^2 * Q for the sides'
-    genus forms (formulas.genus_form).  Without a trace hook a left side
-    therefore looks up its partners by Q_plus = rp^2 * Q / r^2, and has none
-    unless that division is exact.  Without DIOPHANTINE but with HODGE, an
-    untraced left side looks up its partners by HODGE's own per-side value
-    instead (_hodge_values, once per (kx3, r, d, g) and run, whichever role
-    the side plays): the check passes exactly when the two values are
-    equal.  A traced run, which names every rejected pair, and a run
-    without either check walk each right side; only the iterable differs.
+    genus forms (formulas.genus_form).  A left side therefore looks up its
+    partners by Q_plus = rp^2 * Q / r^2, and has none unless that division
+    is exact; a trace hook hears the right sides before each partner, and
+    after the last up to the canonical limit, as one pair-fast block each
+    (_pair_fast).  Without DIOPHANTINE but with HODGE, an untraced left
+    side looks up its partners by HODGE's own per-side value instead
+    (_hodge_values, once per (kx3, r, d, g) and run, whichever role the
+    side plays): the check passes exactly when the two values are equal.
+    Any other run walks each right side; only the iterable differs.
     Each record is checked against the walk's record plan
     (checks.record_plan): the genus-form test decides DIOPHANTINE, the side
     lists the side checks, and the closed-form pairs the coefficient checks
@@ -368,34 +382,39 @@ def enumerate_e1e1(
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
     right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
     fast = "DIOPHANTINE" in enabled
-    by_form = trace is None and fast
     by_hodge = trace is None and not fast and "HODGE" in enabled
     hodge = {key: _hodge_values(left[key], right[key][0]) for key in indices if by_hodge}
     right_by_hodge = {key: _by_hodge(right[key][0], hodge[key]) for key in hodge}
+    blocks = trace is not None and fast
     plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED)
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
-            right_sides, right_by_form = right[(kx3, rp)]
+            right_sides, right_verdicts, right_by_form = right[(kx3, rp)]
+            cells = tuple(side[:2] for side in right_sides) if blocks else ()  # (d, g) of blocks
             for d, g, sig, form, left_term in left[(kx3, r)]:
-                if by_form:
+                if fast:
                     wanted, rem = divmod(rp * rp * form, r * r)
                     partners = () if rem else right_by_form.get(wanted, ())
                 elif by_hodge:
                     partners = right_by_hodge[(kx3, rp)].get(hodge[kx3, r][d, g], ())
                 else:
                     partners = right_sides
-                for dp, gp, sig_p, form_p, right_term in partners:
+                if blocks:
+                    data, start = (kx3, r, d, g, rp), 0
+                    stop = bisect.bisect_right(cells, (d, g)) if r == rp else len(cells)
+                for dp, gp, sig_p, _, right_term in partners:
                     if r == rp and (d, g) < (dp, gp):
                         continue
-                    data = (kx3, r, d, g, rp, dp, gp)
-                    if fast and r * r * form_p != rp * rp * form:
-                        if trace is not None:
-                            trace("pair-fast", data, ("DIOPHANTINE",))
-                        continue
+                    if blocks:
+                        at = bisect.bisect_left(cells, (dp, gp))
+                        _pair_fast(trace, data, cells, right_verdicts, start, at)
+                        start = at + 1
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
                     candidate = derive(side_terms(kx3, left_term, right_term), *pairs)
-                    _admit(candidate, plan, trace, data, results)
+                    _admit(candidate, plan, trace, (kx3, r, d, g, rp, dp, gp), results)
+                if blocks:
+                    _pair_fast(trace, data, cells, right_verdicts, start, stop)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -29,6 +29,46 @@ DISPLAY_SHA256 = {
     ),
 }
 
+# SHA-256 of each chunk-test cell's reference trace (the plain-callable
+# hook's lines), by disabled checks and family (measured).
+CHUNK_TRACE_SHA256 = {
+    "default": {
+        "e1e1": "405aefbbb3f194142e1c41ea56552899ed2f00a6716d5db9fa5e93a5f2e37681",
+        "e1e2": "c29340ccbf4a5fe98c14d1c05d8370494509905291249aee49e26a5159ac6c0d",
+        "e1e3": "5cbad030ccd92618d2aa6dccf561a221b13bea0be42e5de297872d8893b9f1d4",
+        "e1e5": "c3317aa20c70f8ad1d75e611afeec32546a17c26ddc59da749e7cc66486b9b3c",
+        "e2e2": "8582282fd2766758e59fc47842b0f0494acb3adbdfd391ff2b5fd85e9032e7aa",
+        "e3e3": "b55f04d772cd5f0b950fa4ea833f8fe2fc434cad272c9e93194d2824c348f03b",
+        "e5e5": "876d0d1fd41434158355aa65f3c20e1b82f7a092032d843edf685ab476ed3a79",
+    },
+    "SIGMA_POS": {
+        "e1e1": "7bd0c912cd22dc78c7b608ed304202b4ec87d09f64d9bc611eb04c60677b4dfb",
+        "e1e2": "fc34ae3fc1bdd7513fb07199f959ebf06736e4ad76f9aa17b7e7287ad04b9ce2",
+        "e1e3": "a4852bc85ad1efaa93369be334baa95d7e4b3c085a702a10ba9abd1d2c22f2e5",
+        "e1e5": "c774b7ce567a85e50207880ff95501cea0280a0997e2bb157ff64e66f5e1e629",
+        "e2e2": "8582282fd2766758e59fc47842b0f0494acb3adbdfd391ff2b5fd85e9032e7aa",
+        "e3e3": "b55f04d772cd5f0b950fa4ea833f8fe2fc434cad272c9e93194d2824c348f03b",
+        "e5e5": "876d0d1fd41434158355aa65f3c20e1b82f7a092032d843edf685ab476ed3a79",
+    },
+    "FANO_DEGREE_LEFT": {
+        "e1e1": "e64743c0b6dabb8b26832e130901cf750e34be82c985f5336d69829a296f5d88",
+        "e1e2": "1bb0105cb45927e790a357023d762b9af722f134a546a323c12157cc3ea2196b",
+        "e1e3": "803c2ce633aacdd48519d66d172981381e610aca9e0852eaf3992962dcd53af9",
+        "e1e5": "5e0418622b9998e455d5f486aa64acaa2626d21d26f52d1efdf0f2c846f39ab3",
+        "e2e2": "8582282fd2766758e59fc47842b0f0494acb3adbdfd391ff2b5fd85e9032e7aa",
+        "e3e3": "b55f04d772cd5f0b950fa4ea833f8fe2fc434cad272c9e93194d2824c348f03b",
+        "e5e5": "876d0d1fd41434158355aa65f3c20e1b82f7a092032d843edf685ab476ed3a79",
+    },
+    "FANO_DEGREE_RIGHT": {
+        "e1e1": "194923c954696da8cd4ed19263d460d0618206eba102a753f5f320d31396eac4",
+        "e1e2": "4fa88cbf0bc15c76d775b2cf83b7bd07e9b9425000eb4d238606bf20598a45b5",
+        "e1e3": "5cbad030ccd92618d2aa6dccf561a221b13bea0be42e5de297872d8893b9f1d4",
+        "e1e5": "c3317aa20c70f8ad1d75e611afeec32546a17c26ddc59da749e7cc66486b9b3c",
+        "e2e2": "8582282fd2766758e59fc47842b0f0494acb3adbdfd391ff2b5fd85e9032e7aa",
+        "e3e3": "b55f04d772cd5f0b950fa4ea833f8fe2fc434cad272c9e93194d2824c348f03b",
+        "e5e5": "876d0d1fd41434158355aa65f3c20e1b82f7a092032d843edf685ab476ed3a79",
+    },
+}
 
 class _CountingStream(io.StringIO):
     """A text stream that counts its write calls."""
@@ -161,15 +201,19 @@ class TestEnumerate:
     @pytest.mark.parametrize("family", search_mod.FAMILY_IDS)
     def test_trace_is_written_in_chunks(self, monkeypatch, family, disabled):
         # Each write but the last carries TRACE_CHUNK_LINES lines, in the
-        # bytes a per-line print would give.  The reference hook is a plain callable,
-        # so it hears each side prune as its own event, while the CLI's hook
-        # takes a side list's prunes in one block call.
+        # bytes a per-line print would give.  The reference hook is a plain
+        # callable, so it hears each side prune and E1-E1 pair-fast reject as
+        # its own event, while the CLI's hook takes them in block calls.  The
+        # reference trace is pinned, so a change to the walk's order cannot
+        # pass by changing both sides.
         expected = []
         search_mod.enumerate_family(
             family,
             DEFAULT_CHECKS - set(disabled),
             trace=lambda s, d, f: expected.append(f"reject[{s}] {d} failed={','.join(f)}\n"),
         )
+        digest = hashlib.sha256("".join(expected).encode()).hexdigest()
+        assert digest == CHUNK_TRACE_SHA256["-".join(disabled) or "default"][family]
         stream = _CountingStream()
         monkeypatch.setattr(sys, "stderr", stream)
         argv = ["enumerate", "--families", family, "--trace-rejections"]

@@ -394,6 +394,70 @@ class TestGenusJoin:
                             passing += m == 0
         assert (pairs, passing) == (10_350, 622)
 
+    @pytest.mark.parametrize(
+        "enabled", [DEFAULT_CHECKS, DEFAULT_CHECKS - {"FANO_DEGREE_LEFT"}], ids=["all", "no-left"]
+    )
+    def test_traced_join_reports_the_walk_of_every_pair(self, enabled):
+        # The traced run joins by genus form too, and reports the right sides
+        # between two partners in one pair_fast block.  Its events must equal
+        # a walk over every canonically oriented pair with the per-pair genus
+        # test; without FANO_DEGREE_LEFT the two roles' lists differ.
+        # A hook with both block methods must hear the same events in blocks.
+        expected = []
+        plain = lambda s, d, f: expected.append((s, d, f))  # noqa: E731
+        indices = [(kx3, r) for kx3 in KX3_VALUES for r in G_MAX]
+        left = {key: search._e1_side_list(*key, enabled, "left", plain)[0] for key in indices}
+        right = {key: search._e1_side_list(*key, enabled, "right", plain)[0] for key in indices}
+        plan = record_plan(e1e1_pairs, enabled, search._SIDES_DECIDED)
+        for kx3, r in indices:
+            for rp in range(1, r + 1):
+                for d, g, sig, form, left_term in left[kx3, r]:
+                    for dp, gp, sig_p, form_p, right_term in right[kx3, rp]:
+                        if not orientation_canonical((r, d, g), (rp, dp, gp)):
+                            continue
+                        data = (kx3, r, d, g, rp, dp, gp)
+                        if r * r * form_p != rp * rp * form:
+                            expected.append(("pair-fast", data, ("DIOPHANTINE",)))
+                            continue
+                        sides = formulas.side_terms(kx3, left_term, right_term)
+                        rec = search.derive(sides, *e1e1_pairs(kx3, r, rp, sig, sig_p))
+                        failed = tuple(rep.name for rep in run_checks(rec, plan) if not rep.passed)
+                        if failed:
+                            expected.append(("full", data, failed))
+        events = []
+        enumerate_e1e1(enabled, trace=lambda s, d, f: events.append((s, d, f)))
+        assert events == expected
+        hook = _BlockHook()
+        enumerate_e1e1(enabled, trace=hook)
+        assert hook.events == expected
+        assert hook.blocks["pair_fast"] < sum(event[0] == "pair-fast" for event in expected)
+
+
+class _BlockHook:
+    """A trace hook with both block methods, which expands each block into its events."""
+
+    def __init__(self):
+        self.events, self.blocks, self.kept = [], Counter(), {}
+
+    def __call__(self, stage, data, failed):
+        self.events.append((stage, data, failed))
+
+    def side_prunes(self, stage, kx3, r, cells, verdicts, failed):
+        self.blocks["side_prunes"] += 1
+        assert cells is search._SIDE_GRID[r]
+        self.events += [(stage, (kx3, r, *c), failed[v]) for c, v in zip(cells, verdicts) if v]
+
+    def pair_fast(self, stage, data, cells, verdicts, start, stop, failed):
+        # cells are the right list's, the grid cells its verdicts keep.
+        self.blocks["pair_fast"] += 1
+        key = (data[-1], verdicts)
+        if key not in self.kept:
+            grid = search._SIDE_GRID[data[-1]]
+            self.kept[key] = tuple(cell for cell, v in zip(grid, verdicts) if not v)
+        assert cells == self.kept[key]
+        assert 0 <= start < stop <= len(cells)
+        self.events += [(stage, (*data, *cell), failed) for cell in cells[start:stop]]
+
 
 def _derived_sides(monkeypatch) -> list[tuple]:
     """Patch search.derive to log the (kx3, left, right) of each record it derives; the log."""
@@ -797,8 +861,9 @@ class TestTracing:
             "e1e1": 622, "e1e2": 22, "e1e3": 249, "e1e5": 161, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
         assert built == EXPECTED_COUNTS
-        # A traced E1-E1 run walks every right side instead of looking up
-        # each left side's partners, and derives the same 622 records.
+        # A traced E1-E1 run takes the same genus-form join, reporting the
+        # right sides between two partners as pair-fast blocks, so it
+        # derives the same 622 records.
         records.clear()
         enumerate_family("e1e1", trace=lambda s, d, f: None)
         assert records == {"e1e1": 622}
