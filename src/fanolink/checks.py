@@ -20,9 +20,10 @@ candidate), which the property tests exercise.
 
 Each check also declares its scope (Scope): the candidate fields its
 verdict reads (kx3 alone, one side and kx3, each side, both sides, or the
-whole record), and the enumerator walks whose pairs pass it by
-construction.  record_plan derives from that table the checks a walk still
-runs on each record; explain and the oracles run the full suite.
+whole record), what it reads on a walk where that is less, and the
+enumerator walks whose pairs pass it by construction.  record_plan derives
+from that table the checks a walk still runs on each record; explain and
+the oracles run the full suite.
 """
 
 from __future__ import annotations
@@ -290,6 +291,7 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "right": _RIGHT,  # the right side and kx3
     "each side": _LEFT | _RIGHT,  # each side and kx3 apart; a failing side fails every pair
     "both sides": _LEFT | _RIGHT,  # the two sides and kx3 together
+    "left and pair": frozenset({"left", "pair"}),  # the left side's index and the pair
     "record": frozenset(LinkCandidate._fields),
 }
 
@@ -301,10 +303,13 @@ class Scope(NamedTuple):
     (formulas.e1e1_pairs, star_pairs or symmetric_pairs) to the checks
     whose prunes that walk needs enabled so that every record it derives
     passes this one; an empty set means its pairs pass by construction.
+    on maps a pair function to the SCOPE_FIELDS key of what the verdict
+    reads on that walk's records, where that is less than reads.
     """
 
     reads: str
     built: Mapping[Callable, frozenset[str]] = {}
+    on: Mapping[Callable, str] = {}
 
 
 _ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset(), symmetric_pairs: frozenset()}
@@ -344,7 +349,7 @@ REGISTRY: dict[str, Check] = {
         "right target degree is in the rank-one catalog",
         lambda c: _degree_ok(c.right, c.kY3_right),
         lambda c: _degree_detail(c.right, c.kY3_right),
-        Scope("right"),
+        Scope("right", on={star_pairs: "kx3"}),  # a point right side is fixed per kx3
     ),
     "DIOPHANTINE": Check(
         "the exact residual system vanishes",
@@ -374,7 +379,8 @@ REGISTRY: dict[str, Check] = {
         "left-basis decomposition of the flopped divisor is primitive",
         lambda c: _primitive(c.left, c.pair),
         lambda c: _primitive_detail("left", c.left, c.pair),
-        Scope("record", {symmetric_pairs: frozenset()}),  # a point left side passes
+        # A point left side passes; an E1 one reads its index (_primitive).
+        Scope("record", {symmetric_pairs: frozenset()}, {star_pairs: "left and pair"}),
     ),
     "GCD_RIGHT": Check(
         "right-basis decomposition of the flopped divisor is primitive",
@@ -406,13 +412,13 @@ REGISTRY: dict[str, Check] = {
         "curve-corrected Hodge numbers balance across the link",
         _hodge,
         _hodge_detail,
-        Scope("both sides"),
+        Scope("both sides", on={star_pairs: "left"}),  # one value per side (_hodge_sum)
     ),
     "HYPERELLIPTIC_SYM": Check(
         "central degree 2 forces equal sides",
         lambda c: c.kx3 != 2 or c.left == c.right,
         _hyperelliptic_sym_detail,
-        Scope("both sides"),
+        Scope("both sides", on={star_pairs: "kx3"}),  # an E1 side never equals a point side
     ),
     "ALPHA_PLUS_BOUND": Check(
         "point-side leading coefficient within its search bound",
@@ -454,10 +460,11 @@ def record_plan(
 ) -> frozenset[str]:
     """The enabled checks an enumerator walk still runs on each record it derives.
 
-    pairs is the walk's pair function and decided the scopes (Scope.reads)
-    it settles before any record.  An enabled check drops out when its
-    scope is decided, or when the walk's records pass it by construction:
-    its Scope.built names pairs, with every check that needs enabled.
+    pairs is the walk's pair function and decided the scopes it settles
+    before any record.  An enabled check drops out when its scope on the
+    walk (Scope.on, else Scope.reads) is decided, or when the walk's records
+    pass it by construction: its Scope.built names pairs, with every check
+    that needs enabled.
     Cached per walk, enabled set and decided scopes, like _plan.
     """
     validate_check_ids(enabled)
@@ -465,7 +472,7 @@ def record_plan(
         name
         for name, check in REGISTRY.items()
         if name in enabled
-        and check.scope.reads not in decided
+        and check.scope.on.get(pairs, check.scope.reads) not in decided
         and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
     )
 

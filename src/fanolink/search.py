@@ -7,12 +7,12 @@ Two independent routes produce every family's candidate set:
   box for the point-type families), prune with exact integer forms of the
   residual system, and decide each remaining tuple on its integer
   candidate (formulas.derive) through the check suite.  Only a kept row
-  is audited (build_candidate).  An untraced E1-E1 run joins each left
-  side to its partners by genus form (formulas.genus_form), or, without
-  DIOPHANTINE, by HODGE's per-side value; an untraced E1-point run skips
-  the left sides HODGE rejects and the alpha_plus GCD_LEFT rejects.  A
-  traced E1-E1 run joins by genus form too; other traced runs walk every
-  tuple (enumerate_e1e1, enumerate_e1estar).
+  is audited (build_candidate).  An E1-E1 run joins each left side to its
+  partners by genus form (formulas.genus_form), or, untraced and without
+  DIOPHANTINE, by HODGE's per-side value.  An E1-point run decides once
+  per kx3, left side or (r, beta_plus, alpha_plus) each check that reads
+  no more, traced or not; an untraced run skips what they reject
+  (enumerate_e1e1, enumerate_e1estar).
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -107,15 +107,15 @@ G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 # the (d, g) of the right list that verdicts keeps, between two E1-E1 partners.
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
-# The check scopes (checks.Scope.reads) each walk decides before it derives
-# a record; checks.record_plan drops them from the walk's record checks.
+# The check scopes (checks.Scope) each walk decides before it derives a
+# record; checks.record_plan drops them from the walk's record checks.
 # Every walk keeps kx3 in KX3_VALUES (KX3_RANGE).  The E1 walks' side lists
-# prune each E1 side (SIGMA_POS, FANO_DEGREE_*), a point side's excess is
-# positive, and the E1-point walk tests its point side's FANO_DEGREE_RIGHT
-# once per kx3; where that fails, a traced walk checks it on every record.
+# prune each E1 side (SIGMA_POS, FANO_DEGREE_*), and a point side's excess
+# is positive.  The E1-point walk decides the rest of what its scopes fix
+# once per kx3, left side and (r, beta_plus, alpha_plus) (enumerate_e1estar).
 _KX3_DECIDED = frozenset({"kx3"})
 _SIDES_DECIDED = frozenset({"kx3", "left", "right", "each side"})
-_LEFT_DECIDED = frozenset({"kx3", "left", "each side"})
+_STAR_DECIDED = _SIDES_DECIDED | {"left and pair"}
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +215,23 @@ def _admit(
     trace: TraceFn | None,
     data: tuple,
     results: list[LinkCandidate],
+    known: frozenset[str] = frozenset(),
 ) -> None:
     """Run the checks on a candidate: keep an admitted one, trace a rejected one.
 
     Without a trace hook the checks short-circuit, so run_checks returns no
     report exactly when every check passes; with one, every check runs and
-    names its failures from checks._plan, building no report.  Only an
+    names its failures from checks._plan, building no report.  known holds
+    the checks the walk has decided the record fails before deriving it
+    (traced runs only: an untraced walk skips such a record); they are
+    named in registry order among the others, not run again.  Only an
     admitted candidate is held to the 64-bit contract (build_candidate).
     """
     if trace is None:
         failed = run_checks(candidate, checks, True)
-    elif failed := tuple(name for name, passes in _plan(checks) if not passes(candidate)):
+    elif failed := tuple(
+        name for name, passes in _plan(checks | known) if name in known or not passes(candidate)
+    ):
         trace("full", data, failed)
     if not failed:
         results.append(build_candidate(candidate))
@@ -423,15 +429,15 @@ def enumerate_e1e1(
 
 
 @functools.cache
-def _gcd_left_alpha_pluses(r: int, beta_plus: int) -> tuple[int, ...]:
+def _gcd_left_alpha_pluses(r: int, beta_plus: int) -> frozenset[int]:
     """The alpha_plus in 1..MAX_ALPHA_PLUS whose star pair passes GCD_LEFT on an index-r side.
 
     The check's own call (checks._primitive) reads only the side's index
-    and the pair, so the tuple is fixed per (r, beta_plus); it reads no
+    and the pair, so the set is fixed per (r, beta_plus); it reads no
     catalog data, so it is built once per process.
     """
     side = _e1_side(r, 1, 0)
-    return tuple(
+    return frozenset(
         ap for ap in range(1, MAX_ALPHA_PLUS + 1) if _primitive(side, star_pairs(ap, beta_plus)[0])
     )
 
@@ -454,65 +460,62 @@ def enumerate_e1estar(
     (COEFF_RELATIONS, COEFF_INTEGRALITY, ALPHA_PLUS_BOUND, BETA_PLUS_RANGE)
     and the point side's GCD_RIGHT by construction.
 
-    FANO_DEGREE_RIGHT reads kx3 and the point side alone, so it runs once
-    per kx3 (the check's own call, _degree_ok): where it fails, every tuple
-    at that kx3 fails it, and a run without a trace hook skips the kx3.
-    With a hook the records at that kx3 are checked against it too, without
-    short-circuit, so the trace reports each rejection with all its
-    failing checks.
-
-    A run without a trace hook decides two more checks before deriving,
-    and keeps both in the record plan, so a wrong skip could only drop
-    rows.  HODGE on a smooth point target (E2) compares the point side's
-    value, fixed per kx3, with the left side's (_hodge_key): the kx3 is
-    skipped when the point side has none, and a left side whose value
-    differs is skipped.  Without DIOPHANTINE, GCD_LEFT reads (r, alpha_plus,
-    beta_plus) alone on a star pair, so alpha_plus runs only over the
-    values that pass it (_gcd_left_alpha_pluses).
+    Four more checks read less than a record on this walk (checks.Scope.on),
+    so it decides each once, with the check's own calls, before deriving:
+    per kx3 FANO_DEGREE_RIGHT, and HYPERELLIPTIC_SYM, which fails at kx3 = 2
+    since an E1 side never equals a point side; per left side HODGE, which
+    on a smooth point target (E2) asks that the side's value (_hodge_key)
+    equal the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
+    (_gcd_left_alpha_pluses).  An untraced run skips whatever a decision
+    fails.  A traced run derives every tuple, checks it against the rest of
+    the plan, and names the decided failures among the others (_admit).
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)
+    enabled = frozenset(enabled)
     fast = "DIOPHANTINE" in enabled
-    hodge_join = trace is None and "HODGE" in enabled and right.target_index is not None
-    gcd_filter = trace is None and "GCD_LEFT" in enabled
+    gcd_left = "GCD_LEFT" in enabled
+    hodge = "HODGE" in enabled and right.target_index is not None
+    plan = record_plan(star_pairs, enabled, _STAR_DECIDED)
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         right_term = side_term(kx3, right)
-        decided = _SIDES_DECIDED
-        if "FANO_DEGREE_RIGHT" in enabled and not _degree_ok(kx3, right):
-            if trace is None:
-                continue
-            decided = _LEFT_DECIDED
-        if hodge_join:
-            hodge = _hodge_key(right_term)
-            if hodge is None:
-                continue  # HODGE's lookup fails on every record at this kx3
-        plan = record_plan(star_pairs, frozenset(enabled), decided)
+        fails = {"FANO_DEGREE_RIGHT": not _degree_ok(kx3, right), "HYPERELLIPTIC_SYM": kx3 == 2}
+        at_kx3 = enabled.intersection(name for name, fail in fails.items() if fail)
+        if at_kx3 and trace is None:
+            continue
+        hodge_value = _hodge_key(right_term) if hodge else None
         for r in range(1, 5):
             for d, g, sig, _, left_term in _e1_side_list(kx3, r, enabled, "left", trace)[0]:
-                if hodge_join and _hodge_key(left_term) != hodge:
-                    continue
+                at_side = at_kx3
+                if hodge and (hodge_value is None or _hodge_key(left_term) != hodge_value):
+                    if trace is None:
+                        continue
+                    at_side |= {"HODGE"}
                 sides = None
                 for bp in range(-r, 0):
                     if fast:
                         # res4 = ap*kx3 + bp*c - sig vanishes for exactly one
                         # rational ap; keep it when it is an integer in range.
-                        num = sig - bp * c
-                        ap, rem = divmod(num, kx3)
+                        ap, rem = divmod(sig - bp * c, kx3)
                         if rem != 0 or not 1 <= ap <= MAX_ALPHA_PLUS:
                             if trace is not None:
                                 trace("pair-fast", (kx3, r, d, g, bp), ("DIOPHANTINE",))
                             continue
                         alpha_pluses = (ap,)
-                    elif gcd_filter:
-                        alpha_pluses = _gcd_left_alpha_pluses(r, bp)
                     else:
                         alpha_pluses = range(1, MAX_ALPHA_PLUS + 1)
-                    if sides is None:
-                        sides = side_terms(kx3, left_term, right_term)
+                    primitive = _gcd_left_alpha_pluses(r, bp) if gcd_left else None
                     for ap in alpha_pluses:
+                        known = at_side
+                        if gcd_left and ap not in primitive:
+                            if trace is None:
+                                continue
+                            known |= {"GCD_LEFT"}
+                        if sides is None:
+                            sides = side_terms(kx3, left_term, right_term)
                         candidate = derive(sides, *star_pairs(ap, bp))
-                        _admit(candidate, plan, trace, (kx3, r, d, g, ap, bp), results)
+                        _admit(candidate, plan, trace, (kx3, r, d, g, ap, bp), results, known)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -530,24 +530,29 @@ class TestHodgeJoin:
     def test_e1e2_skips_exactly_the_left_sides_hodge_rejects(self, monkeypatch, enabled):
         # HODGE reads the sides and kx3 alone, so one record per (kx3, left
         # side) stands for all its (alpha_plus, beta_plus).  Without
-        # FANO_DEGREE_RIGHT the point side's failing lookup skips each kx3
-        # that the degree skip would.
+        # FANO_DEGREE_RIGHT the point side's failing lookup skips each side
+        # at the kx3 that the degree skip would.  HYPERELLIPTIC_SYM, which
+        # reads kx3 alone on this walk, skips the 6 sides at kx3 = 2 that
+        # HODGE passes (32 -> 26).
         log = _derived_sides(monkeypatch)
         enumerate_e1estar(ContractionType.E2, enabled)
         visited = {(kx3, left) for kx3, left, _ in log}
-        assert len(visited) == 32
-        hodge = REGISTRY["HODGE"].passes
-        sides = 0
+        assert len(visited) == 26
+        hodge, sym = REGISTRY["HODGE"].passes, REGISTRY["HYPERELLIPTIC_SYM"].passes
+        sides = passing = 0
         for kx3 in KX3_VALUES:
             for r in G_MAX:
                 for d, g, *_ in search._e1_side_list(kx3, r, enabled, "left")[0]:
                     candidate = record("e1e2", (kx3, r, d, g, 1, -1))
-                    assert hodge(candidate) == ((kx3, candidate.left) in visited), (kx3, r, d, g)
+                    passes = hodge(candidate) and sym(candidate)
+                    assert passes == ((kx3, candidate.left) in visited), (kx3, r, d, g)
                     sides += 1
-        assert sides == 420
+                    passing += hodge(candidate)
+        assert (sides, passing) == (420, 32)
 
     def test_gcd_filter_leaves_out_exactly_the_alpha_pluses_gcd_left_rejects(self):
-        # GCD_LEFT reads the left index and the pair; the side's (d, g) do not matter.
+        # GCD_LEFT reads the left index and the pair (its scope on star_pairs);
+        # the side's (d, g) do not matter.
         gcd_left = REGISTRY["GCD_LEFT"].passes
         cells = kept = 0
         for r in G_MAX:
@@ -575,6 +580,31 @@ class TestHodgeJoin:
             without = enumerate_family(family, self.NO_DIOPHANTINE - {"HODGE"})
             assert out == tuple(c for c in without if hodge(c)), family
             assert out != rows, family
+
+    def test_traced_e1e2_names_hodge_under_the_current_table(self, monkeypatch):
+        # A traced E1-point run decides HODGE per side too, so under a
+        # changed catalog its full events must name HODGE exactly where the
+        # check fails on the rebuilt record.  The first run, under the
+        # packaged table, leaves behind whatever a value kept across runs
+        # would hold.  Raising h12 at (1, 12) moves HODGE's verdict on some
+        # records (10 new full events) and drops a row.
+        hodge = REGISTRY["HODGE"].passes
+
+        def traced():
+            log = []
+            out = enumerate_family("e1e2", trace=lambda s, d, f: log.append((s, d, f)))
+            return out, [(data, "HODGE" in failed) for s, data, failed in log if s == "full"]
+
+        rows, before = traced()
+        mutated = dict(catalog.load_hodge_table())
+        mutated[(1, 12)] += 1
+        monkeypatch.setattr(catalog, "load_hodge_table", lambda: mutated)
+        out, after = traced()
+        for data, named in after:
+            assert named == (not hodge(record("e1e2", data))), data
+        assert all(map(hodge, out))
+        assert (len(rows), len(out)) == (3, 2)
+        assert len(set(after) - set(before)) == 10
 
 
 def _decided_by(pairs, enabled=frozenset()):
@@ -672,18 +702,19 @@ class TestConstructionDecided:
             assert all(map(REGISTRY[name].passes, records)), name
 
     def test_each_walk_checks_the_rest_on_its_records(self):
-        rest = {
-            "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM"
-        }
-        sides, left, kx3 = search._SIDES_DECIDED, search._LEFT_DECIDED, search._KX3_DECIDED
+        cubes = {"ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"}
+        rest = cubes | {"HODGE", "HYPERELLIPTIC_SYM"}
+        sides, star, kx3 = search._SIDES_DECIDED, search._STAR_DECIDED, search._KX3_DECIDED
         assert record_plan(e1e1_pairs, DEFAULT_CHECKS, sides) == rest | {"GCD_LEFT", "GCD_RIGHT"}
         assert record_plan(e1e1_pairs, DEFAULT_CHECKS - {"SIGMA_POS"}, sides) == rest | {
             "GCD_LEFT", "GCD_RIGHT", "COEFF_RELATIONS"
         }
-        assert record_plan(star_pairs, DEFAULT_CHECKS, sides) == rest | {"DIOPHANTINE", "GCD_LEFT"}
-        assert record_plan(star_pairs, DEFAULT_CHECKS, left) == rest | {
-            "DIOPHANTINE", "GCD_LEFT", "FANO_DEGREE_RIGHT"
-        }
+        # On star_pairs HODGE reads the left side and kx3, HYPERELLIPTIC_SYM
+        # and FANO_DEGREE_RIGHT kx3, and GCD_LEFT the left index and the pair
+        # (checks.Scope.on); the E1-point walk decides all four
+        # (TestE1PointDecisions).
+        assert record_plan(star_pairs, DEFAULT_CHECKS, sides) == cubes | {"DIOPHANTINE", "GCD_LEFT"}
+        assert record_plan(star_pairs, DEFAULT_CHECKS, star) == cubes | {"DIOPHANTINE"}
         assert record_plan(symmetric_pairs, DEFAULT_CHECKS, kx3) == rest | {
             "SIGMA_POS", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE"
         }
@@ -718,14 +749,16 @@ class TestAblations:
     def test_diophantine_off_derivations_are_pinned(self, monkeypatch):
         # Untraced, E1-E1 derives only the pairs whose Hodge values match,
         # and E1-E2 only the alpha_plus that pass GCD_LEFT on the left sides
-        # whose Hodge value matches the point side's (measured).
+        # whose Hodge value matches the point side's, away from kx3 = 2,
+        # where HYPERELLIPTIC_SYM fails (measured; the decisions are proved
+        # in TestHodgeJoin and TestE1PointDecisions).
         log = _derived_sides(monkeypatch)
         records = {}
         for family in ("e1e1", "e1e2"):
             log.clear()
             enumerate_family(family, DEFAULT_CHECKS - {"DIOPHANTINE"})
             records[family] = len(log)
-        assert records == {"e1e1": 976, "e1e2": 2_752}
+        assert records == {"e1e1": 976, "e1e2": 2_236}
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
@@ -777,6 +810,42 @@ class TestAblations:
         assert set(enumerated["e2e2"]) <= set(out)
         # Measured: no symmetric point-type body fails the defect sign alone.
         assert out == enumerated["e2e2"]
+
+
+def _rebuilt_trace(enabled: frozenset[str], every_stage: bool = True) -> tuple[Counter, int, int]:
+    """Rebuild the tuples of a traced all-family run's full (and E1-E1 pair-fast and domain) events.
+
+    A full record, checked under enabled, must fail exactly the checks its
+    event names; with every_stage, an E1-E1 pair-fast one DIOPHANTINE and
+    a domain one KX3_RANGE.  Returns the full events per family and the
+    other two counts.
+    """
+    full, pair_fast, domain = Counter(), 0, 0
+    for family in FAMILY_IDS:
+        events = []
+        enumerate_family(family, enabled, trace=lambda s, d, f: events.append((s, d, f)))
+        for stage, data, failed in events:
+            if stage == "full":
+                reports = run_checks(record(family, data), enabled)
+                assert tuple(rep.name for rep in reports if not rep.passed) == failed, data
+                full[family] += 1
+            elif stage == "pair-fast" and family == "e1e1":
+                assert not every_stage or not REGISTRY["DIOPHANTINE"].passes(record(family, data))
+                pair_fast += 1
+            elif stage == "domain":
+                assert not every_stage or not REGISTRY["KX3_RANGE"].passes(record(family, data))
+                domain += 1
+    return full, pair_fast, domain
+
+
+# Full events per family, and E1-E1 pair-fast events, of a traced
+# all-family run with one check disabled (measured).
+ABLATED_TRACE_EVENTS = {
+    "HODGE": ({"e1e1": 495, "e1e2": 282, "e1e3": 242, "e1e5": 154}, 9728),
+    "GCD_LEFT": ({"e1e1": 510, "e1e2": 286, "e1e3": 242, "e1e5": 154}, 9728),
+    "HYPERELLIPTIC_SYM": ({"e1e1": 511, "e1e2": 286, "e1e3": 239, "e1e5": 152}, 9728),
+    "FANO_DEGREE_RIGHT": ({"e1e1": 1200, "e1e2": 286, "e1e3": 242, "e1e5": 154}, 94556),
+}
 
 
 class TestTracing:
@@ -838,9 +907,10 @@ class TestTracing:
         assert funnel == DEFAULT_FUNNEL
 
     def test_default_run_derivations_are_pinned(self, monkeypatch):
-        # A default run decides every tuple that passes its family's pair
-        # test and, on e1e2, the Hodge skip on its integer candidate, and
-        # audits (build_candidate) only the 134 rows it keeps (measured).
+        # A default run decides, on its integer candidate, every tuple that
+        # passes its family's pair test and, on the E1-point families, the
+        # checks decided before deriving (TestE1PointDecisions), and audits
+        # (build_candidate) only the 134 rows it keeps (measured).
         records, built = Counter(), Counter()
         derive, build = search.derive, search.build_candidate
 
@@ -858,7 +928,7 @@ class TestTracing:
         for family in FAMILY_IDS:
             enumerate_family(family)
         assert records == {
-            "e1e1": 622, "e1e2": 22, "e1e3": 249, "e1e5": 161, "e2e2": 3, "e3e3": 2, "e5e5": 1
+            "e1e1": 622, "e1e2": 6, "e1e3": 71, "e1e5": 48, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
         assert built == EXPECTED_COUNTS
         # A traced E1-E1 run takes the same genus-form join, reporting the
@@ -874,23 +944,19 @@ class TestTracing:
         # default suite that explain runs.  Each E1-E1 pair-fast tuple fails
         # DIOPHANTINE, which the genus-form test stands for, and each
         # symmetric domain tuple fails KX3_RANGE.
-        full, pair_fast, domain = Counter(), 0, 0
-        for family in FAMILY_IDS:
-            events = []
-            enumerate_family(family, trace=lambda s, d, f: events.append((s, d, f)))
-            for stage, data, failed in events:
-                if stage == "full":
-                    reports = run_checks(record(family, data))
-                    assert tuple(rep.name for rep in reports if not rep.passed) == failed, data
-                    full[family] += 1
-                elif stage == "pair-fast" and family == "e1e1":
-                    assert not REGISTRY["DIOPHANTINE"].passes(record(family, data)), data
-                    pair_fast += 1
-                elif stage == "domain":
-                    assert not REGISTRY["KX3_RANGE"].passes(record(family, data)), data
-                    domain += 1
+        full, pair_fast, domain = _rebuilt_trace(DEFAULT_CHECKS)
         assert full == {"e1e1": 511, "e1e2": 286, "e1e3": 242, "e1e5": 154}
         assert (pair_fast, domain) == (9728, 3)
+
+    @pytest.mark.parametrize("check", ABLATED_TRACE_EVENTS)
+    def test_ablated_trace_tuples_rebuild_their_records(self, check):
+        # The same under each check the E1-point walk decides before
+        # deriving, disabled: every full tuple, rebuilt and checked under the
+        # run's enabled set, fails exactly the checks its event names.  The
+        # E1-E1 pair-fast tuples, 94,556 without FANO_DEGREE_RIGHT, are only
+        # counted: TestGenusJoin proves the traced join.
+        full, pair_fast, domain = _rebuilt_trace(DEFAULT_CHECKS - {check}, every_stage=False)
+        assert (full, pair_fast, domain) == (*ABLATED_TRACE_EVENTS[check], 3)
 
     def test_star_family_trace(self, enumerated):
         events = []
@@ -927,12 +993,14 @@ class TestE1PointPreTest:
         assert enumerate_family(family) == enumerate_family(family, trace=lambda s, d, f: None)
 
     def test_pre_test_runs_only_without_a_trace(self, monkeypatch):
-        # Every pinned tuple is decided on its integer record, traced or
-        # not, and only the admitted ones reach build_candidate.  What an
-        # untraced run skips alone is on e1e2 (E3/E4 and E5 targets have no
-        # index): FANO_DEGREE_RIGHT once per kx3 (kY3 = kx3 + 8 must be an
-        # index-1 Fano degree) skips kx3 = 12 and 16..22, and HODGE each left
-        # side whose Hodge value differs from the point side's.
+        # A traced run decides every pinned tuple on its integer record, and
+        # only the admitted ones reach build_candidate.  An untraced run
+        # skips, before deriving, each tuple that a check decided per kx3,
+        # left side or (r, beta_plus, alpha_plus) fails (TestE1PointDecisions):
+        # HYPERELLIPTIC_SYM at kx3 = 2 and GCD_LEFT on every family; on e1e2
+        # alone (E3/E4 and E5 targets have no index) FANO_DEGREE_RIGHT at
+        # kx3 = 12 and 16..22 (kY3 = kx3 + 8 must be an index-1 Fano degree)
+        # and HODGE on each left side whose value differs from the point side's.
         records, built = Counter(), Counter()
         derive, build = search.derive, search.build_candidate
 
@@ -950,9 +1018,9 @@ class TestE1PointPreTest:
             for family in self.STAR_FAMILIES:
                 enumerate_family(family, trace=(lambda s, d, f: None) if traced else None)
         assert records == {
-            (False, ContractionType.E2): 22,  # 289 less the 40 at those kx3 and 227 by HODGE
-            (False, ContractionType.E34): 249,
-            (False, ContractionType.E5): 161,
+            (False, ContractionType.E2): 6,
+            (False, ContractionType.E34): 71,
+            (False, ContractionType.E5): 48,
             (True, ContractionType.E2): 289,
             (True, ContractionType.E34): 249,
             (True, ContractionType.E5): 161,
@@ -964,6 +1032,82 @@ class TestE1PointPreTest:
                 (ContractionType.E2, 3), (ContractionType.E34, 7), (ContractionType.E5, 7)
             )
         }
+
+
+def _decided(monkeypatch, family: str, enabled: frozenset[str], traced: bool) -> list[tuple]:
+    """The (tuple, decided failures) of each record a run derives, logged from search._admit."""
+    log, admit = [], search._admit
+
+    def logged(candidate, checks, trace, data, results, known=frozenset()):
+        log.append((data, known))
+        return admit(candidate, checks, trace, data, results, known)
+
+    monkeypatch.setattr(search, "_admit", logged)
+    enumerate_family(family, enabled, trace=(lambda s, d, f: None) if traced else None)
+    monkeypatch.setattr(search, "_admit", admit)
+    return log
+
+
+class TestE1PointDecisions:
+    # The E1-point walk decides four checks before deriving, once per kx3
+    # (FANO_DEGREE_RIGHT, HYPERELLIPTIC_SYM), left side (HODGE) or (r,
+    # beta_plus, alpha_plus) (GCD_LEFT), and hands the failing ones to
+    # _admit.  A traced run derives every pinned tuple: every kx3, left
+    # side of the side lists and beta_plus whose alpha_plus is pinned in
+    # range.  Each proof holds the decision on each of them to the check's
+    # own verdict on the record, and the counts of (family, failing) to
+    # their measured values.
+    STAR_FAMILIES = ["e1e2", "e1e3", "e1e5"]
+    NO_RIGHT = DEFAULT_CHECKS - {"FANO_DEGREE_RIGHT"}
+    CASES = {
+        "HYPERELLIPTIC_SYM": (
+            DEFAULT_CHECKS,
+            {"e1e2": (183, 106), "e1e3": (143, 106), "e1e5": (89, 72)},
+        ),
+        "GCD_LEFT": (
+            DEFAULT_CHECKS,
+            {"e1e2": (137, 152), "e1e3": (130, 119), "e1e5": (95, 66)},
+        ),
+        "HODGE": (
+            DEFAULT_CHECKS,
+            {"e1e2": (22, 267), "e1e3": (249, 0), "e1e5": (161, 0)},
+        ),
+        "HODGE-no-right": (
+            NO_RIGHT,
+            {"e1e2": (22, 267), "e1e3": (249, 0), "e1e5": (161, 0)},
+        ),
+        "FANO_DEGREE_RIGHT": (
+            DEFAULT_CHECKS,
+            {"e1e2": (249, 40), "e1e3": (249, 0), "e1e5": (161, 0)},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_decision_is_the_checks_verdict(self, monkeypatch, case):
+        name = case.split("-")[0]
+        enabled, expected = self.CASES[case]
+        passes = REGISTRY[name].passes
+        counts = {}
+        for family in self.STAR_FAMILIES:
+            failing = total = 0
+            for data, known in _decided(monkeypatch, family, enabled, traced=True):
+                fails = not passes(record(family, data))
+                assert (name in known) == fails, (family, data)
+                total += 1
+                failing += fails
+            counts[family] = (total - failing, failing)
+        assert counts == expected
+
+    @pytest.mark.parametrize("enabled", [DEFAULT_CHECKS, NO_RIGHT], ids=["all", "no-right"])
+    def test_untraced_runs_derive_exactly_the_undecided_tuples(self, monkeypatch, enabled):
+        # The decided failures are enabled checks among the four, and an
+        # untraced run skips, before deriving, exactly the tuples with one.
+        decidable = enabled & {name.split("-")[0] for name in self.CASES}
+        for family in self.STAR_FAMILIES:
+            traced = _decided(monkeypatch, family, enabled, traced=True)
+            assert all(known <= decidable for _, known in traced)
+            untraced = _decided(monkeypatch, family, enabled, traced=False)
+            assert untraced == [(data, known) for data, known in traced if not known], family
 
 
 class TestDispatch:
