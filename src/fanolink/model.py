@@ -11,6 +11,7 @@ families in FAMILIES: its two side types must be a family's types.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -65,9 +66,12 @@ class SideData:
     def is_e1(self) -> bool:
         return self.ctype is ContractionType.E1
 
-    @property
+    @functools.cached_property
     def cube_scale(self) -> int:
-        """Normalisation of this side's flop defect: r^3 on E1, 1 on a point type."""
+        """Normalisation of this side's flop defect: r^3 on E1, 1 on a point type.
+
+        Computed once per side; not a field, so equality and hashing ignore it.
+        """
         return self.r**3 if self.is_e1 else 1
 
     @property
@@ -318,6 +322,13 @@ CELL_COLUMNS: tuple[str, ...] = (
     "kx3", "type_left", "type_right", "r", "d", "g", "r_plus", "d_plus", "g_plus",
     "alpha", "beta", "alpha_plus", "beta_plus", "kY3", "kY3_plus", "e_over_r3", "e",
 )
+
+# The LinkCandidate field behind each column a family sorts by, as an
+# operator.attrgetter path: it holds the value cells() gives that column.
+CELL_FIELDS: dict[str, str] = {
+    "kx3": "kx3", "r": "left.r", "d": "left.d", "g": "left.g",
+    "r_plus": "right.r", "d_plus": "right.d", "g_plus": "right.g", "alpha": "coeffs.alpha",
+}
 
 
 def _integer(ratio: tuple[int, int]) -> int | None:

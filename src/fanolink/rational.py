@@ -10,7 +10,10 @@ The engine is specified against 64-bit exact arithmetic.  Python integers
 do not overflow, so the 2**63 bound cannot be exceeded silently; the
 ``audit_magnitude`` helper still enforces it at the trust boundaries
 (parsing and candidate emission) so that a port to fixed-width
-integers would fail loudly here rather than wrap around.
+integers would fail loudly here rather than wrap around.  Emission
+(search.build_candidate) compares the candidate's stored integers with
+INT64_LIMIT directly and hands ``audit_magnitude`` only a value outside
+it, reduced: the stored form is never smaller than the reduced one.
 """
 
 from __future__ import annotations

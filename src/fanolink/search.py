@@ -54,6 +54,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable
 
@@ -84,6 +85,8 @@ from .formulas import (
     symmetric_pairs,
 )
 from .model import (
+    CELL_FIELDS,
+    FAMILIES,
     FAMILY_IDS,  # re-exported: search's callers list the families from here
     ContractionType,
     LinkCandidate,
@@ -91,7 +94,7 @@ from .model import (
     family_id,
     family_spec,
 )
-from .rational import audit_magnitude
+from .rational import INT64_LIMIT, audit_magnitude
 
 D_MAX = 19
 # Maximal genus per index: the largest g whose excess at d = D_MAX is not negative.
@@ -160,19 +163,26 @@ def build_candidate(candidate: LinkCandidate) -> LinkCandidate:
     RationalOverflowError when a value, reduced, leaves the 64-bit
     contract.  The values are audited in this order: kx3, the excesses,
     the target degrees, the cubes, the defects, the left and the right
-    side's (r, d, g), and the coefficients.
+    side's (r, d, g), and the coefficients.  Reducing only shrinks a
+    value, so one stored (as an int or numerator and denominator) inside
+    the range, with a positive denominator, passes as it is; only any
+    other is reduced and audited as a Fraction, so the same rows raise,
+    on the same first value, with the same message.
     """
     c = candidate
     c.family
-    ratios = (c.etilde3_left, c.etilde3_right, c.defect_left, c.defect_right)
-    for value in (
-        c.kx3, c.sigma_left, c.sigma_right, c.kY3_left, c.kY3_right,
-        *(Fraction(*ratio) for ratio in ratios),
-        c.left.r, c.left.d, c.left.g, c.right.r, c.right.d, c.right.g,
-        *c.coeffs,
+    left, right, ky3_left, ky3_right = c.left, c.right, c.kY3_left, c.kY3_right
+    (a, b, den), (ap, bp, den_p) = c.pair, c.pair_plus
+    sides = (left.r, left.d, left.g, right.r, right.d, right.g)  # None on a point side
+    for num, denom in (
+        (c.kx3, 1), (c.sigma_left, 1), (c.sigma_right, 1),
+        (ky3_left.numerator, ky3_left.denominator), (ky3_right.numerator, ky3_right.denominator),
+        c.etilde3_left, c.etilde3_right, c.defect_left, c.defect_right,
+        *((value, 1) for value in sides if value is not None),
+        (a, den), (b, den), (ap, den_p), (bp, den_p),
     ):
-        if value is not None:
-            audit_magnitude(value)
+        if not (-INT64_LIMIT <= num < INT64_LIMIT and 0 < denom < INT64_LIMIT):
+            audit_magnitude(Fraction(num, denom))
     return candidate
 
 
@@ -180,10 +190,21 @@ def build_candidate(candidate: LinkCandidate) -> LinkCandidate:
 # Canonical ordering, orientation and admission
 
 
+def _fields_getter(columns: tuple[str, ...]) -> Callable[[LinkCandidate], tuple]:
+    """A getter of the candidate fields behind these cell columns (CELL_FIELDS), as one tuple."""
+    get = operator.attrgetter(*(CELL_FIELDS[column] for column in columns))
+    return get if len(columns) > 1 else lambda candidate: (get(candidate),)
+
+
+_SORT_KEYS = {family: _fields_getter(spec.sort_columns) for family, spec in FAMILIES.items()}
+
+
 def canonical_sort_key(candidate: LinkCandidate) -> tuple:
-    """Total order within a family, matching the golden tables' layout."""
-    cells = candidate.cells()
-    return tuple(cells[column] for column in family_spec(candidate.family).sort_columns)
+    """Total order within a family, matching the golden tables' layout: its sort columns' values.
+
+    They are read from the candidate's fields (CELL_FIELDS), not from cells().
+    """
+    return _SORT_KEYS[candidate.family](candidate)
 
 
 def orientation_canonical(left_data: tuple[int, int, int], right_data: tuple[int, int, int]) -> bool:

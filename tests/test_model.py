@@ -253,6 +253,16 @@ class TestLinkCandidate:
         assert record("e1e1", (4, 3, 9, 3, 1, 5, 0)).left.cube_scale == 27
         assert record("e2e2", (8, 1)).left.cube_scale == 1
 
+    def test_cube_scale_is_kept_but_is_no_field(self):
+        # Computed once per side; equality, hashing and repr ignore it, and
+        # the side stays frozen.
+        side, fresh = SideData(ContractionType.E1, 3, 9, 3), SideData(ContractionType.E1, 3, 9, 3)
+        assert side.cube_scale == 27 and vars(side)["cube_scale"] == 27
+        assert "cube_scale" not in vars(fresh)
+        assert (side, hash(side), repr(side)) == (fresh, hash(fresh), repr(fresh))
+        with pytest.raises(AttributeError):
+            side.cube_scale = 1
+
     def test_e_over_r3(self):
         candidate = record("e1e1", (2, 2, 1, 0, 2, 1, 0))
         assert candidate.defect_e == 88

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from hashlib import sha256
 
 import pytest
@@ -29,7 +30,7 @@ from fanolink.formulas import (
 )
 from fanolink.golden import diff
 from fanolink.model import FAMILIES, ContractionType, SideData, family_id, family_spec
-from fanolink.rational import RationalOverflowError
+from fanolink.rational import RationalOverflowError, audit_magnitude
 from fanolink.search import (
     D_MAX,
     FAMILY_IDS,
@@ -273,6 +274,17 @@ class TestOrderAndOrientation:
         keys = [canonical_sort_key(c) for c in candidates]
         assert keys == sorted(keys)
         assert len(set(candidates)) == len(candidates)
+
+    @pytest.mark.parametrize("check", [None, *REGISTRY])
+    def test_sort_key_is_the_sort_columns_cells(self, enumerated, ablated, check):
+        # The key reads the candidate's fields (model.CELL_FIELDS); the
+        # reference reads the same columns from cells(), under the default
+        # checks and each single-check ablation.
+        for family in FAMILY_IDS:
+            columns = FAMILIES[family].sort_columns
+            rows = enumerated[family] if check is None else ablated(check, family)
+            for c in rows:
+                assert canonical_sort_key(c) == tuple(c.cells()[col] for col in columns)
 
     def test_e1e1_orientation_is_canonical(self, enumerated):
         for candidate in enumerated["e1e1"]:
@@ -1284,3 +1296,44 @@ class TestEmissionAudit:
         monkeypatch.setattr(formulas, "etilde_cube_numerators", lambda *args: (-(2**63), 1))
         with pytest.raises(RationalOverflowError):
             enumerate_family("e2e2")
+
+    def test_raw_values_beyond_the_range_pass_when_reduced(self, enumerated, monkeypatch):
+        # Scaling each cube's numerator and denominator by 2**63 puts the
+        # raw cubes and defects beyond the 64-bit contract but changes no
+        # value once reduced, so every row is still emitted, with the same cells.
+        real = formulas.etilde_cube_numerators
+
+        def scaled(*args):
+            num, den = real(*args)
+            return num * 2**63, den * 2**63
+
+        monkeypatch.setattr(formulas, "etilde_cube_numerators", scaled)
+        for family in FAMILY_IDS:
+            out = enumerate_family(family)
+            assert [c.cells() for c in out] == [c.cells() for c in enumerated[family]], family
+            assert all(abs(c.defect_left[0]) >= 2**63 for c in out if c.defect_e), family
+
+    def test_reduced_value_out_of_range_raises_its_reduced_message(self, monkeypatch):
+        # The cube -3*2**63 / 3 reduces to -2**63, inside the range; on an E2
+        # side (self-cube 1) the defect (3 + 3*2**63) / 3 reduces to 2**63 + 1.
+        monkeypatch.setattr(formulas, "etilde_cube_numerators", lambda *args: (-3 * 2**63, 3))
+        with pytest.raises(RationalOverflowError) as expected:
+            audit_magnitude(Fraction(3 + 3 * 2**63, 3))
+        with pytest.raises(RationalOverflowError) as raised:
+            enumerate_family("e2e2")
+        assert str(raised.value) == str(expected.value)
+
+    def test_first_bad_value_in_audit_order_is_named(self, monkeypatch):
+        # Both the cube -2**65 / 2 and the defect (2 + 2**65) / 2 reduce
+        # out of range; the cubes are audited before the defects.
+        monkeypatch.setattr(formulas, "etilde_cube_numerators", lambda *args: (-(2**65), 2))
+        with pytest.raises(RationalOverflowError, match=f"range: {-(2**64)}/1$"):
+            enumerate_family("e2e2")
+
+    def test_default_rows_are_not_reduced(self, monkeypatch):
+        # Every raw value of the 134 default rows is in range, so none goes
+        # through the reduce-and-audit path.
+        reduced = []
+        monkeypatch.setattr(search, "audit_magnitude", reduced.append)
+        rows = sum(len(enumerate_family(family)) for family in FAMILY_IDS)
+        assert (rows, reduced) == (134, [])
