@@ -228,9 +228,10 @@ _FAMILY_OF_TYPES = {spec.types: spec.id for spec in FAMILIES.values()}
 
 def family_id(left: ContractionType, right: ContractionType) -> str:
     """The id of the family with these side types; ValueError if there is none."""
-    if (left, right) not in _FAMILY_OF_TYPES:
-        raise ValueError(f"no family has side types {left.value},{right.value}")
-    return _FAMILY_OF_TYPES[(left, right)]
+    try:
+        return _FAMILY_OF_TYPES[left, right]
+    except KeyError:
+        raise ValueError(f"no family has side types {left.value},{right.value}") from None
 
 
 def family_spec(family: str) -> FamilySpec:

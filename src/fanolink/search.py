@@ -33,8 +33,14 @@ so they drop exactly what the check would reject.  The left sides come
 from the oracle's own scan, once per process (_oracle_left_sides), not
 from the enumerators' side lists.  The E1-E1 p scan walks only the class
 where the right excess is integral (_excess_class) and still tests it on
-every p, so a wrong class could only drop rows, which the agreement test
-catches.
+every p.  Each scan also stops where a test it makes leaves the box:
+E1-E1 walks rp <= r (orientation_canonical keeps r > rp when they
+differ) and leaves the p walk once 2*gp - 2, floored, passes
+2*G_MAX[rp] - 2, since its numerator rises with p above q*sig/kx3;
+E1-point leaves the alpha_plus walk once ap*(ap*kx3 + 2*bp*c) passes its
+target with ap*kx3 + bp*c > 0, from where it only rises.  Every visited
+value meets every test, so a wrong class or bound could only drop rows,
+which the agreement test catches, never admit one.
 
 The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
@@ -630,11 +636,12 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
     of deriving the coefficient from the two excesses in closed form.  The
     left sides are the oracle's own per-process list, and p walks only the
     class where the right excess is integral (_excess_class), which it
-    still tests; the module doc says why both keep the route independent.
+    still tests, up to the genus cap; the module doc says why these bounds
+    keep the route independent.
     """
     results: list[LinkCandidate] = []
     for kx3, r, d, g, sig in _oracle_left_sides():
-        for rp in range(1, 5):
+        for rp in range(1, r + 1):  # rp > r fails orientation_canonical
             sig_p_cap = sigma(rp, D_MAX, 0)  # the largest excess on the grid
             rp2, gp_max = rp * rp, G_MAX[rp]
             for q in range(1, 5):
@@ -647,6 +654,8 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     # Genus relation solved directly for the right genus.
                     two_gp_minus_2, rem = divmod(rp2 * (p * (p * kx3 - two_q_sig) + genus_q), den)
+                    if two_gp_minus_2 > 2 * gp_max - 2:
+                        break  # the numerator rises with p > q*sig/kx3: no later gp fits
                     if rem or two_gp_minus_2 % 2 != 0:
                         continue
                     gp = (two_gp_minus_2 + 2) // 2
@@ -676,7 +685,8 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
 def _oracle_e1estar(family: str, star: ContractionType) -> tuple[LinkCandidate, ...]:
     """Independent E1-point route: quadratic relation as the generator.
 
-    alpha_plus is scanned over the full integer box and kept when the
+    alpha_plus is scanned over the integer box, up to where the relation's
+    left side passes its target for good, and kept when the
     quadratic consistency relation vanishes (the primary route instead
     pins it through the linear excess relation); survivors still face the
     full check suite.
@@ -692,7 +702,10 @@ def _oracle_e1estar(family: str, star: ContractionType) -> tuple[LinkCandidate, 
             # res3 = 0 rearranged: ap*(ap*kx3 + 2*bp*c) = 2*bp^2 - (2-2g).
             rhs = 2 * bp * bp - two_minus_2g
             for ap in range(1, MAX_ALPHA_PLUS + 1):
-                if ap * (ap * kx3 + 2 * bp * c) != rhs:
+                lhs = ap * (ap * kx3 + 2 * bp * c)
+                if lhs != rhs:
+                    if lhs > rhs and ap * kx3 + bp * c > 0:
+                        break  # past the vertex lhs only rises: no later ap gives rhs
                     continue
                 candidate = record(family, (kx3, r, d, g, ap, bp))
                 _admit(candidate, DEFAULT_CHECKS, None, (), results)

@@ -211,6 +211,97 @@ class TestConstants:
                     scanned += len(window)
         assert (visited, scanned) == (79_320, 129_770)
 
+    def test_oracle_leaves_out_only_p_its_tests_reject(self, monkeypatch):
+        # The E1-E1 oracle walks rp <= r only and breaks its p walk at the
+        # genus cap.  Against the unbounded walk (every rp in 1..4, the whole
+        # class), every p it leaves out must fail orientation_canonical (the
+        # rp > r ones) or the genus test 0 <= gp <= G_MAX[rp], solved here.
+        excess_class = search._excess_class
+        calls = []  # [args, number of p drawn] per p walk, in the oracle's order
+
+        def counting(*args):
+            calls.append([args, 0])
+            for p in excess_class(*args):
+                calls[-1][1] += 1
+                yield p
+
+        monkeypatch.setattr(search, "_excess_class", counting)
+        search._oracle_e1e1()
+        walks = iter(calls)
+        unbounded = bounded = by_orientation = by_genus = 0
+        for kx3, r, d, g, sig in search._oracle_left_sides():
+            for rp in range(1, 5):
+                for q in range(1, 5):
+                    lo = max(1, (q * sig) // kx3 + 1)
+                    hi = (q * (sig * rp + r * (D_MAX * rp + 2))) // (rp * kx3)
+                    walk = list(excess_class(kx3, r, sig, rp, q, lo, hi))
+                    unbounded += len(walk)
+                    if rp > r:
+                        assert not orientation_canonical((r, d, g), (rp, 1, 0))
+                        by_orientation += len(walk)
+                        continue
+                    args, drawn = next(walks)
+                    assert args == (kx3, r, sig, rp, q, lo, hi)
+                    bounded += drawn
+                    for p in walk[drawn:]:
+                        numerator = rp * rp * (p * (p * kx3 - 2 * q * sig) + q * q * (2 * g - 2))
+                        two_gp_minus_2, rem = divmod(numerator, r * r * q * q)
+                        gp_fits = 0 <= two_gp_minus_2 + 2 <= 2 * G_MAX[rp]
+                        assert rem or two_gp_minus_2 % 2 or not gp_fits, (kx3, r, d, g, rp, q, p)
+                        by_genus += 1
+        assert next(walks, None) is None
+        assert (unbounded, bounded) == (79_320, 30_188)
+        assert (by_orientation, by_genus) == (35_169, 13_963)
+
+    @pytest.mark.parametrize(
+        ("family", "visits", "records"),
+        [("e1e2", 2_925, 79), ("e1e3", 2_689, 119), ("e1e5", 2_329, 141)],
+    )
+    def test_e1_point_oracle_breaks_only_past_the_quadratics_root(
+        self, monkeypatch, family, visits, records
+    ):
+        # The E1-point oracle breaks its alpha_plus walk once lhs =
+        # ap*(ap*kx3 + 2*bp*c) exceeds rhs past the vertex (ap*kx3 + bp*c > 0).
+        # Its loop is a plain range; a module-level `range` in search shadows
+        # the builtin to count what each alpha_plus walk draws.  Every walk
+        # must stop exactly there, and no alpha_plus in the box after it may
+        # satisfy the quadratic relation; the tuples that do are the ones the
+        # oracle derives.
+        box = range(1, MAX_ALPHA_PLUS + 1)
+        drawn = []  # the last alpha_plus each walk drew, in the oracle's order
+        derived = []
+
+        def counting_range(*args):
+            return counting_box() if range(*args) == box else range(*args)
+
+        def counting_box():
+            drawn.append(0)
+            for ap in box:
+                drawn[-1] = ap
+                yield ap
+
+        star = family_spec(family).types[1]
+        monkeypatch.setattr(search, "range", counting_range, raising=False)
+        monkeypatch.setattr(search, "record", lambda *args: derived.append(args) or record(*args))
+        search._oracle_e1estar(family, star)
+        monkeypatch.undo()
+        walks, c, solved = iter(drawn), star_sigma(star), []
+        for kx3, r, d, g, _ in search._oracle_left_sides():
+            if not search._degree_ok(kx3, search._side(star)):
+                continue
+            for bp in range(-r, 0):
+                rhs = 2 * bp * bp - (2 - 2 * g)
+                lhs = {ap: ap * (ap * kx3 + 2 * bp * c) for ap in box}
+                stop = next(
+                    (ap for ap in box if lhs[ap] > rhs and ap * kx3 + bp * c > 0), box[-1]
+                )
+                assert next(walks) == stop, (kx3, r, g, bp)
+                assert all(lhs[ap] != rhs for ap in box if ap > stop), (kx3, r, g, bp)
+                solved += [(family, (kx3, r, d, g, ap, bp)) for ap in box if lhs[ap] == rhs]
+        assert next(walks, None) is None
+        assert derived == solved
+        assert (sum(drawn), len(solved)) == (visits, records)
+
     def test_enlarged_box_gives_the_same_rows(self, enumerated, monkeypatch):
         # D_MAX 30 and every G_MAX doubled; the side lists are rebuilt from it.
         grid = {
