@@ -24,6 +24,13 @@ whole record), what it reads on a walk where that is less, and the
 enumerator walks whose pairs pass it by construction.  record_plan derives
 from that table the checks a walk still runs on each record; explain and
 the oracles run the full suite.
+
+Four checks read only integers an E1 walk has before it derives a record
+(KERNEL_ARGS): ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE the
+cube and defect numerators and the sides' cube scales, DIOPHANTINE the
+fields the residual system reads.  Each is one integer predicate over
+those fields: its passes reads them from a record, and the walks call it
+on a tuple's own (kernel_plan, search._kernel).
 """
 
 from __future__ import annotations
@@ -94,29 +101,37 @@ def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
     return f"target degree {ky3} at index {index}"
 
 
-def _residuals(rec: LinkCandidate) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _residuals(
+    kx3: int, left: SideData, right: SideData, sigma_left: int, sigma_right: int,
+    pair: Pair, pair_plus: Pair,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The residual system as (numerators, their positive denominators), by shape.
 
-    A family's curve side, if any, is the left one.  Star-star: each
+    It reads the fields KERNEL_ARGS["residuals"] names, in that order.  A
+    family's curve side, if any, is the left one.  Star-star: each
     coefficient satisfies the symmetric degree relation, alpha*kx3 - 2*sigma
     over its pair's denominator on each side.  A residual vanishes exactly
     when its numerator does.
     """
-    pair, pair_plus, left = rec.pair, rec.pair_plus, rec.left
     den, den_p = pair[2], pair_plus[2]
     if not left.is_e1:
         numerators = (
-            pair[0] * rec.kx3 - 2 * rec.sigma_left * den,
-            pair_plus[0] * rec.kx3 - 2 * rec.sigma_right * den_p,
+            pair[0] * kx3 - 2 * sigma_left * den,
+            pair_plus[0] * kx3 - 2 * sigma_right * den_p,
         )
         return numerators, (den, den_p)
-    if rec.right.is_e1:
+    if right.is_e1:
         return e1e1_residual_numerators(
-            rec.kx3, pair, pair_plus, left.g, rec.sigma_left, rec.right.g, rec.sigma_right
+            kx3, pair, pair_plus, left.g, sigma_left, right.g, sigma_right
         ), (den * den, den_p * den_p)
     return e1estar_residual_numerators(
-        rec.kx3, pair, pair_plus, left.r, left.d, left.g, rec.sigma_right
+        kx3, pair, pair_plus, left.r, left.d, left.g, sigma_right
     ), (den * den, den, den_p * den_p, den_p)
+
+
+def _diophantine(*fields) -> bool:
+    """DIOPHANTINE's verdict on the fields _residuals reads: every residual numerator vanishes."""
+    return not any(_residuals(*fields)[0])
 
 
 def _ratios(numerators: Iterable[int], denominators: Iterable[int]) -> str:
@@ -192,17 +207,23 @@ def _coeff_integrality_detail(rec: LinkCandidate) -> str:
     )
 
 
-def _defect_positive(rec: LinkCandidate) -> bool:
-    (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
+# The verdicts of scope "cubes": each takes the fields KERNEL_ARGS["cubes"]
+# names, in that order; the sides give their cube scales.
+def _etilde_integral(left, right, cube_left, cube_right, defect_left, defect_right) -> bool:
+    return cube_left[0] % cube_left[1] == 0 and cube_right[0] % cube_right[1] == 0
+
+
+def _defect_positive(left, right, cube_left, cube_right, defect_left, defect_right) -> bool:
+    (num_left, den_left), (num_right, den_right) = defect_left, defect_right
     positive = num_left > 0 and num_right > 0
     return positive and num_left % den_left == 0 and num_right % den_right == 0
 
 
-def _defect_divisible(rec: LinkCandidate) -> bool:
+def _defect_divisible(left, right, cube_left, cube_right, defect_left, defect_right) -> bool:
     # e / scale is an integer exactly when scale * den(e) divides num(e).
-    (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
-    norm_left, rem_left = divmod(num_left, rec.left.cube_scale * den_left)
-    norm_right, rem_right = divmod(num_right, rec.right.cube_scale * den_right)
+    (num_left, den_left), (num_right, den_right) = defect_left, defect_right
+    norm_left, rem_left = divmod(num_left, left.cube_scale * den_left)
+    norm_right, rem_right = divmod(num_right, right.cube_scale * den_right)
     return rem_left == 0 and rem_right == 0 and norm_left == norm_right
 
 
@@ -284,6 +305,17 @@ def _beta_plus_range_detail(rec: LinkCandidate) -> str:
 _LEFT = frozenset({"kx3", "left", "sigma_left", "kY3_left"})
 _RIGHT = frozenset({"kx3", "right", "sigma_right", "kY3_right"})
 
+# The fields a kernel check's verdict takes, in order, by its scope.  An E1
+# walk computes them for a tuple before it derives the record
+# (search._kernel): the sides, and the cubes and defects from the pairs
+# (formulas.cube_numerators) or the pairs themselves.  The check's passes
+# reads them from a record (_kernel_check).
+KERNEL_ARGS: dict[str, tuple[str, ...]] = {
+    "cubes": ("left", "right", "etilde3_left", "etilde3_right", "defect_left", "defect_right"),
+    "residuals": ("kx3", "left", "right", "sigma_left", "sigma_right", "pair", "pair_plus"),
+}
+KERNEL_SCOPES = frozenset(KERNEL_ARGS)
+
 # The candidate fields (model.LinkCandidate) a verdict of each scope reads.
 SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "kx3": frozenset({"kx3"}),
@@ -292,6 +324,7 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "each side": _LEFT | _RIGHT,  # each side and kx3 apart; a failing side fails every pair
     "both sides": _LEFT | _RIGHT,  # the two sides and kx3 together
     "left and pair": frozenset({"left", "pair"}),  # the left side's index and the pair
+    **{scope: frozenset(fields) for scope, fields in KERNEL_ARGS.items()},
     "record": frozenset(LinkCandidate._fields),
 }
 
@@ -316,12 +349,31 @@ _ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset(), symmetric_pairs:
 
 
 class Check(NamedTuple):
-    """A registry entry: what the check demands, its verdict, its detail text and its scope."""
+    """A registry entry: what the check demands, its verdict, its detail text and its scope.
+
+    A kernel check (scope KERNEL_ARGS) also holds its verdict on the fields
+    its scope names, which its passes calls on a record's.
+    """
 
     description: str
     passes: Callable[[LinkCandidate], bool]
     describe: Callable[[LinkCandidate], str]
     scope: Scope
+    on_fields: Callable[..., bool] | None = None
+
+
+def _kernel_check(
+    description: str,
+    verdict: Callable[..., bool],
+    describe: Callable[[LinkCandidate], str],
+    scope: Scope,
+) -> Check:
+    """A check whose verdict takes the fields KERNEL_ARGS[scope.reads] names, in that order."""
+    fields = operator.attrgetter(*KERNEL_ARGS[scope.reads])
+    return Check(description, lambda c: verdict(*fields(c)), describe, scope, verdict)
+
+
+_residual_fields = operator.attrgetter(*KERNEL_ARGS["residuals"])
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -351,13 +403,13 @@ REGISTRY: dict[str, Check] = {
         lambda c: _degree_detail(c.right, c.kY3_right),
         Scope("right", on={star_pairs: "kx3"}),  # a point right side is fixed per kx3
     ),
-    "DIOPHANTINE": Check(
+    "DIOPHANTINE": _kernel_check(
         "the exact residual system vanishes",
-        lambda c: not any(_residuals(c)[0]),
-        lambda c: "residuals " + _ratios(*_residuals(c)),
+        _diophantine,
+        lambda c: "residuals " + _ratios(*_residuals(*_residual_fields(c))),
         # The E1-E1 walk derives a pair only after its genus-form test, which
         # is DIOPHANTINE's exact decision there (formulas.genus_form).
-        Scope("record", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
+        Scope("residuals", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
     ),
     "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
@@ -368,12 +420,11 @@ REGISTRY: dict[str, Check] = {
         # nonzero once SIGMA_POS keeps both excesses positive.
         Scope("record", {**_ANY_PAIRS, e1e1_pairs: frozenset({"SIGMA_POS"})}),
     ),
-    "ETILDE_INTEGRAL": Check(
+    "ETILDE_INTEGRAL": _kernel_check(
         "both flopped divisor cubes are integers",
-        lambda c: c.etilde3_left[0] % c.etilde3_left[1] == 0
-        and c.etilde3_right[0] % c.etilde3_right[1] == 0,
+        _etilde_integral,
         lambda c: f"transform cubes {Fraction(*c.etilde3_left)}, {Fraction(*c.etilde3_right)}",
-        Scope("record"),
+        Scope("cubes"),
     ),
     "GCD_LEFT": Check(
         "left-basis decomposition of the flopped divisor is primitive",
@@ -396,17 +447,17 @@ REGISTRY: dict[str, Check] = {
         _coeff_integrality_detail,
         Scope("record", _ANY_PAIRS),  # every point-side pair is over 1
     ),
-    "DEFECT_POSITIVE": Check(
+    "DEFECT_POSITIVE": _kernel_check(
         "both flop defects are positive integers",
         _defect_positive,
         lambda c: f"defects {Fraction(*c.defect_left)}, {Fraction(*c.defect_right)}",
-        Scope("record"),
+        Scope("cubes"),
     ),
-    "DEFECT_DIVISIBLE": Check(
+    "DEFECT_DIVISIBLE": _kernel_check(
         "defects agree after dividing by the index cubes",
         _defect_divisible,
         _defect_divisible_detail,
-        Scope("record"),
+        Scope("cubes"),
     ),
     "HODGE": Check(
         "curve-corrected Hodge numbers balance across the link",
@@ -474,6 +525,26 @@ def record_plan(
         if name in enabled
         and check.scope.on.get(pairs, check.scope.reads) not in decided
         and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
+    )
+
+
+@functools.cache
+def kernel_plan(pairs: Callable, enabled: frozenset[str]) -> tuple[tuple, ...]:
+    """A walk's kernel: per KERNEL_ARGS scope, in that order, its (name, field verdict) pairs.
+
+    They are the checks of the walk's record plan, with nothing decided,
+    whose scope on the walk is that scope, in registry order.  A walk that
+    decides KERNEL_SCOPES runs them on a tuple's fields before deriving it,
+    and record_plan drops the same checks from its records.
+    """
+    undecided = record_plan(pairs, enabled, frozenset())
+    return tuple(
+        tuple(
+            (name, check.on_fields)
+            for name, check in REGISTRY.items()
+            if name in undecided and check.scope.on.get(pairs, check.scope.reads) == scope
+        )
+        for scope in KERNEL_ARGS
     )
 
 

@@ -13,7 +13,8 @@ Three subcommands cover the engine's workflow:
 
 Exit codes: 0 success (and exact match for verify), 1 verification
 mismatch, 2 usage error, 3 internal error (bad packaged data, I/O
-failure, arithmetic guard).
+failure, including a closed or broken stdout or stderr that the command
+writes to, arithmetic guard).
 
 The tool reads no network and writes nothing except an explicit --out
 file.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -39,6 +41,27 @@ from .rational import RationalOverflowError, as_integer, audit_magnitude, render
 # this many, at most about 250 kB, under the 1 MiB mmap threshold main() sets
 # (README, "Memory").
 TRACE_CHUNK_LINES = 4096
+
+
+class _ClosedStream:
+    """Stands in for a standard stream the process started without: a write fails, naming it."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def write(self, text: str) -> int:
+        raise OSError(f"{self.name} is closed")
+
+    def flush(self) -> None:
+        pass
+
+
+def _report(message: str) -> None:
+    """Print an error message to stderr; a stderr that fails to take it is left as it is."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _parse_families(value: str) -> list[str]:
@@ -164,7 +187,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         families = _parse_families(args.families)
         checks_mod.validate_check_ids(args.disable_check)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     enabled = frozenset(checks_mod.DEFAULT_CHECKS - set(args.disable_check))
 
@@ -193,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         families = _parse_families(args.families)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     any_mismatch = False
     for family in families:
@@ -254,7 +277,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 values = (Fraction(lead, den), Fraction(diff_term, den))
                 decompositions.append((role, plus, tuple(map(audit_magnitude, values))))
     except (ValueError, RationalOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
 
     coeffs = candidate.coeffs
@@ -298,33 +321,48 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     # Map every block of 1 MiB or more: glibc mallopt(M_MMAP_THRESHOLD=-3); README, "Memory".
     getattr(__import__("ctypes").pythonapi, "mallopt", lambda *_: 0)(-3, 1 << 20)
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:  # the process started with that descriptor closed
+            setattr(sys, name, _ClosedStream(name))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors.
         return int(exc.code or 0)
-
-    if args.list_checks:
-        _print_check_listing(sys.stdout)
-        return 0
-    if args.command is None:
+    if args.command is None and not args.list_checks:
         parser.print_usage(sys.stderr)
         return 2
 
     try:
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_explain(args)
+        if args.list_checks:
+            _print_check_listing(sys.stdout)
+            code = 0
+        elif args.command == "enumerate":
+            code = _cmd_enumerate(args)
+        elif args.command == "verify":
+            code = _cmd_verify(args)
+        else:
+            code = _cmd_explain(args)
+        # What is still buffered must reach its stream too, or fail here.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        return code
     except Exception as exc:  # noqa: BLE001 - contract: internal errors exit 3
-        print(f"internal error: {exc}", file=sys.stderr)
+        _report(f"internal error: {exc}")
         return 3
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # The bytes left in a stream that failed would fail the
+            # interpreter's exit flush again (exit 120): send them nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

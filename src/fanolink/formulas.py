@@ -212,6 +212,9 @@ SideTerm = tuple[SideData, IntersectionConstants, "Fraction | int"]
 # The first seven fields of a LinkCandidate (kx3, the two sides, their
 # excesses and target degrees), with the sides' intersection constants.
 SideTerms = tuple[tuple, IntersectionConstants, IntersectionConstants]
+# The last four fields of a LinkCandidate: its two flopped-divisor cubes and
+# its two flop defects, each as (numerator, denominator).
+Cubes = tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
 def side_term(kx3: int, side: SideData) -> SideTerm:
@@ -230,29 +233,34 @@ def side_terms(kx3: int, left: SideTerm, right: SideTerm) -> SideTerms:
     return fields, const_left, const_right
 
 
-def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> LinkCandidate:
-    """A tuple's candidate: every quantity the checks read, in integers.
+def cube_numerators(sides: SideTerms, pair: Pair, pair_plus: Pair) -> Cubes:
+    """A tuple's flopped-divisor cubes and flop defects (Cubes), from its side terms and pairs.
 
-    sides comes from side_terms; pair and pair_plus are the coefficient
-    pairs.  The left side's flopped divisor is expanded in the right basis
-    with (alpha_plus, beta_plus), and the right one in the left basis with
+    The left side's flopped divisor is expanded in the right basis with
+    (alpha_plus, beta_plus), and the right one in the left basis with
     (alpha, beta).
     """
     fields, const_left, const_right = sides
-    kx3 = fields[0]
-    cube_left = etilde_cube_numerators(pair_plus, kx3, const_right)
-    cube_right = etilde_cube_numerators(pair, kx3, const_left)
-    return _candidate(
-        (
-            *fields,
-            pair,
-            pair_plus,
-            cube_left,
-            cube_right,
-            defect_numerators(const_left.e3self, cube_left),
-            defect_numerators(const_right.e3self, cube_right),
-        )
+    cube_left = etilde_cube_numerators(pair_plus, fields[0], const_right)
+    cube_right = etilde_cube_numerators(pair, fields[0], const_left)
+    return (
+        cube_left,
+        cube_right,
+        defect_numerators(const_left.e3self, cube_left),
+        defect_numerators(const_right.e3self, cube_right),
     )
+
+
+def derive(
+    sides: SideTerms, pair: Pair, pair_plus: Pair, cubes: Cubes | None = None
+) -> LinkCandidate:
+    """A tuple's candidate: every quantity the checks read, in integers.
+
+    sides comes from side_terms; pair and pair_plus are the coefficient
+    pairs; cubes, if given, is their cube_numerators, already computed.
+    """
+    cubes = cubes or cube_numerators(sides, pair, pair_plus)
+    return _candidate((*sides[0], pair, pair_plus, *cubes))
 
 
 # LinkCandidate(*fields) without the Python-level __new__: one per tuple decided.

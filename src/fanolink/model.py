@@ -25,6 +25,11 @@ class ContractionType(enum.Enum):
     E34 = "E3/E4"    # quadric-surface contraction (the two quadric cases behave identically here)
     E5 = "E5"        # contraction of a plane with normal degree -2
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; Enum's own __hash__ hashes the name in Python,
+    # and every family lookup, point-type lookup and side hash pays for it.
+    __hash__ = object.__hash__
+
 
 class ExistenceStatus(enum.Enum):
     """Geometric realization status recorded for a golden row."""

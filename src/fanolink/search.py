@@ -5,14 +5,24 @@ Two independent routes produce every family's candidate set:
 * The primary enumerators loop over the documented search space, derive
   the flop coefficients in closed form (or scan the integer coefficient
   box for the point-type families), prune with exact integer forms of the
-  residual system, and decide each remaining tuple on its integer
-  candidate (formulas.derive) through the check suite.  Only a kept row
-  is audited (build_candidate).  An E1-E1 run joins each left side to its
-  partners by genus form (formulas.genus_form), or, untraced and without
-  DIOPHANTINE, by HODGE's per-side value.  An E1-point run decides once
-  per kx3, left side or (r, beta_plus, alpha_plus) each check that reads
-  no more, traced or not; an untraced run skips what they reject
-  (enumerate_e1e1, enumerate_e1estar).
+  residual system, and decide each remaining tuple through the check
+  suite.  Only a kept row is audited (build_candidate).  An E1-E1 run
+  joins each left side to its partners by genus form
+  (formulas.genus_form), or, untraced and without DIOPHANTINE, by HODGE's
+  per-side value.  An E1-point run decides once per kx3, left side or
+  (r, beta_plus, alpha_plus) each check that reads no more, traced or not;
+  an untraced run skips what they reject (enumerate_e1e1,
+  enumerate_e1estar).
+* Both E1 walks then decide each tuple's kernel checks on integers before
+  deriving it (_decide): ETILDE_INTEGRAL, DEFECT_POSITIVE and
+  DEFECT_DIVISIBLE on the cube and defect numerators
+  (formulas.cube_numerators), and on the E1-point walk DIOPHANTINE on the
+  residual numerators.  The walks call the checks' own verdicts
+  (checks.kernel_plan, checks.KERNEL_ARGS), which REGISTRY's passes call
+  on a record.  An untraced run derives (formulas.derive) only a tuple
+  that passes them all, for the checks left in its record plan; a traced
+  run names their failures among the others, and derives a record only
+  where checks are left to run on it.
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -68,17 +78,21 @@ from .catalog import is_valid_fano_degree
 from .checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
+    KERNEL_SCOPES,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     _hodge_sum,
     _plan,
     _primitive,
+    kernel_plan,
     record_plan,
     run_checks,
 )
 from .formulas import (
+    Cubes,
     SideTerm,
     SideTerms,
+    cube_numerators,
     derive,
     e1e1_pairs,
     genus_form,
@@ -122,6 +136,7 @@ TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 # prune each E1 side (SIGMA_POS, FANO_DEGREE_*), and a point side's excess
 # is positive.  The E1-point walk decides the rest of what its scopes fix
 # once per kx3, left side and (r, beta_plus, alpha_plus) (enumerate_e1estar).
+# Both E1 walks also decide checks.KERNEL_SCOPES on each tuple (_decide).
 _KX3_DECIDED = frozenset({"kx3"})
 _SIDES_DECIDED = frozenset({"kx3", "left", "right", "each side"})
 _STAR_DECIDED = _SIDES_DECIDED | {"left and pair"}
@@ -262,6 +277,68 @@ def _admit(
         trace("full", data, failed)
     if not failed:
         results.append(build_candidate(candidate))
+
+
+def _kernel(
+    sides: SideTerms, pairs: tuple, kernel: tuple, short_circuit: bool = False
+) -> tuple[Cubes, list[str]]:
+    """A tuple's cubes, and the checks of an E1 walk's kernel (checks.kernel_plan) it fails.
+
+    Each verdict gets the fields checks.KERNEL_ARGS names for its scope:
+    the sides and the cubes, or kx3, the sides, their excesses and the
+    pairs.  The failures come in registry order within each scope; with
+    short_circuit only the first is named.
+    """
+    fields = sides[0]
+    cubes = cube_numerators(sides, *pairs)
+    on_cubes, on_residuals = kernel
+    failed, args = [], (fields[1], fields[2], *cubes)
+    for name, verdict in on_cubes:
+        if not verdict(*args):
+            failed.append(name)
+            if short_circuit:
+                return cubes, failed
+    for name, verdict in on_residuals:
+        if not verdict(*fields[:5], *pairs):
+            failed.append(name)
+            if short_circuit:
+                break
+    return cubes, failed
+
+
+@functools.cache
+def _in_registry_order(names: frozenset[str]) -> tuple[str, ...]:
+    """The check names in registry order, once per set of names."""
+    return tuple(name for name, _ in _plan(names))
+
+
+def _decide(
+    sides: SideTerms,
+    pairs: tuple,
+    kernel: tuple,
+    plan: frozenset[str],
+    trace: TraceFn | None,
+    data: tuple,
+    results: list[LinkCandidate],
+    known: frozenset[str] = frozenset(),
+) -> None:
+    """Decide one tuple of an E1 walk: its kernel checks on integers first, then its record.
+
+    known holds the checks the walk decided the tuple fails before (traced
+    runs only).  An untraced run skips a tuple that fails a kernel check,
+    without deriving it.  A traced run adds the kernel's failures to known;
+    it derives the record only while the walk's record plan has checks
+    left to run on it, and otherwise traces the failures alone.
+    """
+    cubes, failed = _kernel(sides, pairs, kernel, trace is None)
+    if failed:
+        if trace is None:
+            return
+        known = known.union(failed)
+    if known and not plan:
+        trace("full", data, _in_registry_order(known))
+        return
+    _admit(derive(sides, *pairs, cubes), plan, trace, data, results, known)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +482,12 @@ def enumerate_e1e1(
     (_hodge_values, once per (kx3, r, d, g) and run, whichever role the
     side plays): the check passes exactly when the two values are equal.
     Any other run walks each right side; only the iterable differs.
-    Each record is checked against the walk's record plan
-    (checks.record_plan): the genus-form test decides DIOPHANTINE, the side
-    lists the side checks, and the closed-form pairs the coefficient checks
-    (COEFF_RELATIONS while SIGMA_POS is enabled).  HODGE stays in the plan,
-    so a wrong Hodge join could only drop rows.
+    Each tuple is decided by the kernel's cube checks on integers first,
+    then on its record against the walk's record plan (checks.record_plan):
+    the genus-form test decides DIOPHANTINE, the side lists the side checks,
+    and the closed-form pairs the coefficient checks (COEFF_RELATIONS while
+    SIGMA_POS is enabled).  HODGE stays in the plan, so a wrong Hodge join
+    could only drop rows.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
@@ -419,7 +497,8 @@ def enumerate_e1e1(
     hodge = {key: _hodge_values(left[key], right[key][0]) for key in indices if by_hodge}
     right_by_hodge = {key: _by_hodge(right[key][0], hodge[key]) for key in hodge}
     blocks = trace is not None and fast
-    plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED)
+    plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED | KERNEL_SCOPES)
+    kernel = kernel_plan(e1e1_pairs, frozenset(enabled))
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
@@ -444,8 +523,8 @@ def enumerate_e1e1(
                         _pair_fast(trace, data, cells, right_verdicts, start, at)
                         start = at + 1
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
-                    candidate = derive(side_terms(kx3, left_term, right_term), *pairs)
-                    _admit(candidate, plan, trace, (kx3, r, d, g, rp, dp, gp), results)
+                    sides = side_terms(kx3, left_term, right_term)
+                    _decide(sides, pairs, kernel, plan, trace, (kx3, r, d, g, rp, dp, gp), results)
                 if blocks:
                     _pair_fast(trace, data, cells, right_verdicts, start, stop)
     return tuple(sorted(results, key=canonical_sort_key))
@@ -481,21 +560,23 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
-    Each tuple left is decided on its integer candidate, against the walk's
-    record plan (checks.record_plan): the side lists decide the E1 side's
+    Each tuple left is decided against the walk's record plan
+    (checks.record_plan): the side lists decide the E1 side's
     checks, and the star pairs inside the box pass the coefficient checks
     (COEFF_RELATIONS, COEFF_INTEGRALITY, ALPHA_PLUS_BOUND, BETA_PLUS_RANGE)
     and the point side's GCD_RIGHT by construction.
 
     Four more checks read less than a record on this walk (checks.Scope.on),
-    so it decides each once, with the check's own calls, before deriving:
+    so it decides each once, with the check's own calls, before the kernel:
     per kx3 FANO_DEGREE_RIGHT, and HYPERELLIPTIC_SYM, which fails at kx3 = 2
     since an E1 side never equals a point side; per left side HODGE, which
     on a smooth point target (E2) asks that the side's value (_hodge_key)
     equal the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
     (_gcd_left_alpha_pluses).  An untraced run skips whatever a decision
-    fails.  A traced run derives every tuple, checks it against the rest of
-    the plan, and names the decided failures among the others (_admit).
+    fails.  The kernel (_decide) decides the rest of the plan, the cube
+    checks and DIOPHANTINE, so a run derives only the tuples it admits; a
+    traced run names every tuple's failures, decided or not, in registry
+    order.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)
@@ -503,7 +584,8 @@ def enumerate_e1estar(
     fast = "DIOPHANTINE" in enabled
     gcd_left = "GCD_LEFT" in enabled
     hodge = "HODGE" in enabled and right.target_index is not None
-    plan = record_plan(star_pairs, enabled, _STAR_DECIDED)
+    plan = record_plan(star_pairs, enabled, _STAR_DECIDED | KERNEL_SCOPES)
+    kernel = kernel_plan(star_pairs, enabled)
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         right_term = side_term(kx3, right)
@@ -541,8 +623,8 @@ def enumerate_e1estar(
                             known |= {"GCD_LEFT"}
                         if sides is None:
                             sides = side_terms(kx3, left_term, right_term)
-                        candidate = derive(sides, *star_pairs(ap, bp))
-                        _admit(candidate, plan, trace, (kx3, r, d, g, ap, bp), results, known)
+                        pairs, data = star_pairs(ap, bp), (kx3, r, d, g, ap, bp)
+                        _decide(sides, pairs, kernel, plan, trace, data, results, known)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fanolink.checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
+    KERNEL_ARGS,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
@@ -101,9 +102,15 @@ class TestRegistry:
                 assert needs <= DEFAULT_CHECKS, name
         scoped = {name for name, check in REGISTRY.items() if check.scope.reads != "record"}
         assert scoped == {
-            "SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "HODGE",
-            "HYPERELLIPTIC_SYM",
+            "SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE",
+            "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
+        # A kernel check (scope in KERNEL_ARGS) holds its verdict on the
+        # scope's fields, and no other check has one.
+        kernel = {name for name, check in REGISTRY.items() if check.scope.reads in KERNEL_ARGS}
+        assert kernel == {"DIOPHANTINE", "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"}
+        for name, check in REGISTRY.items():
+            assert (check.on_fields is not None) == (name in kernel), name
 
     @pytest.mark.parametrize("ids", [{"HODGE", "NOT_A_CHECK"}, {""}])
     def test_record_plan_raises_on_a_bad_id(self, ids):

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import fanolink
 from fanolink import formulas
 from fanolink import golden as golden_mod
 from fanolink import search as search_mod
@@ -534,3 +541,95 @@ class TestRepeatedCalls:
         )
         assert default == fresh
         assert ablated != fresh
+
+
+# The commands of the output-stream matrix: each subcommand, and --list-checks.
+STREAM_COMMANDS = {
+    "list-checks": ["--list-checks"],
+    "enumerate": ["enumerate", "--families", "e5e5"],
+    "enumerate-trace": ["enumerate", "--families", "e5e5", "--trace-rejections"],
+    "verify": ["verify", "--families", "e5e5"],
+    "explain": ["explain", "e5e5", "row", "1"],
+}
+STREAMS = {"stdout": 1, "stderr": 2}
+BREAKS = ("closed pipe", "closed fd")
+OUT_PATHS = {"missing": "missing/out.csv", "empty": "", "directory": "."}
+
+
+def _run_cli(argv: list[str], cwd: str, broken: str | None = None, how: str | None = None):
+    """Run the CLI in a fresh interpreter in cwd, with stdout or stderr broken as how says.
+
+    A closed pipe has no reader left, so a write to it fails; a closed fd is
+    closed by the shell before the interpreter starts.  Returns the exit
+    code and the captured bytes of each stream that is not broken.
+    """
+    command = [sys.executable, "-m", "fanolink.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(fanolink.__file__).parents[1])}
+    pipes = {name: subprocess.PIPE for name in STREAMS}
+    if how == "closed fd":
+        command = ["sh", "-c", f'exec "$@" {STREAMS[broken]}>&-', "sh", *command]
+    elif how == "closed pipe":
+        read, pipes[broken] = os.pipe()
+        os.close(read)
+    try:
+        done = subprocess.run(command, cwd=cwd, env=env, timeout=120, **pipes)
+    finally:
+        if how == "closed pipe":
+            os.close(pipes[broken])
+    return done.returncode, done.stdout or b"", done.stderr or b""
+
+
+@functools.cache
+def _stream_matrix() -> dict[tuple, tuple]:
+    """Every matrix case's run and every --out case's, four at a time, in an empty directory."""
+    cases = [(name, s, how) for name in STREAM_COMMANDS for s in STREAMS for how in BREAKS]
+    cases += [("out", path, None) for path in OUT_PATHS]
+    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(4) as pool:
+
+        def run(case):
+            name, broken, how = case
+            if name == "out":
+                argv = ["enumerate", "--families", "e5e5", "--out", OUT_PATHS[broken]]
+                return _run_cli(argv, cwd)
+            return _run_cli(STREAM_COMMANDS[name], cwd, broken, how)
+
+        return dict(zip(cases, pool.map(run, cases)))
+
+
+class TestOutputStreams:
+    """A closed or broken stdout or stderr ends in exit 0 or 3, never in an escaped exception.
+
+    A command exits 0 when it writes nothing to the broken stream, and 3,
+    with the failure on stderr if stderr works, when a write to it fails.
+    """
+
+    @pytest.mark.parametrize("how", BREAKS)
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("name", STREAM_COMMANDS)
+    def test_each_command_with_a_broken_stream(self, capsys, name, stream, how):
+        code, out, err = _stream_matrix()[name, stream, how]
+        for text in (out, err):
+            assert b"Traceback" not in text and b"Exception ignored" not in text
+        assert main(STREAM_COMMANDS[name]) == 0
+        whole = capsys.readouterr()
+        whole_out, whole_err = whole.out.encode(), whole.err.encode()
+        trace = b"reject[domain] (1, 2) failed=KX3_RANGE\n" if "trace" in name else b""
+        assert whole_out and whole_err == trace
+        if stream == "stderr" and not whole_err:
+            assert (code, out) == (0, whole_out)  # nothing to write to the broken stream
+        elif stream == "stderr":
+            assert (code, out) == (3, b"")  # the trace is written before the table
+        else:
+            reason = "stdout is closed" if how == "closed fd" else "[Errno 32] Broken pipe"
+            assert (code, err) == (3, whole_err + f"internal error: {reason}\n".encode())
+
+    @pytest.mark.parametrize("path", OUT_PATHS)
+    def test_unwritable_out_paths(self, path):
+        reason = {
+            "missing": "[Errno 2] No such file or directory: 'missing/out.csv'",
+            "empty": "[Errno 2] No such file or directory: ''",
+            "directory": "[Errno 21] Is a directory: '.'",
+        }[path]
+        assert _stream_matrix()["out", path, None] == (
+            3, b"", f"internal error: {reason}\n".encode()
+        )

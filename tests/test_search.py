@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fanolink import catalog, formulas, search
 from fanolink.catalog import FANO_DEGREES, is_valid_fano_degree
 from fanolink.checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
+    KERNEL_SCOPES,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
     admitted,
+    kernel_plan,
     record_plan,
     run_checks,
 )
@@ -562,27 +567,44 @@ class _BlockHook:
         self.events += [(stage, (*data, *cell), failed) for cell in cells[start:stop]]
 
 
-def _derived_sides(monkeypatch) -> list[tuple]:
-    """Patch search.derive to log the (kx3, left, right) of each record it derives; the log."""
-    log, derive = [], search.derive
+def _decided_sides(monkeypatch) -> list[tuple]:
+    """Patch search._decide to log the (kx3, left, right) of each tuple an E1 walk decides; the log.
 
-    def logged(sides, *pairs):
+    These are the kernel's inputs: an untraced walk derives only the tuples
+    that pass the kernel (TestKernel).
+    """
+    log, decide = [], search._decide
+
+    def logged(sides, *args):
         log.append(sides[0][:3])
-        return derive(sides, *pairs)
+        return decide(sides, *args)
 
-    monkeypatch.setattr(search, "derive", logged)
+    monkeypatch.setattr(search, "_decide", logged)
     return log
+
+
+def _derived_count(monkeypatch) -> Counter:
+    """Patch search.derive to count the records it derives, by family; the counts."""
+    counts, derive = Counter(), search.derive
+
+    def counted(sides, *args):
+        fields = sides[0]
+        counts[family_id(fields[1].ctype, fields[2].ctype)] += 1
+        return derive(sides, *args)
+
+    monkeypatch.setattr(search, "derive", counted)
+    return counts
 
 
 class TestHodgeJoin:
     # HODGE compares one value per side (checks._hodge_sum), so an untraced
-    # walk skips, before deriving, every record whose two values differ or
+    # walk skips, before deciding, every record whose two values differ or
     # whose lookup fails.  Each proof runs the untraced walk, logs what it
-    # derives and checks HODGE's verdict on every tuple of the box.
+    # decides and checks HODGE's verdict on every tuple of the box.
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
 
     def test_e1e1_join_visits_exactly_the_pairs_hodge_passes(self, monkeypatch):
-        log = _derived_sides(monkeypatch)
+        log = _decided_sides(monkeypatch)
         enumerate_e1e1(self.NO_DIOPHANTINE)
         visited = set(log)
         assert len(visited) == len(log) == 976
@@ -637,7 +659,7 @@ class TestHodgeJoin:
         # at the kx3 that the degree skip would.  HYPERELLIPTIC_SYM, which
         # reads kx3 alone on this walk, skips the 6 sides at kx3 = 2 that
         # HODGE passes (32 -> 26).
-        log = _derived_sides(monkeypatch)
+        log = _decided_sides(monkeypatch)
         enumerate_e1estar(ContractionType.E2, enabled)
         visited = {(kx3, left) for kx3, left, _ in log}
         assert len(visited) == 26
@@ -842,26 +864,31 @@ class TestAblations:
         assert extras == ABLATION_EXTRAS.get(check, {})
 
     def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
-        # Without DIOPHANTINE and HODGE E1-E1 derives every oriented pair;
+        # Without DIOPHANTINE and HODGE E1-E1 decides every oriented pair,
+        # and derives the 155 that pass the kernel's cube checks (measured);
         # the full default suite then keeps the default rows.
-        log = _derived_sides(monkeypatch)
+        log = _decided_sides(monkeypatch)
+        derived = _derived_count(monkeypatch)
         out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE", "HODGE"})
-        assert len(log) == 10_350
+        assert (len(log), derived["e1e1"]) == (10_350, 155)
         assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
 
     def test_diophantine_off_derivations_are_pinned(self, monkeypatch):
-        # Untraced, E1-E1 derives only the pairs whose Hodge values match,
+        # Untraced, E1-E1 decides only the pairs whose Hodge values match,
         # and E1-E2 only the alpha_plus that pass GCD_LEFT on the left sides
         # whose Hodge value matches the point side's, away from kx3 = 2,
         # where HYPERELLIPTIC_SYM fails (measured; the decisions are proved
-        # in TestHodgeJoin and TestE1PointDecisions).
-        log = _derived_sides(monkeypatch)
+        # in TestHodgeJoin and TestE1PointDecisions).  Of those, each derives
+        # only the tuples that pass the kernel (TestKernel).
+        log = _decided_sides(monkeypatch)
+        derived = _derived_count(monkeypatch)
         records = {}
         for family in ("e1e1", "e1e2"):
             log.clear()
             enumerate_family(family, DEFAULT_CHECKS - {"DIOPHANTINE"})
             records[family] = len(log)
         assert records == {"e1e1": 976, "e1e2": 2_236}
+        assert derived == {"e1e1": 114, "e1e2": 4}
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
@@ -1010,36 +1037,45 @@ class TestTracing:
         assert funnel == DEFAULT_FUNNEL
 
     def test_default_run_derivations_are_pinned(self, monkeypatch):
-        # A default run decides, on its integer candidate, every tuple that
-        # passes its family's pair test and, on the E1-point families, the
-        # checks decided before deriving (TestE1PointDecisions), and audits
-        # (build_candidate) only the 134 rows it keeps (measured).
-        records, built = Counter(), Counter()
-        derive, build = search.derive, search.build_candidate
+        # A default run decides every tuple that passes its family's pair
+        # test and, on the E1-point families, the checks decided before
+        # (TestE1PointDecisions): the E1 walks in their kernel first
+        # (search._decide), the symmetric walk on its record.  It derives
+        # 178 records, only the E1 tuples that pass the kernel (TestKernel),
+        # and audits (build_candidate) only the 134 rows it keeps (measured).
+        decided, built = Counter(), Counter()
+        derived = _derived_count(monkeypatch)
+        decide, build = search._decide, search.build_candidate
 
-        def counted_derive(sides, *pairs):
+        def counted_decide(sides, *args):
             fields = sides[0]
-            records[family_id(fields[1].ctype, fields[2].ctype)] += 1
-            return derive(sides, *pairs)
+            decided[family_id(fields[1].ctype, fields[2].ctype)] += 1
+            return decide(sides, *args)
 
         def counted_build(record):
             built[family_id(record.left.ctype, record.right.ctype)] += 1
             return build(record)
 
-        monkeypatch.setattr(search, "derive", counted_derive)
+        monkeypatch.setattr(search, "_decide", counted_decide)
         monkeypatch.setattr(search, "build_candidate", counted_build)
         for family in FAMILY_IDS:
             enumerate_family(family)
-        assert records == {
+        assert decided + Counter({f: derived[f] for f in ("e2e2", "e3e3", "e5e5")}) == {
             "e1e1": 622, "e1e2": 6, "e1e3": 71, "e1e5": 48, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
+        assert derived == {
+            "e1e1": 155, "e1e2": 3, "e1e3": 7, "e1e5": 7, "e2e2": 3, "e3e3": 2, "e5e5": 1
+        }
+        assert sum(derived.values()) == 178
         assert built == EXPECTED_COUNTS
         # A traced E1-E1 run takes the same genus-form join, reporting the
         # right sides between two partners as pair-fast blocks, so it
-        # derives the same 622 records.
-        records.clear()
+        # decides the same 622 records; it derives each of them, for the
+        # checks of its record plan outside the kernel.
+        decided.clear()
+        derived.clear()
         enumerate_family("e1e1", trace=lambda s, d, f: None)
-        assert records == {"e1e1": 622}
+        assert decided == derived == {"e1e1": 622}
 
     def test_trace_tuples_rebuild_their_records(self):
         # Each full event carries its family's explain tuple: the record
@@ -1096,25 +1132,32 @@ class TestE1PointPreTest:
         assert enumerate_family(family) == enumerate_family(family, trace=lambda s, d, f: None)
 
     def test_pre_test_runs_only_without_a_trace(self, monkeypatch):
-        # A traced run decides every pinned tuple on its integer record, and
-        # only the admitted ones reach build_candidate.  An untraced run
-        # skips, before deriving, each tuple that a check decided per kx3,
-        # left side or (r, beta_plus, alpha_plus) fails (TestE1PointDecisions):
+        # A traced run decides every pinned tuple in the kernel, and only
+        # the admitted ones reach build_candidate.  An untraced run skips,
+        # before deciding, each tuple that a check decided per kx3, left side
+        # or (r, beta_plus, alpha_plus) fails (TestE1PointDecisions):
         # HYPERELLIPTIC_SYM at kx3 = 2 and GCD_LEFT on every family; on e1e2
         # alone (E3/E4 and E5 targets have no index) FANO_DEGREE_RIGHT at
         # kx3 = 12 and 16..22 (kY3 = kx3 + 8 must be an index-1 Fano degree)
         # and HODGE on each left side whose value differs from the point side's.
-        records, built = Counter(), Counter()
-        derive, build = search.derive, search.build_candidate
+        # The kernel decides the rest of the record plan, traced or not, so
+        # either run derives the admitted tuples alone.
+        records, derived, built = Counter(), Counter(), Counter()
+        decide, derive, build = search._decide, search.derive, search.build_candidate
+
+        def counted_decide(*args):
+            records[traced, args[0][0][2].ctype] += 1
+            return decide(*args)
 
         def counted_derive(*args):
-            records[traced, args[0][0][2].ctype] += 1
+            derived[traced, args[0][0][2].ctype] += 1
             return derive(*args)
 
         def counted_build(record):
             built[traced, record.right.ctype] += 1
             return build(record)
 
+        monkeypatch.setattr(search, "_decide", counted_decide)
         monkeypatch.setattr(search, "derive", counted_derive)
         monkeypatch.setattr(search, "build_candidate", counted_build)
         for traced in (False, True):
@@ -1128,7 +1171,7 @@ class TestE1PointPreTest:
             (True, ContractionType.E34): 249,
             (True, ContractionType.E5): 161,
         }
-        assert built == {
+        assert built == derived == {
             (traced, star): count
             for traced in (False, True)
             for star, count in (
@@ -1138,24 +1181,24 @@ class TestE1PointPreTest:
 
 
 def _decided(monkeypatch, family: str, enabled: frozenset[str], traced: bool) -> list[tuple]:
-    """The (tuple, decided failures) of each record a run derives, logged from search._admit."""
-    log, admit = [], search._admit
+    """The (tuple, decided failures) of each tuple a run decides, logged from search._decide."""
+    log, decide = [], search._decide
 
-    def logged(candidate, checks, trace, data, results, known=frozenset()):
+    def logged(sides, pairs, kernel, plan, trace, data, results, known=frozenset()):
         log.append((data, known))
-        return admit(candidate, checks, trace, data, results, known)
+        return decide(sides, pairs, kernel, plan, trace, data, results, known)
 
-    monkeypatch.setattr(search, "_admit", logged)
+    monkeypatch.setattr(search, "_decide", logged)
     enumerate_family(family, enabled, trace=(lambda s, d, f: None) if traced else None)
-    monkeypatch.setattr(search, "_admit", admit)
+    monkeypatch.setattr(search, "_decide", decide)
     return log
 
 
 class TestE1PointDecisions:
-    # The E1-point walk decides four checks before deriving, once per kx3
+    # The E1-point walk decides four checks before the kernel, once per kx3
     # (FANO_DEGREE_RIGHT, HYPERELLIPTIC_SYM), left side (HODGE) or (r,
     # beta_plus, alpha_plus) (GCD_LEFT), and hands the failing ones to
-    # _admit.  A traced run derives every pinned tuple: every kx3, left
+    # _decide.  A traced run decides every pinned tuple: every kx3, left
     # side of the side lists and beta_plus whose alpha_plus is pinned in
     # range.  Each proof holds the decision on each of them to the check's
     # own verdict on the record, and the counts of (family, failing) to
@@ -1204,13 +1247,115 @@ class TestE1PointDecisions:
     @pytest.mark.parametrize("enabled", [DEFAULT_CHECKS, NO_RIGHT], ids=["all", "no-right"])
     def test_untraced_runs_derive_exactly_the_undecided_tuples(self, monkeypatch, enabled):
         # The decided failures are enabled checks among the four, and an
-        # untraced run skips, before deriving, exactly the tuples with one.
+        # untraced run skips, before deciding, exactly the tuples with one.
         decidable = enabled & {name.split("-")[0] for name in self.CASES}
         for family in self.STAR_FAMILIES:
             traced = _decided(monkeypatch, family, enabled, traced=True)
             assert all(known <= decidable for _, known in traced)
             untraced = _decided(monkeypatch, family, enabled, traced=False)
             assert untraced == [(data, known) for data, known in traced if not known], family
+
+
+def _walk_log(family: str, enabled: frozenset[str], traced: bool) -> tuple[tuple, ...]:
+    """The (sides, pairs, kernel, data) of each tuple a run hands to search._decide, undecided."""
+    log, decide = [], search._decide
+
+    def logged(sides, pairs, kernel, plan, trace, data, *rest):
+        log.append((sides, pairs, kernel, data))
+
+    search._decide = logged
+    try:
+        enumerate_family(family, enabled, trace=(lambda s, d, f: None) if traced else None)
+    finally:
+        search._decide = decide
+    return tuple(log)
+
+
+def _kernel_failures(family: str, entry: tuple) -> list[str]:
+    """The kernel's failures on a logged tuple, held to the registry's verdicts on its record.
+
+    The kernel's cubes must be the record's last four fields, and its
+    failures the kernel checks whose verdict fails on search.record's
+    candidate, in the kernel's order.
+    """
+    sides, pairs, kernel, data = entry
+    cubes, failed = search._kernel(sides, pairs, kernel)
+    candidate = record(family, data)
+    assert cubes == candidate[-4:], data
+    names = [name for plan in kernel for name, _ in plan]
+    assert failed == [name for name in names if not REGISTRY[name].passes(candidate)], data
+    return failed
+
+
+@functools.lru_cache(maxsize=1)  # one family's log (about 11 MB) at a time
+def _no_diophantine_log(family: str) -> tuple[tuple, ...]:
+    return _walk_log(family, DEFAULT_CHECKS - {"DIOPHANTINE"}, False)
+
+
+class TestKernel:
+    # Both E1 walks decide the checks of their kernel (checks.kernel_plan) on
+    # a tuple's integers before deriving it (search._kernel): the cube
+    # checks from formulas.cube_numerators, and on the E1-point walk
+    # DIOPHANTINE from its residual numerators.  The proofs log the tuples
+    # each walk decides and hold the kernel on them to the registry.
+    NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
+    CUBES = ["ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"]
+
+    def test_the_kernel_is_what_the_record_plans_leave_out(self):
+        for pairs, decided, residuals in (
+            (e1e1_pairs, search._SIDES_DECIDED, []),  # the genus-form test decides DIOPHANTINE
+            (star_pairs, search._STAR_DECIDED, ["DIOPHANTINE"]),
+        ):
+            for enabled in (DEFAULT_CHECKS, self.NO_DIOPHANTINE):
+                on_cubes, on_residuals = kernel_plan(pairs, enabled)
+                assert [name for name, _ in on_cubes] == self.CUBES
+                assert [name for name, _ in on_residuals] == [
+                    name for name in residuals if name in enabled
+                ]
+                before = record_plan(pairs, enabled, decided)
+                after = record_plan(pairs, enabled, decided | KERNEL_SCOPES)
+                assert before - after == {name for name, _ in on_cubes + on_residuals}
+                assert after == (
+                    {"GCD_LEFT", "GCD_RIGHT", "HODGE", "HYPERELLIPTIC_SYM"}
+                    if pairs is e1e1_pairs
+                    else set()
+                )
+
+    # (family, enabled set, traced): the tuples the walk decides, how many
+    # fail each kernel check and how many pass them all (measured).  E1-E1
+    # without DIOPHANTINE, traced, decides all 10,350 oriented pairs over the
+    # kept sides; an untraced E1-point walk without DIOPHANTINE decides each
+    # alpha_plus that no check decided before the kernel fails, a traced
+    # default one each pinned alpha_plus.
+    CASES = {
+        "e1e1": (DEFAULT_CHECKS, False, 622, (237, 446, 287), 155),
+        "e1e1-no-diophantine": (NO_DIOPHANTINE, True, 10_350, (6_634, 9_331, 10_015), 155),
+        "e1e2": (DEFAULT_CHECKS, True, 289, (71, 223, 277, 275), 12),
+        "e1e2-no-diophantine": (NO_DIOPHANTINE, False, 2_236, (0, 2_202, 2_229), 4),
+        "e1e3": (DEFAULT_CHECKS, True, 249, (50, 210, 236, 232), 10),
+        "e1e5": (DEFAULT_CHECKS, True, 161, (66, 129, 149, 145), 9),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kernel_verdicts_are_the_registrys(self, case):
+        family = case.split("-")[0]
+        enabled, traced, count, failing, passing = self.CASES[case]
+        tuples = _walk_log(family, enabled, traced)
+        failures = Counter()
+        for entry in tuples:
+            failures.update(_kernel_failures(family, entry) or ["none"])
+        names = [name for plan in tuples[0][2] for name, _ in plan]
+        assert len(tuples) == count
+        assert (tuple(failures[name] for name in names), failures["none"]) == (failing, passing)
+
+    @pytest.mark.parametrize("family", ["e1e3", "e1e5"])
+    @given(index=st.integers(0, 29_497))
+    def test_kernel_verdicts_are_the_registrys_on_e3_and_e5_samples(self, family, index):
+        # Without DIOPHANTINE an untraced E1-E3/E4 or E1-E5 walk decides
+        # 29,498 tuples each, too many to rebuild in Tier-1: sample them.
+        tuples = _no_diophantine_log(family)
+        assert len(tuples) == 29_498
+        _kernel_failures(family, tuples[index])
 
 
 class TestDispatch:
