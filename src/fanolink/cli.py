@@ -68,14 +68,14 @@ def _parse_families(value: str) -> list[str]:
     requested = [part.strip() for part in value.split(",") if part.strip()]
     if not requested:
         raise ValueError("no families given")
-    if "all" in requested:
-        return list(search_mod.FAMILY_IDS)
-    unknown = sorted(set(requested) - set(search_mod.FAMILY_IDS))
+    unknown = sorted(set(requested) - {*search_mod.FAMILY_IDS, "all"})
     if unknown:
         raise ValueError(
             f"unknown families: {', '.join(unknown)} "
             f"(choose from {', '.join(search_mod.FAMILY_IDS)} or all)"
         )
+    if "all" in requested:
+        return list(search_mod.FAMILY_IDS)
     # Canonical order, duplicates collapsed.
     return [family for family in search_mod.FAMILY_IDS if family in requested]
 
@@ -132,47 +132,48 @@ class _TraceSink:
     """The --trace-rejections hook: one ``reject[stage] data failed=...`` line per rejection.
 
     A block (search.TraceFn) is written as a head such as ``reject[side-left]
-    (kx3, r, `` joined with its lines' ``d, g) failed=...`` suffixes, kept for
-    the run per index and tail and per verdicts bytes.  Pending output is
-    text pieces and their line count; a block that crosses a chunk boundary
-    is split on its suffixes.
+    (kx3, r, `` joined with its events' ``d, g) failed=...`` suffixes.  For
+    the run, the cells' suffixes are formatted once per cells and checks,
+    and the events' picked once per cells, verdicts and failed; the cells
+    are keyed by id, and the events' entry keeps them alive.  Pending
+    output is text pieces and their line count; a block that crosses a
+    chunk boundary is split on its suffixes.
     """
 
     def __init__(self) -> None:
         self._pieces: list[str] = []  # pending text, self._lines lines in all
         self._lines = 0
-        self._suffixes: dict[tuple, list[str]] = {}
+        self._suffixes: dict[tuple, list | tuple] = {}
 
     def __call__(self, stage: str, data: tuple, failed: tuple[str, ...]) -> None:
         self._pieces.append("reject[%s] %r failed=%s\n" % (stage, data, ",".join(failed)))
         self._lines += 1
         self.write()
 
-    def _cell_suffixes(self, key: tuple, cells, checks: tuple[str, ...]) -> list[str]:
-        """The "d, g) failed=..." suffix of each cell, formatted once per run under key."""
+    def _cell_suffixes(self, cells, checks: tuple[str, ...]) -> list[str]:
+        """The "d, g) failed=..." suffix of each cell, once per run per cells and checks."""
+        key = (id(cells), checks)
         if key not in self._suffixes:
             self._suffixes[key] = [f"{d}, {g}) failed={','.join(checks)}\n" for d, g in cells]
         return self._suffixes[key]
 
-    def side_prunes(self, stage, kx3, r, cells, verdicts, failed) -> None:
-        key = (r, failed, verdicts)  # the pruned cells' suffixes, picked from the grid's
-        if key not in self._suffixes:
-            tails = [c and self._cell_suffixes((r, c), cells, c) for c in failed]
-            self._suffixes[key] = [tails[v][i] for i, v in enumerate(verdicts) if v]
-        self._add(f"reject[{stage}] ({kx3}, {r}, ", self._suffixes[key])
-
-    def pair_fast(self, stage, data, cells, verdicts, start, stop, failed) -> None:
-        # The right list's verdicts name its cells: they are the grid cells it keeps.
-        head = f"reject[{stage}] ({', '.join(map(str, data))}, "
-        self._add(head, self._cell_suffixes((verdicts, failed), cells, failed)[start:stop])
-
-    def _add(self, head: str, suffixes: list[str]) -> None:
-        """Queue the lines head + suffix, split where a chunk fills and written then."""
-        while suffixes:
-            room = TRACE_CHUNK_LINES - self._lines
-            block, suffixes = suffixes[:room], suffixes[room:]
-            self._pieces.append(head + head.join(block))
-            self._lines += len(block)
+    def block(self, stage, data, cells, verdicts, failed, start, stop) -> None:
+        key = (id(cells), verdicts, failed)  # the events' suffixes, picked from the cells'
+        entry = self._suffixes.get(key)
+        if entry is None:
+            tails = [c and self._cell_suffixes(cells, c) for c in failed]
+            events = [tails[v][i] for i, v in enumerate(verdicts) if v]
+            entry = self._suffixes[key] = (cells, events, 0 in verdicts)
+        _, events, sparse = entry
+        if sparse:  # count the events before start and stop, not the cells
+            start, stop = start - verdicts.count(0, 0, start), stop - verdicts.count(0, 0, stop)
+        head = f"reject[{stage}] (" + ("%s, " * len(data)) % data
+        while start < stop:  # queue head + suffix lines, split and written where a chunk fills
+            end = start + TRACE_CHUNK_LINES - self._lines
+            end = stop if stop < end else end
+            self._pieces.append(head + head.join(events[start:end]))
+            self._lines += end - start
+            start = end
             self.write()
 
     def write(self, last: bool = False) -> None:

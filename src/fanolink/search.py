@@ -56,10 +56,9 @@ The acceptance tests require the two routes to agree exactly, which is
 the engine's main self-check.
 
 A ``trace`` hook (TraceFn) hears every rejected tuple, with the checks it
-fails.  A hook with the ``side_prunes`` and ``pair_fast`` block methods
-takes each E1 side list's prunes, and the E1-E1 join's pair-fast rejects
-between two partners, in one call; any other callable gets them one event
-at a time.
+fails.  A hook with the ``block`` method takes each E1 side list's prunes,
+and the E1-E1 join's pair-fast rejects between two partners, in one call;
+any other callable gets them one event at a time (_block).
 
 Ordering is canonical and total per family, so outputs are reproducible
 byte for byte.
@@ -121,13 +120,11 @@ D_MAX = 19
 G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 
 # A trace hook is called once per rejection: trace(stage, data, failed checks).
-# It may also have block methods, which take many events in one call; a hook
-# without one gets the same events one call each, in order (_replay).
-# side_prunes(stage, kx3, r, cells, verdicts, failed): an E1 side list's
-# prunes; cells is _SIDE_GRID[r], verdicts one byte per cell (0 kept), and
-# failed[v] the checks a verdict v names.  pair_fast(stage, data, cells,
-# verdicts, start, stop, failed): data + cell for each cell in cells[start:stop],
-# the (d, g) of the right list that verdicts keeps, between two E1-E1 partners.
+# It may also have a block method, which takes many events in one call; a hook
+# without it gets the same events one call each, in order (_block).
+# block(stage, data, cells, verdicts, failed, start, stop) stands for the
+# events (*data, *cells[i]) that fail failed[verdicts[i]], for i in
+# range(start, stop); verdicts holds one byte per cell, and verdict 0 is no event.
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
 
 # The check scopes (checks.Scope) each walk decides before it derives a
@@ -366,17 +363,20 @@ def _e1_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
 E1Side = tuple[int, int, int, int, SideTerm]
 
 
+# An E1 side list: its kept sides, one verdict byte per _SIDE_GRID[r] cell,
+# the kept sides by genus form, and the kept cells (_SIDE_GRID's own tuples)
+# with one verdict byte 1 each, which the E1-E1 join's pair-fast blocks take.
+E1SideList = tuple[tuple[E1Side, ...], bytes, dict[int, tuple[E1Side, ...]], tuple, bytes]
+
+
 @functools.cache
-def _pruned_sides(
-    kx3: int, r: int, sigma_pos: bool, degree: bool
-) -> tuple[tuple[E1Side, ...], bytes, dict[int, tuple[E1Side, ...]]]:
-    """The kept sides of one index, why the others were pruned, and the kept ones by genus form.
+def _pruned_sides(kx3: int, r: int, sigma_pos: bool, degree: bool) -> E1SideList:
+    """The side list of one index (E1SideList): its kept sides and why the others were pruned.
 
     sigma_pos prunes excesses below E1_SIGMA_MIN; degree prunes sides whose
-    target degree is not a Fano degree of index r.  The bytes hold one
-    verdict per _SIDE_GRID[r] entry: 0 kept, 1 SIGMA_POS, 2 degree (a byte,
-    not a tuple, per prune keeps the cache small).  The dict is the E1-E1
-    join's index: the kept sides grouped by genus form, in list order.  The
+    target degree is not a Fano degree of index r.  The verdicts are 0 kept,
+    1 SIGMA_POS, 2 degree (a byte, not a tuple, per prune keeps the cache
+    small).  The genus forms are the E1-E1 join's index, in list order.  The
     arguments carry only what decides a prune, so both sides and any check
     sets share at most four entries per (kx3, r).
     """
@@ -392,36 +392,39 @@ def _pruned_sides(
             side = (d, g, sig, genus_form(kx3, sig, g), side_term(kx3, _e1_side(r, d, g)))
             sides.append(side)
             by_form.setdefault(side[3], []).append(side)
-    return tuple(sides), bytes(verdicts), {form: tuple(group) for form, group in by_form.items()}
+    cells = tuple(cell for cell, verdict in zip(_SIDE_GRID[r], verdicts) if not verdict)
+    by_form = {form: tuple(group) for form, group in by_form.items()}
+    return tuple(sides), bytes(verdicts), by_form, cells, b"\x01" * len(cells)
 
 
 def _e1_side_list(
     kx3: int, r: int, enabled: frozenset[str], role: str, trace: TraceFn | None = None
-) -> tuple[tuple[E1Side, ...], bytes, dict[int, tuple[E1Side, ...]]]:
-    """The kept sides of one index on the "left" or "right" side, their verdicts and genus forms.
+) -> E1SideList:
+    """The side list (E1SideList) of one index on the "left" or "right" side.
 
     Pruning here is an optimization only: a side is dropped exactly when
     SIGMA_POS or the role's FANO_DEGREE check, if enabled, would reject
     every pair containing it.  The lists are built once per process
     (_pruned_sides); with tracing on, each call reports every pruned side
-    once (not once per pair), in loop order, at stage side-<role>, in one
-    call of the hook's side_prunes block method if it has one (TraceFn).
+    once (not once per pair), in loop order, at stage side-<role>, as one
+    block over _SIDE_GRID[r] (_block).
     """
     degree_check = f"FANO_DEGREE_{role.upper()}"
     pruned = _pruned_sides(kx3, r, "SIGMA_POS" in enabled, degree_check in enabled)
-    stage, failed = f"side-{role}", ((), ("SIGMA_POS",), (degree_check,))
-    if hasattr(trace, "side_prunes"):
-        trace.side_prunes(stage, kx3, r, _SIDE_GRID[r], pruned[1], failed)
-    elif trace is not None:
-        _replay(trace, stage, (kx3, r), _SIDE_GRID[r], map(failed.__getitem__, pruned[1]))
+    if trace is not None:
+        failed, grid = ((), ("SIGMA_POS",), (degree_check,)), _SIDE_GRID[r]
+        _block(trace, f"side-{role}", (kx3, r), grid, pruned[1], failed, 0, len(grid))
     return pruned
 
 
-def _replay(trace: TraceFn, stage: str, data: tuple, cells, failed) -> None:
-    """A block for a hook without its block method: one event per cell whose checks are not ()."""
-    for cell, checks in zip(cells, failed):
-        if checks:
-            trace(stage, (*data, *cell), checks)
+def _block(trace: TraceFn, stage: str, data: tuple, cells, verdicts, failed, start, stop) -> None:
+    """One block of events (TraceFn): a call of the hook's block method, else one call per event."""
+    if not hasattr(trace, "block"):
+        for cell, verdict in zip(cells[start:stop], verdicts[start:stop]):
+            if verdict:
+                trace(stage, (*data, *cell), failed[verdict])
+    elif start < stop:
+        trace.block(stage, data, cells, verdicts, failed, start, stop)
 
 
 def _hodge_key(term: SideTerm) -> int | None:
@@ -452,15 +455,6 @@ def _by_hodge(sides: tuple[E1Side, ...], values: dict) -> dict[int, list[E1Side]
     return groups
 
 
-def _pair_fast(trace: TraceFn, data: tuple, cells, verdicts, start: int, stop: int) -> None:
-    """The right sides cells[start:stop] of a left side's join, reported as DIOPHANTINE rejects."""
-    if start < stop:
-        if hasattr(trace, "pair_fast"):
-            trace.pair_fast("pair-fast", data, cells, verdicts, start, stop, ("DIOPHANTINE",))
-        else:
-            _replay(trace, "pair-fast", data, cells[start:stop], [("DIOPHANTINE",)] * (stop - start))
-
-
 def enumerate_e1e1(
     enabled: frozenset[str] = DEFAULT_CHECKS,
     trace: TraceFn | None = None,
@@ -477,10 +471,11 @@ def enumerate_e1e1(
     partners by Q_plus = rp^2 * Q / r^2, and has none unless that division
     is exact; a trace hook hears the right sides before each partner, and
     after the last up to the canonical limit, as one pair-fast block each
-    (_pair_fast).  Without DIOPHANTINE but with HODGE, an untraced left
-    side looks up its partners by HODGE's own per-side value instead
-    (_hodge_values, once per (kx3, r, d, g) and run, whichever role the
-    side plays): the check passes exactly when the two values are equal.
+    over the right list's kept cells (_block).  Without DIOPHANTINE but
+    with HODGE, an untraced left side looks up its partners by HODGE's own
+    per-side value instead (_hodge_values, once per (kx3, r, d, g) and run,
+    whichever role the side plays): the check passes exactly when the two
+    values are equal.
     Any other run walks each right side; only the iterable differs.
     Each tuple is decided by the kernel's cube checks on integers first,
     then on its record against the walk's record plan (checks.record_plan):
@@ -497,13 +492,13 @@ def enumerate_e1e1(
     hodge = {key: _hodge_values(left[key], right[key][0]) for key in indices if by_hodge}
     right_by_hodge = {key: _by_hodge(right[key][0], hodge[key]) for key in hodge}
     blocks = trace is not None and fast
+    diophantine = ((), ("DIOPHANTINE",))  # what a pair-fast block's verdict 1 names
     plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED | KERNEL_SCOPES)
     kernel = kernel_plan(e1e1_pairs, frozenset(enabled))
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
-            right_sides, right_verdicts, right_by_form = right[(kx3, rp)]
-            cells = tuple(side[:2] for side in right_sides) if blocks else ()  # (d, g) of blocks
+            right_sides, _, right_by_form, cells, ones = right[(kx3, rp)]
             for d, g, sig, form, left_term in left[(kx3, r)]:
                 if fast:
                     wanted, rem = divmod(rp * rp * form, r * r)
@@ -520,13 +515,13 @@ def enumerate_e1e1(
                         continue
                     if blocks:
                         at = bisect.bisect_left(cells, (dp, gp))
-                        _pair_fast(trace, data, cells, right_verdicts, start, at)
+                        _block(trace, "pair-fast", data, cells, ones, diophantine, start, at)
                         start = at + 1
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
                     sides = side_terms(kx3, left_term, right_term)
                     _decide(sides, pairs, kernel, plan, trace, (kx3, r, d, g, rp, dp, gp), results)
                 if blocks:
-                    _pair_fast(trace, data, cells, right_verdicts, start, stop)
+                    _block(trace, "pair-fast", data, cells, ones, diophantine, start, stop)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

@@ -6,6 +6,7 @@ import functools
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from fanolink import formulas
 from fanolink import golden as golden_mod
 from fanolink import search as search_mod
 from fanolink.checks import DEFAULT_CHECKS, REGISTRY
-from fanolink.cli import TRACE_CHUNK_LINES, main
+from fanolink.cli import TRACE_CHUNK_LINES, _TraceSink, main
 from fanolink.render import build_golden_index, render_csv
 
 # SHA-256 of the stdout of each output that only people read (measured).
@@ -144,6 +145,13 @@ class TestEnumerate:
             assert main(["enumerate", "--families", families]) == 2
             assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    def test_unknown_family_beside_all_is_usage_error(self, capsys, command):
+        assert main([command, "--families", "all,e9e9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown families: e9e9 (")
+
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["enumerate", "--families", "e5e5", "--disable-check", "NOPE"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -234,6 +242,47 @@ class TestEnumerate:
         if family.startswith("e1"):
             assert len(expected) > 4 * TRACE_CHUNK_LINES
         assert stream.writes == -(-len(expected) // TRACE_CHUNK_LINES)
+
+    def test_trace_sink_takes_the_blocks(self, monkeypatch, capsys):
+        # The side prunes and pair-fast rejects reach the CLI's hook as
+        # blocks only; its per-event call hears the full rejects alone.
+        stages, blocks = Counter(), Counter()
+        call, block = _TraceSink.__call__, _TraceSink.block
+
+        def counted_call(self, stage, data, failed):
+            stages[stage] += 1
+            call(self, stage, data, failed)
+
+        def counted_block(self, stage, *args):
+            blocks[stage] += 1
+            block(self, stage, *args)
+
+        monkeypatch.setattr(_TraceSink, "__call__", counted_call)
+        monkeypatch.setattr(_TraceSink, "block", counted_block)
+        assert main(["enumerate", "--families", "e1e1", "--trace-rejections"]) == 0
+        assert "reject[pair-fast]" in capsys.readouterr().err
+        assert set(blocks) == {"side-left", "side-right", "pair-fast"}
+        assert set(stages) == {"full"}
+
+    def test_trace_sink_block_writes_the_events_of_its_window(self, monkeypatch):
+        # The search's sparse blocks span their cells and its dense ones
+        # start anywhere; every window of either must give the per-event lines.
+        cells = ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))
+        failed = ((), ("SIGMA_POS",), ("FANO_DEGREE_LEFT", "HODGE"))
+        for verdicts in (bytes([0, 1, 2, 0, 1]), bytes([2, 1, 2, 1, 1])):
+            for start, stop in itertools.combinations(range(len(cells) + 1), 2):
+                block = ("side-left", (4, 2), cells, verdicts, failed, start, stop)
+                expected = []
+                search_mod._block(
+                    lambda s, d, f: expected.append(f"reject[{s}] {d} failed={','.join(f)}\n"),
+                    *block,
+                )
+                stream = io.StringIO()
+                monkeypatch.setattr(sys, "stderr", stream)
+                sink = _TraceSink()
+                sink.block(*block)
+                sink.write(last=True)
+                assert stream.getvalue() == "".join(expected), (verdicts, start, stop)
 
     def test_trace_is_flushed_before_an_internal_error(self, monkeypatch, capsys):
         assert main(["enumerate", "--families", "e1e2", "--trace-rejections"]) == 0

@@ -507,10 +507,11 @@ class TestGenusJoin:
     )
     def test_traced_join_reports_the_walk_of_every_pair(self, enabled):
         # The traced run joins by genus form too, and reports the right sides
-        # between two partners in one pair_fast block.  Its events must equal
+        # between two partners in one pair-fast block.  Its events must equal
         # a walk over every canonically oriented pair with the per-pair genus
         # test; without FANO_DEGREE_LEFT the two roles' lists differ.
-        # A hook with both block methods must hear the same events in blocks.
+        # A hook with the block method must hear the same events in blocks:
+        # fewer blocks than events at each blocked stage, but some.
         expected = []
         plain = lambda s, d, f: expected.append((s, d, f))  # noqa: E731
         indices = [(kx3, r) for kx3 in KX3_VALUES for r in G_MAX]
@@ -538,11 +539,13 @@ class TestGenusJoin:
         hook = _BlockHook()
         enumerate_e1e1(enabled, trace=hook)
         assert hook.events == expected
-        assert hook.blocks["pair_fast"] < sum(event[0] == "pair-fast" for event in expected)
+        for kind in ("side", "pair-fast"):
+            events = sum(event[0].startswith(kind) for event in expected)
+            assert 0 < hook.blocks[kind] < events, kind
 
 
 class _BlockHook:
-    """A trace hook with both block methods, which expands each block into its events."""
+    """A trace hook with the block method, which expands each block into its events."""
 
     def __init__(self):
         self.events, self.blocks, self.kept = [], Counter(), {}
@@ -550,21 +553,23 @@ class _BlockHook:
     def __call__(self, stage, data, failed):
         self.events.append((stage, data, failed))
 
-    def side_prunes(self, stage, kx3, r, cells, verdicts, failed):
-        self.blocks["side_prunes"] += 1
-        assert cells is search._SIDE_GRID[r]
-        self.events += [(stage, (kx3, r, *c), failed[v]) for c, v in zip(cells, verdicts) if v]
-
-    def pair_fast(self, stage, data, cells, verdicts, start, stop, failed):
-        # cells are the right list's, the grid cells its verdicts keep.
-        self.blocks["pair_fast"] += 1
-        key = (data[-1], verdicts)
-        if key not in self.kept:
-            grid = search._SIDE_GRID[data[-1]]
-            self.kept[key] = tuple(cell for cell, v in zip(grid, verdicts) if not v)
-        assert cells == self.kept[key]
-        assert 0 <= start < stop <= len(cells)
-        self.events += [(stage, (*data, *cell), failed) for cell in cells[start:stop]]
+    def block(self, stage, data, cells, verdicts, failed, start, stop):
+        # A side list's block covers the grid of its index; a pair-fast block
+        # the right list's kept cells, the grid's own cell tuples (checked once).
+        side = stage.startswith("side")
+        self.blocks["side" if side else stage] += 1
+        grid = search._SIDE_GRID[data[1] if side else data[-1]]
+        if side:
+            assert cells is grid and (start, stop) == (0, len(grid))
+        elif id(cells) not in self.kept:
+            self.kept[id(cells)] = cells
+            assert set(map(id, cells)) <= set(map(id, grid)) and set(verdicts) == {1}
+        assert len(verdicts) == len(cells) and 0 <= start < stop <= len(cells)
+        self.events += [
+            (stage, (*data, *cells[i]), failed[verdicts[i]])
+            for i in range(start, stop)
+            if verdicts[i]
+        ]
 
 
 def _decided_sides(monkeypatch) -> list[tuple]:
@@ -950,7 +955,7 @@ def _rebuilt_trace(enabled: frozenset[str], every_stage: bool = True) -> tuple[C
     a domain one KX3_RANGE.  Returns the full events per family and the
     other two counts.
     """
-    full, pair_fast, domain = Counter(), 0, 0
+    full, fast, domain = Counter(), 0, 0
     for family in FAMILY_IDS:
         events = []
         enumerate_family(family, enabled, trace=lambda s, d, f: events.append((s, d, f)))
@@ -961,11 +966,11 @@ def _rebuilt_trace(enabled: frozenset[str], every_stage: bool = True) -> tuple[C
                 full[family] += 1
             elif stage == "pair-fast" and family == "e1e1":
                 assert not every_stage or not REGISTRY["DIOPHANTINE"].passes(record(family, data))
-                pair_fast += 1
+                fast += 1
             elif stage == "domain":
                 assert not every_stage or not REGISTRY["KX3_RANGE"].passes(record(family, data))
                 domain += 1
-    return full, pair_fast, domain
+    return full, fast, domain
 
 
 # Full events per family, and E1-E1 pair-fast events, of a traced
@@ -1083,9 +1088,9 @@ class TestTracing:
         # default suite that explain runs.  Each E1-E1 pair-fast tuple fails
         # DIOPHANTINE, which the genus-form test stands for, and each
         # symmetric domain tuple fails KX3_RANGE.
-        full, pair_fast, domain = _rebuilt_trace(DEFAULT_CHECKS)
+        full, fast, domain = _rebuilt_trace(DEFAULT_CHECKS)
         assert full == {"e1e1": 511, "e1e2": 286, "e1e3": 242, "e1e5": 154}
-        assert (pair_fast, domain) == (9728, 3)
+        assert (fast, domain) == (9728, 3)
 
     @pytest.mark.parametrize("check", ABLATED_TRACE_EVENTS)
     def test_ablated_trace_tuples_rebuild_their_records(self, check):
@@ -1094,8 +1099,8 @@ class TestTracing:
         # run's enabled set, fails exactly the checks its event names.  The
         # E1-E1 pair-fast tuples, 94,556 without FANO_DEGREE_RIGHT, are only
         # counted: TestGenusJoin proves the traced join.
-        full, pair_fast, domain = _rebuilt_trace(DEFAULT_CHECKS - {check}, every_stage=False)
-        assert (full, pair_fast, domain) == (*ABLATED_TRACE_EVENTS[check], 3)
+        full, fast, domain = _rebuilt_trace(DEFAULT_CHECKS - {check}, every_stage=False)
+        assert (full, fast, domain) == (*ABLATED_TRACE_EVENTS[check], 3)
 
     def test_star_family_trace(self, enumerated):
         events = []
