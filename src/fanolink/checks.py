@@ -19,18 +19,18 @@ can only widen the admitted set (each check is a pure predicate on the
 candidate), which the property tests exercise.
 
 Each check also declares its scope (Scope): the candidate fields its
-verdict reads (kx3 alone, one side and kx3, each side, both sides, or the
-whole record), what it reads on a walk where that is less, and the
-enumerator walks whose pairs pass it by construction.  record_plan derives
-from that table the checks a walk still runs on each record; explain and
-the oracles run the full suite.
+verdict reads (kx3 alone, one side and kx3, each side, or the whole
+record, or a kernel scope), what it reads on a walk where that is less,
+and the enumerator walks whose pairs pass it by construction.
+record_plan derives from that table the checks a walk still runs on each
+record; explain and the oracles run the full suite.
 
-Four checks read only integers an E1 walk has before it derives a record
+Eight checks read only integers an E1 walk has before it derives a record
 (KERNEL_ARGS): ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE the
-cube and defect numerators and the sides' cube scales, DIOPHANTINE the
-fields the residual system reads.  Each is one integer predicate over
-those fields: its passes reads them from a record, and the walks call it
-on a tuple's own (kernel_plan, search._kernel).
+cubes, defects and cube scales; DIOPHANTINE, GCD_LEFT, GCD_RIGHT, HODGE and
+HYPERELLIPTIC_SYM the side fields and the pairs.  Each is one integer
+predicate over those fields: its passes reads them from a record, and the
+walks call it on a tuple's own (kernel_plan, search._kernel).
 """
 
 from __future__ import annotations
@@ -103,15 +103,15 @@ def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
 
 def _residuals(
     kx3: int, left: SideData, right: SideData, sigma_left: int, sigma_right: int,
-    pair: Pair, pair_plus: Pair,
+    ky3_left: Fraction | int, ky3_right: Fraction | int, pair: Pair, pair_plus: Pair,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The residual system as (numerators, their positive denominators), by shape.
 
-    It reads the fields KERNEL_ARGS["residuals"] names, in that order.  A
-    family's curve side, if any, is the left one.  Star-star: each
-    coefficient satisfies the symmetric degree relation, alpha*kx3 - 2*sigma
-    over its pair's denominator on each side.  A residual vanishes exactly
-    when its numerator does.
+    It takes the fields KERNEL_ARGS["sides and pairs"] names, in that order,
+    and reads all but the target degrees.  A family's curve side, if any, is
+    the left one.  Star-star: each coefficient satisfies the symmetric
+    degree relation, alpha*kx3 - 2*sigma over its pair's denominator on each
+    side.  A residual vanishes exactly when its numerator does.
     """
     den, den_p = pair[2], pair_plus[2]
     if not left.is_e1:
@@ -127,11 +127,6 @@ def _residuals(
     return e1estar_residual_numerators(
         kx3, pair, pair_plus, left.r, left.d, left.g, sigma_right
     ), (den * den, den, den_p * den_p, den_p)
-
-
-def _diophantine(*fields) -> bool:
-    """DIOPHANTINE's verdict on the fields _residuals reads: every residual numerator vanishes."""
-    return not any(_residuals(*fields)[0])
 
 
 def _ratios(numerators: Iterable[int], denominators: Iterable[int]) -> str:
@@ -239,13 +234,35 @@ def _hodge_sum(side: SideData, ky3: Fraction | int) -> int:
     return value + (side.g if side.is_e1 else 0)
 
 
-def _hodge(rec: LinkCandidate) -> bool:
-    if rec.left.target_index is None or rec.right.target_index is None:
+# The verdicts of scope "sides and pairs": each takes the fields
+# KERNEL_ARGS["sides and pairs"] names, in that order.
+def _diophantine(*fields) -> bool:
+    return not any(_residuals(*fields)[0])  # every residual numerator vanishes
+
+
+def _gcd_left(
+    kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, pair, pair_plus
+) -> bool:
+    return _primitive(left, pair)
+
+
+def _gcd_right(
+    kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, pair, pair_plus
+) -> bool:
+    return _primitive(right, pair_plus)
+
+
+def _hodge(kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, *pairs) -> bool:
+    if left.target_index is None or right.target_index is None:
         return True
     try:
-        return _hodge_sum(rec.left, rec.kY3_left) == _hodge_sum(rec.right, rec.kY3_right)
+        return _hodge_sum(left, ky3_left) == _hodge_sum(right, ky3_right)
     except ValueError:
         return False
+
+
+def _hyperelliptic_sym(kx3, left, right, *rest) -> bool:
+    return kx3 != 2 or left == right
 
 
 def _hodge_detail(rec: LinkCandidate) -> str:
@@ -306,13 +323,13 @@ _LEFT = frozenset({"kx3", "left", "sigma_left", "kY3_left"})
 _RIGHT = frozenset({"kx3", "right", "sigma_right", "kY3_right"})
 
 # The fields a kernel check's verdict takes, in order, by its scope.  An E1
-# walk computes them for a tuple before it derives the record
-# (search._kernel): the sides, and the cubes and defects from the pairs
-# (formulas.cube_numerators) or the pairs themselves.  The check's passes
-# reads them from a record (_kernel_check).
+# walk has them for a tuple before it derives the record (search._kernel):
+# the sides and the cubes and defects (formulas.cube_numerators), or the
+# side fields (formulas.side_terms) and the pairs.  The check's passes reads
+# them from a record (_kernel_check).
 KERNEL_ARGS: dict[str, tuple[str, ...]] = {
     "cubes": ("left", "right", "etilde3_left", "etilde3_right", "defect_left", "defect_right"),
-    "residuals": ("kx3", "left", "right", "sigma_left", "sigma_right", "pair", "pair_plus"),
+    "sides and pairs": LinkCandidate._fields[:9],  # kx3 through pair_plus
 }
 KERNEL_SCOPES = frozenset(KERNEL_ARGS)
 
@@ -322,7 +339,6 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "left": _LEFT,  # the left side and kx3
     "right": _RIGHT,  # the right side and kx3
     "each side": _LEFT | _RIGHT,  # each side and kx3 apart; a failing side fails every pair
-    "both sides": _LEFT | _RIGHT,  # the two sides and kx3 together
     "left and pair": frozenset({"left", "pair"}),  # the left side's index and the pair
     **{scope: frozenset(fields) for scope, fields in KERNEL_ARGS.items()},
     "record": frozenset(LinkCandidate._fields),
@@ -373,7 +389,7 @@ def _kernel_check(
     return Check(description, lambda c: verdict(*fields(c)), describe, scope, verdict)
 
 
-_residual_fields = operator.attrgetter(*KERNEL_ARGS["residuals"])
+_sides_and_pairs = operator.attrgetter(*KERNEL_ARGS["sides and pairs"])
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -406,10 +422,10 @@ REGISTRY: dict[str, Check] = {
     "DIOPHANTINE": _kernel_check(
         "the exact residual system vanishes",
         _diophantine,
-        lambda c: "residuals " + _ratios(*_residuals(*_residual_fields(c))),
+        lambda c: "residuals " + _ratios(*_residuals(*_sides_and_pairs(c))),
         # The E1-E1 walk derives a pair only after its genus-form test, which
         # is DIOPHANTINE's exact decision there (formulas.genus_form).
-        Scope("residuals", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
+        Scope("sides and pairs", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
     ),
     "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
@@ -426,19 +442,19 @@ REGISTRY: dict[str, Check] = {
         lambda c: f"transform cubes {Fraction(*c.etilde3_left)}, {Fraction(*c.etilde3_right)}",
         Scope("cubes"),
     ),
-    "GCD_LEFT": Check(
+    "GCD_LEFT": _kernel_check(
         "left-basis decomposition of the flopped divisor is primitive",
-        lambda c: _primitive(c.left, c.pair),
+        _gcd_left,
         lambda c: _primitive_detail("left", c.left, c.pair),
         # A point left side passes; an E1 one reads its index (_primitive).
-        Scope("record", {symmetric_pairs: frozenset()}, {star_pairs: "left and pair"}),
+        Scope("sides and pairs", {symmetric_pairs: frozenset()}, {star_pairs: "left and pair"}),
     ),
-    "GCD_RIGHT": Check(
+    "GCD_RIGHT": _kernel_check(
         "right-basis decomposition of the flopped divisor is primitive",
-        lambda c: _primitive(c.right, c.pair_plus),
+        _gcd_right,
         lambda c: _primitive_detail("right", c.right, c.pair_plus),
         # A point right side passes.
-        Scope("record", {star_pairs: frozenset(), symmetric_pairs: frozenset()}),
+        Scope("sides and pairs", {star_pairs: frozenset(), symmetric_pairs: frozenset()}),
     ),
     "COEFF_INTEGRALITY": Check(
         "point-side coefficients are integers",
@@ -459,17 +475,17 @@ REGISTRY: dict[str, Check] = {
         _defect_divisible_detail,
         Scope("cubes"),
     ),
-    "HODGE": Check(
+    "HODGE": _kernel_check(
         "curve-corrected Hodge numbers balance across the link",
         _hodge,
         _hodge_detail,
-        Scope("both sides", on={star_pairs: "left"}),  # one value per side (_hodge_sum)
+        Scope("sides and pairs", on={star_pairs: "left"}),  # one value per side (_hodge_sum)
     ),
-    "HYPERELLIPTIC_SYM": Check(
+    "HYPERELLIPTIC_SYM": _kernel_check(
         "central degree 2 forces equal sides",
-        lambda c: c.kx3 != 2 or c.left == c.right,
+        _hyperelliptic_sym,
         _hyperelliptic_sym_detail,
-        Scope("both sides", on={star_pairs: "kx3"}),  # an E1 side never equals a point side
+        Scope("sides and pairs", on={star_pairs: "kx3"}),  # an E1 side never equals a point side
     ),
     "ALPHA_PLUS_BOUND": Check(
         "point-side leading coefficient within its search bound",

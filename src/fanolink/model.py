@@ -67,7 +67,7 @@ class SideData:
             if (self.r, self.d, self.g) != (None, None, None):
                 raise ValueError(f"{self.ctype.value} side carries no numeric data")
 
-    @property
+    @functools.cached_property
     def is_e1(self) -> bool:
         return self.ctype is ContractionType.E1
 
@@ -79,7 +79,7 @@ class SideData:
         """
         return self.r**3 if self.is_e1 else 1
 
-    @property
+    @functools.cached_property
     def target_index(self) -> int | None:
         """Fano index of this side's contraction target, if it is smooth.
 

@@ -16,13 +16,13 @@ Two independent routes produce every family's candidate set:
 * Both E1 walks then decide each tuple's kernel checks on integers before
   deriving it (_decide): ETILDE_INTEGRAL, DEFECT_POSITIVE and
   DEFECT_DIVISIBLE on the cube and defect numerators
-  (formulas.cube_numerators), and on the E1-point walk DIOPHANTINE on the
-  residual numerators.  The walks call the checks' own verdicts
-  (checks.kernel_plan, checks.KERNEL_ARGS), which REGISTRY's passes call
-  on a record.  An untraced run derives (formulas.derive) only a tuple
-  that passes them all, for the checks left in its record plan; a traced
-  run names their failures among the others, and derives a record only
-  where checks are left to run on it.
+  (formulas.cube_numerators), and on the side fields and the pairs
+  GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1, DIOPHANTINE
+  on E1-point.  The walks call the checks' own verdicts (checks.kernel_plan,
+  checks.KERNEL_ARGS), which REGISTRY's passes call on a record.  A run
+  derives (formulas.derive) a tuple only for the checks left in its record
+  plan, untraced only one that passes the kernel; at the default checks
+  none is left, so a run, traced or not, derives just the rows it keeps.
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -282,24 +282,19 @@ def _kernel(
     """A tuple's cubes, and the checks of an E1 walk's kernel (checks.kernel_plan) it fails.
 
     Each verdict gets the fields checks.KERNEL_ARGS names for its scope:
-    the sides and the cubes, or kx3, the sides, their excesses and the
-    pairs.  The failures come in registry order within each scope; with
-    short_circuit only the first is named.
+    the sides and the cubes, or the side fields and the pairs.  The
+    failures come in registry order within each scope; with short_circuit
+    only the first is named.
     """
     fields = sides[0]
     cubes = cube_numerators(sides, *pairs)
-    on_cubes, on_residuals = kernel
-    failed, args = [], (fields[1], fields[2], *cubes)
-    for name, verdict in on_cubes:
-        if not verdict(*args):
-            failed.append(name)
-            if short_circuit:
-                return cubes, failed
-    for name, verdict in on_residuals:
-        if not verdict(*fields[:5], *pairs):
-            failed.append(name)
-            if short_circuit:
-                break
+    failed = []
+    for plan, args in zip(kernel, ((fields[1], fields[2], *cubes), (*fields, *pairs))):
+        for name, verdict in plan:
+            if not verdict(*args):
+                failed.append(name)
+                if short_circuit:
+                    return cubes, failed
     return cubes, failed
 
 
@@ -477,12 +472,11 @@ def enumerate_e1e1(
     whichever role the side plays): the check passes exactly when the two
     values are equal.
     Any other run walks each right side; only the iterable differs.
-    Each tuple is decided by the kernel's cube checks on integers first,
-    then on its record against the walk's record plan (checks.record_plan):
-    the genus-form test decides DIOPHANTINE, the side lists the side checks,
-    and the closed-form pairs the coefficient checks (COEFF_RELATIONS while
-    SIGMA_POS is enabled).  HODGE stays in the plan, so a wrong Hodge join
-    could only drop rows.
+    The genus-form test decides DIOPHANTINE, the side lists the side checks,
+    the closed-form pairs the coefficient checks (COEFF_RELATIONS while
+    SIGMA_POS is enabled) and the kernel (_decide) the rest on integers, so
+    the walk's record plan (checks.record_plan) is empty.  HODGE is in the
+    kernel, so a wrong Hodge join could only drop rows.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}

@@ -103,12 +103,16 @@ class TestRegistry:
         scoped = {name for name, check in REGISTRY.items() if check.scope.reads != "record"}
         assert scoped == {
             "SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE",
-            "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
+            "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE",
+            "HODGE", "HYPERELLIPTIC_SYM",
         }
         # A kernel check (scope in KERNEL_ARGS) holds its verdict on the
         # scope's fields, and no other check has one.
         kernel = {name for name, check in REGISTRY.items() if check.scope.reads in KERNEL_ARGS}
-        assert kernel == {"DIOPHANTINE", "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"}
+        assert kernel == {
+            "DIOPHANTINE", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE",
+            "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
+        }
         for name, check in REGISTRY.items():
             assert (check.on_fields is not None) == (name in kernel), name
 

@@ -870,12 +870,13 @@ class TestAblations:
 
     def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
         # Without DIOPHANTINE and HODGE E1-E1 decides every oriented pair,
-        # and derives the 155 that pass the kernel's cube checks (measured);
-        # the full default suite then keeps the default rows.
+        # and derives the 127 that pass its kernel (measured): its record
+        # plan is empty, so those are the rows it keeps.  The full default
+        # suite then keeps the default rows.
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
         out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE", "HODGE"})
-        assert (len(log), derived["e1e1"]) == (10_350, 155)
+        assert (len(log), derived["e1e1"], len(out)) == (10_350, 127, 127)
         assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
 
     def test_diophantine_off_derivations_are_pinned(self, monkeypatch):
@@ -893,7 +894,7 @@ class TestAblations:
             enumerate_family(family, DEFAULT_CHECKS - {"DIOPHANTINE"})
             records[family] = len(log)
         assert records == {"e1e1": 976, "e1e2": 2_236}
-        assert derived == {"e1e1": 114, "e1e2": 4}
+        assert derived == {"e1e1": 111, "e1e2": 4}
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
@@ -909,12 +910,14 @@ class TestAblations:
         ]
         assert floor_only == [(2, (1, 2, 1), (1, 2, 1))]
 
-    def test_e1e1_checks_coeff_relations_while_sigma_pos_is_off(self):
+    def test_e1e1_checks_coeff_relations_while_sigma_pos_is_off(self, monkeypatch):
         # Without the SIGMA_POS side prune an excess may be 0 or negative, so
         # the closed-form alpha = (sigma*rp + r*sigma_plus)/(r*kx3) can
         # vanish: 308 records fail COEFF_RELATIONS, which the E1-E1 record
         # plan must keep (each also fails another check, so no row moves).
+        # The traced walk so derives every one of its 4,220 tuples.
         named = Counter()
+        derived = _derived_count(monkeypatch)
 
         def trace(stage, data, failed):
             if "COEFF_RELATIONS" in failed:
@@ -923,6 +926,7 @@ class TestAblations:
         out = enumerate_e1e1(DEFAULT_CHECKS - {"SIGMA_POS"}, trace=trace)
         assert named == {"full": 308}
         assert len(out) == 249
+        assert derived == {"e1e1": 4_220}
 
     def test_hyperelliptic_ablation_admits_asymmetric_degree_two_bodies(self, enumerated, ablated):
         out3 = ablated("HYPERELLIPTIC_SYM", "e1e3")
@@ -1045,9 +1049,9 @@ class TestTracing:
         # A default run decides every tuple that passes its family's pair
         # test and, on the E1-point families, the checks decided before
         # (TestE1PointDecisions): the E1 walks in their kernel first
-        # (search._decide), the symmetric walk on its record.  It derives
-        # 178 records, only the E1 tuples that pass the kernel (TestKernel),
-        # and audits (build_candidate) only the 134 rows it keeps (measured).
+        # (search._decide), the symmetric walk on its record.  The E1 walks'
+        # record plans are empty (TestKernel), so a run, traced or not,
+        # derives and audits (build_candidate) only the 134 rows it keeps.
         decided, built = Counter(), Counter()
         derived = _derived_count(monkeypatch)
         decide, build = search._decide, search.build_candidate
@@ -1068,19 +1072,19 @@ class TestTracing:
         assert decided + Counter({f: derived[f] for f in ("e2e2", "e3e3", "e5e5")}) == {
             "e1e1": 622, "e1e2": 6, "e1e3": 71, "e1e5": 48, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
-        assert derived == {
-            "e1e1": 155, "e1e2": 3, "e1e3": 7, "e1e5": 7, "e2e2": 3, "e3e3": 2, "e5e5": 1
-        }
-        assert sum(derived.values()) == 178
-        assert built == EXPECTED_COUNTS
-        # A traced E1-E1 run takes the same genus-form join, reporting the
-        # right sides between two partners as pair-fast blocks, so it
-        # decides the same 622 records; it derives each of them, for the
-        # checks of its record plan outside the kernel.
-        decided.clear()
-        derived.clear()
-        enumerate_family("e1e1", trace=lambda s, d, f: None)
-        assert decided == derived == {"e1e1": 622}
+        assert derived == built == EXPECTED_COUNTS
+        assert sum(derived.values()) == 134
+        # A traced run takes the same genus-form join, reporting the right
+        # sides between two partners as pair-fast blocks, and on the E1-point
+        # walks decides every pinned tuple (TestE1PointPreTest); it names the
+        # kernel's failures without a record.  E1-E1 decides the same 622
+        # tuples and derives the 111 it keeps.
+        for counts in (decided, derived, built):
+            counts.clear()
+        for family in FAMILY_IDS:
+            enumerate_family(family, trace=lambda s, d, f: None)
+        assert decided == {"e1e1": 622, "e1e2": 289, "e1e3": 249, "e1e5": 161}
+        assert derived == built == EXPECTED_COUNTS
 
     def test_trace_tuples_rebuild_their_records(self):
         # Each full event carries its family's explain tuple: the record
@@ -1300,41 +1304,56 @@ def _no_diophantine_log(family: str) -> tuple[tuple, ...]:
 class TestKernel:
     # Both E1 walks decide the checks of their kernel (checks.kernel_plan) on
     # a tuple's integers before deriving it (search._kernel): the cube
-    # checks from formulas.cube_numerators, and on the E1-point walk
-    # DIOPHANTINE from its residual numerators.  The proofs log the tuples
-    # each walk decides and hold the kernel on them to the registry.
+    # checks from formulas.cube_numerators, and from the side fields and the
+    # pairs GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on the E1-E1
+    # walk, DIOPHANTINE on the E1-point one.  The proofs log the tuples each
+    # walk decides and hold the kernel on them to the registry.
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
     CUBES = ["ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"]
+    E1E1_SIDES = ["GCD_LEFT", "GCD_RIGHT", "HODGE", "HYPERELLIPTIC_SYM"]
 
     def test_the_kernel_is_what_the_record_plans_leave_out(self):
-        for pairs, decided, residuals in (
-            (e1e1_pairs, search._SIDES_DECIDED, []),  # the genus-form test decides DIOPHANTINE
+        for pairs, decided, sides in (
+            # The genus-form test decides DIOPHANTINE on E1-E1; the E1-point
+            # walk decides GCD_LEFT, HODGE and HYPERELLIPTIC_SYM before its
+            # kernel, and its pairs pass GCD_RIGHT by construction.
+            (e1e1_pairs, search._SIDES_DECIDED, self.E1E1_SIDES),
             (star_pairs, search._STAR_DECIDED, ["DIOPHANTINE"]),
         ):
             for enabled in (DEFAULT_CHECKS, self.NO_DIOPHANTINE):
-                on_cubes, on_residuals = kernel_plan(pairs, enabled)
+                on_cubes, on_sides = kernel_plan(pairs, enabled)
                 assert [name for name, _ in on_cubes] == self.CUBES
-                assert [name for name, _ in on_residuals] == [
-                    name for name in residuals if name in enabled
-                ]
+                assert [name for name, _ in on_sides] == [name for name in sides if name in enabled]
                 before = record_plan(pairs, enabled, decided)
                 after = record_plan(pairs, enabled, decided | KERNEL_SCOPES)
-                assert before - after == {name for name, _ in on_cubes + on_residuals}
-                assert after == (
-                    {"GCD_LEFT", "GCD_RIGHT", "HODGE", "HYPERELLIPTIC_SYM"}
-                    if pairs is e1e1_pairs
-                    else set()
-                )
+                assert before - after == {name for name, _ in on_cubes + on_sides}
+                assert after == set()
+        # Without SIGMA_POS an E1-E1 alpha may vanish, so COEFF_RELATIONS
+        # stays on the records, which the walk derives and admits (_admit).
+        enabled = DEFAULT_CHECKS - {"SIGMA_POS"}
+        plan = record_plan(e1e1_pairs, enabled, search._SIDES_DECIDED | KERNEL_SCOPES)
+        assert plan == {"COEFF_RELATIONS"}
 
     # (family, enabled set, traced): the tuples the walk decides, how many
     # fail each kernel check and how many pass them all (measured).  E1-E1
     # without DIOPHANTINE, traced, decides all 10,350 oriented pairs over the
-    # kept sides; an untraced E1-point walk without DIOPHANTINE decides each
-    # alpha_plus that no check decided before the kernel fails, a traced
-    # default one each pinned alpha_plus.
+    # kept sides; without SIGMA_POS, traced, the 4,220 genus-form partners
+    # over its wider side lists, whose records still run COEFF_RELATIONS.
+    # An untraced E1-point walk without DIOPHANTINE decides each alpha_plus
+    # that no check decided before the kernel fails, a traced default one
+    # each pinned alpha_plus.
     CASES = {
-        "e1e1": (DEFAULT_CHECKS, False, 622, (237, 446, 287), 155),
-        "e1e1-no-diophantine": (NO_DIOPHANTINE, True, 10_350, (6_634, 9_331, 10_015), 155),
+        "e1e1": (DEFAULT_CHECKS, False, 622, (237, 446, 287, 288, 276, 175, 44), 111),
+        "e1e1-no-diophantine": (
+            NO_DIOPHANTINE, True, 10_350, (6_634, 9_331, 10_015, 7_589, 7_042, 9_374, 2_926), 111
+        ),
+        "e1e1-no-sigma-pos": (
+            DEFAULT_CHECKS - {"SIGMA_POS"},
+            True,
+            4_220,
+            (1_821, 3_478, 1_974, 2_030, 1_958, 2_520, 398),
+            249,
+        ),
         "e1e2": (DEFAULT_CHECKS, True, 289, (71, 223, 277, 275), 12),
         "e1e2-no-diophantine": (NO_DIOPHANTINE, False, 2_236, (0, 2_202, 2_229), 4),
         "e1e3": (DEFAULT_CHECKS, True, 249, (50, 210, 236, 232), 10),
