@@ -22,15 +22,15 @@ Each check also declares its scope (Scope): the candidate fields its
 verdict reads (kx3 alone, one side and kx3, each side, or the whole
 record, or a kernel scope), what it reads on a walk where that is less,
 and the enumerator walks whose pairs pass it by construction.
-record_plan derives from that table the checks a walk still runs on each
-record; explain and the oracles run the full suite.
+kernel_plan derives from that table the checks an E1 walk decides on a
+tuple's integers; the symmetric walk, explain and the oracles run them all.
 
-Eight checks read only integers an E1 walk has before it derives a record
+Nine checks read only integers an E1 walk has before it derives a record
 (KERNEL_ARGS): ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE the
-cubes, defects and cube scales; DIOPHANTINE, GCD_LEFT, GCD_RIGHT, HODGE and
-HYPERELLIPTIC_SYM the side fields and the pairs.  Each is one integer
-predicate over those fields: its passes reads them from a record, and the
-walks call it on a tuple's own (kernel_plan, search._kernel).
+cubes, defects and cube scales; DIOPHANTINE, COEFF_RELATIONS, GCD_LEFT,
+GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM the side fields and the pairs.  Each
+is one integer predicate over those fields: its passes reads them from a
+record, and the walks call it on a tuple's own (search._kernel).
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ def _fractions(pair: Pair) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(b, den)
 
 
-def _coeff_relations(rec: LinkCandidate) -> bool:
-    pair, pair_plus = rec.pair, rec.pair_plus
-    return not any(closure_numerators(pair, pair_plus)) and 0 not in (*pair[:2], *pair_plus[:2])
-
-
 def _coeff_relations_detail(rec: LinkCandidate) -> str:
     den = rec.pair[2] * rec.pair_plus[2]
     detail = "closure " + _ratios(closure_numerators(rec.pair, rec.pair_plus), (den, den, den))
@@ -240,6 +235,11 @@ def _diophantine(*fields) -> bool:
     return not any(_residuals(*fields)[0])  # every residual numerator vanishes
 
 
+def _coeff_relations(*fields) -> bool:
+    pair, pair_plus = fields[-2:]
+    return not any(closure_numerators(pair, pair_plus)) and 0 not in (*pair[:2], *pair_plus[:2])
+
+
 def _gcd_left(
     kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, pair, pair_plus
 ) -> bool:
@@ -331,7 +331,6 @@ KERNEL_ARGS: dict[str, tuple[str, ...]] = {
     "cubes": ("left", "right", "etilde3_left", "etilde3_right", "defect_left", "defect_right"),
     "sides and pairs": LinkCandidate._fields[:9],  # kx3 through pair_plus
 }
-KERNEL_SCOPES = frozenset(KERNEL_ARGS)
 
 # The candidate fields (model.LinkCandidate) a verdict of each scope reads.
 SCOPE_FIELDS: dict[str, frozenset[str]] = {
@@ -427,14 +426,14 @@ REGISTRY: dict[str, Check] = {
         # is DIOPHANTINE's exact decision there (formulas.genus_form).
         Scope("sides and pairs", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
     ),
-    "COEFF_RELATIONS": Check(
+    "COEFF_RELATIONS": _kernel_check(
         "flop coefficients are mutually consistent and nonzero",
         _coeff_relations,
         _coeff_relations_detail,
         # Every closure relation holds identically on each pair function's
         # pairs; an E1-E1 alpha is (sigma*r_plus + r*sigma_plus)/(r*kx3),
         # nonzero once SIGMA_POS keeps both excesses positive.
-        Scope("record", {**_ANY_PAIRS, e1e1_pairs: frozenset({"SIGMA_POS"})}),
+        Scope("sides and pairs", {**_ANY_PAIRS, e1e1_pairs: frozenset({"SIGMA_POS"})}),
     ),
     "ETILDE_INTEGRAL": _kernel_check(
         "both flopped divisor cubes are integers",
@@ -522,43 +521,23 @@ def _plan(enabled: frozenset[str]) -> tuple[tuple[str, Callable[[LinkCandidate],
 
 
 @functools.cache
-def record_plan(
-    pairs: Callable, enabled: frozenset[str], decided: frozenset[str]
-) -> frozenset[str]:
-    """The enabled checks an enumerator walk still runs on each record it derives.
-
-    pairs is the walk's pair function and decided the scopes it settles
-    before any record.  An enabled check drops out when its scope on the
-    walk (Scope.on, else Scope.reads) is decided, or when the walk's records
-    pass it by construction: its Scope.built names pairs, with every check
-    that needs enabled.
-    Cached per walk, enabled set and decided scopes, like _plan.
-    """
-    validate_check_ids(enabled)
-    return frozenset(
-        name
-        for name, check in REGISTRY.items()
-        if name in enabled
-        and check.scope.on.get(pairs, check.scope.reads) not in decided
-        and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
-    )
-
-
-@functools.cache
 def kernel_plan(pairs: Callable, enabled: frozenset[str]) -> tuple[tuple, ...]:
     """A walk's kernel: per KERNEL_ARGS scope, in that order, its (name, field verdict) pairs.
 
-    They are the checks of the walk's record plan, with nothing decided,
-    whose scope on the walk is that scope, in registry order.  A walk that
-    decides KERNEL_SCOPES runs them on a tuple's fields before deriving it,
-    and record_plan drops the same checks from its records.
+    They are the enabled checks, in registry order, whose scope on the walk
+    (Scope.on, else Scope.reads) is that scope, less those the walk's pairs
+    pass by construction: their Scope.built names pairs, with every check
+    that needs enabled.  An E1 walk decides every other enabled check
+    before its kernel.  Cached per walk and enabled set, like _plan.
     """
-    undecided = record_plan(pairs, enabled, frozenset())
+    validate_check_ids(enabled)
     return tuple(
         tuple(
             (name, check.on_fields)
             for name, check in REGISTRY.items()
-            if name in undecided and check.scope.on.get(pairs, check.scope.reads) == scope
+            if name in enabled
+            and check.scope.on.get(pairs, check.scope.reads) == scope
+            and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
         )
         for scope in KERNEL_ARGS
     )

@@ -128,42 +128,42 @@ def _print_check_listing(stream) -> None:
         print(f"{name:<{width}}  {check.description}", file=stream)
 
 
+@functools.cache
+def _cell_suffixes(cells: tuple, checks: tuple[str, ...]) -> tuple[str, ...]:
+    """The "d, g) failed=..." suffix of each cell, once per process per cells and checks."""
+    return tuple(f"{d}, {g}) failed={','.join(checks)}\n" for d, g in cells)
+
+
 class _TraceSink:
     """The --trace-rejections hook: one ``reject[stage] data failed=...`` line per rejection.
 
     A block (search.TraceFn) is written as a head such as ``reject[side-left]
-    (kx3, r, `` joined with its events' ``d, g) failed=...`` suffixes.  For
-    the run, the cells' suffixes are formatted once per cells and checks,
-    and the events' picked once per cells, verdicts and failed; the cells
-    are keyed by id, and the events' entry keeps them alive.  Pending
-    output is text pieces and their line count; a block that crosses a
-    chunk boundary is split on its suffixes.
+    (kx3, r, `` joined with its events' ``d, g) failed=...`` suffixes.  Like
+    the side lists, these are built once per process: the cells' per cells
+    and checks (_cell_suffixes), the events' picked per cells, verdicts and
+    failed (_events, shared by every sink; keyed by the cells' id, an entry
+    keeps the cells alive).  Pending output is text pieces and their line
+    count; a block that crosses a chunk boundary is split on its suffixes.
     """
+
+    _events: dict[tuple, tuple] = {}
 
     def __init__(self) -> None:
         self._pieces: list[str] = []  # pending text, self._lines lines in all
         self._lines = 0
-        self._suffixes: dict[tuple, list | tuple] = {}
 
     def __call__(self, stage: str, data: tuple, failed: tuple[str, ...]) -> None:
         self._pieces.append("reject[%s] %r failed=%s\n" % (stage, data, ",".join(failed)))
         self._lines += 1
         self.write()
 
-    def _cell_suffixes(self, cells, checks: tuple[str, ...]) -> list[str]:
-        """The "d, g) failed=..." suffix of each cell, once per run per cells and checks."""
-        key = (id(cells), checks)
-        if key not in self._suffixes:
-            self._suffixes[key] = [f"{d}, {g}) failed={','.join(checks)}\n" for d, g in cells]
-        return self._suffixes[key]
-
     def block(self, stage, data, cells, verdicts, failed, start, stop) -> None:
         key = (id(cells), verdicts, failed)  # the events' suffixes, picked from the cells'
-        entry = self._suffixes.get(key)
+        entry = self._events.get(key)
         if entry is None:
-            tails = [c and self._cell_suffixes(cells, c) for c in failed]
+            tails = [c and _cell_suffixes(cells, c) for c in failed]
             events = [tails[v][i] for i, v in enumerate(verdicts) if v]
-            entry = self._suffixes[key] = (cells, events, 0 in verdicts)
+            entry = self._events[key] = (cells, events, 0 in verdicts)
         _, events, sparse = entry
         if sparse:  # count the events before start and stop, not the cells
             start, stop = start - verdicts.count(0, 0, start), stop - verdicts.count(0, 0, stop)

@@ -13,16 +13,15 @@ Two independent routes produce every family's candidate set:
   (r, beta_plus, alpha_plus) each check that reads no more, traced or not;
   an untraced run skips what they reject (enumerate_e1e1,
   enumerate_e1estar).
-* Both E1 walks then decide each tuple's kernel checks on integers before
+* Both E1 walks then decide each tuple's other checks on integers before
   deriving it (_decide): ETILDE_INTEGRAL, DEFECT_POSITIVE and
   DEFECT_DIVISIBLE on the cube and defect numerators
   (formulas.cube_numerators), and on the side fields and the pairs
-  GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1, DIOPHANTINE
-  on E1-point.  The walks call the checks' own verdicts (checks.kernel_plan,
-  checks.KERNEL_ARGS), which REGISTRY's passes call on a record.  A run
-  derives (formulas.derive) a tuple only for the checks left in its record
-  plan, untraced only one that passes the kernel; at the default checks
-  none is left, so a run, traced or not, derives just the rows it keeps.
+  GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1 (and
+  COEFF_RELATIONS without SIGMA_POS), DIOPHANTINE on E1-point.  The walks
+  call the checks' own verdicts (checks.kernel_plan, checks.KERNEL_ARGS),
+  which REGISTRY's passes call on a record.  So a run, traced or not,
+  derives (formulas.derive) just the rows it keeps.
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -77,14 +76,12 @@ from .catalog import is_valid_fano_degree
 from .checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
-    KERNEL_SCOPES,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     _hodge_sum,
     _plan,
     _primitive,
     kernel_plan,
-    record_plan,
     run_checks,
 )
 from .formulas import (
@@ -126,18 +123,6 @@ G_MAX: dict[int, int] = {r: sigma(r, D_MAX, 0) // 2 for r in range(1, 5)}
 # events (*data, *cells[i]) that fail failed[verdicts[i]], for i in
 # range(start, stop); verdicts holds one byte per cell, and verdict 0 is no event.
 TraceFn = Callable[[str, tuple, tuple[str, ...]], None]
-
-# The check scopes (checks.Scope) each walk decides before it derives a
-# record; checks.record_plan drops them from the walk's record checks.
-# Every walk keeps kx3 in KX3_VALUES (KX3_RANGE).  The E1 walks' side lists
-# prune each E1 side (SIGMA_POS, FANO_DEGREE_*), and a point side's excess
-# is positive.  The E1-point walk decides the rest of what its scopes fix
-# once per kx3, left side and (r, beta_plus, alpha_plus) (enumerate_e1estar).
-# Both E1 walks also decide checks.KERNEL_SCOPES on each tuple (_decide).
-_KX3_DECIDED = frozenset({"kx3"})
-_SIDES_DECIDED = frozenset({"kx3", "left", "right", "each side"})
-_STAR_DECIDED = _SIDES_DECIDED | {"left and pair"}
-
 
 # ---------------------------------------------------------------------------
 # Candidates
@@ -254,23 +239,17 @@ def _admit(
     trace: TraceFn | None,
     data: tuple,
     results: list[LinkCandidate],
-    known: frozenset[str] = frozenset(),
 ) -> None:
     """Run the checks on a candidate: keep an admitted one, trace a rejected one.
 
     Without a trace hook the checks short-circuit, so run_checks returns no
     report exactly when every check passes; with one, every check runs and
-    names its failures from checks._plan, building no report.  known holds
-    the checks the walk has decided the record fails before deriving it
-    (traced runs only: an untraced walk skips such a record); they are
-    named in registry order among the others, not run again.  Only an
+    names its failures from checks._plan, building no report.  Only an
     admitted candidate is held to the 64-bit contract (build_candidate).
     """
     if trace is None:
         failed = run_checks(candidate, checks, True)
-    elif failed := tuple(
-        name for name, passes in _plan(checks | known) if name in known or not passes(candidate)
-    ):
+    elif failed := tuple(name for name, passes in _plan(checks) if not passes(candidate)):
         trace("full", data, failed)
     if not failed:
         results.append(build_candidate(candidate))
@@ -308,29 +287,26 @@ def _decide(
     sides: SideTerms,
     pairs: tuple,
     kernel: tuple,
-    plan: frozenset[str],
     trace: TraceFn | None,
     data: tuple,
     results: list[LinkCandidate],
     known: frozenset[str] = frozenset(),
 ) -> None:
-    """Decide one tuple of an E1 walk: its kernel checks on integers first, then its record.
+    """Decide one tuple of an E1 walk on integers: keep its record, or trace or skip it.
 
     known holds the checks the walk decided the tuple fails before (traced
-    runs only).  An untraced run skips a tuple that fails a kernel check,
-    without deriving it.  A traced run adds the kernel's failures to known;
-    it derives the record only while the walk's record plan has checks
-    left to run on it, and otherwise traces the failures alone.
+    runs only: an untraced walk skips such a tuple).  The kernel decides
+    every other enabled check the walk's pairs do not pass by construction
+    (checks.kernel_plan).  An untraced run skips a tuple that fails one; a
+    traced run names its failures, decided before or in the kernel, in
+    registry order.  Only a kept tuple is derived.
     """
     cubes, failed = _kernel(sides, pairs, kernel, trace is None)
-    if failed:
-        if trace is None:
-            return
-        known = known.union(failed)
-    if known and not plan:
-        trace("full", data, _in_registry_order(known))
+    if failed or known:
+        if trace is not None:
+            trace("full", data, _in_registry_order(known.union(failed)))
         return
-    _admit(derive(sides, *pairs, cubes), plan, trace, data, results, known)
+    results.append(build_candidate(derive(sides, *pairs, cubes)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +450,8 @@ def enumerate_e1e1(
     Any other run walks each right side; only the iterable differs.
     The genus-form test decides DIOPHANTINE, the side lists the side checks,
     the closed-form pairs the coefficient checks (COEFF_RELATIONS while
-    SIGMA_POS is enabled) and the kernel (_decide) the rest on integers, so
-    the walk's record plan (checks.record_plan) is empty.  HODGE is in the
-    kernel, so a wrong Hodge join could only drop rows.
+    SIGMA_POS is enabled) and the kernel (_decide) the rest on integers.
+    HODGE is in the kernel, so a wrong Hodge join could only drop rows.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
@@ -487,7 +462,6 @@ def enumerate_e1e1(
     right_by_hodge = {key: _by_hodge(right[key][0], hodge[key]) for key in hodge}
     blocks = trace is not None and fast
     diophantine = ((), ("DIOPHANTINE",))  # what a pair-fast block's verdict 1 names
-    plan = record_plan(e1e1_pairs, frozenset(enabled), _SIDES_DECIDED | KERNEL_SCOPES)
     kernel = kernel_plan(e1e1_pairs, frozenset(enabled))
     results: list[LinkCandidate] = []
     for kx3, r in indices:
@@ -513,7 +487,7 @@ def enumerate_e1e1(
                         start = at + 1
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
                     sides = side_terms(kx3, left_term, right_term)
-                    _decide(sides, pairs, kernel, plan, trace, (kx3, r, d, g, rp, dp, gp), results)
+                    _decide(sides, pairs, kernel, trace, (kx3, r, d, g, rp, dp, gp), results)
                 if blocks:
                     _block(trace, "pair-fast", data, cells, ones, diophantine, start, stop)
     return tuple(sorted(results, key=canonical_sort_key))
@@ -549,11 +523,10 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
-    Each tuple left is decided against the walk's record plan
-    (checks.record_plan): the side lists decide the E1 side's
-    checks, and the star pairs inside the box pass the coefficient checks
-    (COEFF_RELATIONS, COEFF_INTEGRALITY, ALPHA_PLUS_BOUND, BETA_PLUS_RANGE)
-    and the point side's GCD_RIGHT by construction.
+    The side lists decide the E1 side's checks, and the star pairs inside
+    the box pass the coefficient checks (COEFF_RELATIONS, COEFF_INTEGRALITY,
+    ALPHA_PLUS_BOUND, BETA_PLUS_RANGE) and the point side's GCD_RIGHT by
+    construction.
 
     Four more checks read less than a record on this walk (checks.Scope.on),
     so it decides each once, with the check's own calls, before the kernel:
@@ -562,10 +535,9 @@ def enumerate_e1estar(
     on a smooth point target (E2) asks that the side's value (_hodge_key)
     equal the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
     (_gcd_left_alpha_pluses).  An untraced run skips whatever a decision
-    fails.  The kernel (_decide) decides the rest of the plan, the cube
-    checks and DIOPHANTINE, so a run derives only the tuples it admits; a
-    traced run names every tuple's failures, decided or not, in registry
-    order.
+    fails.  The kernel (_decide) decides the rest, the cube checks and
+    DIOPHANTINE, so a run derives only the tuples it admits; a traced run
+    names every tuple's failures, decided or not, in registry order.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)
@@ -573,7 +545,6 @@ def enumerate_e1estar(
     fast = "DIOPHANTINE" in enabled
     gcd_left = "GCD_LEFT" in enabled
     hodge = "HODGE" in enabled and right.target_index is not None
-    plan = record_plan(star_pairs, enabled, _STAR_DECIDED | KERNEL_SCOPES)
     kernel = kernel_plan(star_pairs, enabled)
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
@@ -613,7 +584,7 @@ def enumerate_e1estar(
                         if sides is None:
                             sides = side_terms(kx3, left_term, right_term)
                         pairs, data = star_pairs(ap, bp), (kx3, r, d, g, ap, bp)
-                        _decide(sides, pairs, kernel, plan, trace, data, results, known)
+                        _decide(sides, pairs, kernel, trace, data, results, known)
     return tuple(sorted(results, key=canonical_sort_key))
 
 
@@ -630,12 +601,12 @@ def enumerate_symmetric(
 
     alpha runs over the positive divisors of twice the point-side constant;
     with KX3_RANGE enabled the central degree 2c/alpha must lie in the
-    central-degree domain, and the walk's record plan (checks.record_plan)
-    decides admission.
+    central-degree domain, and every enabled check decides admission on the
+    record (_admit).
     """
     two_c = 2 * star_sigma(star)  # raises ValueError for an E1 star
     family = family_id(star, star)
-    plan = record_plan(symmetric_pairs, frozenset(enabled), _KX3_DECIDED)
+    enabled = frozenset(enabled)
     results: list[LinkCandidate] = []
     for alpha in range(1, two_c + 1):
         if two_c % alpha != 0:
@@ -645,7 +616,7 @@ def enumerate_symmetric(
             if trace is not None:
                 trace("domain", (kx3, alpha), ("KX3_RANGE",))
             continue
-        _admit(record(family, (kx3, alpha)), plan, trace, (kx3, alpha), results)
+        _admit(record(family, (kx3, alpha)), enabled, trace, (kx3, alpha), results)
     return tuple(sorted(results, key=canonical_sort_key))
 
 

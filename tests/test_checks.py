@@ -19,7 +19,7 @@ from fanolink.checks import (
     REGISTRY,
     SCOPE_FIELDS,
     admitted,
-    record_plan,
+    kernel_plan,
     run_checks,
     validate_check_ids,
 )
@@ -103,24 +103,25 @@ class TestRegistry:
         scoped = {name for name, check in REGISTRY.items() if check.scope.reads != "record"}
         assert scoped == {
             "SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE",
-            "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE",
-            "HODGE", "HYPERELLIPTIC_SYM",
+            "COEFF_RELATIONS", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE",
+            "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
         # A kernel check (scope in KERNEL_ARGS) holds its verdict on the
         # scope's fields, and no other check has one.
         kernel = {name for name, check in REGISTRY.items() if check.scope.reads in KERNEL_ARGS}
         assert kernel == {
-            "DIOPHANTINE", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE",
-            "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
+            "DIOPHANTINE", "COEFF_RELATIONS", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT",
+            "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
         for name, check in REGISTRY.items():
             assert (check.on_fields is not None) == (name in kernel), name
 
     @pytest.mark.parametrize("ids", [{"HODGE", "NOT_A_CHECK"}, {""}])
-    def test_record_plan_raises_on_a_bad_id(self, ids):
+    def test_kernel_plan_raises_on_a_bad_id(self, ids):
+        # Twice: the plan is cached per walk and enabled set, a failure never.
         for _ in range(2):
             with pytest.raises(ValueError):
-                record_plan(e1e1_pairs, frozenset(ids), frozenset())
+                kernel_plan(e1e1_pairs, frozenset(ids))
 
 
 class TestRunChecks:

@@ -23,7 +23,7 @@ from fanolink import formulas
 from fanolink import golden as golden_mod
 from fanolink import search as search_mod
 from fanolink.checks import DEFAULT_CHECKS, REGISTRY
-from fanolink.cli import TRACE_CHUNK_LINES, _TraceSink, main
+from fanolink.cli import TRACE_CHUNK_LINES, _cell_suffixes, _TraceSink, main
 from fanolink.render import build_golden_index, render_csv
 
 # SHA-256 of the stdout of each output that only people read (measured).
@@ -263,6 +263,23 @@ class TestEnumerate:
         assert "reject[pair-fast]" in capsys.readouterr().err
         assert set(blocks) == {"side-left", "side-right", "pair-fast"}
         assert set(stages) == {"full"}
+
+    def test_trace_sink_suffixes_are_kept_for_the_process(self, monkeypatch):
+        # The side lists' cells are built once per process, and so are the
+        # suffixes and events they key: a second traced run, with a new
+        # sink, builds none anew and writes the same trace.
+        traces = []
+        for _ in range(2):
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert main(["enumerate", "--families", "e1e1", "--trace-rejections"]) == 0
+            misses = _cell_suffixes.cache_info().misses
+            traces.append((stream.getvalue(), dict(_TraceSink._events), misses))
+        (first, before, built), (second, after, rebuilt) = traces
+        assert second == first
+        assert after.keys() == before.keys() and before
+        assert all(after[key] is entry for key, entry in before.items())
+        assert rebuilt == built
 
     def test_trace_sink_block_writes_the_events_of_its_window(self, monkeypatch):
         # The search's sparse blocks span their cells and its dense ones

@@ -42,9 +42,11 @@ def test_every_wrapped_name_is_bound():
 
 
 def test_a_default_enumeration_calls_the_derivation_and_check_layers(monkeypatch):
-    # One E1-point family reaches every layer: its point side's degree test
-    # (is_valid_fano_degree), the check registry, the Hodge lookup of the
-    # candidates that reach HODGE, and the kept-row step of its three rows.
+    # One E1-point family reaches the point side's degree test
+    # (is_valid_fano_degree), the Hodge lookup of the candidates that reach
+    # HODGE, and the kept-row step of its three rows.  The E1 walks decide
+    # their checks on integers (search._decide); a symmetric family runs the
+    # check registry on each of its records.
     calls: Counter[str] = Counter()
 
     def counting(key, fn):
@@ -60,6 +62,8 @@ def test_a_default_enumeration_calls_the_derivation_and_check_layers(monkeypatch
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert len(search.enumerate_family("e1e2")) == 3
     assert calls["search.build_*"] == 3
-    assert calls["run_checks"] > 0
     assert calls["is_valid_fano_degree"] > 0
     assert calls["hodge_h12"] > 0
+    assert calls["run_checks"] == 0
+    assert len(search.enumerate_family("e2e2")) == 3
+    assert calls["run_checks"] == 3

@@ -16,13 +16,11 @@ from fanolink.catalog import FANO_DEGREES, is_valid_fano_degree
 from fanolink.checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
-    KERNEL_SCOPES,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
     admitted,
     kernel_plan,
-    record_plan,
     run_checks,
 )
 from fanolink.formulas import (
@@ -509,7 +507,8 @@ class TestGenusJoin:
         # The traced run joins by genus form too, and reports the right sides
         # between two partners in one pair-fast block.  Its events must equal
         # a walk over every canonically oriented pair with the per-pair genus
-        # test; without FANO_DEGREE_LEFT the two roles' lists differ.
+        # test, naming each record's failures under the whole enabled suite;
+        # without FANO_DEGREE_LEFT the two roles' lists differ.
         # A hook with the block method must hear the same events in blocks:
         # fewer blocks than events at each blocked stage, but some.
         expected = []
@@ -517,7 +516,6 @@ class TestGenusJoin:
         indices = [(kx3, r) for kx3 in KX3_VALUES for r in G_MAX]
         left = {key: search._e1_side_list(*key, enabled, "left", plain)[0] for key in indices}
         right = {key: search._e1_side_list(*key, enabled, "right", plain)[0] for key in indices}
-        plan = record_plan(e1e1_pairs, enabled, search._SIDES_DECIDED)
         for kx3, r in indices:
             for rp in range(1, r + 1):
                 for d, g, sig, form, left_term in left[kx3, r]:
@@ -530,7 +528,8 @@ class TestGenusJoin:
                             continue
                         sides = formulas.side_terms(kx3, left_term, right_term)
                         rec = search.derive(sides, *e1e1_pairs(kx3, r, rp, sig, sig_p))
-                        failed = tuple(rep.name for rep in run_checks(rec, plan) if not rep.passed)
+                        reports = run_checks(rec, enabled)
+                        failed = tuple(rep.name for rep in reports if not rep.passed)
                         if failed:
                             expected.append(("full", data, failed))
         events = []
@@ -542,6 +541,16 @@ class TestGenusJoin:
         for kind in ("side", "pair-fast"):
             events = sum(event[0].startswith(kind) for event in expected)
             assert 0 < hook.blocks[kind] < events, kind
+
+
+class _QuietHook:
+    """A trace hook that drops every event, taking blocks whole."""
+
+    def __call__(self, stage, data, failed):
+        pass
+
+    def block(self, *args):
+        pass
 
 
 class _BlockHook:
@@ -749,7 +758,7 @@ def _decided_by(pairs, enabled=frozenset()):
 class TestConstructionDecided:
     # Each check that checks.Scope.built says a walk's pair function decides
     # passes on every pair that function makes over the walk's whole box, so
-    # the walk's record plan (checks.record_plan) may leave it out.  Each
+    # the walk's kernel (checks.kernel_plan) may leave it out.  Each
     # pair is checked on a record derived from sides that make it; these
     # verdicts read the pairs, the side types and the left index.
 
@@ -831,31 +840,13 @@ class TestConstructionDecided:
         for name in names:
             assert all(map(REGISTRY[name].passes, records)), name
 
-    def test_each_walk_checks_the_rest_on_its_records(self):
-        cubes = {"ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"}
-        rest = cubes | {"HODGE", "HYPERELLIPTIC_SYM"}
-        sides, star, kx3 = search._SIDES_DECIDED, search._STAR_DECIDED, search._KX3_DECIDED
-        assert record_plan(e1e1_pairs, DEFAULT_CHECKS, sides) == rest | {"GCD_LEFT", "GCD_RIGHT"}
-        assert record_plan(e1e1_pairs, DEFAULT_CHECKS - {"SIGMA_POS"}, sides) == rest | {
-            "GCD_LEFT", "GCD_RIGHT", "COEFF_RELATIONS"
-        }
-        # On star_pairs HODGE reads the left side and kx3, HYPERELLIPTIC_SYM
-        # and FANO_DEGREE_RIGHT kx3, and GCD_LEFT the left index and the pair
-        # (checks.Scope.on); the E1-point walk decides all four
-        # (TestE1PointDecisions).
-        assert record_plan(star_pairs, DEFAULT_CHECKS, sides) == cubes | {"DIOPHANTINE", "GCD_LEFT"}
-        assert record_plan(star_pairs, DEFAULT_CHECKS, star) == cubes | {"DIOPHANTINE"}
-        assert record_plan(symmetric_pairs, DEFAULT_CHECKS, kx3) == rest | {
-            "SIGMA_POS", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE"
-        }
-
 
 class TestAblations:
     @pytest.mark.parametrize("check", REGISTRY)
     def test_single_check_ablation_matrix(self, enumerated, ablated, check):
         # Each cell, filtered through the full default suite, gives back the
         # default rows: no shortcut the ablation turns off (side prunes, the
-        # record plans, the E1-E1 join, the E1-point alpha_plus pin, the
+        # kernels, the E1-E1 join, the E1-point alpha_plus pin, the
         # untraced kx3 skip, the symmetric domain prune) drops a row that
         # the checks admit.
         extras = {}
@@ -870,9 +861,8 @@ class TestAblations:
 
     def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
         # Without DIOPHANTINE and HODGE E1-E1 decides every oriented pair,
-        # and derives the 127 that pass its kernel (measured): its record
-        # plan is empty, so those are the rows it keeps.  The full default
-        # suite then keeps the default rows.
+        # and derives the 127 that pass its kernel (measured): the rows it
+        # keeps.  The full default suite then keeps the default rows.
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
         out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE", "HODGE"})
@@ -913,9 +903,9 @@ class TestAblations:
     def test_e1e1_checks_coeff_relations_while_sigma_pos_is_off(self, monkeypatch):
         # Without the SIGMA_POS side prune an excess may be 0 or negative, so
         # the closed-form alpha = (sigma*rp + r*sigma_plus)/(r*kx3) can
-        # vanish: 308 records fail COEFF_RELATIONS, which the E1-E1 record
-        # plan must keep (each also fails another check, so no row moves).
-        # The traced walk so derives every one of its 4,220 tuples.
+        # vanish: 308 tuples fail COEFF_RELATIONS, which the E1-E1 kernel
+        # must keep (each also fails another check, so no row moves).  The
+        # traced walk still derives only the 249 rows it keeps.
         named = Counter()
         derived = _derived_count(monkeypatch)
 
@@ -926,7 +916,7 @@ class TestAblations:
         out = enumerate_e1e1(DEFAULT_CHECKS - {"SIGMA_POS"}, trace=trace)
         assert named == {"full": 308}
         assert len(out) == 249
-        assert derived == {"e1e1": 4_220}
+        assert derived == {"e1e1": 249}
 
     def test_hyperelliptic_ablation_admits_asymmetric_degree_two_bodies(self, enumerated, ablated):
         out3 = ablated("HYPERELLIPTIC_SYM", "e1e3")
@@ -1049,9 +1039,10 @@ class TestTracing:
         # A default run decides every tuple that passes its family's pair
         # test and, on the E1-point families, the checks decided before
         # (TestE1PointDecisions): the E1 walks in their kernel first
-        # (search._decide), the symmetric walk on its record.  The E1 walks'
-        # record plans are empty (TestKernel), so a run, traced or not,
-        # derives and audits (build_candidate) only the 134 rows it keeps.
+        # (search._decide), the symmetric walk on its record.  The E1 walks
+        # derive only the tuples that pass their kernels (TestKernel), so a
+        # run, traced or not, derives and audits (build_candidate) only the
+        # 134 rows it keeps.
         decided, built = Counter(), Counter()
         derived = _derived_count(monkeypatch)
         decide, build = search._decide, search.build_candidate
@@ -1149,8 +1140,8 @@ class TestE1PointPreTest:
         # alone (E3/E4 and E5 targets have no index) FANO_DEGREE_RIGHT at
         # kx3 = 12 and 16..22 (kY3 = kx3 + 8 must be an index-1 Fano degree)
         # and HODGE on each left side whose value differs from the point side's.
-        # The kernel decides the rest of the record plan, traced or not, so
-        # either run derives the admitted tuples alone.
+        # The kernel decides the rest, traced or not, so either run derives
+        # the admitted tuples alone.
         records, derived, built = Counter(), Counter(), Counter()
         decide, derive, build = search._decide, search.derive, search.build_candidate
 
@@ -1193,9 +1184,9 @@ def _decided(monkeypatch, family: str, enabled: frozenset[str], traced: bool) ->
     """The (tuple, decided failures) of each tuple a run decides, logged from search._decide."""
     log, decide = [], search._decide
 
-    def logged(sides, pairs, kernel, plan, trace, data, results, known=frozenset()):
+    def logged(sides, pairs, kernel, trace, data, results, known=frozenset()):
         log.append((data, known))
-        return decide(sides, pairs, kernel, plan, trace, data, results, known)
+        return decide(sides, pairs, kernel, trace, data, results, known)
 
     monkeypatch.setattr(search, "_decide", logged)
     enumerate_family(family, enabled, trace=(lambda s, d, f: None) if traced else None)
@@ -1269,7 +1260,7 @@ def _walk_log(family: str, enabled: frozenset[str], traced: bool) -> tuple[tuple
     """The (sides, pairs, kernel, data) of each tuple a run hands to search._decide, undecided."""
     log, decide = [], search._decide
 
-    def logged(sides, pairs, kernel, plan, trace, data, *rest):
+    def logged(sides, pairs, kernel, trace, data, *rest):
         log.append((sides, pairs, kernel, data))
 
     search._decide = logged
@@ -1305,40 +1296,64 @@ class TestKernel:
     # Both E1 walks decide the checks of their kernel (checks.kernel_plan) on
     # a tuple's integers before deriving it (search._kernel): the cube
     # checks from formulas.cube_numerators, and from the side fields and the
-    # pairs GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on the E1-E1
-    # walk, DIOPHANTINE on the E1-point one.  The proofs log the tuples each
-    # walk decides and hold the kernel on them to the registry.
+    # pairs GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM (and
+    # COEFF_RELATIONS without SIGMA_POS) on the E1-E1 walk, DIOPHANTINE on
+    # the E1-point one.  The proofs log the tuples each walk decides and
+    # hold the kernel on them to the registry.
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
     CUBES = ["ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"]
     E1E1_SIDES = ["GCD_LEFT", "GCD_RIGHT", "HODGE", "HYPERELLIPTIC_SYM"]
+    E1_FAMILIES = ["e1e1", "e1e2", "e1e3", "e1e5"]
+    # The default checks and each single-check ablation.
+    CHECK_SETS = [DEFAULT_CHECKS, *(DEFAULT_CHECKS - {name} for name in REGISTRY)]
 
-    def test_the_kernel_is_what_the_record_plans_leave_out(self):
-        for pairs, decided, sides in (
-            # The genus-form test decides DIOPHANTINE on E1-E1; the E1-point
-            # walk decides GCD_LEFT, HODGE and HYPERELLIPTIC_SYM before its
-            # kernel, and its pairs pass GCD_RIGHT by construction.
-            (e1e1_pairs, search._SIDES_DECIDED, self.E1E1_SIDES),
-            (star_pairs, search._STAR_DECIDED, ["DIOPHANTINE"]),
-        ):
-            for enabled in (DEFAULT_CHECKS, self.NO_DIOPHANTINE):
-                on_cubes, on_sides = kernel_plan(pairs, enabled)
-                assert [name for name, _ in on_cubes] == self.CUBES
-                assert [name for name, _ in on_sides] == [name for name in sides if name in enabled]
-                before = record_plan(pairs, enabled, decided)
-                after = record_plan(pairs, enabled, decided | KERNEL_SCOPES)
-                assert before - after == {name for name, _ in on_cubes + on_sides}
-                assert after == set()
-        # Without SIGMA_POS an E1-E1 alpha may vanish, so COEFF_RELATIONS
-        # stays on the records, which the walk derives and admits (_admit).
-        enabled = DEFAULT_CHECKS - {"SIGMA_POS"}
-        plan = record_plan(e1e1_pairs, enabled, search._SIDES_DECIDED | KERNEL_SCOPES)
-        assert plan == {"COEFF_RELATIONS"}
+    @pytest.mark.parametrize("family", E1_FAMILIES)
+    def test_each_enabled_check_is_decided_exactly_once(self, monkeypatch, family):
+        # An E1 walk derives only what its kernel passes, so every enabled
+        # check must be exactly one of: decided before the kernel (its scope
+        # on the walk is one the side lists and kx3 fix, or on the E1-point
+        # walk one of its per-kx3, per-side and per-(r, beta_plus, alpha_plus)
+        # decisions' checks.Scope.on scopes), passed by the walk's pairs
+        # (checks.Scope.built, with what it needs enabled), or in the walk's
+        # kernel, which must be checks.kernel_plan's.
+        pairs = e1e1_pairs if family == "e1e1" else star_pairs
+        names = [[name for name, _ in plan] for plan in kernel_plan(pairs, DEFAULT_CHECKS)]
+        assert names == [self.CUBES, self.E1E1_SIDES if pairs is e1e1_pairs else ["DIOPHANTINE"]]
+        before = {"kx3", "left", "right", "each side"}
+        before |= {check.scope.on[pairs] for check in REGISTRY.values() if pairs in check.scope.on}
+        kernels = set()
+        monkeypatch.setattr(search, "_decide", lambda sides, pairs, kernel, *_: kernels.add(kernel))
+        for enabled in self.CHECK_SETS:
+            kernels.clear()
+            enumerate_family(family, enabled)
+            assert kernels == {kernel_plan(pairs, enabled)}, enabled
+            in_kernel = {name for plan in kernel_plan(pairs, enabled) for name, _ in plan}
+            for name in enabled:
+                scope = REGISTRY[name].scope
+                ways = (
+                    scope.on.get(pairs, scope.reads) in before,
+                    pairs in scope.built and scope.built[pairs] <= enabled,
+                    name in in_kernel,
+                )
+                assert sum(ways) == 1, (name, enabled)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("family", E1_FAMILIES)
+    def test_every_e1_run_keeps_every_record_it_derives(self, monkeypatch, family, traced):
+        # Under the default checks and each single-check ablation.  The hook
+        # takes blocks whole, so a traced run makes no per-event call.
+        derived = _derived_count(monkeypatch)
+        hook = _QuietHook() if traced else None
+        for enabled in self.CHECK_SETS:
+            derived.clear()
+            out = enumerate_family(family, enabled, trace=hook)
+            assert derived[family] == len(out), sorted(DEFAULT_CHECKS - enabled)
 
     # (family, enabled set, traced): the tuples the walk decides, how many
     # fail each kernel check and how many pass them all (measured).  E1-E1
     # without DIOPHANTINE, traced, decides all 10,350 oriented pairs over the
     # kept sides; without SIGMA_POS, traced, the 4,220 genus-form partners
-    # over its wider side lists, whose records still run COEFF_RELATIONS.
+    # over its wider side lists, where COEFF_RELATIONS joins the kernel.
     # An untraced E1-point walk without DIOPHANTINE decides each alpha_plus
     # that no check decided before the kernel fails, a traced default one
     # each pinned alpha_plus.
@@ -1351,7 +1366,7 @@ class TestKernel:
             DEFAULT_CHECKS - {"SIGMA_POS"},
             True,
             4_220,
-            (1_821, 3_478, 1_974, 2_030, 1_958, 2_520, 398),
+            (1_821, 3_478, 1_974, 308, 2_030, 1_958, 2_520, 398),
             249,
         ),
         "e1e2": (DEFAULT_CHECKS, True, 289, (71, 223, 277, 275), 12),
@@ -1405,8 +1420,8 @@ class TestOracle:
         assert tuple(sorted(oracle[family], key=canonical_sort_key)) == enumerated[family]
 
     def test_every_oracle_admission_runs_the_full_suite(self, monkeypatch):
-        # The record plans belong to the enumerators: the oracle, the
-        # independent route, decides each record it derives on all sixteen.
+        # The kernels belong to the enumerators: the oracle, the independent
+        # route, decides each record it derives on all sixteen checks.
         seen = Counter()
         run = search.run_checks
 
