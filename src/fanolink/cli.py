@@ -80,6 +80,21 @@ def _parse_families(value: str) -> list[str]:
     return [family for family in search_mod.FAMILY_IDS if family in requested]
 
 
+# glibc's allocator policy, set once per process by main (README, "Memory"):
+# every block of 1 MiB or more gets its own mapping, M_MMAP_THRESHOLD (-3),
+# and up to this much free heap top stays mapped between calls, M_TRIM_THRESHOLD (-1).
+MALLOC_TRIM_THRESHOLD = 8 << 20
+
+
+@functools.cache
+def _set_malloc_policy() -> None:
+    """Call glibc's mallopt once per process; skipped where the C library has none."""
+    mallopt = getattr(__import__("ctypes").pythonapi, "mallopt", None)
+    if mallopt is not None:
+        for param, value in ((-3, 1 << 20), (-1, MALLOC_TRIM_THRESHOLD)):
+            mallopt(param, value)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -143,7 +158,9 @@ class _TraceSink:
     and checks (_cell_suffixes), the events' picked per cells, verdicts and
     failed (_events, shared by every sink; keyed by the cells' id, an entry
     keeps the cells alive).  Pending output is text pieces and their line
-    count; a block that crosses a chunk boundary is split on its suffixes.
+    count: a block queues two pieces, its head and its events joined by the
+    head, and one that crosses a chunk boundary is split on its suffixes.
+    The pieces are written when a chunk is full, and the rest at the end.
     """
 
     _events: dict[tuple, tuple] = {}
@@ -155,7 +172,8 @@ class _TraceSink:
     def __call__(self, stage: str, data: tuple, failed: tuple[str, ...]) -> None:
         self._pieces.append("reject[%s] %r failed=%s\n" % (stage, data, ",".join(failed)))
         self._lines += 1
-        self.write()
+        if self._lines == TRACE_CHUNK_LINES:
+            self.write()
 
     def block(self, stage, data, cells, verdicts, failed, start, stop) -> None:
         key = (id(cells), verdicts, failed)  # the events' suffixes, picked from the cells'
@@ -168,17 +186,18 @@ class _TraceSink:
         if sparse:  # count the events before start and stop, not the cells
             start, stop = start - verdicts.count(0, 0, start), stop - verdicts.count(0, 0, stop)
         head = f"reject[{stage}] (" + ("%s, " * len(data)) % data
-        while start < stop:  # queue head + suffix lines, split and written where a chunk fills
+        while start < stop:  # queue the head and suffix lines, split where a chunk fills
             end = start + TRACE_CHUNK_LINES - self._lines
             end = stop if stop < end else end
-            self._pieces.append(head + head.join(events[start:end]))
+            self._pieces += head, head.join(events[start:end])
             self._lines += end - start
             start = end
-            self.write()
+            if self._lines == TRACE_CHUNK_LINES:
+                self.write()
 
-    def write(self, last: bool = False) -> None:
-        """Write the pending chunk once it is full, and with last also a partial one."""
-        if self._lines == TRACE_CHUNK_LINES or (last and self._pieces):
+    def write(self) -> None:
+        """Write the pending pieces: a full chunk, or at the end of a run the rest."""
+        if self._pieces:
             sys.stderr.write("".join(self._pieces))
             self._pieces, self._lines = [], 0
 
@@ -201,7 +220,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             golden_rows.extend(golden_mod.golden_for_family(family))
     finally:
         if trace is not None:
-            trace.write(last=True)
+            trace.write()
     golden_index = render_mod.build_golden_index(golden_rows)
     text = render_mod.render_dispatch(args.format, sections, golden_index)
 
@@ -320,8 +339,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Map every block of 1 MiB or more: glibc mallopt(M_MMAP_THRESHOLD=-3); README, "Memory".
-    getattr(__import__("ctypes").pythonapi, "mallopt", lambda *_: 0)(-3, 1 << 20)
+    _set_malloc_policy()
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:  # the process started with that descriptor closed
             setattr(sys, name, _ClosedStream(name))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import gc
 import hashlib
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,7 +25,14 @@ from fanolink import formulas
 from fanolink import golden as golden_mod
 from fanolink import search as search_mod
 from fanolink.checks import DEFAULT_CHECKS, REGISTRY
-from fanolink.cli import TRACE_CHUNK_LINES, _cell_suffixes, _TraceSink, main
+from fanolink.cli import (
+    MALLOC_TRIM_THRESHOLD,
+    TRACE_CHUNK_LINES,
+    _cell_suffixes,
+    _set_malloc_policy,
+    _TraceSink,
+    main,
+)
 from fanolink.render import build_golden_index, render_csv
 
 # SHA-256 of the stdout of each output that only people read (measured).
@@ -266,20 +275,26 @@ class TestEnumerate:
 
     def test_trace_sink_suffixes_are_kept_for_the_process(self, monkeypatch):
         # The side lists' cells are built once per process, and so are the
-        # suffixes and events they key: a second traced run, with a new
-        # sink, builds none anew and writes the same trace.
-        traces = []
-        for _ in range(2):
-            stream = io.StringIO()
-            monkeypatch.setattr(sys, "stderr", stream)
-            assert main(["enumerate", "--families", "e1e1", "--trace-rejections"]) == 0
-            misses = _cell_suffixes.cache_info().misses
-            traces.append((stream.getvalue(), dict(_TraceSink._events), misses))
-        (first, before, built), (second, after, rebuilt) = traces
-        assert second == first
-        assert after.keys() == before.keys() and before
-        assert all(after[key] is entry for key, entry in before.items())
-        assert rebuilt == built
+        # suffixes and events they key by id: every traced run after the
+        # first, each with a new sink, builds none anew and writes the same
+        # trace, for every family, under the default checks and an ablation.
+        # Cells built per run would add entries.
+        for disabled in ([], ["--disable-check", "FANO_DEGREE_LEFT"]):
+            argv = ["enumerate", "--families", "all", "--trace-rejections", *disabled]
+            traces = []
+            for _ in range(3):
+                stream = io.StringIO()
+                monkeypatch.setattr(sys, "stderr", stream)
+                assert main(argv) == 0
+                misses = _cell_suffixes.cache_info().misses
+                traces.append((stream.getvalue(), dict(_TraceSink._events), misses))
+            (first, before, built), *later = traces
+            assert before
+            for text, after, rebuilt in later:
+                assert text == first, disabled
+                assert after.keys() == before.keys(), disabled
+                assert all(after[key] is entry for key, entry in before.items())
+                assert rebuilt == built, disabled
 
     def test_trace_sink_block_writes_the_events_of_its_window(self, monkeypatch):
         # The search's sparse blocks span their cells and its dense ones
@@ -298,7 +313,7 @@ class TestEnumerate:
                 monkeypatch.setattr(sys, "stderr", stream)
                 sink = _TraceSink()
                 sink.block(*block)
-                sink.write(last=True)
+                sink.write()
                 assert stream.getvalue() == "".join(expected), (verdicts, start, stop)
 
     def test_trace_is_flushed_before_an_internal_error(self, monkeypatch, capsys):
@@ -594,6 +609,25 @@ class TestRepeatedCalls:
                 assert gc.collect() == 0, argv
         finally:
             gc.enable()
+        capsys.readouterr()
+
+    def test_malloc_policy_is_set_once_per_process(self, monkeypatch, capsys):
+        # Each mallopt call consolidates glibc's heap, so main sets the mmap
+        # threshold and then the trim threshold in its process's first call
+        # only; without a mallopt, main runs as it does with one.
+        calls = []
+        monkeypatch.setattr(ctypes.pythonapi, "mallopt", lambda *args: calls.append(args) or 1)
+        _set_malloc_policy.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["--list-checks"]) == 0
+            assert calls == [(-3, 1 << 20), (-1, MALLOC_TRIM_THRESHOLD)]
+            monkeypatch.setattr(ctypes, "pythonapi", types.SimpleNamespace())
+            _set_malloc_policy.cache_clear()
+            assert main(["--list-checks"]) == 0
+            assert len(calls) == 2
+        finally:
+            _set_malloc_policy.cache_clear()  # the next call sets the real policy again
         capsys.readouterr()
 
     def test_reused_parser_keeps_no_state_between_calls(self, capsys):
