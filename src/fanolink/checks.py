@@ -21,7 +21,7 @@ candidate), which the property tests exercise.
 Each check also declares its scope (Scope): the candidate fields its
 verdict reads (kx3 alone, one side and kx3, each side, or the whole
 record, or a kernel scope), what it reads on a walk where that is less,
-and the enumerator walks whose pairs pass it by construction.
+and the E1 walks whose pairs pass it by construction.
 kernel_plan derives from that table the checks an E1 walk decides on a
 tuple's integers; the symmetric walk, explain and the oracles run them all.
 
@@ -49,7 +49,6 @@ from .formulas import (
     e1e1_residual_numerators,
     e1estar_residual_numerators,
     star_pairs,
-    symmetric_pairs,
 )
 from .model import LinkCandidate, Pair, SideData
 
@@ -229,6 +228,14 @@ def _hodge_sum(side: SideData, ky3: Fraction | int) -> int:
     return value + (side.g if side.is_e1 else 0)
 
 
+def _hodge_value(side: SideData, ky3: Fraction | int) -> int | None:
+    """HODGE's value of one side (_hodge_sum), or None where the catalog lookup fails."""
+    try:
+        return _hodge_sum(side, ky3)
+    except ValueError:
+        return None
+
+
 # The verdicts of scope "sides and pairs": each takes the fields
 # KERNEL_ARGS["sides and pairs"] names, in that order.
 def _diophantine(*fields) -> bool:
@@ -255,10 +262,8 @@ def _gcd_right(
 def _hodge(kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, *pairs) -> bool:
     if left.target_index is None or right.target_index is None:
         return True
-    try:
-        return _hodge_sum(left, ky3_left) == _hodge_sum(right, ky3_right)
-    except ValueError:
-        return False
+    value = _hodge_value(left, ky3_left)
+    return value is not None and value == _hodge_value(right, ky3_right)
 
 
 def _hyperelliptic_sym(kx3, left, right, *rest) -> bool:
@@ -347,12 +352,12 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
 class Scope(NamedTuple):
     """What a check's verdict reads, and which enumerator walks decide it by construction.
 
-    reads is a SCOPE_FIELDS key.  built maps a walk's pair function
-    (formulas.e1e1_pairs, star_pairs or symmetric_pairs) to the checks
-    whose prunes that walk needs enabled so that every record it derives
-    passes this one; an empty set means its pairs pass by construction.
-    on maps a pair function to the SCOPE_FIELDS key of what the verdict
-    reads on that walk's records, where that is less than reads.
+    reads is a SCOPE_FIELDS key.  built maps an E1 walk's pair function
+    (formulas.e1e1_pairs or star_pairs) to the checks whose prunes that
+    walk needs enabled so that every record it derives passes this one; an
+    empty set means its pairs pass by construction.  on maps a pair
+    function to the SCOPE_FIELDS key of what the verdict reads on that
+    walk's records, where that is less than reads.
     """
 
     reads: str
@@ -360,7 +365,7 @@ class Scope(NamedTuple):
     on: Mapping[Callable, str] = {}
 
 
-_ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset(), symmetric_pairs: frozenset()}
+_ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset()}
 
 
 class Check(NamedTuple):
@@ -446,14 +451,14 @@ REGISTRY: dict[str, Check] = {
         _gcd_left,
         lambda c: _primitive_detail("left", c.left, c.pair),
         # A point left side passes; an E1 one reads its index (_primitive).
-        Scope("sides and pairs", {symmetric_pairs: frozenset()}, {star_pairs: "left and pair"}),
+        Scope("sides and pairs", on={star_pairs: "left and pair"}),
     ),
     "GCD_RIGHT": _kernel_check(
         "right-basis decomposition of the flopped divisor is primitive",
         _gcd_right,
         lambda c: _primitive_detail("right", c.right, c.pair_plus),
         # A point right side passes.
-        Scope("sides and pairs", {star_pairs: frozenset(), symmetric_pairs: frozenset()}),
+        Scope("sides and pairs", {star_pairs: frozenset()}),
     ),
     "COEFF_INTEGRALITY": Check(
         "point-side coefficients are integers",
@@ -478,7 +483,7 @@ REGISTRY: dict[str, Check] = {
         "curve-corrected Hodge numbers balance across the link",
         _hodge,
         _hodge_detail,
-        Scope("sides and pairs", on={star_pairs: "left"}),  # one value per side (_hodge_sum)
+        Scope("sides and pairs", on={star_pairs: "left"}),  # one value per side (_hodge_value)
     ),
     "HYPERELLIPTIC_SYM": _kernel_check(
         "central degree 2 forces equal sides",
@@ -490,9 +495,7 @@ REGISTRY: dict[str, Check] = {
         "point-side leading coefficient within its search bound",
         _alpha_plus_bound,
         _alpha_plus_bound_detail,
-        # alpha_plus runs over 1..MAX_ALPHA_PLUS in the E1-point walk and
-        # divides 2c <= 8 in the symmetric one.
-        Scope("record", _ANY_PAIRS),
+        Scope("record", _ANY_PAIRS),  # the E1-point walk's alpha_plus runs over 1..MAX_ALPHA_PLUS
     ),
     "BETA_PLUS_RANGE": Check(
         "point-side E-coefficient within its admissible range",

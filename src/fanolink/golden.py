@@ -23,7 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .formulas import ky3_from_kx3
 from .model import (
@@ -38,8 +38,19 @@ from .model import (
 )
 from .rational import parse_rational
 
-_INT_COLUMNS = frozenset({"kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus", "e_over_r3", "e"})
-_RATIONAL_COLUMNS = frozenset({"alpha", "beta", "kY3", "kY3_plus"})
+# Each parsed column's parser, and the reason that prefixes a cell it cannot parse;
+# any other column keeps its text.
+_PARSERS: dict[str, tuple[Callable[[str], object], str]] = {
+    **dict.fromkeys(
+        ("kx3", "r", "d", "g", "r_plus", "d_plus", "g_plus", "e_over_r3", "e"),
+        (int, "not an integer: "),
+    ),
+    **dict.fromkeys(("alpha", "beta", "kY3", "kY3_plus"), (parse_rational, "not a rational: ")),
+    "exists": (ExistenceStatus, "unknown value "),
+    **dict.fromkeys(
+        ("type_left", "type_right"), (lambda text: ContractionType(text).value, "unknown value ")
+    ),
+}
 
 
 class GoldenDataError(ValueError):
@@ -130,24 +141,13 @@ def load_golden(table: int, data_dir: str | Path | None = None) -> tuple[GoldenR
 
 
 def _parse_cell(column: str, value: str, source: str, lineno: int) -> object:
-    try:
-        if column in _INT_COLUMNS:
-            return int(value)
-        if column in _RATIONAL_COLUMNS:
-            return parse_rational(value)
-        if column == "exists":
-            return ExistenceStatus(value)
-        if column in ("type_left", "type_right"):
-            return ContractionType(value).value
+    if column not in _PARSERS:
         return value
+    parse, reason = _PARSERS[column]
+    try:
+        return parse(value)
     except (ValueError, ZeroDivisionError):
-        if column in _INT_COLUMNS:
-            reason = f"column {column}: not an integer: {value!r}"
-        elif column in _RATIONAL_COLUMNS:
-            reason = f"column {column}: not a rational: {value!r}"
-        else:
-            reason = f"column {column}: unknown value {value!r}"
-        raise GoldenDataError(f"{source}:{lineno}: {reason}") from None
+        raise GoldenDataError(f"{source}:{lineno}: column {column}: {reason}{value!r}") from None
 
 
 def _build_row(
@@ -198,11 +198,11 @@ def _build_row(
 
 
 @functools.cache
-def golden_for_family(family: str, data_dir: str | Path | None = None) -> tuple[GoldenRow, ...]:
-    """All golden rows of one family, in table order; each (family, data_dir) loads once."""
+def golden_for_family(family: str) -> tuple[GoldenRow, ...]:
+    """All golden rows of one family, in table order, loaded once per process."""
     rows: list[GoldenRow] = []
     for table, _ in family_spec(family).tables:
-        rows.extend(load_golden(table, data_dir))
+        rows.extend(load_golden(table))
     return tuple(rows)
 
 

@@ -9,10 +9,10 @@ Two independent routes produce every family's candidate set:
   suite.  Only a kept row is audited (build_candidate).  An E1-E1 run
   joins each left side to its partners by genus form
   (formulas.genus_form), or, untraced and without DIOPHANTINE, by HODGE's
-  per-side value.  An E1-point run decides once per kx3, left side or
-  (r, beta_plus, alpha_plus) each check that reads no more, traced or not;
-  an untraced run skips what they reject (enumerate_e1e1,
-  enumerate_e1estar).
+  per-side value (checks._hodge_value).  An E1-point run decides once per
+  kx3, left side or (r, beta_plus, alpha_plus) each check that reads no
+  more, traced or not; an untraced run skips what they reject
+  (enumerate_e1e1, enumerate_e1estar).
 * Both E1 walks then decide each tuple's other checks on integers before
   deriving it (_decide): ETILDE_INTEGRAL, DEFECT_POSITIVE and
   DEFECT_DIVISIBLE on the cube and defect numerators
@@ -78,7 +78,7 @@ from .checks import (
     E1_SIGMA_MIN,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
-    _hodge_sum,
+    _hodge_value,
     _plan,
     _primitive,
     kernel_plan,
@@ -325,11 +325,6 @@ def _degree_ok(kx3: int, side: SideData) -> bool:
     return index is None or is_valid_fano_degree(index, ky3_from_kx3(kx3, side))
 
 
-def _e1_degree_ok(kx3: int, r: int, d: int, g: int) -> bool:
-    """The FANO_DEGREE checks' own call on the E1 side (r, d, g) at central degree kx3."""
-    return _degree_ok(kx3, _e1_side(r, d, g))
-
-
 # A kept E1 side at one kx3: (d, g, sigma, genus form, side term).
 E1Side = tuple[int, int, int, int, SideTerm]
 
@@ -356,7 +351,7 @@ def _pruned_sides(kx3: int, r: int, sigma_pos: bool, degree: bool) -> E1SideList
         sig = sigma(r, d, g)
         if sigma_pos and sig < E1_SIGMA_MIN:
             verdicts.append(1)
-        elif degree and not _e1_degree_ok(kx3, r, d, g):
+        elif degree and not _degree_ok(kx3, _e1_side(r, d, g)):
             verdicts.append(2)
         else:
             verdicts.append(0)
@@ -398,32 +393,19 @@ def _block(trace: TraceFn, stage: str, data: tuple, cells, verdicts, failed, sta
         trace.block(stage, data, cells, verdicts, failed, start, stop)
 
 
-def _hodge_key(term: SideTerm) -> int | None:
-    """HODGE's own value of one side (checks._hodge_sum), or None where the check's lookup fails.
+def _hodge_join(left: tuple[E1Side, ...], right: tuple[E1Side, ...]) -> tuple[dict, dict]:
+    """HODGE's value (checks._hodge_value) of each (d, g) in the lists, and the right sides by it.
 
-    It reads the catalog's Hodge table, so each run computes it afresh.
+    A side in both lists is looked up once per call, which reads the
+    catalog afresh; the groups keep list order, and hold no side without a value.
     """
-    side, _, ky3 = term
-    try:
-        return _hodge_sum(side, ky3)
-    except ValueError:
-        return None
-
-
-def _hodge_values(*side_lists: tuple[E1Side, ...]) -> dict[tuple[int, int], int | None]:
-    """HODGE's value of each (d, g) in the lists, looked up once though a side is in several."""
-    terms = {(d, g): term for sides in side_lists for d, g, _, _, term in sides}
-    return {dg: _hodge_key(term) for dg, term in terms.items()}
-
-
-def _by_hodge(sides: tuple[E1Side, ...], values: dict) -> dict[int, list[E1Side]]:
-    """The sides grouped by HODGE's value, in list order; a side without one is in no group."""
+    terms = {(d, g): term for sides in (left, right) for d, g, _, _, term in sides}
+    values = {dg: _hodge_value(side, ky3) for dg, (side, _, ky3) in terms.items()}
     groups: dict[int, list[E1Side]] = {}
-    for side in sides:
-        key = values[side[:2]]
-        if key is not None:
-            groups.setdefault(key, []).append(side)
-    return groups
+    for side in right:
+        if (value := values[side[:2]]) is not None:
+            groups.setdefault(value, []).append(side)
+    return values, groups
 
 
 def enumerate_e1e1(
@@ -444,7 +426,7 @@ def enumerate_e1e1(
     after the last up to the canonical limit, as one pair-fast block each
     over the right list's kept cells (_block).  Without DIOPHANTINE but
     with HODGE, an untraced left side looks up its partners by HODGE's own
-    per-side value instead (_hodge_values, once per (kx3, r, d, g) and run,
+    per-side value instead (_hodge_join, once per (kx3, r, d, g) and run,
     whichever role the side plays): the check passes exactly when the two
     values are equal.
     Any other run walks each right side; only the iterable differs.
@@ -458,8 +440,7 @@ def enumerate_e1e1(
     right = {key: _e1_side_list(*key, enabled, "right", trace) for key in indices}
     fast = "DIOPHANTINE" in enabled
     by_hodge = trace is None and not fast and "HODGE" in enabled
-    hodge = {key: _hodge_values(left[key], right[key][0]) for key in indices if by_hodge}
-    right_by_hodge = {key: _by_hodge(right[key][0], hodge[key]) for key in hodge}
+    hodge = {key: _hodge_join(left[key], right[key][0]) for key in indices if by_hodge}
     blocks = trace is not None and fast
     diophantine = ((), ("DIOPHANTINE",))  # what a pair-fast block's verdict 1 names
     kernel = kernel_plan(e1e1_pairs, frozenset(enabled))
@@ -472,7 +453,7 @@ def enumerate_e1e1(
                     wanted, rem = divmod(rp * rp * form, r * r)
                     partners = () if rem else right_by_form.get(wanted, ())
                 elif by_hodge:
-                    partners = right_by_hodge[(kx3, rp)].get(hodge[kx3, r][d, g], ())
+                    partners = hodge[kx3, rp][1].get(hodge[kx3, r][0][d, g], ())
                 else:
                     partners = right_sides
                 if blocks:
@@ -531,9 +512,9 @@ def enumerate_e1estar(
     Four more checks read less than a record on this walk (checks.Scope.on),
     so it decides each once, with the check's own calls, before the kernel:
     per kx3 FANO_DEGREE_RIGHT, and HYPERELLIPTIC_SYM, which fails at kx3 = 2
-    since an E1 side never equals a point side; per left side HODGE, which
-    on a smooth point target (E2) asks that the side's value (_hodge_key)
-    equal the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
+    since an E1 side never equals a point side; per left side HODGE, which on
+    a smooth point target (E2) asks that the side's value (_hodge_value) equal
+    the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
     (_gcd_left_alpha_pluses).  An untraced run skips whatever a decision
     fails.  The kernel (_decide) decides the rest, the cube checks and
     DIOPHANTINE, so a run derives only the tuples it admits; a traced run
@@ -553,11 +534,12 @@ def enumerate_e1estar(
         at_kx3 = enabled.intersection(name for name, fail in fails.items() if fail)
         if at_kx3 and trace is None:
             continue
-        hodge_value = _hodge_key(right_term) if hodge else None
+        hodge_value = _hodge_value(right, right_term[2]) if hodge else None
         for r in range(1, 5):
             for d, g, sig, _, left_term in _e1_side_list(kx3, r, enabled, "left", trace)[0]:
                 at_side = at_kx3
-                if hodge and (hodge_value is None or _hodge_key(left_term) != hodge_value):
+                left, _, ky3_left = left_term
+                if hodge and (hodge_value is None or _hodge_value(left, ky3_left) != hodge_value):
                     if trace is None:
                         continue
                     at_side |= {"HODGE"}
@@ -650,7 +632,7 @@ def _oracle_left_sides() -> tuple[tuple[int, int, int, int, int], ...]:
         for kx3 in KX3_VALUES
         for r in range(1, 5)
         for d, g in _SIDE_GRID[r]
-        if (sig := sigma(r, d, g)) >= E1_SIGMA_MIN and _e1_degree_ok(kx3, r, d, g)
+        if (sig := sigma(r, d, g)) >= E1_SIGMA_MIN and _degree_ok(kx3, _e1_side(r, d, g))
     )
 
 
@@ -714,7 +696,7 @@ def _oracle_e1e1() -> tuple[LinkCandidate, ...]:
                         continue
                     if not orientation_canonical((r, d, g), (rp, dp, gp)):
                         continue
-                    if not _e1_degree_ok(kx3, rp, dp, gp):
+                    if not _degree_ok(kx3, _e1_side(rp, dp, gp)):
                         continue  # FANO_DEGREE_RIGHT rejects the solved right side
                     candidate = record("e1e1", (kx3, r, d, g, rp, dp, gp))
                     ap_num, _, ap_den = candidate.pair_plus

@@ -23,7 +23,7 @@ from fanolink.checks import (
     run_checks,
     validate_check_ids,
 )
-from fanolink.formulas import e1e1_pairs, star_pairs, symmetric_pairs
+from fanolink.formulas import e1e1_pairs, star_pairs
 from fanolink.search import D_MAX, G_MAX, record
 
 from conftest import over_common_denominator
@@ -97,7 +97,7 @@ class TestRegistry:
     def test_every_check_declares_a_scope(self):
         for name, check in REGISTRY.items():
             assert check.scope.reads in SCOPE_FIELDS, name
-            assert set(check.scope.built) <= {e1e1_pairs, star_pairs, symmetric_pairs}, name
+            assert set(check.scope.built) <= {e1e1_pairs, star_pairs}, name
             for needs in check.scope.built.values():
                 assert needs <= DEFAULT_CHECKS, name
         scoped = {name for name, check in REGISTRY.items() if check.scope.reads != "record"}
@@ -198,6 +198,12 @@ class TestNearMissAnchors:
         candidate = record("e1e1", (2, 1, 3, 1, 1, 3, 1))
         reports = {report.name: report.passed for report in run_checks(candidate)}
         assert reports["SIGMA_POS"]
+
+    def test_point_side_zero_excess_fails_sigma_pos(self):
+        # Every derived point side has its type's positive constant as its
+        # excess; a hand-set excess of 0 must still fail the check.
+        candidate = record("e2e2", (4, 2))._replace(sigma_left=0)
+        assert "SIGMA_POS" in failing_names(candidate)
 
     def test_point_side_unit_excess_is_admissible(self):
         # The quadruple-point side has constant excess 1; the floor of 3
@@ -362,6 +368,13 @@ def _beta_plus_range_by_fractions(c):
     return co.beta == -1 and co.beta_plus == -1 and co.alpha == co.alpha_plus
 
 
+def _coeff_integrality_by_fractions(c):
+    co = c.coeffs
+    left = c.left.is_e1 or (co.alpha.denominator == 1 and co.beta.denominator == 1)
+    right = c.right.is_e1 or (co.alpha_plus.denominator == 1 and co.beta_plus.denominator == 1)
+    return left and right
+
+
 BY_FRACTIONS = {
     "COEFF_RELATIONS": _coeff_relations_by_fractions,
     "DIOPHANTINE": _diophantine_by_fractions,
@@ -373,6 +386,7 @@ BY_FRACTIONS = {
         e.denominator == 1 and e > 0 for e in (Fraction(*c.defect_left), Fraction(*c.defect_right))
     ),
     "DEFECT_DIVISIBLE": _defect_divisible_by_fractions,
+    "COEFF_INTEGRALITY": _coeff_integrality_by_fractions,
     "ALPHA_PLUS_BOUND": lambda c: (c.left.is_e1 and c.right.is_e1)
     or 0 < c.coeffs.alpha_plus <= MAX_ALPHA_PLUS,
     "BETA_PLUS_RANGE": _beta_plus_range_by_fractions,

@@ -373,8 +373,8 @@ class TestVerify:
     def test_doctored_golden_is_reported(self, capsys, monkeypatch):
         real = golden_mod.golden_for_family
 
-        def doctored(family, data_dir=None):
-            rows = list(real(family, data_dir))
+        def doctored(family):
+            rows = list(real(family))
             rows[0] = {**rows[0], "e_over_r3": 99}
             return tuple(rows)
 

@@ -29,7 +29,6 @@ from fanolink.formulas import (
     sigma,
     star_pairs,
     star_sigma,
-    symmetric_pairs,
 )
 from fanolink.golden import diff
 from fanolink.model import FAMILIES, ContractionType, SideData, family_id, family_spec
@@ -756,21 +755,23 @@ def _decided_by(pairs, enabled=frozenset()):
 
 
 class TestConstructionDecided:
-    # Each check that checks.Scope.built says a walk's pair function decides
-    # passes on every pair that function makes over the walk's whole box, so
-    # the walk's kernel (checks.kernel_plan) may leave it out.  Each
+    # Each check that checks.Scope.built says an E1 walk's pair function
+    # decides passes on every pair that function makes over the walk's whole
+    # box, so the walk's kernel (checks.kernel_plan) may leave it out.  Each
     # pair is checked on a record derived from sides that make it; these
-    # verdicts read the pairs, the side types and the left index.
+    # verdicts read the pairs, the side types and the left index.  The
+    # symmetric walk runs every enabled check on each record (search._admit),
+    # so its pairs are checked against the six checks they pass by
+    # construction.
 
     def test_the_table_names_each_construction_decided_check(self):
         none = frozenset()
-        every = {e1e1_pairs: none, star_pairs: none, symmetric_pairs: none}
+        every = {e1e1_pairs: none, star_pairs: none}
         built = {name: check.scope.built for name, check in REGISTRY.items() if check.scope.built}
         assert built == {
             "DIOPHANTINE": {e1e1_pairs: {"DIOPHANTINE"}},  # the genus-form test, TestGenusJoin
             "COEFF_RELATIONS": {**every, e1e1_pairs: {"SIGMA_POS"}},
-            "GCD_LEFT": {symmetric_pairs: none},
-            "GCD_RIGHT": {star_pairs: none, symmetric_pairs: none},
+            "GCD_RIGHT": {star_pairs: none},
             "COEFF_INTEGRALITY": every,
             "ALPHA_PLUS_BOUND": every,
             "BETA_PLUS_RANGE": every,
@@ -825,8 +826,7 @@ class TestConstructionDecided:
 
     def test_symmetric_pairs_over_the_divisor_walk(self):
         # Every divisor alpha of 2c, at kx3 = 2c/alpha in the domain or not.
-        names = _decided_by(symmetric_pairs)
-        assert names == [
+        names = [
             "COEFF_RELATIONS", "GCD_LEFT", "GCD_RIGHT", "COEFF_INTEGRALITY", "ALPHA_PLUS_BOUND",
             "BETA_PLUS_RANGE",
         ]
@@ -1442,9 +1442,9 @@ class TestOracle:
         # A second E1-E1 oracle run makes degree calls for its right sides alone.
         brute_force_oracle("e1e1")
         calls = []
-        degree_ok = search._e1_degree_ok
+        degree_ok = search._degree_ok
         monkeypatch.setattr(
-            search, "_e1_degree_ok", lambda *side: calls.append(side) or degree_ok(*side)
+            search, "_degree_ok", lambda *args: calls.append(args) or degree_ok(*args)
         )
         brute_force_oracle("e1e1")
         assert len(calls) == 1090
@@ -1490,7 +1490,7 @@ class TestOracle:
         with_skip = search._oracle_e1e1()
         kept = list(derived)
         derived.clear()
-        monkeypatch.setattr(search, "_e1_degree_ok", lambda *side: True)
+        monkeypatch.setattr(search, "_degree_ok", lambda *args: True)
         assert search._oracle_e1e1() == with_skip
         skipped = set(derived) - set(kept)
         for values in derived:
