@@ -9,10 +9,11 @@ Two independent routes produce every family's candidate set:
   suite.  Only a kept row is audited (build_candidate).  An E1-E1 run
   joins each left side to its partners by genus form
   (formulas.genus_form), or, untraced and without DIOPHANTINE, by HODGE's
-  per-side value (checks._hodge_value).  An E1-point run decides once per
-  kx3, left side or (r, beta_plus, alpha_plus) each check that reads no
-  more, traced or not; an untraced run skips what they reject
-  (enumerate_e1e1, enumerate_e1estar).
+  per-side value (checks._hodge_value); untraced, it skips each pair whose
+  alpha numerator is not a multiple of kx3, which fails both GCD checks.  An
+  E1-point run decides once per kx3, left side or (r, beta_plus,
+  alpha_plus) each check that reads no more, traced or not; an untraced
+  run skips what they reject (enumerate_e1e1, enumerate_e1estar).
 * Both E1 walks then decide each tuple's other checks on integers before
   deriving it (_decide): ETILDE_INTEGRAL, DEFECT_POSITIVE and
   DEFECT_DIVISIBLE on the cube and defect numerators
@@ -434,6 +435,10 @@ def enumerate_e1e1(
     the closed-form pairs the coefficient checks (COEFF_RELATIONS while
     SIGMA_POS is enabled) and the kernel (_decide) the rest on integers.
     HODGE is in the kernel, so a wrong Hodge join could only drop rows.
+    The pairs are alpha = n/(r*kx3) and alpha_plus = n/(rp*kx3), so both
+    sides' basis decompositions have the lead coefficient n/kx3: with GCD_LEFT
+    or GCD_RIGHT enabled, an untraced run skips a pair whose n is not a
+    multiple of kx3, which fails both; the kernel decides both on the rest.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
     left = {key: _e1_side_list(*key, enabled, "left", trace)[0] for key in indices}
@@ -441,6 +446,7 @@ def enumerate_e1e1(
     fast = "DIOPHANTINE" in enabled
     by_hodge = trace is None and not fast and "HODGE" in enabled
     hodge = {key: _hodge_join(left[key], right[key][0]) for key in indices if by_hodge}
+    primitive = trace is None and ("GCD_LEFT" in enabled or "GCD_RIGHT" in enabled)
     blocks = trace is not None and fast
     diophantine = ((), ("DIOPHANTINE",))  # what a pair-fast block's verdict 1 names
     kernel = kernel_plan(e1e1_pairs, frozenset(enabled))
@@ -467,6 +473,8 @@ def enumerate_e1e1(
                         _block(trace, "pair-fast", data, cells, ones, diophantine, start, at)
                         start = at + 1
                     pairs = e1e1_pairs(kx3, r, rp, sig, sig_p)
+                    if primitive and pairs[0][0] % kx3:
+                        continue  # both GCD checks fail: each lead coefficient is n/kx3
                     sides = side_terms(kx3, left_term, right_term)
                     _decide(sides, pairs, kernel, trace, (kx3, r, d, g, rp, dp, gp), results)
                 if blocks:

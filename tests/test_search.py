@@ -617,10 +617,12 @@ class TestHodgeJoin:
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
 
     def test_e1e1_join_visits_exactly_the_pairs_hodge_passes(self, monkeypatch):
+        # Of those, the walk decides only the pairs whose alpha numerator n
+        # kx3 divides: on the others both GCD checks fail (TestPrimitiveSkip).
         log = _decided_sides(monkeypatch)
         enumerate_e1e1(self.NO_DIOPHANTINE)
         visited = set(log)
-        assert len(visited) == len(log) == 976
+        assert len(visited) == len(log) == 523
         hodge = REGISTRY["HODGE"].passes
         pairs = passing = 0
         for kx3 in KX3_VALUES:
@@ -633,9 +635,11 @@ class TestHodgeJoin:
                             if not orientation_canonical((r, d, g), (rp, dp, gp)):
                                 continue
                             sides = formulas.side_terms(kx3, left_term, right_term)
-                            record = search.derive(sides, *e1e1_pairs(kx3, r, rp, sig, sig_p))
+                            pair = e1e1_pairs(kx3, r, rp, sig, sig_p)
+                            record = search.derive(sides, *pair)
                             passes = hodge(record)
-                            assert passes == ((kx3, record.left, record.right) in visited)
+                            decided = passes and pair[0][0] % kx3 == 0
+                            assert decided == ((kx3, record.left, record.right) in visited)
                             pairs += 1
                             passing += passes
         assert (pairs, passing) == (10_350, 976)
@@ -841,6 +845,83 @@ class TestConstructionDecided:
             assert all(map(REGISTRY[name].passes, records)), name
 
 
+class TestPrimitiveSkip:
+    # On E1-E1's closed-form pairs (formulas.e1e1_pairs) alpha = n/(r*kx3)
+    # and alpha_plus = n/(rp*kx3), so both sides' basis decompositions have
+    # the lead coefficient n/kx3: a pair with kx3 not dividing n fails both
+    # GCD_LEFT and GCD_RIGHT.  An untraced walk with either enabled skips it
+    # before deciding (search.enumerate_e1e1); the kernel still decides both
+    # on every pair it keeps, and a traced walk decides every pair.
+    NO_GCD = DEFAULT_CHECKS - {"GCD_LEFT", "GCD_RIGHT"}
+    # The default checks, each single-check ablation that keeps DIOPHANTINE
+    # (each walks the genus-form partners) and both GCD checks off.
+    CHECK_SETS = [
+        DEFAULT_CHECKS,
+        *(DEFAULT_CHECKS - {name} for name in REGISTRY if name != "DIOPHANTINE"),
+        NO_GCD,
+    ]
+
+    def test_both_gcd_checks_fail_wherever_kx3_does_not_divide_n(self):
+        # Both verdicts read the sides' indices and the pairs alone
+        # (checks._primitive), and the pairs are fixed by (kx3, r, rp, n).
+        # So one pair per distinct (kx3, r, rp, n) over the widest side
+        # lists, a run's without SIGMA_POS (an excess may be 0 or negative),
+        # stands for every pair any walk makes.
+        gcd_left, gcd_right = (REGISTRY[name].on_fields for name in ("GCD_LEFT", "GCD_RIGHT"))
+        tuples = skipped = 0
+        for kx3 in KX3_VALUES:
+            terms = {r: {} for r in G_MAX}
+            for r in G_MAX:
+                for _, _, sig, _, term in search._pruned_sides(kx3, r, False, False)[0]:
+                    terms[r].setdefault(sig, term)
+            for r in G_MAX:
+                for rp in range(1, r + 1):
+                    by_n = {
+                        pairs[0][0]: (pairs, left, right)
+                        for sig, left in terms[r].items()
+                        for sig_p, right in terms[rp].items()
+                        for pairs in [e1e1_pairs(kx3, r, rp, sig, sig_p)]
+                    }
+                    for n, (pairs, left, right) in by_n.items():
+                        tuples += 1
+                        if n % kx3:
+                            fields = formulas.side_terms(kx3, left, right)[0]
+                            assert not gcd_left(*fields, *pairs), (kx3, r, rp, n)
+                            assert not gcd_right(*fields, *pairs), (kx3, r, rp, n)
+                            skipped += 1
+        assert (tuples, skipped) == (19_833, 14_485)
+
+    def test_untraced_runs_decide_the_traced_tuples_whose_n_kx3_divides(self, monkeypatch):
+        # Both walks take the genus-form join, so an untraced run decides
+        # the traced run's tuples less exactly those with kx3 not dividing
+        # n, and all of them with both GCD checks off.
+        log = []
+
+        def logged(sides, pairs, kernel, trace, data, *rest):
+            log.append((data, pairs[0][0] % data[0] == 0))
+
+        monkeypatch.setattr(search, "_decide", logged)
+        skips = {}  # disabled checks: (tuples skipped, traced tuples with kx3 not dividing n)
+        for enabled in self.CHECK_SETS:
+            runs = []
+            for hook in (_QuietHook(), None):
+                log.clear()
+                enumerate_e1e1(enabled, hook)
+                runs.append(list(log))
+            traced, untraced = runs
+            gcd = enabled != self.NO_GCD
+            kept = [data for data, divides in traced if divides or not gcd]
+            off = tuple(sorted(DEFAULT_CHECKS - enabled))
+            assert [data for data, _ in untraced] == kept, off
+            skips[off] = (len(traced) - len(kept), sum(not divides for _, divides in traced))
+        assert skips == {off: (212, 212) for off in skips} | {
+            ("SIGMA_POS",): (1_615, 1_615),
+            ("FANO_DEGREE_LEFT",): (515, 515),
+            ("FANO_DEGREE_RIGHT",): (418, 418),
+            ("GCD_LEFT", "GCD_RIGHT"): (0, 212),
+        }
+
+
 class TestAblations:
     @pytest.mark.parametrize("check", REGISTRY)
     def test_single_check_ablation_matrix(self, enumerated, ablated, check):
@@ -860,22 +941,24 @@ class TestAblations:
         assert extras == ABLATION_EXTRAS.get(check, {})
 
     def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
-        # Without DIOPHANTINE and HODGE E1-E1 decides every oriented pair,
-        # and derives the 127 that pass its kernel (measured): the rows it
-        # keeps.  The full default suite then keeps the default rows.
+        # Without DIOPHANTINE and HODGE E1-E1 decides every oriented pair
+        # whose alpha numerator kx3 divides (TestPrimitiveSkip), and derives
+        # the 127 that pass its kernel (measured): the rows it keeps.  The
+        # full default suite then keeps the default rows.
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
         out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE", "HODGE"})
-        assert (len(log), derived["e1e1"], len(out)) == (10_350, 127, 127)
+        assert (len(log), derived["e1e1"], len(out)) == (5_394, 127, 127)
         assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
 
     def test_diophantine_off_derivations_are_pinned(self, monkeypatch):
-        # Untraced, E1-E1 decides only the pairs whose Hodge values match,
-        # and E1-E2 only the alpha_plus that pass GCD_LEFT on the left sides
-        # whose Hodge value matches the point side's, away from kx3 = 2,
-        # where HYPERELLIPTIC_SYM fails (measured; the decisions are proved
-        # in TestHodgeJoin and TestE1PointDecisions).  Of those, each derives
-        # only the tuples that pass the kernel (TestKernel).
+        # Untraced, E1-E1 decides only the pairs whose Hodge values match and
+        # whose alpha numerator kx3 divides, and E1-E2 only the alpha_plus
+        # that pass GCD_LEFT on the left sides whose Hodge value matches the
+        # point side's, away from kx3 = 2, where HYPERELLIPTIC_SYM fails
+        # (measured; the decisions are proved in TestHodgeJoin,
+        # TestPrimitiveSkip and TestE1PointDecisions).  Of those, each
+        # derives only the tuples that pass the kernel (TestKernel).
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
         records = {}
@@ -883,7 +966,7 @@ class TestAblations:
             log.clear()
             enumerate_family(family, DEFAULT_CHECKS - {"DIOPHANTINE"})
             records[family] = len(log)
-        assert records == {"e1e1": 976, "e1e2": 2_236}
+        assert records == {"e1e1": 523, "e1e2": 2_236}
         assert derived == {"e1e1": 111, "e1e2": 4}
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
@@ -1037,9 +1120,10 @@ class TestTracing:
 
     def test_default_run_derivations_are_pinned(self, monkeypatch):
         # A default run decides every tuple that passes its family's pair
-        # test and, on the E1-point families, the checks decided before
-        # (TestE1PointDecisions): the E1 walks in their kernel first
-        # (search._decide), the symmetric walk on its record.  The E1 walks
+        # test and, on E1-E1, has an alpha numerator kx3 divides
+        # (TestPrimitiveSkip) or, on the E1-point families, passes the checks
+        # decided before (TestE1PointDecisions): the E1 walks in their kernel
+        # first (search._decide), the symmetric walk on its record.  The E1 walks
         # derive only the tuples that pass their kernels (TestKernel), so a
         # run, traced or not, derives and audits (build_candidate) only the
         # 134 rows it keeps.
@@ -1061,15 +1145,15 @@ class TestTracing:
         for family in FAMILY_IDS:
             enumerate_family(family)
         assert decided + Counter({f: derived[f] for f in ("e2e2", "e3e3", "e5e5")}) == {
-            "e1e1": 622, "e1e2": 6, "e1e3": 71, "e1e5": 48, "e2e2": 3, "e3e3": 2, "e5e5": 1
+            "e1e1": 410, "e1e2": 6, "e1e3": 71, "e1e5": 48, "e2e2": 3, "e3e3": 2, "e5e5": 1
         }
         assert derived == built == EXPECTED_COUNTS
         assert sum(derived.values()) == 134
         # A traced run takes the same genus-form join, reporting the right
         # sides between two partners as pair-fast blocks, and on the E1-point
         # walks decides every pinned tuple (TestE1PointPreTest); it names the
-        # kernel's failures without a record.  E1-E1 decides the same 622
-        # tuples and derives the 111 it keeps.
+        # kernel's failures without a record.  E1-E1 decides all 622
+        # genus-form partners and derives the 111 it keeps.
         for counts in (decided, derived, built):
             counts.clear()
         for family in FAMILY_IDS:
@@ -1350,15 +1434,18 @@ class TestKernel:
             assert derived[family] == len(out), sorted(DEFAULT_CHECKS - enabled)
 
     # (family, enabled set, traced): the tuples the walk decides, how many
-    # fail each kernel check and how many pass them all (measured).  E1-E1
-    # without DIOPHANTINE, traced, decides all 10,350 oriented pairs over the
+    # fail each kernel check and how many pass them all (measured).  E1-E1,
+    # traced, decides all 622 genus-form partners, untraced the 410 of them
+    # whose alpha numerator kx3 divides (TestPrimitiveSkip); without
+    # DIOPHANTINE, traced, it decides all 10,350 oriented pairs over the
     # kept sides; without SIGMA_POS, traced, the 4,220 genus-form partners
     # over its wider side lists, where COEFF_RELATIONS joins the kernel.
     # An untraced E1-point walk without DIOPHANTINE decides each alpha_plus
     # that no check decided before the kernel fails, a traced default one
     # each pinned alpha_plus.
     CASES = {
-        "e1e1": (DEFAULT_CHECKS, False, 622, (237, 446, 287, 288, 276, 175, 44), 111),
+        "e1e1": (DEFAULT_CHECKS, False, 410, (28, 236, 78, 76, 64, 162, 44), 111),
+        "e1e1-traced": (DEFAULT_CHECKS, True, 622, (237, 446, 287, 288, 276, 175, 44), 111),
         "e1e1-no-diophantine": (
             NO_DIOPHANTINE, True, 10_350, (6_634, 9_331, 10_015, 7_589, 7_042, 9_374, 2_926), 111
         ),
