@@ -22,15 +22,15 @@ Each check also declares its scope (Scope): the candidate fields its
 verdict reads (kx3 alone, one side and kx3, each side, or the whole
 record, or a kernel scope), what it reads on a walk where that is less,
 and the E1 walks whose pairs pass it by construction.
-kernel_plan derives from that table the checks an E1 walk decides on a
-tuple's integers; the symmetric walk, explain and the oracles run them all.
+kernel_plan derives from that table the checks an E1 walk decides on each
+tuple's record; the symmetric walk, explain and the oracles run them all.
 
-Nine checks read only integers an E1 walk has before it derives a record
-(KERNEL_ARGS): ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE the
-cubes, defects and cube scales; DIOPHANTINE, COEFF_RELATIONS, GCD_LEFT,
-GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM the side fields and the pairs.  Each
-is one integer predicate over those fields: its passes reads them from a
-record, and the walks call it on a tuple's own (search._kernel).
+Nine checks are in the kernel scopes: ETILDE_INTEGRAL, DEFECT_POSITIVE and
+DEFECT_DIVISIBLE read the cubes, defects and cube scales ("cubes");
+DIOPHANTINE, COEFF_RELATIONS, GCD_LEFT, GCD_RIGHT, HODGE and
+HYPERELLIPTIC_SYM the side fields and the pairs ("sides and pairs").  Like
+every check, each has one verdict, its passes, which the walks call on the
+record they derive for a tuple (search._kernel).
 """
 
 from __future__ import annotations
@@ -100,41 +100,34 @@ def _degree_detail(side: SideData, ky3: Fraction | int) -> str:
     return f"target degree {ky3} at index {index}"
 
 
-def _residuals(
-    kx3: int, left: SideData, right: SideData, sigma_left: int, sigma_right: int,
-    ky3_left: Fraction | int, ky3_right: Fraction | int, pair: Pair, pair_plus: Pair,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _residuals(rec: LinkCandidate) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The residual system as (numerators, their positive denominators), by shape.
 
-    It takes the fields KERNEL_ARGS["sides and pairs"] names, in that order,
-    and reads all but the target degrees.  A family's curve side, if any, is
-    the left one.  Star-star: each coefficient satisfies the symmetric
-    degree relation, alpha*kx3 - 2*sigma over its pair's denominator on each
-    side.  A residual vanishes exactly when its numerator does.
+    It reads every field of scope "sides and pairs" but the target
+    degrees.  A family's curve side, if any, is the left one.
+    Star-star: each coefficient satisfies the symmetric degree relation,
+    alpha*kx3 - 2*sigma over its pair's denominator on each side.  A
+    residual vanishes exactly when its numerator does.
     """
+    kx3, left, right, pair, pair_plus = rec.kx3, rec.left, rec.right, rec.pair, rec.pair_plus
     den, den_p = pair[2], pair_plus[2]
     if not left.is_e1:
         numerators = (
-            pair[0] * kx3 - 2 * sigma_left * den,
-            pair_plus[0] * kx3 - 2 * sigma_right * den_p,
+            pair[0] * kx3 - 2 * rec.sigma_left * den,
+            pair_plus[0] * kx3 - 2 * rec.sigma_right * den_p,
         )
         return numerators, (den, den_p)
     if right.is_e1:
         return e1e1_residual_numerators(
-            kx3, pair, pair_plus, left.g, sigma_left, right.g, sigma_right
+            kx3, pair, pair_plus, left.g, rec.sigma_left, right.g, rec.sigma_right
         ), (den * den, den_p * den_p)
     return e1estar_residual_numerators(
-        kx3, pair, pair_plus, left.r, left.d, left.g, sigma_right
+        kx3, pair, pair_plus, left.r, left.d, left.g, rec.sigma_right
     ), (den * den, den, den_p * den_p, den_p)
 
 
 def _ratios(numerators: Iterable[int], denominators: Iterable[int]) -> str:
     return ", ".join(str(Fraction(n, d)) for n, d in zip(numerators, denominators))
-
-
-def _fractions(pair: Pair) -> tuple[Fraction, Fraction]:
-    a, b, den = pair
-    return Fraction(a, den), Fraction(b, den)
 
 
 def _coeff_relations_detail(rec: LinkCandidate) -> str:
@@ -169,50 +162,45 @@ def _primitive_detail(role: str, side: SideData, pair: Pair) -> str:
     return f"decomposition ({lead}, {diff}), gcd {math.gcd(lead, diff)}"
 
 
-def _point_side_pairs(rec: LinkCandidate) -> list[tuple[str, Pair]]:
-    pairs = []
-    if not rec.left.is_e1:
-        pairs.append(("left", rec.pair))
-    if not rec.right.is_e1:
-        pairs.append(("right", rec.pair_plus))
-    return pairs
-
-
 def _integral_pair(pair: Pair) -> bool:
     a, b, den = pair
     return a % den == 0 and b % den == 0
 
 
 def _coeff_integrality_detail(rec: LinkCandidate) -> str:
-    pairs = _point_side_pairs(rec)
+    co = rec.coeffs
+    pairs = [
+        (pair, "{} ({}, {})".format(role, *values))
+        for role, side, pair, values in (
+            ("left", rec.left, rec.pair, co[:2]), ("right", rec.right, rec.pair_plus, co[2:])
+        )
+        if not side.is_e1
+    ]
     if not pairs:
         return "no point-type side; integrality not required"
-    shown = {side: "({}, {})".format(*_fractions(pair)) for side, pair in pairs}
-    bad = [f"{side} {shown[side]}" for side, pair in pairs if not _integral_pair(pair)]
+    bad = [shown for pair, shown in pairs if not _integral_pair(pair)]
     if bad:
         return "non-integral point-side coefficients: " + "; ".join(bad)
-    return "point-side coefficients integral: " + "; ".join(
-        f"{side} {text}" for side, text in shown.items()
-    )
+    return "point-side coefficients integral: " + "; ".join(shown for _, shown in pairs)
 
 
-# The verdicts of scope "cubes": each takes the fields KERNEL_ARGS["cubes"]
-# names, in that order; the sides give their cube scales.
-def _etilde_integral(left, right, cube_left, cube_right, defect_left, defect_right) -> bool:
-    return cube_left[0] % cube_left[1] == 0 and cube_right[0] % cube_right[1] == 0
+# The verdicts of scope "cubes": the sides give their cube scales.
+def _etilde_integral(rec: LinkCandidate) -> bool:
+    (num_left, den_left), (num_right, den_right) = rec.etilde3_left, rec.etilde3_right
+    return num_left % den_left == 0 and num_right % den_right == 0
 
 
-def _defect_positive(left, right, cube_left, cube_right, defect_left, defect_right) -> bool:
-    (num_left, den_left), (num_right, den_right) = defect_left, defect_right
+def _defect_positive(rec: LinkCandidate) -> bool:
+    (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
     positive = num_left > 0 and num_right > 0
     return positive and num_left % den_left == 0 and num_right % den_right == 0
 
 
-def _defect_divisible(left, right, cube_left, cube_right, defect_left, defect_right) -> bool:
+def _defect_divisible(rec: LinkCandidate) -> bool:
     # e / scale is an integer exactly when scale * den(e) divides num(e).
-    (num_left, den_left), (num_right, den_right) = defect_left, defect_right
-    norm_left, rem_left = divmod(num_left, left.cube_scale * den_left)
-    norm_right, rem_right = divmod(num_right, right.cube_scale * den_right)
+    (num_left, den_left), (num_right, den_right) = rec.defect_left, rec.defect_right
+    norm_left, rem_left = divmod(num_left, rec.left.cube_scale * den_left)
+    norm_right, rem_right = divmod(num_right, rec.right.cube_scale * den_right)
     return rem_left == 0 and rem_right == 0 and norm_left == norm_right
 
 
@@ -236,38 +224,21 @@ def _hodge_value(side: SideData, ky3: Fraction | int) -> int | None:
         return None
 
 
-# The verdicts of scope "sides and pairs": each takes the fields
-# KERNEL_ARGS["sides and pairs"] names, in that order.
-def _diophantine(*fields) -> bool:
-    return not any(_residuals(*fields)[0])  # every residual numerator vanishes
+# The verdicts of scope "sides and pairs".
+def _diophantine(rec: LinkCandidate) -> bool:
+    return not any(_residuals(rec)[0])  # every residual numerator vanishes
 
 
-def _coeff_relations(*fields) -> bool:
-    pair, pair_plus = fields[-2:]
+def _coeff_relations(rec: LinkCandidate) -> bool:
+    pair, pair_plus = rec.pair, rec.pair_plus
     return not any(closure_numerators(pair, pair_plus)) and 0 not in (*pair[:2], *pair_plus[:2])
 
 
-def _gcd_left(
-    kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, pair, pair_plus
-) -> bool:
-    return _primitive(left, pair)
-
-
-def _gcd_right(
-    kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, pair, pair_plus
-) -> bool:
-    return _primitive(right, pair_plus)
-
-
-def _hodge(kx3, left, right, sigma_left, sigma_right, ky3_left, ky3_right, *pairs) -> bool:
-    if left.target_index is None or right.target_index is None:
+def _hodge(rec: LinkCandidate) -> bool:
+    if rec.left.target_index is None or rec.right.target_index is None:
         return True
-    value = _hodge_value(left, ky3_left)
-    return value is not None and value == _hodge_value(right, ky3_right)
-
-
-def _hyperelliptic_sym(kx3, left, right, *rest) -> bool:
-    return kx3 != 2 or left == right
+    value = _hodge_value(rec.left, rec.kY3_left)
+    return value is not None and value == _hodge_value(rec.right, rec.kY3_right)
 
 
 def _hodge_detail(rec: LinkCandidate) -> str:
@@ -297,7 +268,7 @@ def _alpha_plus_bound(rec: LinkCandidate) -> bool:
 def _alpha_plus_bound_detail(rec: LinkCandidate) -> str:
     if rec.left.is_e1 and rec.right.is_e1:
         return "both sides E1; no point-side coefficient bound"
-    alpha_plus = _fractions(rec.pair_plus)[0]
+    alpha_plus = rec.coeffs.alpha_plus
     return f"alpha_plus = {alpha_plus}, bound (0, {MAX_ALPHA_PLUS}]"
 
 
@@ -314,8 +285,7 @@ def _beta_plus_range(rec: LinkCandidate) -> bool:
 def _beta_plus_range_detail(rec: LinkCandidate) -> str:
     if rec.left.is_e1 and rec.right.is_e1:
         return "both sides E1; range fixed by the index ratio"
-    alpha, beta = _fractions(rec.pair)
-    alpha_plus, beta_plus = _fractions(rec.pair_plus)
+    alpha, beta, alpha_plus, beta_plus = rec.coeffs
     if rec.left.is_e1:
         return f"beta_plus = {beta_plus}, required integer in [-{rec.left.r}, -1]"
     return (
@@ -327,16 +297,6 @@ def _beta_plus_range_detail(rec: LinkCandidate) -> str:
 _LEFT = frozenset({"kx3", "left", "sigma_left", "kY3_left"})
 _RIGHT = frozenset({"kx3", "right", "sigma_right", "kY3_right"})
 
-# The fields a kernel check's verdict takes, in order, by its scope.  An E1
-# walk has them for a tuple before it derives the record (search._kernel):
-# the sides and the cubes and defects (formulas.cube_numerators), or the
-# side fields (formulas.side_terms) and the pairs.  The check's passes reads
-# them from a record (_kernel_check).
-KERNEL_ARGS: dict[str, tuple[str, ...]] = {
-    "cubes": ("left", "right", "etilde3_left", "etilde3_right", "defect_left", "defect_right"),
-    "sides and pairs": LinkCandidate._fields[:9],  # kx3 through pair_plus
-}
-
 # The candidate fields (model.LinkCandidate) a verdict of each scope reads.
 SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "kx3": frozenset({"kx3"}),
@@ -344,7 +304,11 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "right": _RIGHT,  # the right side and kx3
     "each side": _LEFT | _RIGHT,  # each side and kx3 apart; a failing side fails every pair
     "left and pair": frozenset({"left", "pair"}),  # the left side's index and the pair
-    **{scope: frozenset(fields) for scope, fields in KERNEL_ARGS.items()},
+    # The kernel scopes (kernel_plan): an E1 walk decides them on a tuple's record.
+    "cubes": frozenset(  # the sides give the cube scales
+        {"left", "right", "etilde3_left", "etilde3_right", "defect_left", "defect_right"}
+    ),
+    "sides and pairs": frozenset(LinkCandidate._fields[:9]),  # kx3 through pair_plus
     "record": frozenset(LinkCandidate._fields),
 }
 
@@ -369,31 +333,12 @@ _ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset()}
 
 
 class Check(NamedTuple):
-    """A registry entry: what the check demands, its verdict, its detail text and its scope.
-
-    A kernel check (scope KERNEL_ARGS) also holds its verdict on the fields
-    its scope names, which its passes calls on a record's.
-    """
+    """A registry entry: what the check demands, its verdict, its detail text and its scope."""
 
     description: str
     passes: Callable[[LinkCandidate], bool]
     describe: Callable[[LinkCandidate], str]
     scope: Scope
-    on_fields: Callable[..., bool] | None = None
-
-
-def _kernel_check(
-    description: str,
-    verdict: Callable[..., bool],
-    describe: Callable[[LinkCandidate], str],
-    scope: Scope,
-) -> Check:
-    """A check whose verdict takes the fields KERNEL_ARGS[scope.reads] names, in that order."""
-    fields = operator.attrgetter(*KERNEL_ARGS[scope.reads])
-    return Check(description, lambda c: verdict(*fields(c)), describe, scope, verdict)
-
-
-_sides_and_pairs = operator.attrgetter(*KERNEL_ARGS["sides and pairs"])
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -423,15 +368,15 @@ REGISTRY: dict[str, Check] = {
         lambda c: _degree_detail(c.right, c.kY3_right),
         Scope("right", on={star_pairs: "kx3"}),  # a point right side is fixed per kx3
     ),
-    "DIOPHANTINE": _kernel_check(
+    "DIOPHANTINE": Check(
         "the exact residual system vanishes",
         _diophantine,
-        lambda c: "residuals " + _ratios(*_residuals(*_sides_and_pairs(c))),
+        lambda c: "residuals " + _ratios(*_residuals(c)),
         # The E1-E1 walk derives a pair only after its genus-form test, which
         # is DIOPHANTINE's exact decision there (formulas.genus_form).
         Scope("sides and pairs", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
     ),
-    "COEFF_RELATIONS": _kernel_check(
+    "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
         _coeff_relations,
         _coeff_relations_detail,
@@ -440,22 +385,22 @@ REGISTRY: dict[str, Check] = {
         # nonzero once SIGMA_POS keeps both excesses positive.
         Scope("sides and pairs", {**_ANY_PAIRS, e1e1_pairs: frozenset({"SIGMA_POS"})}),
     ),
-    "ETILDE_INTEGRAL": _kernel_check(
+    "ETILDE_INTEGRAL": Check(
         "both flopped divisor cubes are integers",
         _etilde_integral,
         lambda c: f"transform cubes {Fraction(*c.etilde3_left)}, {Fraction(*c.etilde3_right)}",
         Scope("cubes"),
     ),
-    "GCD_LEFT": _kernel_check(
+    "GCD_LEFT": Check(
         "left-basis decomposition of the flopped divisor is primitive",
-        _gcd_left,
+        lambda c: _primitive(c.left, c.pair),
         lambda c: _primitive_detail("left", c.left, c.pair),
         # A point left side passes; an E1 one reads its index (_primitive).
         Scope("sides and pairs", on={star_pairs: "left and pair"}),
     ),
-    "GCD_RIGHT": _kernel_check(
+    "GCD_RIGHT": Check(
         "right-basis decomposition of the flopped divisor is primitive",
-        _gcd_right,
+        lambda c: _primitive(c.right, c.pair_plus),
         lambda c: _primitive_detail("right", c.right, c.pair_plus),
         # A point right side passes.
         Scope("sides and pairs", {star_pairs: frozenset()}),
@@ -467,27 +412,27 @@ REGISTRY: dict[str, Check] = {
         _coeff_integrality_detail,
         Scope("record", _ANY_PAIRS),  # every point-side pair is over 1
     ),
-    "DEFECT_POSITIVE": _kernel_check(
+    "DEFECT_POSITIVE": Check(
         "both flop defects are positive integers",
         _defect_positive,
         lambda c: f"defects {Fraction(*c.defect_left)}, {Fraction(*c.defect_right)}",
         Scope("cubes"),
     ),
-    "DEFECT_DIVISIBLE": _kernel_check(
+    "DEFECT_DIVISIBLE": Check(
         "defects agree after dividing by the index cubes",
         _defect_divisible,
         _defect_divisible_detail,
         Scope("cubes"),
     ),
-    "HODGE": _kernel_check(
+    "HODGE": Check(
         "curve-corrected Hodge numbers balance across the link",
         _hodge,
         _hodge_detail,
         Scope("sides and pairs", on={star_pairs: "left"}),  # one value per side (_hodge_value)
     ),
-    "HYPERELLIPTIC_SYM": _kernel_check(
+    "HYPERELLIPTIC_SYM": Check(
         "central degree 2 forces equal sides",
-        _hyperelliptic_sym,
+        lambda c: c.kx3 != 2 or c.left == c.right,
         _hyperelliptic_sym_detail,
         Scope("sides and pairs", on={star_pairs: "kx3"}),  # an E1 side never equals a point side
     ),
@@ -524,25 +469,26 @@ def _plan(enabled: frozenset[str]) -> tuple[tuple[str, Callable[[LinkCandidate],
 
 
 @functools.cache
-def kernel_plan(pairs: Callable, enabled: frozenset[str]) -> tuple[tuple, ...]:
-    """A walk's kernel: per KERNEL_ARGS scope, in that order, its (name, field verdict) pairs.
+def kernel_plan(
+    pairs: Callable, enabled: frozenset[str]
+) -> tuple[tuple[str, Callable[[LinkCandidate], bool]], ...]:
+    """A walk's kernel: the (name, verdict) pairs it runs on each tuple's record.
 
-    They are the enabled checks, in registry order, whose scope on the walk
-    (Scope.on, else Scope.reads) is that scope, less those the walk's pairs
-    pass by construction: their Scope.built names pairs, with every check
-    that needs enabled.  An E1 walk decides every other enabled check
-    before its kernel.  Cached per walk and enabled set, like _plan.
+    They are the enabled checks whose scope on the walk (Scope.on, else
+    Scope.reads) is a kernel scope, "cubes" first, then "sides and pairs",
+    each in registry order, less those the walk's pairs pass by
+    construction: their Scope.built names pairs, with every check that
+    needs enabled.  An E1 walk decides every other enabled check before its
+    kernel.  Cached per walk and enabled set, like _plan.
     """
     validate_check_ids(enabled)
     return tuple(
-        tuple(
-            (name, check.on_fields)
-            for name, check in REGISTRY.items()
-            if name in enabled
-            and check.scope.on.get(pairs, check.scope.reads) == scope
-            and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
-        )
-        for scope in KERNEL_ARGS
+        (name, check.passes)
+        for scope in ("cubes", "sides and pairs")
+        for name, check in REGISTRY.items()
+        if name in enabled
+        and check.scope.on.get(pairs, check.scope.reads) == scope
+        and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
     )
 
 

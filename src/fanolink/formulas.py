@@ -251,16 +251,13 @@ def cube_numerators(sides: SideTerms, pair: Pair, pair_plus: Pair) -> Cubes:
     )
 
 
-def derive(
-    sides: SideTerms, pair: Pair, pair_plus: Pair, cubes: Cubes | None = None
-) -> LinkCandidate:
+def derive(sides: SideTerms, pair: Pair, pair_plus: Pair) -> LinkCandidate:
     """A tuple's candidate: every quantity the checks read, in integers.
 
     sides comes from side_terms; pair and pair_plus are the coefficient
-    pairs; cubes, if given, is their cube_numerators, already computed.
+    pairs, whose cube_numerators complete the record.
     """
-    cubes = cubes or cube_numerators(sides, pair, pair_plus)
-    return _candidate((*sides[0], pair, pair_plus, *cubes))
+    return _candidate((*sides[0], pair, pair_plus, *cube_numerators(sides, pair, pair_plus)))
 
 
 # LinkCandidate(*fields) without the Python-level __new__: one per tuple decided.

@@ -14,15 +14,14 @@ Two independent routes produce every family's candidate set:
   E1-point run decides once per kx3, left side or (r, beta_plus,
   alpha_plus) each check that reads no more, traced or not; an untraced
   run skips what they reject (enumerate_e1e1, enumerate_e1estar).
-* Both E1 walks then decide each tuple's other checks on integers before
-  deriving it (_decide): ETILDE_INTEGRAL, DEFECT_POSITIVE and
-  DEFECT_DIVISIBLE on the cube and defect numerators
-  (formulas.cube_numerators), and on the side fields and the pairs
-  GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1 (and
-  COEFF_RELATIONS without SIGMA_POS), DIOPHANTINE on E1-point.  The walks
-  call the checks' own verdicts (checks.kernel_plan, checks.KERNEL_ARGS),
-  which REGISTRY's passes call on a record.  So a run, traced or not,
-  derives (formulas.derive) just the rows it keeps.
+* Both E1 walks then derive each remaining tuple's record
+  (formulas.derive) and decide its other checks on it (_decide):
+  ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE on the cubes and
+  defects, and GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1
+  (and COEFF_RELATIONS without SIGMA_POS), DIOPHANTINE on E1-point.  The
+  walks call the checks' own passes (checks.kernel_plan).  So a run,
+  traced or not, derives each tuple it decides once, and audits just the
+  rows it keeps.
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -86,10 +85,8 @@ from .checks import (
     run_checks,
 )
 from .formulas import (
-    Cubes,
     SideTerm,
     SideTerms,
-    cube_numerators,
     derive,
     e1e1_pairs,
     genus_form,
@@ -258,24 +255,20 @@ def _admit(
 
 def _kernel(
     sides: SideTerms, pairs: tuple, kernel: tuple, short_circuit: bool = False
-) -> tuple[Cubes, list[str]]:
-    """A tuple's cubes, and the checks of an E1 walk's kernel (checks.kernel_plan) it fails.
+) -> tuple[LinkCandidate, list[str]]:
+    """A tuple's record (formulas.derive), and the checks of an E1 walk's kernel it fails.
 
-    Each verdict gets the fields checks.KERNEL_ARGS names for its scope:
-    the sides and the cubes, or the side fields and the pairs.  The
-    failures come in registry order within each scope; with short_circuit
-    only the first is named.
+    The kernel is checks.kernel_plan's (name, passes) pairs, and the
+    failures come in its order; with short_circuit only the first is named.
     """
-    fields = sides[0]
-    cubes = cube_numerators(sides, *pairs)
+    candidate = derive(sides, *pairs)
     failed = []
-    for plan, args in zip(kernel, ((fields[1], fields[2], *cubes), (*fields, *pairs))):
-        for name, verdict in plan:
-            if not verdict(*args):
-                failed.append(name)
-                if short_circuit:
-                    return cubes, failed
-    return cubes, failed
+    for name, passes in kernel:
+        if not passes(candidate):
+            failed.append(name)
+            if short_circuit:
+                break
+    return candidate, failed
 
 
 @functools.cache
@@ -293,21 +286,22 @@ def _decide(
     results: list[LinkCandidate],
     known: frozenset[str] = frozenset(),
 ) -> None:
-    """Decide one tuple of an E1 walk on integers: keep its record, or trace or skip it.
+    """Decide one tuple of an E1 walk on its record: keep it, or trace or skip it.
 
     known holds the checks the walk decided the tuple fails before (traced
     runs only: an untraced walk skips such a tuple).  The kernel decides
     every other enabled check the walk's pairs do not pass by construction
-    (checks.kernel_plan).  An untraced run skips a tuple that fails one; a
-    traced run names its failures, decided before or in the kernel, in
-    registry order.  Only a kept tuple is derived.
+    (checks.kernel_plan) on the tuple's record (_kernel).  An untraced run
+    skips a tuple that fails one; a traced run names its failures, decided
+    before or in the kernel, in registry order.  Only a kept record is
+    audited (build_candidate).
     """
-    cubes, failed = _kernel(sides, pairs, kernel, trace is None)
+    candidate, failed = _kernel(sides, pairs, kernel, trace is None)
     if failed or known:
         if trace is not None:
             trace("full", data, _in_registry_order(known.union(failed)))
         return
-    results.append(build_candidate(derive(sides, *pairs, cubes)))
+    results.append(build_candidate(candidate))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +427,7 @@ def enumerate_e1e1(
     Any other run walks each right side; only the iterable differs.
     The genus-form test decides DIOPHANTINE, the side lists the side checks,
     the closed-form pairs the coefficient checks (COEFF_RELATIONS while
-    SIGMA_POS is enabled) and the kernel (_decide) the rest on integers.
+    SIGMA_POS is enabled) and the kernel (_decide) the rest on the pair's record.
     HODGE is in the kernel, so a wrong Hodge join could only drop rows.
     The pairs are alpha = n/(r*kx3) and alpha_plus = n/(rp*kx3), so both
     sides' basis decompositions have the lead coefficient n/kx3: with GCD_LEFT
@@ -524,9 +518,10 @@ def enumerate_e1estar(
     a smooth point target (E2) asks that the side's value (_hodge_value) equal
     the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
     (_gcd_left_alpha_pluses).  An untraced run skips whatever a decision
-    fails.  The kernel (_decide) decides the rest, the cube checks and
-    DIOPHANTINE, so a run derives only the tuples it admits; a traced run
-    names every tuple's failures, decided or not, in registry order.
+    fails.  The kernel (_decide) decides the rest on the tuple's record, the
+    cube checks and DIOPHANTINE, so a run audits only the tuples it admits;
+    a traced run names every tuple's failures, decided or not, in registry
+    order.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)

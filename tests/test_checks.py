@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fanolink.checks import (
     DEFAULT_CHECKS,
     E1_SIGMA_MIN,
-    KERNEL_ARGS,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
     REGISTRY,
@@ -106,15 +105,15 @@ class TestRegistry:
             "COEFF_RELATIONS", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE",
             "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
-        # A kernel check (scope in KERNEL_ARGS) holds its verdict on the
-        # scope's fields, and no other check has one.
-        kernel = {name for name, check in REGISTRY.items() if check.scope.reads in KERNEL_ARGS}
+        # The kernel scopes (checks.kernel_plan), which E1 walks decide on a
+        # tuple's record.
+        kernel_scopes = {"cubes", "sides and pairs"}
+        assert kernel_scopes <= set(SCOPE_FIELDS)
+        kernel = {name for name, check in REGISTRY.items() if check.scope.reads in kernel_scopes}
         assert kernel == {
             "DIOPHANTINE", "COEFF_RELATIONS", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT",
             "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
-        for name, check in REGISTRY.items():
-            assert (check.on_fields is not None) == (name in kernel), name
 
     @pytest.mark.parametrize("ids", [{"HODGE", "NOT_A_CHECK"}, {""}])
     def test_kernel_plan_raises_on_a_bad_id(self, ids):

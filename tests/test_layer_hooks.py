@@ -45,8 +45,8 @@ def test_a_default_enumeration_calls_the_derivation_and_check_layers(monkeypatch
     # One E1-point family reaches the point side's degree test
     # (is_valid_fano_degree), the Hodge lookup of the candidates that reach
     # HODGE, and the kept-row step of its three rows.  The E1 walks decide
-    # their checks on integers (search._decide); a symmetric family runs the
-    # check registry on each of its records.
+    # their kernel checks on each tuple's record (search._decide); a
+    # symmetric family runs the check registry on each of its records.
     calls: Counter[str] = Counter()
 
     def counting(key, fn):

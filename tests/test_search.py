@@ -583,8 +583,8 @@ class _BlockHook:
 def _decided_sides(monkeypatch) -> list[tuple]:
     """Patch search._decide to log the (kx3, left, right) of each tuple an E1 walk decides; the log.
 
-    These are the kernel's inputs: an untraced walk derives only the tuples
-    that pass the kernel (TestKernel).
+    These are the kernel's inputs: the kernel derives each of them once
+    (TestKernel).
     """
     log, decide = [], search._decide
 
@@ -606,6 +606,18 @@ def _derived_count(monkeypatch) -> Counter:
         return derive(sides, *args)
 
     monkeypatch.setattr(search, "derive", counted)
+    return counts
+
+
+def _built_count(monkeypatch) -> Counter:
+    """Patch search.build_candidate to count the records it audits, by family; the counts."""
+    counts, build = Counter(), search.build_candidate
+
+    def counted(candidate):
+        counts[candidate.family] += 1
+        return build(candidate)
+
+    monkeypatch.setattr(search, "build_candidate", counted)
     return counts
 
 
@@ -867,7 +879,7 @@ class TestPrimitiveSkip:
         # So one pair per distinct (kx3, r, rp, n) over the widest side
         # lists, a run's without SIGMA_POS (an excess may be 0 or negative),
         # stands for every pair any walk makes.
-        gcd_left, gcd_right = (REGISTRY[name].on_fields for name in ("GCD_LEFT", "GCD_RIGHT"))
+        gcd_left, gcd_right = (REGISTRY[name].passes for name in ("GCD_LEFT", "GCD_RIGHT"))
         tuples = skipped = 0
         for kx3 in KX3_VALUES:
             terms = {r: {} for r in G_MAX}
@@ -885,9 +897,9 @@ class TestPrimitiveSkip:
                     for n, (pairs, left, right) in by_n.items():
                         tuples += 1
                         if n % kx3:
-                            fields = formulas.side_terms(kx3, left, right)[0]
-                            assert not gcd_left(*fields, *pairs), (kx3, r, rp, n)
-                            assert not gcd_right(*fields, *pairs), (kx3, r, rp, n)
+                            rec = formulas.derive(formulas.side_terms(kx3, left, right), *pairs)
+                            assert not gcd_left(rec), (kx3, r, rp, n)
+                            assert not gcd_right(rec), (kx3, r, rp, n)
                             skipped += 1
         assert (tuples, skipped) == (19_833, 14_485)
 
@@ -941,14 +953,15 @@ class TestAblations:
         assert extras == ABLATION_EXTRAS.get(check, {})
 
     def test_e1e1_literal_route_keeps_the_default_rows(self, enumerated, monkeypatch):
-        # Without DIOPHANTINE and HODGE E1-E1 decides every oriented pair
-        # whose alpha numerator kx3 divides (TestPrimitiveSkip), and derives
-        # the 127 that pass its kernel (measured): the rows it keeps.  The
-        # full default suite then keeps the default rows.
+        # Without DIOPHANTINE and HODGE E1-E1 decides, and so derives, every
+        # oriented pair whose alpha numerator kx3 divides (TestPrimitiveSkip),
+        # and audits the 127 that pass its kernel (measured): the rows it
+        # keeps.  The full default suite then keeps the default rows.
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
+        built = _built_count(monkeypatch)
         out = enumerate_e1e1(DEFAULT_CHECKS - {"DIOPHANTINE", "HODGE"})
-        assert (len(log), derived["e1e1"], len(out)) == (5_394, 127, 127)
+        assert (len(log), derived["e1e1"], built["e1e1"], len(out)) == (5_394, 5_394, 127, 127)
         assert tuple(c for c in out if admitted(run_checks(c))) == enumerated["e1e1"]
 
     def test_diophantine_off_derivations_are_pinned(self, monkeypatch):
@@ -957,17 +970,19 @@ class TestAblations:
         # that pass GCD_LEFT on the left sides whose Hodge value matches the
         # point side's, away from kx3 = 2, where HYPERELLIPTIC_SYM fails
         # (measured; the decisions are proved in TestHodgeJoin,
-        # TestPrimitiveSkip and TestE1PointDecisions).  Of those, each
-        # derives only the tuples that pass the kernel (TestKernel).
+        # TestPrimitiveSkip and TestE1PointDecisions).  Each derives every
+        # tuple it decides, once, and audits only the tuples that pass the
+        # kernel (TestKernel).
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
+        built = _built_count(monkeypatch)
         records = {}
         for family in ("e1e1", "e1e2"):
             log.clear()
             enumerate_family(family, DEFAULT_CHECKS - {"DIOPHANTINE"})
             records[family] = len(log)
-        assert records == {"e1e1": 523, "e1e2": 2_236}
-        assert derived == {"e1e1": 111, "e1e2": 4}
+        assert records == derived == {"e1e1": 523, "e1e2": 2_236}
+        assert built == {"e1e1": 111, "e1e2": 4}
 
     def test_sigma_floor_ablation_admits_the_phantom_row(self, enumerated, ablated):
         out = ablated("SIGMA_POS", "e1e1")
@@ -988,9 +1003,11 @@ class TestAblations:
         # the closed-form alpha = (sigma*rp + r*sigma_plus)/(r*kx3) can
         # vanish: 308 tuples fail COEFF_RELATIONS, which the E1-E1 kernel
         # must keep (each also fails another check, so no row moves).  The
-        # traced walk still derives only the 249 rows it keeps.
+        # traced walk derives each of the 4,220 genus-form partners it
+        # decides (TestKernel) and audits only the 249 rows it keeps.
         named = Counter()
         derived = _derived_count(monkeypatch)
+        built = _built_count(monkeypatch)
 
         def trace(stage, data, failed):
             if "COEFF_RELATIONS" in failed:
@@ -999,7 +1016,8 @@ class TestAblations:
         out = enumerate_e1e1(DEFAULT_CHECKS - {"SIGMA_POS"}, trace=trace)
         assert named == {"full": 308}
         assert len(out) == 249
-        assert derived == {"e1e1": 249}
+        assert derived == {"e1e1": 4_220}
+        assert built == {"e1e1": 249}
 
     def test_hyperelliptic_ablation_admits_asymmetric_degree_two_bodies(self, enumerated, ablated):
         out3 = ablated("HYPERELLIPTIC_SYM", "e1e3")
@@ -1123,43 +1141,39 @@ class TestTracing:
         # test and, on E1-E1, has an alpha numerator kx3 divides
         # (TestPrimitiveSkip) or, on the E1-point families, passes the checks
         # decided before (TestE1PointDecisions): the E1 walks in their kernel
-        # first (search._decide), the symmetric walk on its record.  The E1 walks
-        # derive only the tuples that pass their kernels (TestKernel), so a
-        # run, traced or not, derives and audits (build_candidate) only the
-        # 134 rows it keeps.
-        decided, built = Counter(), Counter()
+        # (search._decide), the symmetric walk on its record.  Either derives
+        # each tuple it decides once, and a run, traced or not, audits
+        # (build_candidate) only the 134 rows it keeps.
+        decided = Counter()
         derived = _derived_count(monkeypatch)
-        decide, build = search._decide, search.build_candidate
+        built = _built_count(monkeypatch)
+        decide = search._decide
 
         def counted_decide(sides, *args):
             fields = sides[0]
             decided[family_id(fields[1].ctype, fields[2].ctype)] += 1
             return decide(sides, *args)
 
-        def counted_build(record):
-            built[family_id(record.left.ctype, record.right.ctype)] += 1
-            return build(record)
-
         monkeypatch.setattr(search, "_decide", counted_decide)
-        monkeypatch.setattr(search, "build_candidate", counted_build)
+        symmetric = Counter({"e2e2": 3, "e3e3": 2, "e5e5": 1})
         for family in FAMILY_IDS:
             enumerate_family(family)
-        assert decided + Counter({f: derived[f] for f in ("e2e2", "e3e3", "e5e5")}) == {
-            "e1e1": 410, "e1e2": 6, "e1e3": 71, "e1e5": 48, "e2e2": 3, "e3e3": 2, "e5e5": 1
-        }
-        assert derived == built == EXPECTED_COUNTS
-        assert sum(derived.values()) == 134
+        assert decided == {"e1e1": 410, "e1e2": 6, "e1e3": 71, "e1e5": 48}
+        assert derived == decided + symmetric
+        assert built == EXPECTED_COUNTS
+        assert sum(built.values()) == 134
         # A traced run takes the same genus-form join, reporting the right
         # sides between two partners as pair-fast blocks, and on the E1-point
-        # walks decides every pinned tuple (TestE1PointPreTest); it names the
-        # kernel's failures without a record.  E1-E1 decides all 622
-        # genus-form partners and derives the 111 it keeps.
+        # walks decides every pinned tuple (TestE1PointPreTest).  E1-E1
+        # decides and derives all 622 genus-form partners and audits the 111
+        # it keeps.
         for counts in (decided, derived, built):
             counts.clear()
         for family in FAMILY_IDS:
             enumerate_family(family, trace=lambda s, d, f: None)
         assert decided == {"e1e1": 622, "e1e2": 289, "e1e3": 249, "e1e5": 161}
-        assert derived == built == EXPECTED_COUNTS
+        assert derived == decided + symmetric
+        assert built == EXPECTED_COUNTS
 
     def test_trace_tuples_rebuild_their_records(self):
         # Each full event carries its family's explain tuple: the record
@@ -1224,8 +1238,9 @@ class TestE1PointPreTest:
         # alone (E3/E4 and E5 targets have no index) FANO_DEGREE_RIGHT at
         # kx3 = 12 and 16..22 (kY3 = kx3 + 8 must be an index-1 Fano degree)
         # and HODGE on each left side whose value differs from the point side's.
-        # The kernel decides the rest, traced or not, so either run derives
-        # the admitted tuples alone.
+        # The kernel decides the rest on each tuple's record, traced or not,
+        # so either run derives each tuple it decides once and audits the
+        # admitted tuples alone.
         records, derived, built = Counter(), Counter(), Counter()
         decide, derive, build = search._decide, search.derive, search.build_candidate
 
@@ -1255,7 +1270,8 @@ class TestE1PointPreTest:
             (True, ContractionType.E34): 249,
             (True, ContractionType.E5): 161,
         }
-        assert built == derived == {
+        assert derived == records
+        assert built == {
             (traced, star): count
             for traced in (False, True)
             for star, count in (
@@ -1358,15 +1374,15 @@ def _walk_log(family: str, enabled: frozenset[str], traced: bool) -> tuple[tuple
 def _kernel_failures(family: str, entry: tuple) -> list[str]:
     """The kernel's failures on a logged tuple, held to the registry's verdicts on its record.
 
-    The kernel's cubes must be the record's last four fields, and its
-    failures the kernel checks whose verdict fails on search.record's
-    candidate, in the kernel's order.
+    The kernel's record must be search.record's candidate of the tuple, and
+    its failures the kernel checks whose verdict fails on that candidate,
+    in the kernel's order.
     """
     sides, pairs, kernel, data = entry
-    cubes, failed = search._kernel(sides, pairs, kernel)
+    derived, failed = search._kernel(sides, pairs, kernel)
     candidate = record(family, data)
-    assert cubes == candidate[-4:], data
-    names = [name for plan in kernel for name, _ in plan]
+    assert derived == candidate, data
+    names = [name for name, _ in kernel]
     assert failed == [name for name in names if not REGISTRY[name].passes(candidate)], data
     return failed
 
@@ -1378,12 +1394,11 @@ def _no_diophantine_log(family: str) -> tuple[tuple, ...]:
 
 class TestKernel:
     # Both E1 walks decide the checks of their kernel (checks.kernel_plan) on
-    # a tuple's integers before deriving it (search._kernel): the cube
-    # checks from formulas.cube_numerators, and from the side fields and the
-    # pairs GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM (and
-    # COEFF_RELATIONS without SIGMA_POS) on the E1-E1 walk, DIOPHANTINE on
-    # the E1-point one.  The proofs log the tuples each walk decides and
-    # hold the kernel on them to the registry.
+    # each tuple's record (search._kernel): the cube checks, then on the
+    # E1-E1 walk GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM (and
+    # COEFF_RELATIONS without SIGMA_POS), on the E1-point one DIOPHANTINE.
+    # The proofs log the tuples each walk decides and hold the kernel's
+    # record and verdicts on them to the registry.
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
     CUBES = ["ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"]
     E1E1_SIDES = ["GCD_LEFT", "GCD_RIGHT", "HODGE", "HYPERELLIPTIC_SYM"]
@@ -1393,7 +1408,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("family", E1_FAMILIES)
     def test_each_enabled_check_is_decided_exactly_once(self, monkeypatch, family):
-        # An E1 walk derives only what its kernel passes, so every enabled
+        # An E1 walk keeps only what its kernel passes, so every enabled
         # check must be exactly one of: decided before the kernel (its scope
         # on the walk is one the side lists and kx3 fix, or on the E1-point
         # walk one of its per-kx3, per-side and per-(r, beta_plus, alpha_plus)
@@ -1401,8 +1416,8 @@ class TestKernel:
         # (checks.Scope.built, with what it needs enabled), or in the walk's
         # kernel, which must be checks.kernel_plan's.
         pairs = e1e1_pairs if family == "e1e1" else star_pairs
-        names = [[name for name, _ in plan] for plan in kernel_plan(pairs, DEFAULT_CHECKS)]
-        assert names == [self.CUBES, self.E1E1_SIDES if pairs is e1e1_pairs else ["DIOPHANTINE"]]
+        names = [name for name, _ in kernel_plan(pairs, DEFAULT_CHECKS)]
+        assert names == self.CUBES + (self.E1E1_SIDES if pairs is e1e1_pairs else ["DIOPHANTINE"])
         before = {"kx3", "left", "right", "each side"}
         before |= {check.scope.on[pairs] for check in REGISTRY.values() if pairs in check.scope.on}
         kernels = set()
@@ -1411,7 +1426,7 @@ class TestKernel:
             kernels.clear()
             enumerate_family(family, enabled)
             assert kernels == {kernel_plan(pairs, enabled)}, enabled
-            in_kernel = {name for plan in kernel_plan(pairs, enabled) for name, _ in plan}
+            in_kernel = {name for name, _ in kernel_plan(pairs, enabled)}
             for name in enabled:
                 scope = REGISTRY[name].scope
                 ways = (
@@ -1423,15 +1438,22 @@ class TestKernel:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("family", E1_FAMILIES)
-    def test_every_e1_run_keeps_every_record_it_derives(self, monkeypatch, family, traced):
+    def test_every_e1_run_derives_each_decided_tuple_once_and_audits_what_it_keeps(
+        self, monkeypatch, family, traced
+    ):
         # Under the default checks and each single-check ablation.  The hook
         # takes blocks whole, so a traced run makes no per-event call.
+        log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
+        built = _built_count(monkeypatch)
         hook = _QuietHook() if traced else None
         for enabled in self.CHECK_SETS:
-            derived.clear()
+            for counts in (log, derived, built):
+                counts.clear()
             out = enumerate_family(family, enabled, trace=hook)
-            assert derived[family] == len(out), sorted(DEFAULT_CHECKS - enabled)
+            assert (derived[family], built[family]) == (len(log), len(out)), sorted(
+                DEFAULT_CHECKS - enabled
+            )
 
     # (family, enabled set, traced): the tuples the walk decides, how many
     # fail each kernel check and how many pass them all (measured).  E1-E1,
@@ -1470,7 +1492,7 @@ class TestKernel:
         failures = Counter()
         for entry in tuples:
             failures.update(_kernel_failures(family, entry) or ["none"])
-        names = [name for plan in tuples[0][2] for name, _ in plan]
+        names = [name for name, _ in tuples[0][2]]
         assert len(tuples) == count
         assert (tuple(failures[name] for name in names), failures["none"]) == (failing, passing)
 
