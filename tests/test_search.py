@@ -1438,22 +1438,38 @@ class TestKernel:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("family", E1_FAMILIES)
-    def test_every_e1_run_derives_each_decided_tuple_once_and_audits_what_it_keeps(
-        self, monkeypatch, family, traced
-    ):
-        # Under the default checks and each single-check ablation.  The hook
+    def test_every_e1_run_keeps_every_record_it_derives(self, monkeypatch, family, traced):
+        # Under the default checks and each single-check ablation.  A run
+        # derives each tuple it decides once, and keeps, audited, the very
+        # records it derives that pass its kernel and no check decided
+        # before (a traced run's known failures): nothing else.  The hook
         # takes blocks whole, so a traced run makes no per-event call.
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
         built = _built_count(monkeypatch)
+        passed, kernel, decide = [], search._kernel, search._decide
+        before = [frozenset()]
+
+        def logged_decide(sides, pairs, plan, trace, data, results, known=frozenset()):
+            before[0] = known
+            return decide(sides, pairs, plan, trace, data, results, known)
+
+        def logged_kernel(*args):
+            candidate, failed = kernel(*args)
+            if not failed and not before[0]:
+                passed.append(candidate)
+            return candidate, failed
+
+        monkeypatch.setattr(search, "_decide", logged_decide)
+        monkeypatch.setattr(search, "_kernel", logged_kernel)
         hook = _QuietHook() if traced else None
         for enabled in self.CHECK_SETS:
-            for counts in (log, derived, built):
+            for counts in (log, derived, built, passed):
                 counts.clear()
             out = enumerate_family(family, enabled, trace=hook)
-            assert (derived[family], built[family]) == (len(log), len(out)), sorted(
-                DEFAULT_CHECKS - enabled
-            )
+            ablated = sorted(DEFAULT_CHECKS - enabled)
+            assert (derived[family], built[family]) == (len(log), len(out)), ablated
+            assert sorted(map(id, passed)) == sorted(map(id, out)), ablated
 
     # (family, enabled set, traced): the tuples the walk decides, how many
     # fail each kernel check and how many pass them all (measured).  E1-E1,
