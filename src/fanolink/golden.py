@@ -36,7 +36,7 @@ from .model import (
     SideData,
     family_spec,
 )
-from .rational import parse_rational
+from .rational import exact, parse_rational
 
 # Each parsed column's parser, and the reason that prefixes a cell it cannot parse;
 # any other column keeps its text.
@@ -59,8 +59,8 @@ class GoldenDataError(ValueError):
 
 # One reference classification row: a read-only mapping of the CELL_COLUMNS
 # (None where the family has no such column, the star-side pair
-# reconstructed), exists and ref, and the row's table, running row number
-# and family.
+# reconstructed, a rational in rational.exact form as cells() gives it),
+# exists and ref, and the row's table, running row number and family.
 GoldenRow = Mapping[str, object]
 
 
@@ -167,8 +167,8 @@ def _build_row(
     )
     _expect(cells["beta"] != 0, source, lineno, "beta must be nonzero")
     # The star-side coefficient pair is determined by the printed pair.
-    cells["alpha_plus"] = -cells["alpha"] / cells["beta"]
-    cells["beta_plus"] = 1 / cells["beta"]
+    cells["alpha_plus"] = exact(-cells["alpha"], cells["beta"])
+    cells["beta_plus"] = exact(1, cells["beta"])
 
     # Stated target degrees must follow from the side data.
     kx3 = cells["kx3"]

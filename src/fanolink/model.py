@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
+
+from .rational import exact
 
 
 class ContractionType(enum.Enum):
@@ -172,9 +175,10 @@ class FamilySpec:
     display_columns: tuple[str, ...]
     explain_fields: tuple[str, ...]
 
-    def key(self, cells: Mapping[str, object]) -> tuple:
-        """The row's identity within the family: its key-column values."""
-        return tuple(cells[column] for column in self.key_columns)
+    @functools.cached_property
+    def key(self) -> Callable[[Mapping[str, object]], tuple]:
+        """The getter of a row's identity within the family: its key-column values."""
+        return operator.itemgetter(*self.key_columns)
 
     def row_offset(self, table: int) -> int:
         """Rows in the family's earlier tables; golden rows number across tables."""
@@ -255,9 +259,10 @@ class LinkCandidate(NamedTuple):
 
     Built once per tuple by formulas.derive; the admission checks read its
     fields, and output reads the values computed from them (coeffs,
-    family, defect_e, defect_e_plus, e_over_r3, cells).  Each rational
-    quantity is held as numerators over a positive denominator, which need
-    not be the least one:
+    family, defect_e, defect_e_plus, e_over_r3, cells); coeffs gives
+    Fractions, and cells() and e_over_r3 give rational.exact values, as
+    golden rows hold them.  Each rational quantity is held as numerators
+    over a positive denominator, which need not be the least one:
 
     * pair = (a, b, den) is (alpha, beta) and pair_plus = (ap, bp, den_p)
       is (alpha_plus, beta_plus);
@@ -307,19 +312,20 @@ class LinkCandidate(NamedTuple):
         return _integer(self.defect_right)
 
     @property
-    def e_over_r3(self) -> Fraction | None:
+    def e_over_r3(self) -> Fraction | int | None:
         """Left defect normalized by r^3; the side-independent defect invariant."""
-        if self.defect_e is None:
-            return None
-        return Fraction(self.defect_e, self.left.cube_scale)
+        defect = self.defect_e
+        return None if defect is None else exact(defect, self.left.cube_scale)
 
     def cells(self) -> dict[str, object]:
         """Every column value, keyed by CELL_COLUMNS name."""
         left, right = self.left, self.right
+        (a, b, den), (ap, bp, den_p) = self.pair, self.pair_plus
         return dict(zip(CELL_COLUMNS, (
-            self.kx3, left.ctype.value, right.ctype.value,
+            self.kx3, _TYPE_NAMES[left.ctype], _TYPE_NAMES[right.ctype],
             left.r, left.d, left.g, right.r, right.d, right.g,
-            *self.coeffs, self.kY3_left, self.kY3_right, self.e_over_r3, self.defect_e,
+            exact(a, den), exact(b, den), exact(ap, den_p), exact(bp, den_p),
+            self.kY3_left, self.kY3_right, self.e_over_r3, self.defect_e,
         )))
 
 
@@ -329,8 +335,11 @@ CELL_COLUMNS: tuple[str, ...] = (
     "alpha", "beta", "alpha_plus", "beta_plus", "kY3", "kY3_plus", "e_over_r3", "e",
 )
 
+# Each side type's name, as cells() gives it; a dict read is cheaper than Enum.value.
+_TYPE_NAMES = {ctype: ctype.value for ctype in ContractionType}
+
 # The LinkCandidate field behind each column a family sorts by, as an
-# operator.attrgetter path: it holds the value cells() gives that column.
+# operator.attrgetter path: it holds a value equal to what cells() gives.
 CELL_FIELDS: dict[str, str] = {
     "kx3": "kx3", "r": "left.r", "d": "left.d", "g": "left.g",
     "r_plus": "right.r", "d_plus": "right.d", "g_plus": "right.g", "alpha": "coeffs.alpha",

@@ -4,7 +4,9 @@ Every numeric quantity in the engine is either a Python int or a reduced
 ``fractions.Fraction``.  Floats are never produced or accepted: equality of
 results with the golden tables has to be exact, so all arithmetic is
 ``Fraction`` or plain int arithmetic, and this module parses and renders
-the values.
+the values.  A value that is compared or printed (a golden cell, a
+candidate's ``cells()``) is in ``exact`` form: an int when it is integral,
+otherwise a reduced Fraction, never an integral Fraction.
 
 The engine is specified against 64-bit exact arithmetic.  Python integers
 do not overflow, so the 2**63 bound cannot be exceeded silently; the
@@ -46,6 +48,11 @@ def as_integer(x: Fraction | int) -> int:
     return x.numerator
 
 
+def exact(num: Fraction | int, den: Fraction | int) -> Fraction | int:
+    """num/den as an int when it is integral, otherwise as a reduced Fraction; den != 0."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def render_exact(x: Fraction | int) -> str:
     """Machine form: bare integer, or 'n/d' in lowest terms.
 
@@ -74,8 +81,7 @@ def render_table(x: Fraction | int) -> str:
     return render_exact(x)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'n', 'n/d', or a terminating decimal such as '-0.25', exactly."""
-    value = Fraction(text.strip())
-    audit_magnitude(value)
-    return value
+def parse_rational(text: str) -> Fraction | int:
+    """Parse 'n', 'n/d', or a terminating decimal such as '-0.25', exactly, to exact form."""
+    value = audit_magnitude(Fraction(text.strip()))
+    return exact(value.numerator, value.denominator)

@@ -18,12 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .golden import GoldenRow, golden_key
-from .model import FAMILIES, LinkCandidate
-from .rational import as_integer, is_integer, render_exact, render_table
+from .model import FAMILIES, FamilySpec, LinkCandidate
+from .rational import render_exact, render_table
 
 
 def build_golden_index(rows: Iterable[GoldenRow]) -> dict[tuple, GoldenRow]:
@@ -31,11 +30,11 @@ def build_golden_index(rows: Iterable[GoldenRow]) -> dict[tuple, GoldenRow]:
 
 
 def _candidate_cells(
-    candidate: LinkCandidate, golden_index: Mapping[tuple, GoldenRow]
+    candidate: LinkCandidate, spec: FamilySpec, golden_index: Mapping[tuple, GoldenRow]
 ) -> dict[str, object]:
-    """All canonical column values for one candidate, exactly typed."""
+    """All canonical column values for one candidate of the spec's family, exactly typed."""
     cells = candidate.cells()
-    row = golden_index.get(FAMILIES[candidate.family].key(cells))
+    row = golden_index.get(spec.key(cells))
     # Status and reference come from the golden row; JSON writes absent ones as null.
     cells["exists"] = None if row is None else row["exists"].value
     cells["ref"] = None if row is None else row["ref"] or None
@@ -53,8 +52,6 @@ def _machine_str(value: object) -> str:
 def _json_value(value: object) -> object:
     if value is None or isinstance(value, (str, int)):
         return value
-    if isinstance(value, Fraction) and is_integer(value):
-        return as_integer(value)
     return render_exact(value)
 
 
@@ -75,11 +72,11 @@ def render_csv(
         first = False
         out.write(f"# family: {family}\n")
         writer = csv.writer(out, lineterminator="\n")
-        header = FAMILIES[family].csv_columns
-        writer.writerow(header)
+        spec = FAMILIES[family]
+        writer.writerow(spec.csv_columns)
         for candidate in candidates:
-            cells = _candidate_cells(candidate, golden_index)
-            writer.writerow([_machine_str(cells[column]) for column in header])
+            cells = _candidate_cells(candidate, spec, golden_index)
+            writer.writerow([_machine_str(cells[column]) for column in spec.csv_columns])
     return out.getvalue()
 
 
@@ -90,10 +87,10 @@ def render_json(
     """Flat JSON array of row objects in canonical column order."""
     records = []
     for family, candidates in families:
-        header = FAMILIES[family].csv_columns
+        spec = FAMILIES[family]
         for candidate in candidates:
-            cells = _candidate_cells(candidate, golden_index)
-            records.append({column: _json_value(cells[column]) for column in header})
+            cells = _candidate_cells(candidate, spec, golden_index)
+            records.append({column: _json_value(cells[column]) for column in spec.csv_columns})
     return json.dumps(records, indent=2) + "\n"
 
 
@@ -138,10 +135,11 @@ def _display_rows(
     golden_index: Mapping[tuple, GoldenRow],
 ) -> tuple[tuple[str, ...], list[list[str]]]:
     """The family's display column ids and its rows of display strings."""
-    columns = FAMILIES[family].display_columns
+    spec = FAMILIES[family]
+    columns = spec.display_columns
     table_rows = []
     for number, candidate in enumerate(candidates, start=1):
-        cells = _candidate_cells(candidate, golden_index)
+        cells = _candidate_cells(candidate, spec, golden_index)
         cells["no"] = number
         table_rows.append([_display_str(column, cells[column]) for column in columns])
     return columns, table_rows

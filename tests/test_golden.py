@@ -116,7 +116,14 @@ class TestRowsAsCells:
 
     def test_every_row_holds_the_cells_of_its_tuple(self, golden):
         # A row's explain fields, put through the record builder, give cells
-        # equal to the row on every key and value column.
+        # equal to the row, and of the same type, on every key and value
+        # column. Every cell on either side is an int, a non-integral
+        # Fraction, a str or None: never a float or an integral Fraction.
+        def exact_typed(value):
+            if isinstance(value, Fraction):
+                return value.denominator != 1
+            return value is None or type(value) in (int, str)
+
         assert sum(map(len, golden.values())) == 134
         for family, rows in golden.items():
             spec = FAMILIES[family]
@@ -125,7 +132,13 @@ class TestRowsAsCells:
                 values = tuple(as_integer(row[field]) for field in spec.explain_fields)
                 cells = record(family, values).cells()
                 for column in spec.key_columns + spec.value_columns:
-                    assert cells[column] == row[column], (family, row["row"], column)
+                    where = (family, row["row"], column)
+                    assert cells[column] == row[column], where
+                    assert type(cells[column]) is type(row[column]), where
+                for column in CELL_COLUMNS:
+                    where = (family, row["row"], column)
+                    assert exact_typed(cells[column]), (*where, cells[column])
+                    assert exact_typed(row[column]), (*where, row[column])
 
 
 class TestReconstructedCoefficients:

@@ -141,8 +141,9 @@ def test_over_common_denominator(x, y):
 def test_no_float_literal_or_float_name_in_the_package():
     """The no-floats contract, read statically off every module of the package.
 
-    A float (or complex) literal, or any use of the name ``float``, fails;
-    text in strings and comments does not count.
+    A float (or complex) literal, any use of the name ``float``, or any
+    true division ``/`` (an int over an int is a float) fails, except the
+    golden loader's path join; text in strings and comments does not count.
     """
     found = []
     for path in sorted(Path(fanolink.__file__).parent.glob("*.py")):
@@ -151,4 +152,7 @@ def test_no_float_literal_or_float_name_in_the_package():
                 found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
             elif isinstance(node, ast.Name) and node.id == "float":
                 found.append(f"{path.name}:{node.lineno}: name float")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                if (path.name, ast.unparse(node)) != ("golden.py", "Path(data_dir) / name"):
+                    found.append(f"{path.name}:{node.lineno}: true division {ast.unparse(node)}")
     assert found == []
