@@ -18,19 +18,16 @@ A candidate is admitted when every enabled check passes.  Disabling checks
 can only widen the admitted set (each check is a pure predicate on the
 candidate), which the property tests exercise.
 
-Each check also declares its scope (Scope): the candidate fields its
-verdict reads (kx3 alone, one side and kx3, each side, or the whole
-record, or a kernel scope), what it reads on a walk where that is less,
-and the E1 walks whose pairs pass it by construction.
-kernel_plan derives from that table the checks an E1 walk decides on each
-tuple's record; the symmetric walk, explain and the oracles run them all.
+Each check also declares what its verdict reads (Check.reads, a
+SCOPE_FIELDS key): kx3 alone, one side and kx3, each side, the whole
+record, the cubes, defects and cube scales ("cubes": ETILDE_INTEGRAL,
+DEFECT_POSITIVE and DEFECT_DIVISIBLE), or the side fields and the pairs
+("sides and pairs": DIOPHANTINE, COEFF_RELATIONS, GCD_LEFT, GCD_RIGHT,
+HODGE and HYPERELLIPTIC_SYM).
 
-Nine checks are in the kernel scopes: ETILDE_INTEGRAL, DEFECT_POSITIVE and
-DEFECT_DIVISIBLE read the cubes, defects and cube scales ("cubes");
-DIOPHANTINE, COEFF_RELATIONS, GCD_LEFT, GCD_RIGHT, HODGE and
-HYPERELLIPTIC_SYM the side fields and the pairs ("sides and pairs").  Like
-every check, each has one verdict, its passes, which the walks call on the
-record they derive for a tuple (search._kernel).
+kernel_plan picks the enabled checks among some names, as (name, verdict)
+pairs in their order: over the registry it is the plan run_checks runs;
+the search names the checks each E1 walk decides on a tuple's record.
 """
 
 from __future__ import annotations
@@ -39,16 +36,14 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import catalog
 from .formulas import (
     basis_decomposition_numerators,
     closure_numerators,
-    e1e1_pairs,
     e1e1_residual_numerators,
     e1estar_residual_numerators,
-    star_pairs,
 )
 from .model import LinkCandidate, Pair, SideData
 
@@ -303,8 +298,6 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
     "left": _LEFT,  # the left side and kx3
     "right": _RIGHT,  # the right side and kx3
     "each side": _LEFT | _RIGHT,  # each side and kx3 apart; a failing side fails every pair
-    "left and pair": frozenset({"left", "pair"}),  # the left side's index and the pair
-    # The kernel scopes (kernel_plan): an E1 walk decides them on a tuple's record.
     "cubes": frozenset(  # the sides give the cube scales
         {"left", "right", "etilde3_left", "etilde3_right", "defect_left", "defect_right"}
     ),
@@ -313,32 +306,13 @@ SCOPE_FIELDS: dict[str, frozenset[str]] = {
 }
 
 
-class Scope(NamedTuple):
-    """What a check's verdict reads, and which enumerator walks decide it by construction.
-
-    reads is a SCOPE_FIELDS key.  built maps an E1 walk's pair function
-    (formulas.e1e1_pairs or star_pairs) to the checks whose prunes that
-    walk needs enabled so that every record it derives passes this one; an
-    empty set means its pairs pass by construction.  on maps a pair
-    function to the SCOPE_FIELDS key of what the verdict reads on that
-    walk's records, where that is less than reads.
-    """
-
-    reads: str
-    built: Mapping[Callable, frozenset[str]] = {}
-    on: Mapping[Callable, str] = {}
-
-
-_ANY_PAIRS = {e1e1_pairs: frozenset(), star_pairs: frozenset()}
-
-
 class Check(NamedTuple):
-    """A registry entry: what the check demands, its verdict, its detail text and its scope."""
+    """A registry entry: what the check demands, its verdict, its detail text and what it reads."""
 
     description: str
     passes: Callable[[LinkCandidate], bool]
     describe: Callable[[LinkCandidate], str]
-    scope: Scope
+    reads: str
 
 
 # Closed, ordered registry. The order is the reporting order everywhere.
@@ -348,109 +322,103 @@ REGISTRY: dict[str, Check] = {
         lambda c: _side_sigma_admissible(c.left, c.sigma_left)
         and _side_sigma_admissible(c.right, c.sigma_right),
         lambda c: f"sigma={c.sigma_left}, sigma_plus={c.sigma_right}",
-        Scope("each side"),
+        "each side",
     ),
     "KX3_RANGE": Check(
         "central degree is even and within 2..22",
         lambda c: c.kx3 in KX3_VALUES,
         lambda c: f"central degree {c.kx3}",
-        Scope("kx3"),
+        "kx3",
     ),
     "FANO_DEGREE_LEFT": Check(
         "left target degree is in the rank-one catalog",
         lambda c: _degree_ok(c.left, c.kY3_left),
         lambda c: _degree_detail(c.left, c.kY3_left),
-        Scope("left"),
+        "left",
     ),
     "FANO_DEGREE_RIGHT": Check(
         "right target degree is in the rank-one catalog",
         lambda c: _degree_ok(c.right, c.kY3_right),
         lambda c: _degree_detail(c.right, c.kY3_right),
-        Scope("right", on={star_pairs: "kx3"}),  # a point right side is fixed per kx3
+        "right",
     ),
     "DIOPHANTINE": Check(
         "the exact residual system vanishes",
         _diophantine,
         lambda c: "residuals " + _ratios(*_residuals(c)),
-        # The E1-E1 walk derives a pair only after its genus-form test, which
-        # is DIOPHANTINE's exact decision there (formulas.genus_form).
-        Scope("sides and pairs", {e1e1_pairs: frozenset({"DIOPHANTINE"})}),
+        "sides and pairs",
     ),
     "COEFF_RELATIONS": Check(
         "flop coefficients are mutually consistent and nonzero",
         _coeff_relations,
         _coeff_relations_detail,
-        # Every closure relation holds identically on each pair function's
-        # pairs; an E1-E1 alpha is (sigma*r_plus + r*sigma_plus)/(r*kx3),
-        # nonzero once SIGMA_POS keeps both excesses positive.
-        Scope("sides and pairs", {**_ANY_PAIRS, e1e1_pairs: frozenset({"SIGMA_POS"})}),
+        "sides and pairs",
     ),
     "ETILDE_INTEGRAL": Check(
         "both flopped divisor cubes are integers",
         _etilde_integral,
         lambda c: f"transform cubes {Fraction(*c.etilde3_left)}, {Fraction(*c.etilde3_right)}",
-        Scope("cubes"),
+        "cubes",
     ),
     "GCD_LEFT": Check(
         "left-basis decomposition of the flopped divisor is primitive",
         lambda c: _primitive(c.left, c.pair),
         lambda c: _primitive_detail("left", c.left, c.pair),
-        # A point left side passes; an E1 one reads its index (_primitive).
-        Scope("sides and pairs", on={star_pairs: "left and pair"}),
+        "sides and pairs",
     ),
     "GCD_RIGHT": Check(
         "right-basis decomposition of the flopped divisor is primitive",
         lambda c: _primitive(c.right, c.pair_plus),
         lambda c: _primitive_detail("right", c.right, c.pair_plus),
-        # A point right side passes.
-        Scope("sides and pairs", {star_pairs: frozenset()}),
+        "sides and pairs",
     ),
     "COEFF_INTEGRALITY": Check(
         "point-side coefficients are integers",
         lambda c: (c.left.is_e1 or _integral_pair(c.pair))
         and (c.right.is_e1 or _integral_pair(c.pair_plus)),
         _coeff_integrality_detail,
-        Scope("record", _ANY_PAIRS),  # every point-side pair is over 1
+        "record",
     ),
     "DEFECT_POSITIVE": Check(
         "both flop defects are positive integers",
         _defect_positive,
         lambda c: f"defects {Fraction(*c.defect_left)}, {Fraction(*c.defect_right)}",
-        Scope("cubes"),
+        "cubes",
     ),
     "DEFECT_DIVISIBLE": Check(
         "defects agree after dividing by the index cubes",
         _defect_divisible,
         _defect_divisible_detail,
-        Scope("cubes"),
+        "cubes",
     ),
     "HODGE": Check(
         "curve-corrected Hodge numbers balance across the link",
         _hodge,
         _hodge_detail,
-        Scope("sides and pairs", on={star_pairs: "left"}),  # one value per side (_hodge_value)
+        "sides and pairs",
     ),
     "HYPERELLIPTIC_SYM": Check(
         "central degree 2 forces equal sides",
         lambda c: c.kx3 != 2 or c.left == c.right,
         _hyperelliptic_sym_detail,
-        Scope("sides and pairs", on={star_pairs: "kx3"}),  # an E1 side never equals a point side
+        "sides and pairs",
     ),
     "ALPHA_PLUS_BOUND": Check(
         "point-side leading coefficient within its search bound",
         _alpha_plus_bound,
         _alpha_plus_bound_detail,
-        Scope("record", _ANY_PAIRS),  # the E1-point walk's alpha_plus runs over 1..MAX_ALPHA_PLUS
+        "record",
     ),
     "BETA_PLUS_RANGE": Check(
         "point-side E-coefficient within its admissible range",
         _beta_plus_range,
         _beta_plus_range_detail,
-        Scope("record", _ANY_PAIRS),  # the E1-point walk's beta_plus runs over -r..-1
+        "record",
     ),
 }
 
 DEFAULT_CHECKS: frozenset[str] = frozenset(REGISTRY)
+_IN_ORDER: tuple[str, ...] = tuple(REGISTRY)  # run_checks' names, built once
 
 
 def validate_check_ids(names: Iterable[str]) -> None:
@@ -462,34 +430,16 @@ def validate_check_ids(names: Iterable[str]) -> None:
 
 
 @functools.cache
-def _plan(enabled: frozenset[str]) -> tuple[tuple[str, Callable[[LinkCandidate], bool]], ...]:
-    """The enabled checks' (name, verdict) pairs, in registry order, validated once per set."""
-    validate_check_ids(enabled)
-    return tuple((name, check.passes) for name, check in REGISTRY.items() if name in enabled)
-
-
-@functools.cache
 def kernel_plan(
-    pairs: Callable, enabled: frozenset[str]
+    names: tuple[str, ...], enabled: frozenset[str]
 ) -> tuple[tuple[str, Callable[[LinkCandidate], bool]], ...]:
-    """A walk's kernel: the (name, verdict) pairs it runs on each tuple's record.
+    """The enabled checks among names, as (name, verdict) pairs in names' order.
 
-    They are the enabled checks whose scope on the walk (Scope.on, else
-    Scope.reads) is a kernel scope, "cubes" first, then "sides and pairs",
-    each in registry order, less those the walk's pairs pass by
-    construction: their Scope.built names pairs, with every check that
-    needs enabled.  An E1 walk decides every other enabled check before its
-    kernel.  Cached per walk and enabled set, like _plan.
+    Over tuple(REGISTRY) it is the plan run_checks runs.  Cached per names
+    and enabled set, which is validated once; a failure is never cached.
     """
     validate_check_ids(enabled)
-    return tuple(
-        (name, check.passes)
-        for scope in ("cubes", "sides and pairs")
-        for name, check in REGISTRY.items()
-        if name in enabled
-        and check.scope.on.get(pairs, check.scope.reads) == scope
-        and not (pairs in check.scope.built and check.scope.built[pairs] <= enabled)
-    )
+    return tuple((name, REGISTRY[name].passes) for name in names if name in enabled)
 
 
 def run_checks(
@@ -503,7 +453,7 @@ def run_checks(
     reports it alone, so an admitted candidate gets no reports; the
     admission verdict is the same.
     """
-    plan = _plan(frozenset(enabled))
+    plan = kernel_plan(_IN_ORDER, frozenset(enabled))
     if short_circuit:
         for name, passes in plan:
             if not passes(candidate):

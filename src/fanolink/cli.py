@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -252,6 +253,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any_mismatch else 0
 
 
+def _integers(texts: list[str], error: str) -> tuple[int, ...]:
+    """The texts as ints, each ASCII -?[0-9]+ (else ValueError(error)): explain's one rule."""
+    if all(re.fullmatch("-?[0-9]+", text) for text in texts):
+        try:
+            return tuple(map(int, texts))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(error)
+
+
 def _explain_values(family: str, key_tokens: list[str]) -> tuple[int, ...]:
     """The family's tuple, in explain_fields order, of a golden row number or a raw tuple."""
     if family not in FAMILIES:
@@ -260,18 +271,13 @@ def _explain_values(family: str, key_tokens: list[str]) -> tuple[int, ...]:
     text = " ".join(key_tokens).strip()
     if text.lower().startswith("row"):
         number_text = text[3:].strip()
-        if not number_text.removeprefix("-").isdecimal():
-            raise ValueError(f"bad row number: {number_text!r}")
-        number = int(number_text)
+        (number,) = _integers([number_text], f"bad row number: {number_text!r}")
         for row in golden_mod.golden_for_family(family):
             if row["row"] == number:
                 return tuple(as_integer(row[name]) for name in names)
         raise ValueError(f"no golden row {number} in family {family}")
-    cleaned = text.strip("()")
-    try:
-        values = tuple(int(part.strip()) for part in cleaned.split(",") if part.strip())
-    except ValueError:
-        raise ValueError(f"cannot parse tuple: {text!r}") from None
+    parts = [part.strip() for part in text.strip("()").split(",") if part.strip()]
+    values = _integers(parts, f"cannot parse tuple: {text!r}")
     if len(values) != len(names):
         raise ValueError(f"{family} tuple is ({', '.join(names)})")
     for value in values:

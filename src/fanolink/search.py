@@ -19,7 +19,7 @@ Two independent routes produce every family's candidate set:
   ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE on the cubes and
   defects, and GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1
   (and COEFF_RELATIONS without SIGMA_POS), DIOPHANTINE on E1-point.  The
-  walks call the checks' own passes (checks.kernel_plan).  So a run,
+  walks name these kernels (E1E1_KERNEL, E1STAR_KERNEL).  So a run,
   traced or not, derives each tuple it decides once, and audits just the
   rows it keeps.
 * ``brute_force_oracle`` re-derives each family with a deliberately
@@ -78,8 +78,8 @@ from .checks import (
     E1_SIGMA_MIN,
     KX3_VALUES,
     MAX_ALPHA_PLUS,
+    REGISTRY,
     _hodge_value,
-    _plan,
     _primitive,
     kernel_plan,
     run_checks,
@@ -242,12 +242,12 @@ def _admit(
 
     Without a trace hook the checks short-circuit, so run_checks returns no
     report exactly when every check passes; with one, every check runs and
-    names its failures from checks._plan, building no report.  Only an
-    admitted candidate is held to the 64-bit contract (build_candidate).
+    the hook hears the names of the failing ones.  Only an admitted
+    candidate is held to the 64-bit contract (build_candidate).
     """
     if trace is None:
         failed = run_checks(candidate, checks, True)
-    elif failed := tuple(name for name, passes in _plan(checks) if not passes(candidate)):
+    elif failed := tuple(r.name for r in run_checks(candidate, checks) if not r.passed):
         trace("full", data, failed)
     if not failed:
         results.append(build_candidate(candidate))
@@ -274,7 +274,7 @@ def _kernel(
 @functools.cache
 def _in_registry_order(names: frozenset[str]) -> tuple[str, ...]:
     """The check names in registry order, once per set of names."""
-    return tuple(name for name, _ in _plan(names))
+    return tuple(name for name in REGISTRY if name in names)
 
 
 def _decide(
@@ -289,10 +289,10 @@ def _decide(
     """Decide one tuple of an E1 walk on its record: keep it, or trace or skip it.
 
     known holds the checks the walk decided the tuple fails before (traced
-    runs only: an untraced walk skips such a tuple).  The kernel decides
-    every other enabled check the walk's pairs do not pass by construction
-    (checks.kernel_plan) on the tuple's record (_kernel).  An untraced run
-    skips a tuple that fails one; a traced run names its failures, decided
+    runs only: an untraced walk skips such a tuple).  The kernel, the
+    walk's (E1E1_KERNEL, E1STAR_KERNEL), decides every other enabled check
+    its pairs do not pass by construction on the tuple's record (_kernel).
+    An untraced run skips a tuple that fails one; a traced run names its failures, decided
     before or in the kernel, in registry order.  Only a kept record is
     audited (build_candidate).
     """
@@ -403,6 +403,14 @@ def _hodge_join(left: tuple[E1Side, ...], right: tuple[E1Side, ...]) -> tuple[di
     return values, groups
 
 
+# The checks the E1-E1 walk decides on each pair's record (_decide), the
+# cube checks first; enumerate_e1e1 says why it needs no other.
+E1E1_KERNEL: tuple[str, ...] = (
+    "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE",
+    "COEFF_RELATIONS", "GCD_LEFT", "GCD_RIGHT", "HODGE", "HYPERELLIPTIC_SYM",
+)
+
+
 def enumerate_e1e1(
     enabled: frozenset[str] = DEFAULT_CHECKS,
     trace: TraceFn | None = None,
@@ -425,13 +433,17 @@ def enumerate_e1e1(
     whichever role the side plays): the check passes exactly when the two
     values are equal.
     Any other run walks each right side; only the iterable differs.
-    The genus-form test decides DIOPHANTINE, the side lists the side checks,
-    the closed-form pairs the coefficient checks (COEFF_RELATIONS while
-    SIGMA_POS is enabled) and the kernel (_decide) the rest on the pair's record.
-    HODGE is in the kernel, so a wrong Hodge join could only drop rows.
-    The pairs are alpha = n/(r*kx3) and alpha_plus = n/(rp*kx3), so both
-    sides' basis decompositions have the lead coefficient n/kx3: with GCD_LEFT
-    or GCD_RIGHT enabled, an untraced run skips a pair whose n is not a
+    The genus-form test decides DIOPHANTINE, the side lists SIGMA_POS and
+    the FANO_DEGREE checks, and kx3 runs over KX3_VALUES (KX3_RANGE).  The
+    closed-form pairs pass COEFF_INTEGRALITY, ALPHA_PLUS_BOUND and
+    BETA_PLUS_RANGE, as any two E1 sides do, and every closure relation.
+    They are alpha = n/(r*kx3) and alpha_plus = n/(rp*kx3), n = sigma*rp +
+    r*sigma_plus: with SIGMA_POS both excesses are positive, so is alpha,
+    and the pairs pass COEFF_RELATIONS too, which the kernel then leaves out.
+    The kernel (E1E1_KERNEL, _decide) decides the rest on the pair's record;
+    HODGE is in it, so a wrong Hodge join could only drop rows.  Both sides'
+    basis decompositions have the lead coefficient n/kx3: with GCD_LEFT or
+    GCD_RIGHT enabled, an untraced run skips a pair whose n is not a
     multiple of kx3, which fails both; the kernel decides both on the rest.
     """
     indices = [(kx3, r) for kx3 in KX3_VALUES for r in range(1, 5)]
@@ -443,7 +455,8 @@ def enumerate_e1e1(
     primitive = trace is None and ("GCD_LEFT" in enabled or "GCD_RIGHT" in enabled)
     blocks = trace is not None and fast
     diophantine = ((), ("DIOPHANTINE",))  # what a pair-fast block's verdict 1 names
-    kernel = kernel_plan(e1e1_pairs, frozenset(enabled))
+    built = {"COEFF_RELATIONS"} if "SIGMA_POS" in enabled else set()  # see above
+    kernel = kernel_plan(E1E1_KERNEL, frozenset(enabled) - built)
     results: list[LinkCandidate] = []
     for kx3, r in indices:
         for rp in range(1, r + 1):
@@ -494,6 +507,13 @@ def _gcd_left_alpha_pluses(r: int, beta_plus: int) -> frozenset[int]:
     )
 
 
+# The checks the E1-point walk decides on each tuple's record (_decide), the
+# cube checks first; enumerate_e1estar says why it needs no other.
+E1STAR_KERNEL: tuple[str, ...] = (
+    "ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "DIOPHANTINE"
+)
+
+
 def enumerate_e1estar(
     star: ContractionType,
     enabled: frozenset[str] = DEFAULT_CHECKS,
@@ -506,22 +526,24 @@ def enumerate_e1estar(
     residual check is enabled, the linear excess relation pins alpha_plus
     for each (box, beta_plus), so the alpha_plus loop collapses to a
     membership test; with the check disabled the box is scanned literally.
-    The side lists decide the E1 side's checks, and the star pairs inside
-    the box pass the coefficient checks (COEFF_RELATIONS, COEFF_INTEGRALITY,
-    ALPHA_PLUS_BOUND, BETA_PLUS_RANGE) and the point side's GCD_RIGHT by
-    construction.
+    The side lists decide the E1 side's checks, and kx3 runs over
+    KX3_VALUES (KX3_RANGE).  The star pairs inside the box pass by
+    construction COEFF_RELATIONS (every closure relation holds, with nonzero
+    coefficients), COEFF_INTEGRALITY (the point side's pair is over 1),
+    ALPHA_PLUS_BOUND and BETA_PLUS_RANGE (the box's own bounds), and
+    GCD_RIGHT, which a point side passes.
 
-    Four more checks read less than a record on this walk (checks.Scope.on),
-    so it decides each once, with the check's own calls, before the kernel:
-    per kx3 FANO_DEGREE_RIGHT, and HYPERELLIPTIC_SYM, which fails at kx3 = 2
-    since an E1 side never equals a point side; per left side HODGE, which on
-    a smooth point target (E2) asks that the side's value (_hodge_value) equal
-    the point side's; per (r, beta_plus, alpha_plus) GCD_LEFT
+    Four more checks read less than a record on this walk, so it decides
+    each once, with the check's own calls, before the kernel: per kx3
+    FANO_DEGREE_RIGHT, since the point side is fixed, and HYPERELLIPTIC_SYM,
+    which fails at kx3 = 2 since an E1 side never equals a point side; per
+    left side HODGE, which on a smooth point target (E2) asks that the
+    side's value (_hodge_value) equal the point side's; per (r, beta_plus,
+    alpha_plus) GCD_LEFT, which reads the left index and the pair
     (_gcd_left_alpha_pluses).  An untraced run skips whatever a decision
-    fails.  The kernel (_decide) decides the rest on the tuple's record, the
-    cube checks and DIOPHANTINE, so a run audits only the tuples it admits;
-    a traced run names every tuple's failures, decided or not, in registry
-    order.
+    fails.  The kernel (E1STAR_KERNEL, _decide) decides the rest on the
+    tuple's record, so a run audits only the tuples it admits; a traced run
+    names every tuple's failures, decided or not, in registry order.
     """
     c = star_sigma(star)  # raises ValueError for an E1 star
     right = _side(star)
@@ -529,7 +551,7 @@ def enumerate_e1estar(
     fast = "DIOPHANTINE" in enabled
     gcd_left = "GCD_LEFT" in enabled
     hodge = "HODGE" in enabled and right.target_index is not None
-    kernel = kernel_plan(star_pairs, enabled)
+    kernel = kernel_plan(E1STAR_KERNEL, enabled)
     results: list[LinkCandidate] = []
     for kx3 in KX3_VALUES:
         right_term = side_term(kx3, right)

@@ -22,8 +22,7 @@ from fanolink.checks import (
     run_checks,
     validate_check_ids,
 )
-from fanolink.formulas import e1e1_pairs, star_pairs
-from fanolink.search import D_MAX, G_MAX, record
+from fanolink.search import D_MAX, E1E1_KERNEL, E1STAR_KERNEL, G_MAX, record
 
 from conftest import over_common_denominator
 
@@ -95,32 +94,32 @@ class TestRegistry:
 
     def test_every_check_declares_a_scope(self):
         for name, check in REGISTRY.items():
-            assert check.scope.reads in SCOPE_FIELDS, name
-            assert set(check.scope.built) <= {e1e1_pairs, star_pairs}, name
-            for needs in check.scope.built.values():
-                assert needs <= DEFAULT_CHECKS, name
-        scoped = {name for name, check in REGISTRY.items() if check.scope.reads != "record"}
+            assert check.reads in SCOPE_FIELDS, name
+        scoped = {name for name, check in REGISTRY.items() if check.reads != "record"}
         assert scoped == {
             "SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT", "DIOPHANTINE",
             "COEFF_RELATIONS", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT", "DEFECT_POSITIVE",
             "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
-        # The kernel scopes (checks.kernel_plan), which E1 walks decide on a
-        # tuple's record.
+        # The scopes of the checks the E1 walks' kernels hold (search.E1E1_KERNEL,
+        # E1STAR_KERNEL), which they decide on a tuple's record.
         kernel_scopes = {"cubes", "sides and pairs"}
         assert kernel_scopes <= set(SCOPE_FIELDS)
-        kernel = {name for name, check in REGISTRY.items() if check.scope.reads in kernel_scopes}
+        kernel = {name for name, check in REGISTRY.items() if check.reads in kernel_scopes}
         assert kernel == {
             "DIOPHANTINE", "COEFF_RELATIONS", "ETILDE_INTEGRAL", "GCD_LEFT", "GCD_RIGHT",
             "DEFECT_POSITIVE", "DEFECT_DIVISIBLE", "HODGE", "HYPERELLIPTIC_SYM",
         }
+        assert kernel == {*E1E1_KERNEL, *E1STAR_KERNEL}
 
     @pytest.mark.parametrize("ids", [{"HODGE", "NOT_A_CHECK"}, {""}])
     def test_kernel_plan_raises_on_a_bad_id(self, ids):
-        # Twice: the plan is cached per walk and enabled set, a failure never.
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                kernel_plan(e1e1_pairs, frozenset(ids))
+        # Twice: the plan is cached per names and enabled set, a failure never.
+        # Over a walk's kernel and over the registry (run_checks' plan) alike.
+        for names in (E1E1_KERNEL, tuple(REGISTRY)):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    kernel_plan(names, frozenset(ids))
 
 
 class TestRunChecks:
@@ -466,7 +465,7 @@ def test_integer_verdicts_equal_the_fraction_predicates(candidate):
         assert REGISTRY[name].passes(candidate) == predicate(candidate), name
 
 
-_SCOPED = [name for name, check in REGISTRY.items() if check.scope.reads != "record"]
+_SCOPED = [name for name, check in REGISTRY.items() if check.reads != "record"]
 
 
 @given(candidate=st.one_of(_BOXES, _perturbed()), other=st.one_of(_BOXES, _perturbed()))
@@ -483,6 +482,6 @@ def test_a_verdict_reads_only_its_declared_scope(candidate, other):
     for name in _SCOPED:
         check = REGISTRY[name]
         verdict = check.passes(candidate)
-        for field in set(candidate._fields) - SCOPE_FIELDS[check.scope.reads]:
+        for field in set(candidate._fields) - SCOPE_FIELDS[check.reads]:
             varied = candidate._replace(**{field: getattr(other, field)})
             assert check.passes(varied) == verdict, (name, field)

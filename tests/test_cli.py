@@ -515,8 +515,9 @@ class TestExplain:
         assert capsys.readouterr() == spaced
 
     def test_bad_row_number(self, capsys):
-        # int() rejects "²", which str.isdigit accepts, and a doubled sign.
-        for text in ("one", "²", "--5"):
+        # A row number is ASCII -?[0-9]+: not "²" (str.isdigit accepts it), a
+        # doubled sign, "1_0" (int() reads 10) or "٣" (str.isdecimal accepts it).
+        for text in ("one", "²", "--5", "1_0", "٣"):
             assert main(["explain", "e1e1", f"row {text}"]) == 2
             assert capsys.readouterr().err == f"error: bad row number: {text!r}\n"
 
@@ -543,8 +544,11 @@ class TestExplain:
         assert "verdict: rejected" in out
 
     def test_unparseable_tuple(self, capsys):
-        assert main(["explain", "e1e1", "(a,b)"]) == 2
-        assert "cannot parse tuple" in capsys.readouterr().err
+        # Each field is ASCII -?[0-9]+, by the row number's rule: int() would
+        # read "1_0" as 10 and "٣" as 3.
+        for key in ("(a,b)", "(2,2,1,0,2,1_0,0)", "(٣,2,1,0,2,1,0)"):
+            assert main(["explain", "e1e1", key]) == 2
+            assert capsys.readouterr().err == f"error: cannot parse tuple: {key!r}\n"
 
     @pytest.mark.parametrize(
         "family,key,value",

@@ -20,7 +20,6 @@ from fanolink.checks import (
     MAX_ALPHA_PLUS,
     REGISTRY,
     admitted,
-    kernel_plan,
     run_checks,
 )
 from fanolink.formulas import (
@@ -761,37 +760,51 @@ class TestHodgeJoin:
         assert len(set(after) - set(before)) == 10
 
 
+# How each E1 walk, named by its pair function, decides the checks outside
+# its kernel (search.E1E1_KERNEL, E1STAR_KERNEL).  BEFORE: the checks it
+# decides before the kernel, by its side lists and kx3 walk, and on E1-point
+# per kx3, per left side and per (r, beta_plus, alpha_plus).  BUILT: the
+# checks its pairs pass by construction, each with the checks that needs
+# enabled (see the walks' docstrings).
+_NONE = frozenset()
+_EVERY = {e1e1_pairs: _NONE, star_pairs: _NONE}
+_SIDES = {"SIGMA_POS", "KX3_RANGE", "FANO_DEGREE_LEFT", "FANO_DEGREE_RIGHT"}
+BEFORE = {e1e1_pairs: _SIDES, star_pairs: _SIDES | {"GCD_LEFT", "HODGE", "HYPERELLIPTIC_SYM"}}
+BUILT = {
+    "DIOPHANTINE": {e1e1_pairs: {"DIOPHANTINE"}},  # the genus-form test, TestGenusJoin
+    "COEFF_RELATIONS": {**_EVERY, e1e1_pairs: {"SIGMA_POS"}},
+    "GCD_RIGHT": {star_pairs: _NONE},
+    "COEFF_INTEGRALITY": _EVERY,
+    "ALPHA_PLUS_BOUND": _EVERY,
+    "BETA_PLUS_RANGE": _EVERY,
+}
+
+
 def _decided_by(pairs, enabled=frozenset()):
-    """The checks whose scope says every record of the pairs' walk passes, given enabled."""
+    """The checks BUILT says every record of the pairs' walk passes, given enabled."""
     return [
-        name
-        for name, check in REGISTRY.items()
-        if pairs in check.scope.built and check.scope.built[pairs] <= enabled
+        name for name in REGISTRY if pairs in BUILT.get(name, {}) and BUILT[name][pairs] <= enabled
     ]
 
 
 class TestConstructionDecided:
-    # Each check that checks.Scope.built says an E1 walk's pair function
-    # decides passes on every pair that function makes over the walk's whole
-    # box, so the walk's kernel (checks.kernel_plan) may leave it out.  Each
-    # pair is checked on a record derived from sides that make it; these
-    # verdicts read the pairs, the side types and the left index.  The
-    # symmetric walk runs every enabled check on each record (search._admit),
-    # so its pairs are checked against the six checks they pass by
-    # construction.
+    # Each check that BUILT says an E1 walk's pair function decides passes
+    # on every pair that function makes over the walk's whole box, so the
+    # walk's kernel may leave it out.  Each pair is checked on a record
+    # derived from sides that make it; these verdicts read the pairs, the
+    # side types and the left index.  The symmetric walk runs every enabled
+    # check on each record (search._admit), so its pairs are checked against
+    # the six checks they pass by construction.
 
     def test_the_table_names_each_construction_decided_check(self):
-        none = frozenset()
-        every = {e1e1_pairs: none, star_pairs: none}
-        built = {name: check.scope.built for name, check in REGISTRY.items() if check.scope.built}
-        assert built == {
-            "DIOPHANTINE": {e1e1_pairs: {"DIOPHANTINE"}},  # the genus-form test, TestGenusJoin
-            "COEFF_RELATIONS": {**every, e1e1_pairs: {"SIGMA_POS"}},
-            "GCD_RIGHT": {star_pairs: none},
-            "COEFF_INTEGRALITY": every,
-            "ALPHA_PLUS_BOUND": every,
-            "BETA_PLUS_RANGE": every,
-        }
+        # Over the registry, each walk decides every check before its kernel,
+        # by construction or in it; only COEFF_RELATIONS is both built and in
+        # the E1-E1 kernel, which leaves it out while SIGMA_POS is enabled.
+        for pairs, kernel in ((e1e1_pairs, search.E1E1_KERNEL), (star_pairs, search.E1STAR_KERNEL)):
+            built = set(_decided_by(pairs, DEFAULT_CHECKS))
+            assert BEFORE[pairs].isdisjoint(built | set(kernel)), pairs
+            assert BEFORE[pairs] | built | set(kernel) == set(REGISTRY), pairs
+            assert built & set(kernel) == ({"COEFF_RELATIONS"} if pairs is e1e1_pairs else set())
 
     def test_e1e1_pairs_on_sigma_pos_kept_sides(self):
         # e1e1_pairs reads (kx3, r, rp, sigma, sigma_plus) alone, so the
@@ -1393,10 +1406,11 @@ def _no_diophantine_log(family: str) -> tuple[tuple, ...]:
 
 
 class TestKernel:
-    # Both E1 walks decide the checks of their kernel (checks.kernel_plan) on
-    # each tuple's record (search._kernel): the cube checks, then on the
-    # E1-E1 walk GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM (and
-    # COEFF_RELATIONS without SIGMA_POS), on the E1-point one DIOPHANTINE.
+    # Both E1 walks decide the checks of their kernel (search.E1E1_KERNEL,
+    # E1STAR_KERNEL) on each tuple's record (search._kernel): the cube
+    # checks, then on the E1-E1 walk GCD_LEFT, GCD_RIGHT, HODGE and
+    # HYPERELLIPTIC_SYM (and COEFF_RELATIONS without SIGMA_POS), on the
+    # E1-point one DIOPHANTINE.
     # The proofs log the tuples each walk decides and hold the kernel's
     # record and verdicts on them to the registry.
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
@@ -1408,31 +1422,32 @@ class TestKernel:
 
     @pytest.mark.parametrize("family", E1_FAMILIES)
     def test_each_enabled_check_is_decided_exactly_once(self, monkeypatch, family):
-        # An E1 walk keeps only what its kernel passes, so every enabled
-        # check must be exactly one of: decided before the kernel (its scope
-        # on the walk is one the side lists and kx3 fix, or on the E1-point
-        # walk one of its per-kx3, per-side and per-(r, beta_plus, alpha_plus)
-        # decisions' checks.Scope.on scopes), passed by the walk's pairs
-        # (checks.Scope.built, with what it needs enabled), or in the walk's
-        # kernel, which must be checks.kernel_plan's.
+        # Each walk's kernel, named and in order, under every check set: the
+        # default kernel less the disabled check, and on E1-E1 without
+        # SIGMA_POS COEFF_RELATIONS right after the cubes, its pairs no longer
+        # passing it by construction.  An E1 walk keeps only what its kernel
+        # passes, so every enabled check must be exactly one of: decided
+        # before the kernel (BEFORE), passed by the walk's pairs (BUILT, with
+        # what it needs enabled), or in the kernel.
         pairs = e1e1_pairs if family == "e1e1" else star_pairs
-        names = [name for name, _ in kernel_plan(pairs, DEFAULT_CHECKS)]
-        assert names == self.CUBES + (self.E1E1_SIDES if pairs is e1e1_pairs else ["DIOPHANTINE"])
-        before = {"kx3", "left", "right", "each side"}
-        before |= {check.scope.on[pairs] for check in REGISTRY.values() if pairs in check.scope.on}
+        default = self.CUBES + (self.E1E1_SIDES if pairs is e1e1_pairs else ["DIOPHANTINE"])
         kernels = set()
         monkeypatch.setattr(search, "_decide", lambda sides, pairs, kernel, *_: kernels.add(kernel))
         for enabled in self.CHECK_SETS:
             kernels.clear()
             enumerate_family(family, enabled)
-            assert kernels == {kernel_plan(pairs, enabled)}, enabled
-            in_kernel = {name for name, _ in kernel_plan(pairs, enabled)}
+            expected = [name for name in default if name in enabled]
+            if pairs is e1e1_pairs and "SIGMA_POS" not in enabled:
+                expected[3:3] = ["COEFF_RELATIONS"]
+            named = {tuple(name for name, _ in kernel) for kernel in kernels}
+            assert named == {tuple(expected)}, enabled
+            (kernel,) = kernels
+            assert all(passes is REGISTRY[name].passes for name, passes in kernel), enabled
             for name in enabled:
-                scope = REGISTRY[name].scope
                 ways = (
-                    scope.on.get(pairs, scope.reads) in before,
-                    pairs in scope.built and scope.built[pairs] <= enabled,
-                    name in in_kernel,
+                    name in BEFORE[pairs],
+                    pairs in BUILT.get(name, {}) and BUILT[name][pairs] <= enabled,
+                    name in expected,
                 )
                 assert sum(ways) == 1, (name, enabled)
 
