@@ -276,8 +276,8 @@ def _explain_values(family: str, key_tokens: list[str]) -> tuple[int, ...]:
             if row["row"] == number:
                 return tuple(as_integer(row[name]) for name in names)
         raise ValueError(f"no golden row {number} in family {family}")
-    parts = [part.strip() for part in text.strip("()").split(",") if part.strip()]
-    values = _integers(parts, f"cannot parse tuple: {text!r}")
+    inner = text[1:-1] if text.startswith("(") and text.endswith(")") else text
+    values = _integers([part.strip() for part in inner.split(",")], f"cannot parse tuple: {text!r}")
     if len(values) != len(names):
         raise ValueError(f"{family} tuple is ({', '.join(names)})")
     for value in values:

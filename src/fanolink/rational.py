@@ -38,10 +38,6 @@ def audit_magnitude(x: Fraction | int) -> Fraction | int:
     return x
 
 
-def is_integer(x: Fraction | int) -> bool:
-    return x.denominator == 1
-
-
 def as_integer(x: Fraction | int) -> int:
     if x.denominator != 1:
         raise ValueError(f"not an integer: {x}")

@@ -14,14 +14,14 @@ Two independent routes produce every family's candidate set:
   E1-point run decides once per kx3, left side or (r, beta_plus,
   alpha_plus) each check that reads no more, traced or not; an untraced
   run skips what they reject (enumerate_e1e1, enumerate_e1estar).
-* Both E1 walks then derive each remaining tuple's record
-  (formulas.derive) and decide its other checks on it (_decide):
-  ETILDE_INTEGRAL, DEFECT_POSITIVE and DEFECT_DIVISIBLE on the cubes and
-  defects, and GCD_LEFT, GCD_RIGHT, HODGE and HYPERELLIPTIC_SYM on E1-E1
-  (and COEFF_RELATIONS without SIGMA_POS), DIOPHANTINE on E1-point.  The
-  walks name these kernels (E1E1_KERNEL, E1STAR_KERNEL).  So a run,
-  traced or not, derives each tuple it decides once, and audits just the
-  rows it keeps.
+* Both E1 walks then hand each remaining tuple to one step (_decide),
+  which derives its record (formulas.derive), decides its other checks on
+  it and keeps, traces or skips it: ETILDE_INTEGRAL, DEFECT_POSITIVE and
+  DEFECT_DIVISIBLE on the cubes and defects, and GCD_LEFT, GCD_RIGHT,
+  HODGE and HYPERELLIPTIC_SYM on E1-E1 (and COEFF_RELATIONS without
+  SIGMA_POS), DIOPHANTINE on E1-point.  The walks name these kernels
+  (E1E1_KERNEL, E1STAR_KERNEL).  So a run, traced or not, derives each
+  tuple it decides once, and audits just the rows it keeps.
 * ``brute_force_oracle`` re-derives each family with a deliberately
   different generator: for E1-E1 it scans the leading coefficient as an
   explicit rational p/q and solves the genus relation directly instead of
@@ -253,24 +253,6 @@ def _admit(
         results.append(build_candidate(candidate))
 
 
-def _kernel(
-    sides: SideTerms, pairs: tuple, kernel: tuple, short_circuit: bool = False
-) -> tuple[LinkCandidate, list[str]]:
-    """A tuple's record (formulas.derive), and the checks of an E1 walk's kernel it fails.
-
-    The kernel is checks.kernel_plan's (name, passes) pairs, and the
-    failures come in its order; with short_circuit only the first is named.
-    """
-    candidate = derive(sides, *pairs)
-    failed = []
-    for name, passes in kernel:
-        if not passes(candidate):
-            failed.append(name)
-            if short_circuit:
-                break
-    return candidate, failed
-
-
 @functools.cache
 def _in_registry_order(names: frozenset[str]) -> tuple[str, ...]:
     """The check names in registry order, once per set of names."""
@@ -288,18 +270,23 @@ def _decide(
 ) -> None:
     """Decide one tuple of an E1 walk on its record: keep it, or trace or skip it.
 
-    known holds the checks the walk decided the tuple fails before (traced
-    runs only: an untraced walk skips such a tuple).  The kernel, the
-    walk's (E1E1_KERNEL, E1STAR_KERNEL), decides every other enabled check
-    its pairs do not pass by construction on the tuple's record (_kernel).
-    An untraced run skips a tuple that fails one; a traced run names its failures, decided
+    The tuple's record is derived once (formulas.derive).  The kernel is
+    checks.kernel_plan's (name, passes) pairs over the walk's kernel
+    (E1E1_KERNEL, E1STAR_KERNEL): every other enabled check its pairs do
+    not pass by construction.  An untraced run skips the tuple at the
+    first check that fails, in the kernel's order.  known holds the checks
+    the walk decided the tuple fails before (traced runs only: an untraced
+    walk skips such a tuple); a traced run names its failures, decided
     before or in the kernel, in registry order.  Only a kept record is
     audited (build_candidate).
     """
-    candidate, failed = _kernel(sides, pairs, kernel, trace is None)
-    if failed or known:
-        if trace is not None:
-            trace("full", data, _in_registry_order(known.union(failed)))
+    candidate = derive(sides, *pairs)
+    if trace is None:
+        for _, passes in kernel:
+            if not passes(candidate):
+                return
+    elif (failed := [name for name, passes in kernel if not passes(candidate)]) or known:
+        trace("full", data, _in_registry_order(known.union(failed)))
         return
     results.append(build_candidate(candidate))
 

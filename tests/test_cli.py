@@ -545,8 +545,13 @@ class TestExplain:
 
     def test_unparseable_tuple(self, capsys):
         # Each field is ASCII -?[0-9]+, by the row number's rule: int() would
-        # read "1_0" as 10 and "٣" as 3.
-        for key in ("(a,b)", "(2,2,1,0,2,1_0,0)", "(٣,2,1,0,2,1,0)"):
+        # read "1_0" as 10 and "٣" as 3.  Only one pair of parentheses may
+        # enclose the whole key, and no field is empty.
+        for key in (
+            "(a,b)", "(2,2,1,0,2,1_0,0)", "(٣,2,1,0,2,1,0)",
+            "((2,2,1,0,2,1,0", "2,2,1,0,2,1,0))", "((2,2,1,0,2,1,0))",
+            "(2,,2,1,0,2,1,0)", "(2,2,1,0,2,1,0,)",
+        ):
             assert main(["explain", "e1e1", key]) == 2
             assert capsys.readouterr().err == f"error: cannot parse tuple: {key!r}\n"
 

@@ -17,7 +17,6 @@ from fanolink.rational import (
     RationalOverflowError,
     as_integer,
     audit_magnitude,
-    is_integer,
     parse_rational,
     render_exact,
     render_table,
@@ -44,11 +43,6 @@ class TestConstruction:
 
 
 class TestPredicates:
-    def test_is_integer(self):
-        assert is_integer(4)
-        assert is_integer(Fraction(8, 2))
-        assert not is_integer(Fraction(1, 2))
-
     def test_as_integer_accepts_integral_values(self):
         assert as_integer(5) == 5
         assert as_integer(Fraction(10, 2)) == 5

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
@@ -582,7 +583,7 @@ class _BlockHook:
 def _decided_sides(monkeypatch) -> list[tuple]:
     """Patch search._decide to log the (kx3, left, right) of each tuple an E1 walk decides; the log.
 
-    These are the kernel's inputs: the kernel derives each of them once
+    These are the kernel's inputs: _decide derives each of them once
     (TestKernel).
     """
     log, decide = [], search._decide
@@ -1370,11 +1371,11 @@ class TestE1PointDecisions:
 
 
 def _walk_log(family: str, enabled: frozenset[str], traced: bool) -> tuple[tuple, ...]:
-    """The (sides, pairs, kernel, data) of each tuple a run hands to search._decide, undecided."""
+    """Each tuple's (sides, pairs, kernel, data, known) a run hands to search._decide, undecided."""
     log, decide = [], search._decide
 
-    def logged(sides, pairs, kernel, trace, data, *rest):
-        log.append((sides, pairs, kernel, data))
+    def logged(sides, pairs, kernel, trace, data, results, known=frozenset()):
+        log.append((sides, pairs, kernel, data, known))
 
     search._decide = logged
     try:
@@ -1385,19 +1386,32 @@ def _walk_log(family: str, enabled: frozenset[str], traced: bool) -> tuple[tuple
 
 
 def _kernel_failures(family: str, entry: tuple) -> list[str]:
-    """The kernel's failures on a logged tuple, held to the registry's verdicts on its record.
+    """The kernel's failures on a logged tuple, as a traced search._decide names them.
 
-    The kernel's record must be search.record's candidate of the tuple, and
-    its failures the kernel checks whose verdict fails on that candidate,
-    in the kernel's order.
+    The one record _decide derives must be search.record's candidate of
+    the tuple.  Its trace must name the kernel checks whose registry
+    verdict fails on that candidate, with the tuple's known failures, in
+    registry order; and it keeps the candidate exactly when it names none.
     """
-    sides, pairs, kernel, data = entry
-    derived, failed = search._kernel(sides, pairs, kernel)
+    sides, pairs, kernel, data, known = entry
+    derived, events, kept, derive = [], [], [], search.derive
+
+    def logged_derive(*args):
+        derived.append(derive(*args))
+        return derived[-1]
+
+    search.derive = logged_derive
+    try:
+        search._decide(sides, pairs, kernel, lambda *event: events.append(event), data, kept, known)
+    finally:
+        search.derive = derive
     candidate = record(family, data)
-    assert derived == candidate, data
-    names = [name for name, _ in kernel]
-    assert failed == [name for name in names if not REGISTRY[name].passes(candidate)], data
-    return failed
+    assert derived == [candidate], data
+    failed = [name for name, _ in kernel if not REGISTRY[name].passes(candidate)]
+    named = search._in_registry_order(known.union(failed))
+    assert events == ([("full", data, named)] if named else []), data
+    assert kept == ([] if named else [candidate]), data
+    return [name for name in named if name not in known]
 
 
 @functools.lru_cache(maxsize=1)  # one family's log (about 11 MB) at a time
@@ -1407,11 +1421,11 @@ def _no_diophantine_log(family: str) -> tuple[tuple, ...]:
 
 class TestKernel:
     # Both E1 walks decide the checks of their kernel (search.E1E1_KERNEL,
-    # E1STAR_KERNEL) on each tuple's record (search._kernel): the cube
+    # E1STAR_KERNEL) on each tuple's record (search._decide): the cube
     # checks, then on the E1-E1 walk GCD_LEFT, GCD_RIGHT, HODGE and
     # HYPERELLIPTIC_SYM (and COEFF_RELATIONS without SIGMA_POS), on the
     # E1-point one DIOPHANTINE.
-    # The proofs log the tuples each walk decides and hold the kernel's
+    # The proofs log the tuples each walk decides and hold _decide's
     # record and verdicts on them to the registry.
     NO_DIOPHANTINE = DEFAULT_CHECKS - {"DIOPHANTINE"}
     CUBES = ["ETILDE_INTEGRAL", "DEFECT_POSITIVE", "DEFECT_DIVISIBLE"]
@@ -1462,21 +1476,21 @@ class TestKernel:
         log = _decided_sides(monkeypatch)
         derived = _derived_count(monkeypatch)
         built = _built_count(monkeypatch)
-        passed, kernel, decide = [], search._kernel, search._decide
-        before = [frozenset()]
+        passed, last, derive, decide = [], [], search.derive, search._decide
+
+        def logged_derive(*args):
+            last.append(derive(*args))
+            return last[-1]
 
         def logged_decide(sides, pairs, plan, trace, data, results, known=frozenset()):
-            before[0] = known
-            return decide(sides, pairs, plan, trace, data, results, known)
-
-        def logged_kernel(*args):
-            candidate, failed = kernel(*args)
-            if not failed and not before[0]:
+            last.clear()
+            decide(sides, pairs, plan, trace, data, results, known)
+            (candidate,) = last  # the one record _decide derives
+            if not known and all(REGISTRY[name].passes(candidate) for name, _ in plan):
                 passed.append(candidate)
-            return candidate, failed
 
+        monkeypatch.setattr(search, "derive", logged_derive)
         monkeypatch.setattr(search, "_decide", logged_decide)
-        monkeypatch.setattr(search, "_kernel", logged_kernel)
         hook = _QuietHook() if traced else None
         for enabled in self.CHECK_SETS:
             for counts in (log, derived, built, passed):
@@ -1545,6 +1559,23 @@ class TestDispatch:
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown family"):
             enumerate_family("e9e9")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("NOT_A_CHECK", "unknown check ids: NOT_A_CHECK"),
+            ("", "empty check id; fanolink --list-checks prints the valid ids"),
+        ],
+        ids=["unknown", "empty"],
+    )
+    @pytest.mark.parametrize("family", FAMILY_IDS)
+    def test_every_walk_rejects_a_bad_check_id_on_every_call(self, family, bad, message):
+        # Twice, so a cached plan cannot remember the failure.  The bad id
+        # joins the default checks: alone it would disable every real check,
+        # and a walk that failed to validate would then run unpruned.
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                enumerate_family(family, DEFAULT_CHECKS | {bad})
 
     def test_star_enumerators_reject_curve_type(self):
         with pytest.raises(ValueError):
